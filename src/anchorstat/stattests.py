@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import stats as scipy_stats
-from scipy.spatial.distance import cdist
 
 from .anchor import DiffVector, mapped_distances, paired_differences
 from .cluster import KmeansConfig, kmeans
@@ -34,6 +32,7 @@ from .errors import (
 
 DEFAULT_PERMUTATIONS = 999
 DEFAULT_ALPHA = 0.05
+_BLOCK_ENTRIES = 1 << 16  # entries per block of permutation draws: bounds memory for any R
 
 METHOD_TAGS = ("anchored_johnson", "hotelling_paired", "nploc_mean", "energy")
 
@@ -81,19 +80,13 @@ def _as_diff_array(d) -> np.ndarray:
     return np.asarray(d, dtype=float)
 
 
-def _johnson_t_rows(X: np.ndarray) -> np.ndarray:
-    """Modified paired t of each row of X; rows with zero variance map to
+def _modified_t(mean, var, mu3, n: int):
+    """Modified paired t from the sample moments; zero variance maps to
     +/-inf (the location signal is infinitely strong relative to spread)."""
-    n = X.shape[1]
-    mean = X.mean(axis=1)
-    dev = X - mean[:, None]
-    var = (dev**2).sum(axis=1) / (n - 1)
-    mu3 = (dev**3).sum(axis=1) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         se = np.sqrt(var / n)
         t = mean / se + mu3 * ((mean / var) ** 2 / 3.0 + 1.0 / (6.0 * var * n)) / se
-        t = np.where(var > 0.0, t, np.sign(mean) * np.inf)
-    return t
+        return np.where(var > 0.0, t, np.sign(mean) * np.inf)
 
 
 def johnson_t(d) -> float:
@@ -105,12 +98,39 @@ def johnson_t(d) -> float:
         raise DegenerateSampleError(
             "sample variance is zero; the modified t-statistic is undefined"
         )
-    return float(_johnson_t_rows(arr[None, :])[0])
+    n, mean = arr.shape[0], arr.mean()
+    dev = arr - mean
+    return float(_modified_t(mean, (dev**2).sum() / (n - 1), (dev**3).sum() / (n - 1), n))
 
 
-def _sign_matrix(n: int, R: int, seed: int) -> np.ndarray:
+def _permutation_pvalue(stat, draw, observed, mirror, R: int, seed: int, support=slice(None)):
+    """Add-one p-value and share of replicates strictly below T_obs.
+
+    ``draw(rng, b)`` gives the next b rows of the replicate stream of
+    ``default_rng(seed)``; ``stat`` evaluates them, cut to ``support``, in
+    closed form, and gives T_obs from the ``observed`` row the same way. A
+    row equal to ``observed`` or to ``mirror``, its image under a symmetry
+    of the statistic, ties by rule, not by rounding.
+    """
+    if R < 1:
+        raise ParameterError(f"permutation count must be >= 1, got {R}")
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=(R, n)) * 2 - 1
+    rows = max(1, _BLOCK_ENTRIES // observed.shape[0])
+    observed, mirror = observed[support], mirror[support]
+    obs = stat(observed[None])[0]
+    at_least = below = 0
+    for start in range(0, R, rows):
+        block = draw(rng, min(rows, R - start))[:, support]
+        tie = (block == observed).all(axis=1) | (block == mirror).all(axis=1)
+        stats = stat(block)
+        at_least += int(np.count_nonzero((stats >= obs) | tie))
+        below += int(np.count_nonzero((stats < obs) & ~tie))
+    return (1 + at_least) / (R + 1), below / R
+
+
+def _sign_flips(n: int):
+    """Draws of rng.integers(0, 2, (R, n)) (1 keeps a sign), identity, global flip."""
+    return lambda rng, b: rng.integers(0, 2, size=(b, n)), np.ones(n, int), np.zeros(n, int)
 
 
 def sign_flip_pvalue(
@@ -129,18 +149,26 @@ def sign_flip_pvalue(
     report metadata as ``strict_exceedance_proportion``.
 
     The replicate draws depend only on (seed, R, n), so the p-value is
-    reproducible and independent of execution order or thread count.
+    reproducible and independent of execution order or thread count. A
+    replicate needs only s.d and s.d^3 over the nonzero entries of d.
     """
-    if R < 1:
-        raise ParameterError(f"permutation count must be >= 1, got {R}")
     arr = _as_diff_array(d)
     t_obs = johnson_t(arr)
-    signs = _sign_matrix(arr.shape[0], R, seed)
-    t_rep = _johnson_t_rows(signs * arr[None, :])
-    exceed = int(np.sum(np.abs(t_rep) >= abs(t_obs)))
-    p = (1 + exceed) / (R + 1)
+    n = arr.shape[0]
+    support = arr != 0.0
+    powers = np.column_stack([arr, arr**3])[support]
+    sum_sq = float(powers[:, 0] @ powers[:, 0])
+
+    def abs_t(signs):
+        first, third = ((2.0 * signs - 1.0) @ powers).T
+        mean = first / n
+        var = (sum_sq - n * mean**2) / (n - 1)
+        mu3 = (third - 3.0 * mean * sum_sq + 2.0 * n * mean**3) / (n - 1)
+        return np.abs(_modified_t(mean, var, mu3, n))
+
+    p, strict = _permutation_pvalue(abs_t, *_sign_flips(n), R, seed, support)
     meta = dict(metadata or {})
-    meta["strict_exceedance_proportion"] = float(np.mean(abs(t_obs) > np.abs(t_rep)))
+    meta["strict_exceedance_proportion"] = strict
     return TestReport(
         method="anchored_johnson",
         statistic=t_obs,
@@ -176,22 +204,8 @@ def anchored_test(
     raise VacuousTestError.
     """
     validate_pairing({"anchor": anchor, "d1": d1, "d2": d2})
-    part1 = kmeans(
-        d1,
-        K,
-        seed=_child_seed(seed, 1),
-        restarts=kmeans_config.restarts,
-        max_iter=kmeans_config.max_iter,
-        tol=kmeans_config.tol,
-    )
-    part2 = kmeans(
-        d2,
-        K,
-        seed=_child_seed(seed, 2),
-        restarts=kmeans_config.restarts,
-        max_iter=kmeans_config.max_iter,
-        tol=kmeans_config.tol,
-    )
+    part1 = kmeans(d1, K, seed=_child_seed(seed, 1), **vars(kmeans_config))
+    part2 = kmeans(d2, K, seed=_child_seed(seed, 2), **vars(kmeans_config))
     set1 = mapped_distances(anchor, part1, source=d1.label)
     set2 = mapped_distances(anchor, part2, source=d2.label)
     diff = paired_differences(set1, set2)
@@ -228,6 +242,10 @@ def _paired_diff_rows(x, y) -> np.ndarray:
     Y = _sample_rows(y)
     if X.shape != Y.shape:
         raise DimensionError(f"paired matrices must share a shape: {X.shape} vs {Y.shape}")
+    if np.all(X == Y):
+        raise VacuousTestError("paired rows are identical; the test is vacuous")
+    if X.shape[0] <= X.shape[1]:
+        raise DegeneracyError(f"need n > p, got n={X.shape[0]}, p={X.shape[1]}")
     return X - Y
 
 
@@ -247,15 +265,12 @@ def hotelling_paired(x, y, alpha: float = DEFAULT_ALPHA, seed: int = 0) -> TestR
     F = T^2 (n-p) / (p (n-1)) with (p, n-p) degrees of freedom.
     """
     D = _paired_diff_rows(x, y)
+    from scipy import stats as scipy_stats
     n, p = D.shape
-    if np.all(D == 0.0):
-        raise VacuousTestError("paired rows are identical; the test is vacuous")
-    if n <= p:
-        raise DegeneracyError(f"need n > p for the F reference, got n={n}, p={p}")
     t2 = _t2_statistic(D)
     f_stat = t2 * (n - p) / (p * (n - 1))
-    p_value = float(scipy_stats.f.sf(f_stat, p, n - p))
-    p_value = min(max(p_value, np.nextafter(0, 1)), 1.0)
+    # the floor for an underflowed tail is a numpy scalar; json needs a float
+    p_value = float(min(max(scipy_stats.f.sf(f_stat, p, n - p), np.nextafter(0, 1)), 1.0))
     return TestReport(
         method="hotelling_paired",
         statistic=t2,
@@ -279,33 +294,22 @@ def nploc_mean_test(
 
     Uses the same quadratic-form statistic as the paired T^2 but draws
     its null distribution by flipping the sign of whole difference rows,
-    with the add-one p-value estimate.
+    with the add-one p-value estimate. A flip leaves G = D'D fixed, so by
+    Sherman-Morrison a replicate with mean m has T^2 = n(n-1) a / (1 - n a),
+    a = m'G^-1 m, which is +inf when 1 - n a <= 0.
     """
-    if R < 1:
-        raise ParameterError(f"permutation count must be >= 1, got {R}")
     D = _paired_diff_rows(x, y)
-    n, p = D.shape
-    if np.all(D == 0.0):
-        raise VacuousTestError("paired rows are identical; the test is vacuous")
-    if n <= p:
-        raise DegeneracyError(f"need n > p, got n={n}, p={p}")
+    n = D.shape[0]
     obs = _t2_statistic(D)
-    # flipping signs of whole rows leaves the Gram matrix D'D unchanged,
-    # so each replicate only moves the mean: S_r = (D'D - n m m') / (n-1)
-    gram = D.T @ D
-    signs = _sign_matrix(n, R, seed)
-    means = signs @ D / n
-    exceed = 0
-    for r in range(R):
-        m = means[r]
-        S = (gram - n * np.outer(m, m)) / (n - 1)
-        try:
-            stat = float(n * m @ np.linalg.solve(S, m))
-        except np.linalg.LinAlgError:
-            stat = np.inf  # flip collapsed the spread; maximally extreme
-        if stat >= obs:
-            exceed += 1
-    p_value = (1 + exceed) / (R + 1)
+    chol = np.linalg.cholesky(D.T @ D)
+    support = np.any(D != 0.0, axis=1)
+
+    def t2(signs):
+        a = (np.linalg.solve(chol, ((2.0 * signs - 1.0) @ D[support] / n).T) ** 2).sum(0)
+        with np.errstate(divide="ignore"):
+            return np.where(1.0 - n * a > 0.0, n * (n - 1) * a / (1.0 - n * a), np.inf)
+
+    p_value, _ = _permutation_pvalue(t2, *_sign_flips(n), R, seed, support)
     return TestReport(
         method="nploc_mean",
         statistic=obs,
@@ -314,7 +318,6 @@ def nploc_mean_test(
         seed=seed,
         alpha=alpha,
         reject=p_value < alpha,
-        metadata={},
     )
 
 
@@ -330,6 +333,7 @@ def energy_statistic(x, y) -> float:
         raise DimensionError(
             f"samples must share a dimension: {X.shape[1]} vs {Y.shape[1]}"
         )
+    from scipy.spatial.distance import cdist
     nx, ny = X.shape[0], Y.shape[0]
     between = cdist(X, Y).mean()
     within_x = cdist(X, X).mean()
@@ -345,35 +349,32 @@ def energy_test(
     alpha: float = DEFAULT_ALPHA,
 ) -> TestReport:
     """Unpaired equal-distribution test via the energy statistic with a
-    pooled-relabel permutation null and add-one p-value."""
-    if R < 1:
-        raise ParameterError(f"permutation count must be >= 1, got {R}")
-    X = _sample_rows(x)
-    Y = _sample_rows(y)
-    if X.shape[1] != Y.shape[1]:
-        raise DimensionError(
-            f"samples must share a dimension: {X.shape[1]} vs {Y.shape[1]}"
-        )
+    pooled-relabel permutation null and add-one p-value. A relabelling is
+    the count c of x copies of each distinct pooled row; with distances D,
+    copies m and r = Dm, the sums are c'Dc, m'Dm - 2r.c + c'Dc and r.c - c'Dc.
+    """
+    from scipy.spatial.distance import cdist
+    X, Y = _sample_rows(x), _sample_rows(y)
+    obs = energy_statistic(X, Y)
     nx, ny = X.shape[0], Y.shape[0]
-    pooled = np.vstack([X, Y])
-    dmat = cdist(pooled, pooled)
-    coef = nx * ny / (nx + ny)
+    rows, group, copies = np.unique(
+        np.vstack([X, Y]), axis=0, return_inverse=True, return_counts=True
+    )
+    dmat = cdist(rows, rows)
+    reach = dmat @ copies
 
-    def stat_from(ix: np.ndarray, iy: np.ndarray) -> float:
-        between = dmat[np.ix_(ix, iy)].mean()
-        within_x = dmat[np.ix_(ix, ix)].mean()
-        within_y = dmat[np.ix_(iy, iy)].mean()
-        return float(coef * (2.0 * between - within_x - within_y))
+    def energy(c):
+        within_x = np.einsum("ij,ij->i", c @ dmat, c)
+        within_y = copies @ reach - 2.0 * (c @ reach) + within_x
+        between = c @ reach - within_x
+        return nx * ny / (nx + ny) * (2 * between / nx / ny - within_x / nx**2 - within_y / ny**2)
 
-    idx = np.arange(nx + ny)
-    obs = stat_from(idx[:nx], idx[nx:])
-    rng = np.random.default_rng(seed)
-    exceed = 0
-    for _ in range(R):
-        perm = rng.permutation(idx)
-        if stat_from(perm[:nx], perm[nx:]) >= obs:
-            exceed += 1
-    p_value = (1 + exceed) / (R + 1)
+    def relabel(rng, b):  # x-labelled copies of each distinct row, per relabelling
+        firsts = [group[rng.permutation(nx + ny)[:nx]] for _ in range(b)]
+        return np.array([np.bincount(f, minlength=len(rows)) for f in firsts], dtype=float)
+
+    observed = np.bincount(group[:nx], minlength=len(rows)).astype(float)
+    p_value, _ = _permutation_pvalue(energy, relabel, observed, copies - observed, R, seed)
     return TestReport(
         method="energy",
         statistic=obs,
@@ -382,5 +383,4 @@ def energy_test(
         seed=seed,
         alpha=alpha,
         reject=p_value < alpha,
-        metadata={},
     )

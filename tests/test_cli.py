@@ -156,6 +156,23 @@ def test_battery_json_contains_raw_pvalues(tmp_path):
     assert row["baselines"]["hotelling"]["p_value"] is not None
 
 
+def test_battery_json_hotelling_underflow(tmp_path):
+    # a mean shift of 50 between the members underflows the F tail
+    manifest = _synth_manifest(tmp_path, scenario="null", seed=4, n=300)
+    base = load_matrix(manifest.parent / "nonanchor_1.csv").values
+    shifted = base + 50.0 + np.random.default_rng(4).normal(size=base.shape)
+    save_matrix(EmbeddingMatrix(values=shifted), manifest.parent / "nonanchor_2.csv")
+    out = tmp_path / "battery.json"
+    rc = run_cli(
+        "battery", "--manifest", manifest,
+        "--k-grid", "2", "--permutations", 99, "--seed", 0,
+        "--baselines", "hotelling", "--format", "json", "--out", out,
+    )
+    assert rc == 0
+    cell = json.loads(out.read_text())["rows"][0]["baselines"]["hotelling"]
+    assert cell["p_value"] == np.nextafter(0, 1) and cell["reject"] is True
+
+
 def test_battery_cell_diagnostics_do_not_abort(tmp_path):
     # identical non-anchor files: the anchored cells and paired baselines
     # are vacuous, yet the battery still renders a complete row

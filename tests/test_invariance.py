@@ -1,0 +1,106 @@
+"""Invariances the anchored test relies on, as properties, and the
+independence of the permutation p-values from the BLAS thread count."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anchorstat.anchor import mapped_distances, paired_differences
+from anchorstat.cluster import Partition
+from anchorstat.corpus import EmbeddingMatrix
+from anchorstat.stattests import johnson_t, sign_flip_pvalue
+
+
+def _assignment(rng, n, K):
+    """Cluster ids over n rows with every one of the K clusters present."""
+    return rng.permutation(np.concatenate([np.arange(K), rng.integers(0, K, n - K)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 400), st.floats(0.0, 0.9))
+def test_sign_flip_pvalue_invariant_to_negation(seed, n, zero_share):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) + rng.normal()
+    d[rng.random(n) < zero_share] = 0.0
+    if np.ptp(d) == 0.0:
+        d[0] += 1.0
+    a = sign_flip_pvalue(d, R=199, seed=seed)
+    b = sign_flip_pvalue(-d, R=199, seed=seed)
+    assert a.p_value == b.p_value
+    assert a.metadata == b.metadata
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6))
+def test_mapped_distances_invariant_to_cluster_relabelling(seed, K):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(max(K, 2), 60))
+    anchor = EmbeddingMatrix(values=rng.normal(size=(n, 3)), label="anchor")
+    assignment = _assignment(rng, n, K)
+    relabel = rng.permutation(K)
+    base = mapped_distances(anchor, Partition(assignment, K, 0.0))
+    moved = mapped_distances(anchor, Partition(relabel[assignment], K, 0.0))
+    np.testing.assert_array_equal(moved.distances, base.distances)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 5))
+def test_anchored_statistic_invariant_to_joint_row_permutation(seed, K):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2 * K, 120))
+    values = rng.normal(size=(n, 2))
+    a1, a2 = _assignment(rng, n, K), _assignment(rng, n, K)
+
+    def diffs(rows):
+        anchor = EmbeddingMatrix(values=values[rows], label="anchor")
+        set1 = mapped_distances(anchor, Partition(a1[rows], K, 0.0))
+        set2 = mapped_distances(anchor, Partition(a2[rows], K, 0.0))
+        return paired_differences(set1, set2).diffs
+
+    base = diffs(np.arange(n))
+    rows = rng.permutation(n)
+    moved = diffs(rows)
+    np.testing.assert_allclose(moved, base[rows], rtol=1e-12, atol=1e-12)
+    if np.ptp(base) > 0.0:
+        assert johnson_t(moved) == pytest.approx(johnson_t(base), rel=1e-9, abs=1e-9)
+
+
+_PVALUES = """
+import json
+import numpy as np
+from anchorstat.stattests import energy_test, nploc_mean_test, sign_flip_pvalue
+rng = np.random.default_rng(5)
+x = rng.normal(size=(300, 3)) + 0.1
+y = rng.normal(size=(300, 3))
+reports = [
+    sign_flip_pvalue(x[:, 0] - y[:, 0], R=999, seed=1),
+    nploc_mean_test(x, y, R=999, seed=2),
+    energy_test(x, y, R=999, seed=3),
+]
+print(json.dumps([r.to_dict() for r in reports]))
+"""
+
+
+def _pvalues_in_subprocess(threads):
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _PVALUES], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_pvalues_independent_of_blas_thread_count():
+    assert _pvalues_in_subprocess(1) == _pvalues_in_subprocess(None)

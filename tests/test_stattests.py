@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,17 @@ def test_hotelling_zero_mean_diffs():
     report = hotelling_paired(x, y)
     assert report.statistic == pytest.approx(0.0, abs=1e-12)
     assert report.p_value == 1.0
+
+
+def test_hotelling_underflowed_tail_serialises():
+    # a mean shift of 50 sends the F tail below the smallest float, where
+    # the p-value sits at its floor and must still be a Python float
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(200, 2)) + 50.0
+    report = hotelling_paired(x, rng.normal(size=(200, 2)))
+    assert type(report.p_value) is float and type(report.reject) is bool
+    doc = json.loads(report.to_json())
+    assert doc["p_value"] == np.nextafter(0, 1) and doc["reject"] is True
 
 
 def test_hotelling_identical_inputs_vacuous():
