@@ -306,9 +306,7 @@ def run_distance_curves(
             collection.member(base_role),
             K,
             seed=_cell_seed(seed, "curve", base_role, K),
-            restarts=kmeans_config.restarts,
-            max_iter=kmeans_config.max_iter,
-            tol=kmeans_config.tol,
+            **vars(kmeans_config),
         )
         set_base = mapped_distances(anchor, part_base, source=base_role)
         for role in varying:
@@ -316,9 +314,7 @@ def run_distance_curves(
                 collection.member(role),
                 K,
                 seed=_cell_seed(seed, "curve", role, K),
-                restarts=kmeans_config.restarts,
-                max_iter=kmeans_config.max_iter,
-                tol=kmeans_config.tol,
+                **vars(kmeans_config),
             )
             set_rho = mapped_distances(anchor, part, source=role)
             kl = divergence.kl_divergence(

@@ -89,13 +89,16 @@ def wcss(m, part: Partition) -> float:
         raise ParameterError(
             f"assignment length {part.n} does not match data rows {X.shape[0]}"
         )
+    return _wcss(X, part.assignment, part.K)
+
+
+def _wcss(X: np.ndarray, assignment: np.ndarray, K: int) -> float:
     total = 0.0
-    for k in range(part.K):
-        rows = X[part.assignment == k]
+    for k in range(K):
+        rows = X[assignment == k]
         if rows.size == 0:
             raise ParameterError(f"cluster id {k} is empty in assignment")
-        center = rows.mean(axis=0)
-        total += float(((rows - center) ** 2).sum())
+        total += float(((rows - rows.mean(axis=0)) ** 2).sum())
     return total
 
 
@@ -125,16 +128,25 @@ def kmeans(
         raise DegeneracyError(
             f"fewer than K={K} distinct rows; cannot form K non-empty clusters"
         )
+    # distances expand as |x|^2 - 2x.c + |c|^2 on rows shifted by X[0], which
+    # avoids cancellation on offset data and keeps integer data (and its ties) exact
+    Xs = X - X[0]
+    XT, xx = np.ascontiguousarray(Xs.T), np.einsum("ij,ij->i", Xs, Xs)
     best: tuple[float, np.ndarray] | None = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        assignment, value = _lloyd(X, K, rng, max_iter, tol, debug)
+        centers = _kpp_init(X, K, rng) - X[0]
+        assignment = _lloyd_iterations(Xs, XT, xx, K, centers, max_iter, tol, debug)
+        for _ in range(8):  # alternate exchanges with fresh Lloyd passes
+            assignment, moved = _exchange_refine(XT, xx, assignment, K)
+            if not moved:
+                break
+            centers = _centers(XT, assignment, K)
+            assignment = _lloyd_iterations(Xs, XT, xx, K, centers, max_iter, tol, debug)
+        value = _wcss(X, assignment, K)
         if best is None or value < best[0] - 1e-12:
             best = (value, assignment)
-    assignment = best[1]
-    # report the recomputed objective of the final assignment
-    part = Partition(assignment=assignment, K=K, wcss=0.0)
-    return Partition(assignment=assignment, K=K, wcss=wcss(X, part))
+    return Partition(assignment=best[1], K=K, wcss=best[0])
 
 
 def _kpp_init(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,8 +167,21 @@ def _kpp_init(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
+def _sq_dists(XT: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, K) squared distances of the columns of XT (squared norms xx) to the centers."""
+    cc = np.einsum("ij,ij->i", centers, centers)
+    return np.maximum(xx[:, None] - 2.0 * (XT.T @ centers.T) + cc, 0.0)
+
+
+def _centers(XT: np.ndarray, assignment: np.ndarray, K: int) -> np.ndarray:
+    members = (assignment == np.arange(K)[:, None]).astype(float)
+    return (members @ XT.T) / members.sum(axis=1)[:, None]
+
+
 def _lloyd_iterations(
     X: np.ndarray,
+    XT: np.ndarray,
+    xx: np.ndarray,
     K: int,
     centers: np.ndarray,
     max_iter: int,
@@ -164,26 +189,22 @@ def _lloyd_iterations(
     debug: bool,
 ) -> np.ndarray:
     n = X.shape[0]
-    centers = centers.copy()
     prev = np.inf
     assignment = np.zeros(n, dtype=np.intp)
+    residuals = np.empty_like(X)
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(XT, xx, centers)
         assignment = np.argmin(d2, axis=1)  # argmin takes the lowest id on ties
         # repair empty clusters: promote the point farthest from its center
-        for k in range(K):
-            if not np.any(assignment == k):
-                dist_own = d2[np.arange(n), assignment]
-                counts = np.bincount(assignment, minlength=K)
-                movable = counts[assignment] > 1
-                candidates = np.where(movable, dist_own, -np.inf)
-                far = int(np.argmax(candidates))
-                assignment[far] = k
-                centers[k] = X[far]
-        for k in range(K):
-            centers[k] = X[assignment == k].mean(axis=0)
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        current = float(d2[np.arange(n), assignment].sum())
+        for k in np.flatnonzero(np.bincount(assignment, minlength=K) == 0):
+            dist_own = d2[np.arange(n), assignment]
+            counts = np.bincount(assignment, minlength=K)
+            movable = counts[assignment] > 1
+            candidates = np.where(movable, dist_own, -np.inf)
+            assignment[int(np.argmax(candidates))] = k
+        centers = _centers(XT, assignment, K)
+        np.subtract(X, np.take(centers, assignment, axis=0, out=residuals), out=residuals)
+        current = float(np.einsum("ij,ij->", residuals, residuals))
         if debug and current > prev + 1e-9:
             raise AssertionError(f"Lloyd objective increased: {prev} -> {current}")
         if np.isfinite(prev) and prev - current <= tol * max(prev, 1e-300):
@@ -192,50 +213,39 @@ def _lloyd_iterations(
     return assignment
 
 
-def _exchange_refine(X: np.ndarray, assignment: np.ndarray, K: int) -> tuple[np.ndarray, bool]:
+def _exchange_refine(
+    XT: np.ndarray, xx: np.ndarray, assignment: np.ndarray, K: int
+) -> tuple[np.ndarray, bool]:
     """Greedy single-point moves with exact objective deltas (Hartigan
-    style); escapes fixed points of the assign/update alternation."""
-    n = X.shape[0]
+    style); escapes fixed points of the assign/update alternation. A move
+    updates two centers in O(p) and their distance columns by GEMV."""
+    n = XT.shape[1]
+    rows = np.arange(n)
     assignment = assignment.copy()
+    counts = np.bincount(assignment, minlength=K).astype(float)
+    centers = _centers(XT, assignment, K)
+    d2 = _sq_dists(XT, xx, centers)
+    cost_add = counts / (counts + 1) * d2
     moved_any = False
     for _ in range(n * K):
-        counts = np.bincount(assignment, minlength=K).astype(float)
-        centers = np.array([X[assignment == k].mean(axis=0) for k in range(K)])
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         own = assignment
-        gain_remove = counts[own] / np.maximum(counts[own] - 1, 1) * d2[np.arange(n), own]
-        cost_add = counts[None, :] / (counts[None, :] + 1) * d2
+        gain_remove = (counts / np.maximum(counts - 1, 1))[own] * d2[rows, own]
+        gain_remove[(counts <= 1)[own]] = -np.inf  # never empty a cluster
         delta = gain_remove[:, None] - cost_add
-        delta[np.arange(n), own] = -np.inf
-        delta[counts[own] <= 1, :] = -np.inf  # never empty a cluster
+        delta[rows, own] = -np.inf
         i, b = np.unravel_index(np.argmax(delta), delta.shape)
         if delta[i, b] <= 1e-12:
             break
+        s = own[i]
+        centers[s] = (counts[s] * centers[s] - XT[:, i]) / (counts[s] - 1)
+        centers[b] = (counts[b] * centers[b] + XT[:, i]) / (counts[b] + 1)
+        counts[[s, b]] += (-1, 1)
         assignment[i] = b
+        for k in (s, b):
+            d2[:, k] = np.maximum(xx - 2.0 * (centers[k] @ XT) + centers[k] @ centers[k], 0.0)
+            cost_add[:, k] = counts[k] / (counts[k] + 1) * d2[:, k]
         moved_any = True
     return assignment, moved_any
-
-
-def _lloyd(
-    X: np.ndarray,
-    K: int,
-    rng: np.random.Generator,
-    max_iter: int,
-    tol: float,
-    debug: bool,
-) -> tuple[np.ndarray, float]:
-    assignment = _lloyd_iterations(X, K, _kpp_init(X, K, rng), max_iter, tol, debug)
-    for _ in range(8):  # alternate exchanges with fresh Lloyd passes
-        assignment, moved = _exchange_refine(X, assignment, K)
-        if not moved:
-            break
-        centers = np.array([X[assignment == k].mean(axis=0) for k in range(K)])
-        assignment = _lloyd_iterations(X, K, centers, max_iter, tol, debug)
-    value = 0.0
-    for k in range(K):
-        rows = X[assignment == k]
-        value += float(((rows - rows.mean(axis=0)) ** 2).sum())
-    return assignment, value
 
 
 def _partitions_into_k_blocks(n: int, K: int) -> Iterator[np.ndarray]:

@@ -119,20 +119,19 @@ def save_matrix(m: EmbeddingMatrix, path, fmt: str = "csv") -> None:
 
 
 def _read_csv(path: Path) -> np.ndarray:
-    text = path.read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # blank and whitespace-only lines are skipped; the rest is parsed once
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
         raise CorpusFormatError(f"no rows in {path}")
-    widths = {len(ln.split(",")) for ln in lines}
-    if len(widths) > 1:
-        counts = sorted(widths)
-        raise CorpusFormatError(
-            f"ragged rows in {path}: row lengths {counts[0]} and {counts[-1]} both present"
-        )
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
-        # slow diagnostic pass to locate the offending cell
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        # slow diagnostic pass to say what failed
+        widths = sorted({len(ln.split(",")) for ln in lines})
+        if len(widths) > 1:
+            raise CorpusFormatError(
+                f"ragged rows in {path}: row lengths {widths[0]} and {widths[-1]} both present"
+            ) from None
         for i, ln in enumerate(lines):
             for j, cell in enumerate(ln.split(",")):
                 try:
@@ -141,7 +140,7 @@ def _read_csv(path: Path) -> np.ndarray:
                     raise CorpusFormatError(
                         f"non-numeric cell {cell.strip()!r} at row {i}, col {j} in {path}"
                     ) from None
-        raise
+        raise CorpusFormatError(f"cannot parse {path}: {exc}") from exc
 
 
 def _read_binary(path: Path) -> np.ndarray:

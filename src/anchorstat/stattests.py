@@ -265,12 +265,12 @@ def hotelling_paired(x, y, alpha: float = DEFAULT_ALPHA, seed: int = 0) -> TestR
     F = T^2 (n-p) / (p (n-1)) with (p, n-p) degrees of freedom.
     """
     D = _paired_diff_rows(x, y)
-    from scipy import stats as scipy_stats
+    from scipy.special import fdtrc  # the F survival function, without scipy.stats
     n, p = D.shape
     t2 = _t2_statistic(D)
     f_stat = t2 * (n - p) / (p * (n - 1))
     # the floor for an underflowed tail is a numpy scalar; json needs a float
-    p_value = float(min(max(scipy_stats.f.sf(f_stat, p, n - p), np.nextafter(0, 1)), 1.0))
+    p_value = float(min(max(fdtrc(p, n - p, f_stat), np.nextafter(0, 1)), 1.0))
     return TestReport(
         method="hotelling_paired",
         statistic=t2,

@@ -348,6 +348,24 @@ def test_ingest_builds_manifest(tmp_path):
     assert manifest.entries[1].temperature == 0.1
 
 
+def test_ingest_skips_whitespace_only_lines(tmp_path):
+    rng = np.random.default_rng(1)
+    for role in ("anchor", "na1", "na2"):
+        save_matrix(EmbeddingMatrix(values=rng.normal(size=(12, 3))), tmp_path / f"{role}.csv")
+    path = tmp_path / "na1.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:5] + ["   "] + lines[5:]) + "\n \n")
+    rc = run_cli(
+        "ingest",
+        "--dataset", f"{tmp_path}/anchor.csv:anchor",
+        "--dataset", f"{path}:na1",
+        "--dataset", f"{tmp_path}/na2.csv:na2",
+        "--out-manifest", tmp_path / "manifest.json",
+    )
+    assert rc == 0
+    assert load_matrix(path).n == 12
+
+
 def test_ingest_mismatched_rows_fails(tmp_path, capsys):
     rng = np.random.default_rng(2)
     save_matrix(EmbeddingMatrix(values=rng.normal(size=(12, 3))), tmp_path / "a.csv")

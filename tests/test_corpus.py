@@ -39,6 +39,20 @@ def test_load_csv_empty_file(tmp_path):
         load_matrix(path, fmt="csv")
 
 
+def test_load_csv_skips_whitespace_only_lines(tmp_path):
+    path = tmp_path / "spaced.csv"
+    path.write_text("0,1\n   \n1,0\n\t\n\n1,1\n  ")
+    m = load_matrix(path, fmt="csv")
+    np.testing.assert_array_equal(m.values, [[0, 1], [1, 0], [1, 1]])
+
+
+def test_load_csv_whitespace_only_file(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("  \n\t\n")
+    with pytest.raises(CorpusFormatError, match="no rows"):
+        load_matrix(path, fmt="csv")
+
+
 def test_load_csv_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("0,1\n1,2,3\n")

@@ -1,5 +1,6 @@
 """Invariances the anchored test relies on, as properties, and the
-independence of the permutation p-values from the BLAS thread count."""
+independence of the permutation p-values and the k-means partitions from
+the BLAS thread count."""
 
 import json
 import os
@@ -87,8 +88,19 @@ reports = [
 print(json.dumps([r.to_dict() for r in reports]))
 """
 
+_PARTITIONS = """
+import json
+import numpy as np
+from anchorstat.cluster import kmeans
+rng = np.random.default_rng(6)
+x = rng.normal(size=(3000, 32)) + 2.0 * rng.normal(size=(3, 32))[rng.integers(0, 3, 3000)]
+x /= np.linalg.norm(x, axis=1, keepdims=True)
+parts = [kmeans(x, K, seed=K, restarts=2) for K in (2, 5)]
+print(json.dumps([json.loads(part.to_json()) for part in parts]))
+"""
 
-def _pvalues_in_subprocess(threads):
+
+def _run_in_subprocess(code, threads):
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
@@ -96,11 +108,17 @@ def _pvalues_in_subprocess(threads):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", _PVALUES], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=300, check=True,
     )
     return json.loads(out.stdout)
 
 
 def test_pvalues_independent_of_blas_thread_count():
-    assert _pvalues_in_subprocess(1) == _pvalues_in_subprocess(None)
+    assert _run_in_subprocess(_PVALUES, 1) == _run_in_subprocess(_PVALUES, None)
+
+
+def test_kmeans_partitions_independent_of_blas_thread_count():
+    one, default = _run_in_subprocess(_PARTITIONS, 1), _run_in_subprocess(_PARTITIONS, None)
+    assert [part["K"] for part in one] == [2, 5]
+    assert one == default

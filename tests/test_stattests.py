@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +221,41 @@ def test_hotelling_underflowed_tail_serialises():
     assert type(report.p_value) is float and type(report.reject) is bool
     doc = json.loads(report.to_json())
     assert doc["p_value"] == np.nextafter(0, 1) and doc["reject"] is True
+
+
+def test_hotelling_tail_equals_f_survival_function():
+    from scipy.special import fdtrc
+    from scipy.stats import f
+
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        n = int(rng.integers(2, 3000))
+        p = int(rng.integers(1, min(n, 800)))
+        F = rng.choice([0.0, np.inf, rng.exponential() * 10 ** rng.uniform(-6, 4)])
+        assert fdtrc(p, n - p, F) == f.sf(F, p, n - p)
+    for shift in (0.0, 0.1, 0.5, 3.0, 50.0):
+        x = rng.normal(size=(40, 3)) + shift
+        report = hotelling_paired(x, rng.normal(size=(40, 3)))
+        tail = f.sf(report.metadata["f_statistic"], 3, 37)
+        assert report.p_value == float(min(max(tail, np.nextafter(0, 1)), 1.0))
+
+
+def test_hotelling_does_not_import_scipy_stats():
+    code = (
+        "import sys, numpy as np\n"
+        "from anchorstat.stattests import hotelling_paired\n"
+        "rng = np.random.default_rng(0)\n"
+        "hotelling_paired(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_hotelling_identical_inputs_vacuous():
