@@ -10,7 +10,7 @@ plotting divergence against temperature.
 import argparse
 import sys
 
-from anchorstat.cli import curves_csv, run_distance_curves
+from anchorstat.battery import curves_csv, run_distance_curves
 from anchorstat.synth import ScenarioConfig, generate_drift_family
 
 

@@ -13,7 +13,7 @@ members live in unrelated frames.
 import argparse
 from pathlib import Path
 
-from anchorstat.cli import battery_csv, run_battery
+from anchorstat.battery import battery_csv, run_battery
 from anchorstat.synth import ScenarioConfig, generate_battery_quad
 
 

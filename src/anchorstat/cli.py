@@ -8,21 +8,22 @@ flags and seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
-import re
 import sys
-import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from . import divergence, preprocess, synth
-from .cluster import KmeansConfig, kmeans
+from . import preprocess, synth
+from .battery import (
+    BASELINE_NAMES,
+    battery_csv,
+    battery_json,
+    curves_csv,
+    run_battery,
+    run_cell,
+    run_distance_curves,
+)
 from .corpus import (
-    ANCHOR_ROLE,
     DatasetManifest,
     ExperimentGrid,
     ManifestEntry,
@@ -34,313 +35,10 @@ from .corpus import (
     save_matrix,
     validate_pairing,
 )
-from .anchor import mapped_distances
 from .errors import AnchorstatError, ManifestError, VacuousTestError
 from .llmpipeline import ClientConfig, embed_batch
-from .stattests import (
-    DEFAULT_ALPHA,
-    DEFAULT_PERMUTATIONS,
-    anchored_test,
-    energy_test,
-    hotelling_paired,
-    nploc_mean_test,
-)
+from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS
 from .synth import ScenarioConfig, monte_carlo
-
-BASELINE_NAMES = ("hotelling", "nploc", "energy")
-
-
-# ---------------------------------------------------------------------------
-# battery core
-
-
-@dataclass(frozen=True)
-class BatteryCell:
-    p_value: float | None
-    reject: bool | None
-    display: str
-    statistic: float | None = None
-    vacuous: bool = False
-    error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "display": self.display,
-            "statistic": self.statistic,
-            "vacuous": self.vacuous,
-            "error": self.error,
-        }
-
-
-@dataclass(frozen=True)
-class BatteryRow:
-    hypothesis: str
-    pair: tuple[str, str]
-    anchored: dict[int, BatteryCell]
-    baselines: dict[str, BatteryCell]
-
-
-@dataclass(frozen=True)
-class BatteryResult:
-    dataset: str
-    k_values: tuple[int, ...]
-    alpha: float
-    permutations: int
-    seed: int
-    baselines: tuple[str, ...]
-    rows: tuple[BatteryRow, ...] = field(default_factory=tuple)
-
-
-def format_p(p: float, R: int, alpha: float) -> str:
-    """Render a p-value the way the battery tables print them: the
-    smallest achievable value shows as a "< floor" cell, and significant
-    cells carry a trailing star."""
-    star = "*" if p < alpha else ""
-    floor = 1.0 / (R + 1)
-    if p <= floor:
-        return f"< {_short_sci(floor)}{star}"
-    return f"{p:.3f}{star}"
-
-
-def _short_sci(x: float) -> str:
-    s = f"{x:.0e}"
-    return re.sub(r"e([+-])0*(\d)", r"e\1\2", s)
-
-
-def _cell_seed(seed: int, *names) -> int:
-    parts = [zlib.crc32(str(n).encode()) for n in names]
-    return int(np.random.SeedSequence([int(seed), *parts]).generate_state(1)[0])
-
-
-def _report_cell(report, R: int, alpha: float) -> BatteryCell:
-    return BatteryCell(
-        p_value=report.p_value,
-        reject=report.reject,
-        display=format_p(report.p_value, R, alpha),
-        statistic=report.statistic,
-    )
-
-
-def _error_cell(exc: Exception) -> BatteryCell:
-    if isinstance(exc, VacuousTestError):
-        return BatteryCell(
-            p_value=None, reject=False, display="identical", vacuous=True
-        )
-    return BatteryCell(
-        p_value=None, reject=None, display=f"ERROR: {exc}", error=str(exc)
-    )
-
-
-def run_battery(
-    collection: PairedCollection,
-    dataset: str,
-    k_values: tuple[int, ...],
-    R: int = DEFAULT_PERMUTATIONS,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-    baselines: tuple[str, ...] = BASELINE_NAMES,
-    kmeans_config: KmeansConfig = KmeansConfig(),
-    baseline_collection: PairedCollection | None = None,
-    jobs: int = 1,
-) -> BatteryResult:
-    """Run the anchored test over every non-anchor pair and K, plus each
-    enabled baseline once per pair (the baselines do not depend on K).
-
-    ``baseline_collection`` supplies a common-space version of the
-    members for the paired baselines; by default the main collection is
-    used. Cell seeds derive from (seed, pair, K), so results do not
-    depend on scheduling; failed cells render diagnostics without
-    aborting the battery.
-    """
-    unknown = set(baselines) - set(BASELINE_NAMES)
-    if unknown:
-        raise ManifestError(f"unknown baselines: {sorted(unknown)}")
-    anchor = collection.anchor
-    pairs = list(itertools.combinations(collection.nonanchor_roles, 2))
-    if not pairs:
-        raise ManifestError("battery needs at least two non-anchor members")
-    base_coll = baseline_collection if baseline_collection is not None else collection
-
-    tasks = []
-    for pair in pairs:
-        for K in k_values:
-            tasks.append(("anchored", pair, K))
-        for b in baselines:
-            tasks.append((b, pair, None))
-
-    def compute(task):
-        kind, pair, K = task
-        r1, r2 = pair
-        try:
-            if kind == "anchored":
-                report = anchored_test(
-                    anchor,
-                    collection.member(r1).with_label(r1),
-                    collection.member(r2).with_label(r2),
-                    K=K,
-                    kmeans_config=kmeans_config,
-                    R=R,
-                    seed=_cell_seed(seed, dataset, r1, r2, K),
-                    alpha=alpha,
-                )
-            else:
-                m1 = base_coll.member(r1)
-                m2 = base_coll.member(r2)
-                cell_seed = _cell_seed(seed, dataset, r1, r2, kind)
-                if kind == "hotelling":
-                    report = hotelling_paired(m1, m2, alpha=alpha, seed=cell_seed)
-                elif kind == "nploc":
-                    report = nploc_mean_test(m1, m2, R=R, seed=cell_seed, alpha=alpha)
-                else:
-                    report = energy_test(m1, m2, R=R, seed=cell_seed, alpha=alpha)
-            return task, _report_cell(report, R, alpha)
-        except AnchorstatError as exc:
-            return task, _error_cell(exc)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = dict(pool.map(compute, tasks))
-    else:
-        done = dict(compute(t) for t in tasks)
-
-    rows = []
-    for pair in pairs:
-        anchored = {K: done[("anchored", pair, K)] for K in k_values}
-        base_cells = {b: done[(b, pair, None)] for b in baselines}
-        rows.append(
-            BatteryRow(
-                hypothesis=f"H0({ANCHOR_ROLE}; {pair[0]} vs {pair[1]})",
-                pair=pair,
-                anchored=anchored,
-                baselines=base_cells,
-            )
-        )
-    return BatteryResult(
-        dataset=dataset,
-        k_values=tuple(k_values),
-        alpha=alpha,
-        permutations=R,
-        seed=seed,
-        baselines=tuple(baselines),
-        rows=tuple(rows),
-    )
-
-
-def battery_csv(result: BatteryResult) -> str:
-    header = ["dataset", "hypothesis"]
-    header += [f"anchored_K{k}" for k in result.k_values]
-    header += list(result.baselines)
-    header += ["ball_external"]  # reserved for externally computed results
-    lines = [",".join(header)]
-    for row in result.rows:
-        cells = [result.dataset, row.hypothesis]
-        cells += [row.anchored[k].display for k in result.k_values]
-        cells += [row.baselines[b].display for b in result.baselines]
-        cells += [""]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def battery_json(result: BatteryResult) -> str:
-    doc = {
-        "dataset": result.dataset,
-        "k_values": list(result.k_values),
-        "alpha": result.alpha,
-        "permutations": result.permutations,
-        "seed": result.seed,
-        "rows": [
-            {
-                "hypothesis": row.hypothesis,
-                "pair": list(row.pair),
-                "anchored": {str(k): c.to_dict() for k, c in row.anchored.items()},
-                "baselines": {b: c.to_dict() for b, c in row.baselines.items()},
-            }
-            for row in result.rows
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# distance curves
-
-
-def run_distance_curves(
-    collection: PairedCollection,
-    k_values: tuple[int, ...],
-    seed: int = 0,
-    kmeans_config: KmeansConfig = KmeansConfig(),
-    bins: int = divergence.DEFAULT_BINS,
-    smoothing: float = divergence.DEFAULT_SMOOTHING,
-) -> list[dict]:
-    """KL and order-1 transport distance between the baseline member's
-    mapped distances and each temperature-tagged member's, per K."""
-    anchor = collection.anchor
-    temps = dict(collection.temperatures)
-    nonanchors = collection.nonanchor_roles
-    tagged = [r for r in nonanchors if temps.get(r) is not None]
-    untagged = [r for r in nonanchors if temps.get(r) is None]
-    if not tagged:
-        raise ManifestError(
-            "distance curves need temperature metadata on the non-anchor family"
-        )
-    if len(untagged) > 1:
-        raise ManifestError(
-            f"ambiguous baseline: several non-anchors lack a temperature: {untagged}"
-        )
-    if untagged:
-        base_role = untagged[0]
-        varying = sorted(tagged, key=lambda r: temps[r])
-    else:
-        by_temp = sorted(tagged, key=lambda r: temps[r])
-        base_role = by_temp[0]
-        varying = by_temp[1:]
-    if not varying:
-        raise ManifestError("distance curves need at least one varying member")
-
-    rows = []
-    for K in k_values:
-        part_base = kmeans(
-            collection.member(base_role),
-            K,
-            seed=_cell_seed(seed, "curve", base_role, K),
-            **vars(kmeans_config),
-        )
-        set_base = mapped_distances(anchor, part_base, source=base_role)
-        for role in varying:
-            part = kmeans(
-                collection.member(role),
-                K,
-                seed=_cell_seed(seed, "curve", role, K),
-                **vars(kmeans_config),
-            )
-            set_rho = mapped_distances(anchor, part, source=role)
-            kl = divergence.kl_divergence(
-                set_base.distances, set_rho.distances, bins=bins, smoothing=smoothing
-            )
-            w1 = divergence.wasserstein1(set_base.distances, set_rho.distances)
-            rows.append(
-                {
-                    "K": K,
-                    "rho": temps[role],
-                    "kl": kl.value,
-                    "kl_degenerate": kl.degenerate,
-                    "wasserstein": w1,
-                    "hypothesis_tag": f"H0({ANCHOR_ROLE}; {base_role} vs {role})",
-                }
-            )
-    return rows
-
-
-def curves_csv(rows: list[dict]) -> str:
-    lines = ["K,rho,kl,wasserstein,hypothesis_tag"]
-    for r in rows:
-        lines.append(
-            f"{r['K']},{r['rho']:g},{r['kl']:.12g},{r['wasserstein']:.12g},{r['hypothesis_tag']}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +55,27 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
     return values
 
 
-def _grid_from_args(args, manifest: DatasetManifest | None = None) -> ExperimentGrid:
-    base = manifest.grid if manifest is not None else ExperimentGrid()
+def _parse_baselines(text: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
+    if text is None:
+        return default
+    return () if text in ("", "none") else tuple(text.split(","))
+
+
+def _seed(args, default: int = 0) -> int:
+    """The run's seed (the flag, else ``default``), printed as every
+    command's first line."""
+    seed = args.seed if args.seed is not None else default
+    print(f"seed: {seed}")
+    return seed
+
+
+def _grid_from_args(args, base: ExperimentGrid = ExperimentGrid()) -> ExperimentGrid:
+    """The run's grid: each grid flag that is given overrides ``base``."""
     return ExperimentGrid(
         k_values=_parse_k_grid(args.k_grid) if args.k_grid else base.k_values,
         alpha=args.alpha if args.alpha is not None else base.alpha,
         permutations=args.permutations if args.permutations is not None else base.permutations,
-        seed=args.seed if args.seed is not None else base.seed,
+        seed=_seed(args, base.seed),
     )
 
 
@@ -381,7 +93,7 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _scenario_from_args(args) -> ScenarioConfig:
+def _scenario_from_args(args, seed: int) -> ScenarioConfig:
     structure = "shared" if args.scenario == "null" else "independent"
     return ScenarioConfig(
         n=args.n,
@@ -390,7 +102,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
         community_separation=args.separation,
         noise_sd=args.noise,
         structure=structure,
-        seed=args.seed if args.seed is not None else 0,
+        seed=seed,
     )
 
 
@@ -400,14 +112,8 @@ def _scenario_from_args(args) -> ScenarioConfig:
 
 def cmd_battery(args) -> int:
     manifest, collection = _load_collection(args)
-    grid = _grid_from_args(args, manifest)
-    print(f"seed: {grid.seed}")
-    if args.baselines is None:
-        baselines = BASELINE_NAMES
-    elif args.baselines in ("", "none"):
-        baselines = ()
-    else:
-        baselines = tuple(args.baselines.split(","))
+    grid = _grid_from_args(args, manifest.grid)
+    baselines = _parse_baselines(args.baselines, BASELINE_NAMES)
     baseline_collection = None
     if args.pca_dim:
         anchored_coll = preprocess.reduce_collection(
@@ -438,8 +144,7 @@ def cmd_battery(args) -> int:
 
 def cmd_distances(args) -> int:
     manifest, collection = _load_collection(args)
-    grid = _grid_from_args(args, manifest)
-    print(f"seed: {grid.seed}")
+    grid = _grid_from_args(args, manifest.grid)
     if args.pca_dim:
         collection = preprocess.reduce_collection(collection, args.pca_dim, mode=args.pca_mode)
     rows = run_distance_curves(collection, grid.k_values, seed=grid.seed)
@@ -448,38 +153,24 @@ def cmd_distances(args) -> int:
 
 
 def cmd_test(args) -> int:
+    """One battery row restricted to one K: the same cells, seeds and
+    p-values as `battery` on the same manifest and seed."""
     manifest, collection = _load_collection(args)
-    grid = _grid_from_args(args, manifest)
-    print(f"seed: {grid.seed}")
+    grid = _grid_from_args(args, manifest.grid)
     nonanchors = collection.nonanchor_roles
     if len(nonanchors) != 2:
         raise ManifestError(
             f"single-triple test needs exactly two non-anchors, got {nonanchors}"
         )
     K = args.k if args.k is not None else grid.k_values[0]
-    r1, r2 = nonanchors
-    report = anchored_test(
-        collection.anchor,
-        collection.member(r1).with_label(r1),
-        collection.member(r2).with_label(r2),
-        K=K,
-        R=grid.permutations,
-        seed=grid.seed,
-        alpha=grid.alpha,
+    cell = functools.partial(
+        run_cell, collection, manifest.label, nonanchors,
+        R=grid.permutations, alpha=grid.alpha, seed=grid.seed,
     )
+    report = cell(K)
     reports = {"anchored": report.to_dict()}
-    for b in args.baselines.split(",") if args.baselines else ():
-        m1, m2 = collection.member(r1), collection.member(r2)
-        seed_b = _cell_seed(grid.seed, r1, r2, b)
-        if b == "hotelling":
-            rep = hotelling_paired(m1, m2, alpha=grid.alpha, seed=seed_b)
-        elif b == "nploc":
-            rep = nploc_mean_test(m1, m2, R=grid.permutations, seed=seed_b, alpha=grid.alpha)
-        elif b == "energy":
-            rep = energy_test(m1, m2, R=grid.permutations, seed=seed_b, alpha=grid.alpha)
-        else:
-            raise ManifestError(f"unknown baseline '{b}'")
-        reports[b] = rep.to_dict()
+    for b in _parse_baselines(args.baselines, ()):
+        reports[b] = cell(b).to_dict()
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     _write_text(args.out, text)
     if args.out:
@@ -488,9 +179,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    print(f"seed: {seed}")
-    cfg = _scenario_from_args(args)
+    grid = _grid_from_args(args)
+    cfg = _scenario_from_args(args, grid.seed)
     triple = (
         synth.generate_null_triple(cfg)
         if args.scenario == "null"
@@ -504,14 +194,7 @@ def cmd_synth(args) -> int:
         save_matrix(triple.member(role), out / fname, fmt="csv")
         entries.append(ManifestEntry(path=fname, role=role, fmt="csv"))
     manifest = DatasetManifest(
-        entries=tuple(entries),
-        grid=ExperimentGrid(
-            k_values=_parse_k_grid(args.k_grid) if args.k_grid else (2, 3, 4, 5),
-            alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-            permutations=args.permutations if args.permutations is not None else DEFAULT_PERMUTATIONS,
-            seed=seed,
-        ),
-        label=f"synth-{args.scenario}",
+        entries=tuple(entries), grid=grid, label=f"synth-{args.scenario}"
     )
     save_manifest(manifest, out / "manifest.json")
     print(f"wrote {len(entries)} matrices and manifest.json to {out}")
@@ -519,9 +202,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    print(f"seed: {seed}")
-    cfg = _scenario_from_args(args)
+    cfg = _scenario_from_args(args, _seed(args))
     report = monte_carlo(
         args.scenario,
         cfg,
@@ -542,8 +223,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    print(f"seed: {seed}")
+    grid = _grid_from_args(args)
     entries = []
     members = {}
     temps = {}
@@ -574,14 +254,7 @@ def cmd_ingest(args) -> int:
         )
     validate_pairing(members, temperatures=temps)
     manifest = DatasetManifest(
-        entries=tuple(entries),
-        grid=ExperimentGrid(
-            k_values=_parse_k_grid(args.k_grid) if args.k_grid else (2, 3, 4, 5),
-            alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-            permutations=args.permutations if args.permutations is not None else DEFAULT_PERMUTATIONS,
-            seed=seed,
-        ),
-        label=args.label or "ingested",
+        entries=tuple(entries), grid=grid, label=args.label or "ingested"
     )
     save_manifest(manifest, args.out_manifest)
     print(f"validated {len(entries)} members (n={members[entries[0].role].n}); wrote {args.out_manifest}")
@@ -589,8 +262,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    print(f"seed: {seed}")
+    _seed(args)
     texts = [ln for ln in Path(args.input).read_text().splitlines() if ln.strip()]
     config = ClientConfig(
         base_url=args.base_url,
@@ -606,8 +278,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    print(f"seed: {seed}")
+    _seed(args)
     if args.manifest:
         manifest, collection = _load_collection(args)
         models = preprocess.fit_collection_models(collection, args.pca_dim, mode=args.pca_mode)
@@ -760,10 +431,7 @@ def main(argv=None) -> int:
     except VacuousTestError as exc:
         print(f"vacuous test: {exc}", file=sys.stderr)
         return 1
-    except AnchorstatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (AnchorstatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,5 +44,5 @@ class ManifestError(AnchorstatError):
     """An experiment manifest is missing or inconsistent."""
 
 
-class TransportError(RuntimeError):
+class TransportError(AnchorstatError):
     """A remote endpoint could not be reached after bounded retries."""

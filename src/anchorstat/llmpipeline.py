@@ -1,9 +1,10 @@
 """Corpus construction against chat-completion and embedding endpoints.
 
-Every (input, temperature, template, model) result is cached on disk by
-content hash, so a rerun with a warm cache performs zero network calls
-and the pipeline can resume after partial failures. The HTTP transport
-is injectable, which keeps the module testable without a live endpoint.
+Every (input, temperature, template, model, chain role) result is cached
+on disk by content hash, so a rerun with a warm cache performs zero
+network calls and the pipeline can resume after partial failures. The
+HTTP transport is injectable, which keeps the module testable without a
+live endpoint.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,12 +31,16 @@ DEFAULT_PROMPT_TEMPLATE = "Paraphrase the following text:\n\n{text}"
 CHAIN_ROLES = ("G", "Gprime", "S")
 
 
-def _requests_transport(url: str, headers: dict, payload: dict, timeout_s: float) -> dict:
-    import requests
+def _urllib_transport(url: str, headers: dict, payload: dict, timeout_s: float) -> dict:
+    """POST ``payload`` as JSON and return the parsed JSON body; a non-2xx
+    status raises ``urllib.error.HTTPError``."""
+    import urllib.request  # kept out of module import: it costs ~3 MB of RSS
 
-    resp = requests.post(url, headers=headers, json=payload, timeout=timeout_s)
-    resp.raise_for_status()
-    return resp.json()
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode(), headers=headers, method="POST"
+    )
+    with urllib.request.urlopen(request, timeout=timeout_s) as resp:
+        return json.loads(resp.read())
 
 
 @dataclass
@@ -51,7 +57,7 @@ class ClientConfig:
     backoff_s: float = 0.5
     timeout_s: float = 60.0
     embed_batch_size: int = 128
-    transport: Transport = field(default=_requests_transport, repr=False)
+    transport: Transport = field(default=_urllib_transport, repr=False)
 
     def headers(self) -> dict:
         key = os.environ.get(self.api_key_env, "")
@@ -93,30 +99,41 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def _cache_read(cache_dir: Path, key: str):
-    path = _cache_path(cache_dir, key)
-    if not path.exists():
+    """The cached output, or None on a miss; an unparsable entry is a miss."""
+    try:
+        return json.loads(_cache_path(cache_dir, key).read_text())["output"]
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
-    return json.loads(path.read_text())["output"]
 
 
 def _cache_write(cache_dir: Path, key: str, output) -> None:
     path = _cache_path(cache_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
+    # one temporary file per thread: workers may write equal keys at once
+    tmp = path.with_suffix(f".{threading.get_ident()}.tmp")
     tmp.write_text(json.dumps({"output": output}, sort_keys=True))
     os.replace(tmp, path)  # atomic on POSIX
 
 
-def _call_with_retries(config: ClientConfig, url: str, payload: dict):
+def _call_with_retries(config: ClientConfig, url: str, payload: dict, read):
+    """POST ``payload`` with bounded retries and return ``read(body)``; a
+    body that ``read`` cannot parse counts as a failed attempt."""
     last_exc: Exception | None = None
     for attempt in range(config.max_retries):
         try:
-            return config.transport(url, config.headers(), dict(payload), config.timeout_s)
+            return read(config.transport(url, config.headers(), dict(payload), config.timeout_s))
         except Exception as exc:  # transport failures are provider-specific
             last_exc = exc
             if attempt + 1 < config.max_retries:
                 time.sleep(config.backoff_s * (2**attempt))
-    raise TransportError(f"request to {url} failed after {config.max_retries} attempts: {last_exc}")
+    raise TransportError(
+        f"request to {url} failed after {config.max_retries} attempts: {last_exc!r}"
+    )
+
+
+def _embedding_rows(doc: dict) -> list[list[float]]:
+    items = sorted(doc["data"], key=lambda d: d["index"])
+    return [[float(v) for v in item["embedding"]] for item in items]
 
 
 def paraphrase_batch(job: ParaphraseJob, config: ClientConfig) -> list[str]:
@@ -133,6 +150,7 @@ def paraphrase_batch(job: ParaphraseJob, config: ClientConfig) -> list[str]:
             model=model,
             temperature=job.temperature,
             template=job.prompt_template,
+            chain_role=job.chain_role,
             text=text,
         )
         for text in job.texts
@@ -155,8 +173,11 @@ def paraphrase_batch(job: ParaphraseJob, config: ClientConfig) -> list[str]:
                 }
             ],
         }
-        doc = _call_with_retries(config, url, payload)
-        return i, str(doc["choices"][0]["message"]["content"])
+        text = _call_with_retries(
+            config, url, payload, lambda doc: str(doc["choices"][0]["message"]["content"])
+        )
+        _cache_write(cache_dir, keys[i], text)
+        return i, text
 
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         for future in [pool.submit(fetch, i) for i in pending]:
@@ -165,7 +186,6 @@ def paraphrase_batch(job: ParaphraseJob, config: ClientConfig) -> list[str]:
             except TransportError:
                 continue
             results[i] = text
-            _cache_write(cache_dir, keys[i], text)
     failures = [i for i, r in enumerate(results) if r is None]
     if failures:
         raise TransportError(
@@ -189,14 +209,12 @@ def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
     for start in range(0, len(pending), config.embed_batch_size):
         chunk = pending[start : start + config.embed_batch_size]
         payload = {"model": config.embed_model, "input": [texts[i] for i in chunk]}
-        doc = _call_with_retries(config, url, payload)
-        rows = sorted(doc["data"], key=lambda d: d["index"])
+        rows = _call_with_retries(config, url, payload, _embedding_rows)
         if len(rows) != len(chunk):
             raise TransportError(
                 f"endpoint returned {len(rows)} embeddings for {len(chunk)} inputs"
             )
-        for local, item in zip(chunk, rows):
-            vec = [float(v) for v in item["embedding"]]
+        for local, vec in zip(chunk, rows):
             vectors[local] = vec
             _cache_write(cache_dir, keys[local], vec)
     matrix = EmbeddingMatrix(values=np.asarray(vectors, dtype=float), label="embedded")

@@ -7,7 +7,8 @@ tests/test_acceptance.py`` to see them.
 import numpy as np
 from scipy.optimize import linprog
 
-from anchorstat.cli import main, run_battery
+from anchorstat.battery import run_battery
+from anchorstat.cli import main
 from anchorstat.cluster import brute_force_partition, kmeans
 from anchorstat.corpus import EmbeddingMatrix
 from anchorstat.divergence import kl_divergence, wasserstein1

@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anchorstat.cli import format_p, main
+from anchorstat.battery import format_p
+from anchorstat.cli import main
 from anchorstat.corpus import EmbeddingMatrix, load_manifest, load_matrix, save_matrix
 
 
@@ -79,6 +84,42 @@ def test_cmd_test_identical_nonanchors_exits_nonzero(tmp_path, capsys):
     rc = run_cli("test", "--manifest", manifest_path, "--k", 2, "--seed", 0)
     assert rc != 0
     assert "vacuous" in capsys.readouterr().err
+
+
+def test_cmd_test_agrees_with_battery(tmp_path):
+    # `test` is a one-pair battery: same cell seeds, same p-values
+    manifest = _synth_manifest(tmp_path, scenario="null", seed=0, n=200)
+    single, table = tmp_path / "test.json", tmp_path / "battery.json"
+    rc = run_cli(
+        "test", "--manifest", manifest, "--k", 2, "--seed", 1,
+        "--baselines", "hotelling,nploc,energy", "--out", single,
+    )
+    assert rc == 0
+    rc = run_cli(
+        "battery", "--manifest", manifest, "--k-grid", 2, "--seed", 1,
+        "--format", "json", "--out", table,
+    )
+    assert rc == 0
+    reports = json.loads(single.read_text())
+    row = json.loads(table.read_text())["rows"][0]
+    assert reports["anchored"]["p_value"] == row["anchored"]["2"]["p_value"] == 0.525
+    for b in ("hotelling", "nploc", "energy"):
+        assert reports[b]["p_value"] == row["baselines"][b]["p_value"]
+
+
+def test_cli_import_loads_no_http_client():
+    code = (
+        "import sys, anchorstat.cli\n"
+        "print([m for m in ('requests', 'urllib.request') if m in sys.modules])\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_battery_csv_schema_and_reproducibility(tmp_path):

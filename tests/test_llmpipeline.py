@@ -1,22 +1,32 @@
+import json
+import threading
+import urllib.error
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
 import numpy as np
 import pytest
 
+from anchorstat.cli import main
 from anchorstat.errors import ParameterError, TransportError
 from anchorstat.llmpipeline import (
     ClientConfig,
     ParaphraseJob,
     _cache_key,
+    _urllib_transport,
     embed_batch,
     paraphrase_batch,
 )
 
 
 class FakeChat:
-    """Transport double: paraphrases by upper-casing the last prompt line."""
+    """Transport double: paraphrases by upper-casing the last prompt line.
+    Texts in ``fail_indices`` raise, texts in ``malformed`` get a body
+    without "choices"."""
 
-    def __init__(self, fail_indices=()):
+    def __init__(self, fail_indices=(), malformed=()):
         self.calls = 0
         self.fail_texts = set(fail_indices)
+        self.malformed = set(malformed)
 
     def __call__(self, url, headers, payload, timeout_s):
         self.calls += 1
@@ -24,6 +34,8 @@ class FakeChat:
         text = payload["messages"][0]["content"].split("\n")[-1]
         if text in self.fail_texts:
             raise ConnectionError("boom")
+        if text in self.malformed:
+            return {"nope": 1}
         return {"choices": [{"message": {"content": text.upper()}}]}
 
 
@@ -162,3 +174,102 @@ def test_transport_retries_then_fails(tmp_path):
     with pytest.raises(TransportError):
         embed_batch(["a", "b"], cfg)
     assert attempts["n"] == cfg.max_retries
+
+
+def test_paraphrase_chain_roles_do_not_share_cache(tmp_path):
+    fake = FakeChat()
+    cfg = _config(tmp_path, fake)
+    paraphrase_batch(_job(["one", "two"], chain_role="G"), cfg)
+    paraphrase_batch(_job(["one", "two"], chain_role="Gprime"), cfg)
+    assert fake.calls == 4
+
+
+def test_paraphrase_malformed_response_keeps_finished_items(tmp_path):
+    texts = ["ok", "bad", "fine", "also"]
+    with pytest.raises(TransportError, match=r"indices \[1\]"):
+        paraphrase_batch(_job(texts), _config(tmp_path, FakeChat(malformed={"bad"})))
+    fake2 = FakeChat()
+    out = paraphrase_batch(_job(texts), _config(tmp_path, fake2))
+    assert out == ["OK", "BAD", "FINE", "ALSO"]
+    assert fake2.calls == 1
+
+
+def test_embed_malformed_response_is_transport_error(tmp_path):
+    def malformed(url, headers, payload, timeout_s):
+        return {"nope": 1}
+
+    with pytest.raises(TransportError, match="KeyError"):
+        embed_batch(["a"], _config(tmp_path, malformed))
+
+
+def test_truncated_cache_entry_is_a_miss(tmp_path):
+    cfg = _config(tmp_path, FakeChat())
+    paraphrase_batch(_job(["one"]), cfg)
+    (entry,) = (tmp_path / "cache").rglob("*.json")
+    entry.write_text(entry.read_text()[:5])
+    fake2 = FakeChat()
+    assert paraphrase_batch(_job(["one", "two"]), _config(tmp_path, fake2)) == ["ONE", "TWO"]
+    assert fake2.calls == 2
+
+
+@pytest.fixture
+def http_server():
+    """A JSON endpoint on 127.0.0.1 that answers every POST with
+    ``server.answer`` = (status, body) and records the request bodies."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            length = int(self.headers["Content-Length"])
+            self.server.received.append(json.loads(self.rfile.read(length)))
+            status, body = self.server.answer
+            data = json.dumps(body).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    server.received = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _url(server, path="/v1/embeddings"):
+    return f"http://127.0.0.1:{server.server_port}{path}"
+
+
+def test_urllib_transport_posts_json(http_server):
+    http_server.answer = (200, {"data": [1, 2]})
+    headers = {"Content-Type": "application/json"}
+    assert _urllib_transport(_url(http_server), headers, {"input": ["a"]}, 10.0) == {"data": [1, 2]}
+    assert http_server.received == [{"input": ["a"]}]
+
+
+def test_urllib_transport_raises_on_error_status(http_server):
+    http_server.answer = (500, {"error": "down"})
+    with pytest.raises(urllib.error.HTTPError):
+        _urllib_transport(_url(http_server), {}, {"input": ["a"]}, 10.0)
+
+
+def test_cli_embed_transport_failure_is_clean_error(http_server, tmp_path, capsys):
+    http_server.answer = (500, {"error": "down"})
+    texts = tmp_path / "texts.txt"
+    texts.write_text("alpha\nbeta\n")
+    rc = main([
+        "embed", "--input", str(texts), "--out", str(tmp_path / "emb.csv"),
+        "--base-url", _url(http_server, "/v1"), "--cache-dir", str(tmp_path / "cache"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: request to ")
+    assert len(http_server.received) == ClientConfig().max_retries

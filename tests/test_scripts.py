@@ -1,0 +1,33 @@
+"""Smoke runs of the experiment scripts at tiny sizes, so that a moved
+import or a changed signature cannot break them silently."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("size_power_study.py", ["--n", "60", "--m", "2", "--permutations", "99", "--seed", "1"]),
+        ("synthetic_battery.py", ["--seeds", "1", "--n", "60", "--k-grid", "2,3",
+                                  "--permutations", "99"]),
+        ("divergence_curves.py", ["--n", "60", "--k-grid", "2", "--rhos", "0.1,1.0",
+                                  "--seed", "1"]),
+    ],
+)
+def test_script_runs(script, args, tmp_path):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "seed: " in out.stdout + out.stderr
