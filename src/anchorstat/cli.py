@@ -314,8 +314,9 @@ def cmd_reduce(args) -> int:
 # parser
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-grid", help="comma-separated cluster counts, e.g. 2,3,4,5")
+def _add_grid_flags(p: argparse.ArgumentParser, k_grid: bool = True) -> None:
+    if k_grid:
+        p.add_argument("--k-grid", help="comma-separated cluster counts, e.g. 2,3,4,5")
     p.add_argument("--alpha", type=float, default=None, help="significance level")
     p.add_argument("--permutations", type=int, default=None, help="permutation replicates R")
     p.add_argument("--seed", type=int, default=None, help="root RNG seed")
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo rejection-rate study")
     _add_scenario_flags(p)
-    _add_grid_flags(p)
+    _add_grid_flags(p, k_grid=False)  # `mc` tests one K, set by --k
     p.add_argument("--m", type=int, default=200, help="number of replicates")
     p.add_argument("--k", type=int, default=None, help="cluster count for the test")
     p.add_argument("--out", help="output JSON path (stdout if omitted)")

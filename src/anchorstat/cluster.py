@@ -16,6 +16,7 @@ from .corpus import EmbeddingMatrix
 from .errors import DegeneracyError, GuardError, ParameterError
 
 BRUTE_FORCE_MAX_N = 12
+_BLOCK_ENTRIES = 1 << 16  # entries per block of restart temporaries
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,11 @@ def kmeans(
     its own stream keyed by (seed, r), so results do not depend on
     execution order. Ties in point assignment go to the lowest cluster
     id; restart ties go to the lowest restart index.
+
+    All restarts run through one batched Lloyd loop. Everything after a
+    restart's first Lloyd pass (exchange rounds, further Lloyd passes and
+    the WCSS) depends only on that pass's assignment, so it runs once per
+    distinct assignment.
     """
     X = _values(m)
     n = X.shape[0]
@@ -124,7 +130,8 @@ def kmeans(
         raise ParameterError(f"K={K} out of range [2, n={n}]")
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
-    if np.unique(X, axis=0).shape[0] < K:
+    # K distinct first coordinates already give K distinct rows
+    if np.unique(X[:, :1]).shape[0] < K and np.unique(X, axis=0).shape[0] < K:
         raise DegeneracyError(
             f"fewer than K={K} distinct rows; cannot form K non-empty clusters"
         )
@@ -132,54 +139,89 @@ def kmeans(
     # avoids cancellation on offset data and keeps integer data (and its ties) exact
     Xs = X - X[0]
     XT, xx = np.ascontiguousarray(Xs.T), np.einsum("ij,ij->i", Xs, Xs)
+    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+    seeds = _kpp_centers(X, K, rngs) - X[0]
+    refined: dict[bytes, tuple[float, np.ndarray]] = {}
     best: tuple[float, np.ndarray] | None = None
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        centers = _kpp_init(X, K, rng) - X[0]
-        assignment = _lloyd_iterations(Xs, XT, xx, K, centers, max_iter, tol, debug)
-        for _ in range(8):  # alternate exchanges with fresh Lloyd passes
-            assignment, moved = _exchange_refine(XT, xx, assignment, K)
-            if not moved:
-                break
-            centers = _centers(XT, assignment, K)
-            assignment = _lloyd_iterations(Xs, XT, xx, K, centers, max_iter, tol, debug)
-        value = _wcss(X, assignment, K)
+    for assignment in _lloyd(Xs, XT, xx, K, seeds, max_iter, tol, debug):
+        key = assignment.tobytes()
+        if key not in refined:
+            for _ in range(8):  # alternate exchanges with fresh Lloyd passes
+                assignment, moved = _exchange_refine(XT, xx, assignment, K)
+                if not moved:
+                    break
+                centers = _centers(XT, assignment, K)[None]
+                assignment = _lloyd(Xs, XT, xx, K, centers, max_iter, tol, debug)[0]
+            refined[key] = (_wcss(X, assignment, K), assignment)
+        value, assignment = refined[key]
         if best is None or value < best[0] - 1e-12:
             best = (value, assignment)
     return Partition(assignment=best[1], K=K, wcss=best[0])
 
 
-def _kpp_init(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+def _kpp_centers(X: np.ndarray, K: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """(R, K, p) k-means++ seeds, restart r drawing from ``rngs[r]``; the
+    distances to each new center are computed for all restarts at once."""
     n = X.shape[0]
-    centers = np.empty((K, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    closest = ((X - centers[0]) ** 2).sum(axis=1)
+    centers = np.empty((len(rngs), K, X.shape[1]))
+    centers[:, 0] = X[[rng.integers(n) for rng in rngs]]
+    closest = _row_sq_dists(X, centers[:, 0])
     for k in range(1, K):
-        total = closest.sum()
-        if total <= 0.0:
-            # all remaining mass on chosen centers; pick any unchosen distinct row
-            centers[k] = X[rng.integers(n)]
-            continue
-        probs = closest / total
-        idx = rng.choice(n, p=probs)
-        centers[k] = X[idx]
-        closest = np.minimum(closest, ((X - centers[k]) ** 2).sum(axis=1))
+        for r, rng in enumerate(rngs):
+            total = closest[r].sum()
+            if total <= 0.0:
+                # all remaining mass on chosen centers; pick any unchosen distinct row
+                centers[r, k] = X[rng.integers(n)]
+            else:
+                centers[r, k] = X[rng.choice(n, p=closest[r] / total)]
+        if k + 1 < K:
+            np.minimum(closest, _row_sq_dists(X, centers[:, k]), out=closest)
     return centers
+
+
+def _restart_block(n: int, p: int) -> int:
+    """Restarts per block of (n, p) temporaries: bounds memory for any restart count."""
+    return max(1, _BLOCK_ENTRIES // max(n * p, 1))
+
+
+def _row_sq_dists(X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(R, n) squared distances of the rows of X to each of R points."""
+    out = np.empty((points.shape[0], X.shape[0]))
+    step = _restart_block(*X.shape)
+    for s in range(0, points.shape[0], step):
+        out[s : s + step] = ((X - points[s : s + step, None]) ** 2).sum(axis=2)
+    return out
 
 
 def _sq_dists(XT: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, K) squared distances of the columns of XT (squared norms xx) to the centers."""
     cc = np.einsum("ij,ij->i", centers, centers)
-    return np.maximum(xx[:, None] - 2.0 * (XT.T @ centers.T) + cc, 0.0)
+    d2 = XT.T @ centers.T
+    d2 *= 2.0
+    np.subtract(xx[:, None], d2, out=d2)
+    d2 += cc
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _centers(XT: np.ndarray, assignment: np.ndarray, K: int) -> np.ndarray:
-    members = (assignment == np.arange(K)[:, None]).astype(float)
-    return (members @ XT.T) / members.sum(axis=1)[:, None]
+    """(..., K, p) cluster means of each (..., n) assignment, by indicator products."""
+    members = (assignment[..., None, :] == np.arange(K)[:, None]).astype(float)
+    return (members @ XT.T) / members.sum(axis=-1)[..., None]
 
 
-def _lloyd_iterations(
-    X: np.ndarray,
+def _repair_empty(assignment: np.ndarray, d2: np.ndarray, K: int) -> None:
+    """Fill empty clusters in place: promote the point farthest from its center."""
+    n = assignment.shape[0]
+    for k in np.flatnonzero(np.bincount(assignment, minlength=K) == 0):
+        dist_own = d2[np.arange(n), assignment]
+        counts = np.bincount(assignment, minlength=K)
+        movable = counts[assignment] > 1
+        candidates = np.where(movable, dist_own, -np.inf)
+        assignment[int(np.argmax(candidates))] = k
+
+
+def _lloyd(
+    Xs: np.ndarray,
     XT: np.ndarray,
     xx: np.ndarray,
     K: int,
@@ -188,29 +230,50 @@ def _lloyd_iterations(
     tol: float,
     debug: bool,
 ) -> np.ndarray:
-    n = X.shape[0]
-    prev = np.inf
-    assignment = np.zeros(n, dtype=np.intp)
-    residuals = np.empty_like(X)
-    for _ in range(max_iter):
-        d2 = _sq_dists(XT, xx, centers)
-        assignment = np.argmin(d2, axis=1)  # argmin takes the lowest id on ties
-        # repair empty clusters: promote the point farthest from its center
-        for k in np.flatnonzero(np.bincount(assignment, minlength=K) == 0):
-            dist_own = d2[np.arange(n), assignment]
-            counts = np.bincount(assignment, minlength=K)
-            movable = counts[assignment] > 1
-            candidates = np.where(movable, dist_own, -np.inf)
-            assignment[int(np.argmax(candidates))] = k
+    """Lloyd iterations of R restarts at once from (R, K, p) centers.
+
+    Returns the (R, n) final assignments. Each restart keeps its own
+    relative ``tol`` stop, ``debug`` monotonicity check and empty-cluster
+    repair, and leaves the active set once it stops.
+    """
+    n, p = Xs.shape
+    R = centers.shape[0]
+    final = np.empty((R, n), dtype=np.intp)
+    active = np.arange(R)
+    prev = np.full(R, np.inf)
+    step = _restart_block(n, p)
+    residuals = np.empty((min(R, step), n, p))
+    for it in range(max_iter):
+        live = active.shape[0]
+        d2 = _sq_dists(XT, xx, centers.reshape(live * K, p)).reshape(n, live, K)
+        # argmin takes the lowest id on ties
+        assignment = np.ascontiguousarray(np.argmin(d2, axis=2).T)
+        flat = assignment + K * np.arange(live)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=live * K).reshape(live, K)
+        for j in np.flatnonzero((counts == 0).any(axis=1)):
+            _repair_empty(assignment[j], d2[:, j], K)
+            flat[j] = assignment[j] + K * j
         centers = _centers(XT, assignment, K)
-        np.subtract(X, np.take(centers, assignment, axis=0, out=residuals), out=residuals)
-        current = float(np.einsum("ij,ij->", residuals, residuals))
-        if debug and current > prev + 1e-9:
-            raise AssertionError(f"Lloyd objective increased: {prev} -> {current}")
-        if np.isfinite(prev) and prev - current <= tol * max(prev, 1e-300):
+        current = np.empty(live)
+        for s in range(0, live, step):
+            res = residuals[: min(step, live - s)]
+            np.take(centers.reshape(live * K, p), flat[s : s + step], axis=0, out=res)
+            np.subtract(Xs, res, out=res)
+            current[s : s + step] = np.einsum("rij,rij->r", res, res)
+        if debug and np.any(current > prev + 1e-9):
+            r = int(np.argmax(current > prev + 1e-9))
+            raise AssertionError(f"Lloyd objective increased: {prev[r]} -> {current[r]}")
+        done = np.isfinite(prev)
+        if it + 1 == max_iter:
+            done[:] = True
+        else:
+            done[done] = prev[done] - current[done] <= tol * np.maximum(prev[done], 1e-300)
+        final[active[done]] = assignment[done]
+        keep = ~done
+        active, prev, centers = active[keep], current[keep], centers[keep]
+        if active.shape[0] == 0:
             break
-        prev = current
-    return assignment
+    return final
 
 
 def _exchange_refine(

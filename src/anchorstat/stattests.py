@@ -115,7 +115,7 @@ def _permutation_pvalue(stat, draw, observed, mirror, R: int, seed: int, support
     if R < 1:
         raise ParameterError(f"permutation count must be >= 1, got {R}")
     rng = np.random.default_rng(seed)
-    rows = max(1, _BLOCK_ENTRIES // observed.shape[0])
+    rows = _block_rows(observed.shape[0])
     observed, mirror = observed[support], mirror[support]
     obs = stat(observed[None])[0]
     at_least = below = 0
@@ -128,9 +128,28 @@ def _permutation_pvalue(stat, draw, observed, mirror, R: int, seed: int, support
     return (1 + at_least) / (R + 1), below / R
 
 
+def _block_rows(width: int) -> int:
+    """Replicates per block of about _BLOCK_ENTRIES entries; an even count,
+    so that no block of sign draws ends inside a 64-bit word."""
+    return max(2, (_BLOCK_ENTRIES // width) & ~1)
+
+
 def _sign_flips(n: int):
-    """Draws of rng.integers(0, 2, (R, n)) (1 keeps a sign), identity, global flip."""
-    return lambda rng, b: rng.integers(0, 2, size=(b, n)), np.ones(n, int), np.zeros(n, int)
+    """Draws equal to rng.integers(0, 2, (R, n)) (True keeps a sign), identity, global flip.
+
+    That call returns the top bit of each 32-bit half of the generator's raw
+    64-bit words, low half first; this draw reads the same bits without the
+    int64 arithmetic. After an odd-sized draw the generator keeps the unused
+    half for its next 32-bit request, which ``random_raw`` skips, so every
+    block but the last holds an even number of draws (``_block_rows``).
+    """
+
+    def draw(rng, b):
+        # little-endian words, so each word's low half comes first
+        words = rng.bit_generator.random_raw((b * n + 1) // 2).astype("<u8", copy=False)
+        return (words.view("<u4")[: b * n] >= 1 << 31).reshape(b, n)
+
+    return draw, np.ones(n, bool), np.zeros(n, bool)
 
 
 def sign_flip_pvalue(

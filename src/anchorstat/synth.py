@@ -214,10 +214,18 @@ def rand_index(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ParameterError("partitions must cover the same indices")
-    same_a = a[:, None] == a[None, :]
-    same_b = b[:, None] == b[None, :]
-    iu = np.triu_indices(a.shape[0], k=1)
-    return float(np.mean(same_a[iu] == same_b[iu]))
+    # agreeing pairs follow from the K x K contingency table of the labels
+    _, ia = np.unique(a, return_inverse=True)
+    labels_b, ib = np.unique(b, return_inverse=True)
+
+    def together(counts):  # pairs that share a cell
+        return int((counts * (counts - 1)).sum()) // 2
+
+    n = a.shape[0]
+    pairs = n * (n - 1) // 2
+    both = together(np.bincount(ia * labels_b.shape[0] + ib))
+    agree = pairs - together(np.bincount(ia)) - together(np.bincount(ib)) + 2 * both
+    return agree / pairs if pairs else float("nan")
 
 
 @dataclass(frozen=True)
@@ -294,6 +302,10 @@ def monte_carlo(
     """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
+    if R < 1:
+        raise ParameterError(f"permutation count must be >= 1, got {R}")
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be in (0,1), got {alpha}")
     if scenario == "null":
         generate = generate_null_triple
         cfg = replace(cfg, structure="shared")

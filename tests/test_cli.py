@@ -340,6 +340,29 @@ def test_mc_writes_report_with_rate(tmp_path):
     assert doc["M"] == 4
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--alpha", 1.5, "alpha must be in (0,1)"),
+    ("--permutations", 0, "permutation count must be >= 1"),
+])
+def test_mc_rejects_bad_grid_flags(tmp_path, capsys, flag, value, message):
+    # separation 40 makes every replicate vacuous, which used to hide R = 0
+    out = tmp_path / "mc.json"
+    rc = run_cli(
+        "mc", "--scenario", "null", "--n", 80, "--separation", 40, "--m", 2,
+        "--seed", 7, flag, value, "--out", out,
+    )
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mc_has_no_k_grid_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("mc", "--scenario", "null", "--m", 1, "--k-grid", "x")
+    assert exc.value.code == 2
+    assert "--k-grid" in capsys.readouterr().err
+
+
 def test_reduce_single_matrix_shape(tmp_path):
     rng = np.random.default_rng(0)
     m = EmbeddingMatrix(values=rng.normal(size=(40, 1536)))

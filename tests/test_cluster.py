@@ -36,6 +36,14 @@ def test_identical_rows_degeneracy():
         kmeans(_mat([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]), 2, seed=0)
 
 
+def test_distinct_rows_checked_beyond_first_column():
+    # a constant first column still leaves three distinct rows
+    part = kmeans(_mat([1.0, 0.0], [1.0, 5.0], [1.0, 9.0]), 3, seed=0)
+    assert sorted(part.assignment.tolist()) == [0, 1, 2]
+    with pytest.raises(DegeneracyError, match="distinct"):
+        kmeans(_mat([1.0, 2.0], [1.0, 2.0], [3.0, 4.0]), 3, seed=0)
+
+
 def test_k_out_of_range():
     m = _mat([0.0], [1.0], [2.0])
     with pytest.raises(ParameterError):
@@ -161,3 +169,21 @@ def test_partition_json_round_trip():
     np.testing.assert_array_equal(back.assignment, part.assignment)
     assert back.K == part.K
     assert back.wcss == part.wcss
+
+
+def test_kmeans_peak_memory_does_not_grow_with_restarts():
+    # a full (restarts, n, p) residual would be 102 MB here; restarts run in
+    # blocks of a fixed number of entries, so ten cost about what one does
+    import tracemalloc
+
+    X = np.random.default_rng(3).normal(size=(20000, 64))
+    X[:10000] += 1.0
+    peaks = []
+    for restarts in (1, 10):
+        tracemalloc.start()
+        try:
+            kmeans(X, 2, seed=0, restarts=restarts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]

@@ -255,3 +255,84 @@ def test_exchange_with_singleton_clusters_matches_oracle(case):
         want, want_moved = _exchange_refine(X, assignment, K)
         np.testing.assert_array_equal(got, want)
         assert got_moved == want_moved
+
+
+# Batched restarts: ``kmeans`` runs the first Lloyd pass of every restart in
+# one loop and refines each distinct first-pass assignment once.
+
+
+def _first_pass(X, K, seed, restarts, centers=None, max_iter=300, tol=1e-8, debug=False):
+    """Batched first Lloyd pass of ``kmeans`` and the oracle's, restart by restart."""
+    Xs = X - X[0]
+    XT, xx = np.ascontiguousarray(Xs.T), np.einsum("ij,ij->i", Xs, Xs)
+    if centers is None:
+        rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+        centers = cluster._kpp_centers(X, K, rngs)
+        want = [_kpp_init(X, K, np.random.default_rng([seed, r])) for r in range(restarts)]
+        np.testing.assert_array_equal(centers, np.array(want))
+    got = cluster._lloyd(Xs, XT, xx, K, centers - X[0], max_iter, tol, debug)
+    want = [_lloyd_iterations(X, K, c, max_iter, tol, debug) for c in centers]
+    return got, np.array(want)
+
+
+def _record(monkeypatch, name):
+    """Wrap ``cluster.<name>`` and list the arguments of each call."""
+    calls = []
+    inner = getattr(cluster, name)
+
+    def recording(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(cluster, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_mc_null_shape_ten_restarts_matches_oracle(K):
+    for seed in (0, 1, 2):
+        cfg = ScenarioConfig(n=300, dim=2, K_true=2, community_separation=8.0, seed=seed)
+        members = generate_null_triple(cfg)
+        for role in members.nonanchor_roles:
+            _assert_same(members.member(role), K, seed=seed, restarts=10)
+
+
+def test_restarts_stopping_at_different_iterations_match_oracle(monkeypatch):
+    cfg = ScenarioConfig(n=300, dim=2, K_true=3, community_separation=3.0, seed=4)
+    X = generate_null_triple(cfg).member("nonanchor_1").values
+    _assert_same(X, 5, seed=6, restarts=10)
+    steps = _record(monkeypatch, "_centers")
+    got, want = _first_pass(X, 5, seed=6, restarts=10)
+    np.testing.assert_array_equal(got, want)
+    live = [assignment.shape[0] for _, assignment, _ in steps]
+    assert live[0] == 10 and len(set(live)) >= 3  # restarts leave the batch one by one
+
+
+def test_empty_cluster_repair_matches_oracle(monkeypatch):
+    rng = np.random.default_rng(8)
+    X = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 6.0])
+    starts = np.array([X[[0, 50, 5]], X[[0, 50, 5]], X[[3, 70, 11]], X[[3, 70, 11]]])
+    starts[1, 2] = starts[3, 0] = (100.0, -100.0)  # a center that attracts no point
+    repairs = _record(monkeypatch, "_repair_empty")
+    got, want = _first_pass(X, 3, seed=0, restarts=4, centers=starts)
+    np.testing.assert_array_equal(got, want)
+    assert len(repairs) == 2
+
+
+@pytest.mark.parametrize("case", range(5, 300, 30))
+def test_debug_many_restarts_matches_oracle(case):
+    X, K, seed, _ = _small_case(case)
+    if K < 2:
+        pytest.skip("fewer than two distinct rows")
+    _assert_same(X, K, seed=seed, restarts=6, debug=True)
+    got, want = _first_pass(X, K, seed=seed, restarts=6, debug=True)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_max_iter_stop_matches_oracle():
+    cfg = ScenarioConfig(n=300, dim=2, K_true=3, community_separation=3.0, seed=4)
+    X = generate_null_triple(cfg).member("nonanchor_2").values
+    for max_iter in (1, 2, 3):
+        _assert_same(X, 4, seed=2, restarts=5, max_iter=max_iter)
+        got, want = _first_pass(X, 4, seed=2, restarts=5, max_iter=max_iter)
+        np.testing.assert_array_equal(got, want)

@@ -18,6 +18,8 @@ from anchorstat.errors import (
     VacuousTestError,
 )
 from anchorstat.stattests import (
+    _block_rows,
+    _sign_flips,
     anchored_test,
     energy_statistic,
     energy_test,
@@ -129,6 +131,21 @@ def _triple(seed=0):
         n=120, dim=2, K_true=2, community_separation=8.0, structure="independent", seed=seed
     )
     return generate_alt_triple(cfg)
+
+
+@pytest.mark.parametrize("n", [1, 3, 300, 301])
+def test_sign_draw_equals_integers_draw(n):
+    """The raw-bit sign draw, taken block by block as the resampling engine
+    takes it, must equal one rng.integers(0, 2, (R, n)) draw: a numpy
+    release that changes ``integers`` fails here instead of moving p-values."""
+    rows = _block_rows(n)
+    draw = _sign_flips(n)[0]
+    # R = 1, below one block, exactly one block, and not a block multiple
+    for R in sorted({1, max(1, rows // 3), rows, 2 * rows + 7}):
+        rng = np.random.default_rng([n, R])
+        got = np.vstack([draw(rng, min(rows, R - start)) for start in range(0, R, rows)])
+        want = np.random.default_rng([n, R]).integers(0, 2, size=(R, n))
+        np.testing.assert_array_equal(got.astype(int), want)
 
 
 def test_anchored_identical_nonanchors_vacuous():

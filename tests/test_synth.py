@@ -153,6 +153,39 @@ def test_monte_carlo_counts_vacuous_as_accepts():
     assert report.rejections == 0
 
 
+@pytest.mark.parametrize("grid", [dict(alpha=1.5), dict(alpha=0.0), dict(alpha=1.0),
+                                  dict(alpha=-0.1), dict(R=0)])
+def test_monte_carlo_grid_validated_before_replicates(grid, monkeypatch):
+    def no_replicate(cfg):
+        raise AssertionError("a replicate ran before the grid was validated")
+
+    monkeypatch.setattr("anchorstat.synth.generate_null_triple", no_replicate)
+    with pytest.raises(ParameterError):
+        monte_carlo("null", _cfg(), M=1, **grid)
+
+
+def _pairwise_rand_index(a, b):
+    """The former definition, on two n x n co-membership matrices."""
+    same_a = a[:, None] == a[None, :]
+    same_b = b[:, None] == b[None, :]
+    iu = np.triu_indices(a.shape[0], k=1)
+    return float(np.mean(same_a[iu] == same_b[iu]))
+
+
+def test_rand_index_matches_pairwise_definition():
+    rng = np.random.default_rng(11)
+    for case in range(400):
+        n = 2 if case % 10 == 0 else int(rng.integers(2, 80))
+        a = rng.integers(0, int(rng.integers(1, 6)), n)  # one cluster when the bound is 1
+        if case % 4 == 0:
+            b = 7 * a - 3  # the same partition under other labels
+        else:
+            b = rng.integers(0, int(rng.integers(1, 6)), n)
+        assert rand_index(a, b) == _pairwise_rand_index(a, b)
+    assert rand_index(np.zeros(2, int), np.array([0, 1])) == 0.0
+    assert rand_index(np.zeros(5, int), np.full(5, 3)) == 1.0
+
+
 def test_power_monotone_in_separation():
     rates = []
     for sep in (2.0, 5.0, 8.0):
