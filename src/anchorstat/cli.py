@@ -314,9 +314,10 @@ def cmd_reduce(args) -> int:
 # parser
 
 
-def _add_grid_flags(p: argparse.ArgumentParser, k_grid: bool = True) -> None:
-    if k_grid:
-        p.add_argument("--k-grid", help="comma-separated cluster counts, e.g. 2,3,4,5")
+_K_GRID_HELP = "comma-separated cluster counts, e.g. 2,3,4,5"
+
+
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None, help="significance level")
     p.add_argument("--permutations", type=int, default=None, help="permutation replicates R")
     p.add_argument("--seed", type=int, default=None, help="root RNG seed")
@@ -343,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("battery", help="p-value grid over K plus baselines")
     p.add_argument("--manifest", required=True)
+    p.add_argument("--k-grid", help=_K_GRID_HELP)
     _add_grid_flags(p)
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -354,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distances", help="KL/transport curves vs temperature")
     p.add_argument("--manifest", required=True)
+    p.add_argument("--k-grid", help=_K_GRID_HELP)
     _add_grid_flags(p)
     p.add_argument("--out", help="output CSV path (stdout if omitted)")
     p.add_argument("--pca-dim", type=int, default=None)
@@ -362,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="single anchored test on one triple")
     p.add_argument("--manifest", required=True)
+    p.add_argument("--k-grid", help=_K_GRID_HELP)
     _add_grid_flags(p)
     p.add_argument("--k", type=int, default=None, help="cluster count (default: first grid value)")
     p.add_argument("--baselines", help="comma list from hotelling,nploc,energy")
@@ -370,13 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic triple and manifest")
     _add_scenario_flags(p)
+    p.add_argument("--k-grid", help=_K_GRID_HELP)
     _add_grid_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("mc", help="Monte Carlo rejection-rate study")
     _add_scenario_flags(p)
-    _add_grid_flags(p, k_grid=False)  # `mc` tests one K, set by --k
+    _add_grid_flags(p)  # no --k-grid: `mc` tests one K, set by --k
     p.add_argument("--m", type=int, default=200, help="number of replicates")
     p.add_argument("--k", type=int, default=None, help="cluster count for the test")
     p.add_argument("--out", help="output JSON path (stdout if omitted)")
@@ -394,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="directory for normalized copies")
     p.add_argument("--out-manifest", required=True)
     p.add_argument("--label", help="dataset label for battery rows")
+    p.add_argument("--k-grid", help=_K_GRID_HELP)
     _add_grid_flags(p)
     p.set_defaults(func=cmd_ingest)
 

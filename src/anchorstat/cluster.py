@@ -16,7 +16,9 @@ from .corpus import EmbeddingMatrix
 from .errors import DegeneracyError, GuardError, ParameterError
 
 BRUTE_FORCE_MAX_N = 12
-_BLOCK_ENTRIES = 1 << 16  # entries per block of restart temporaries
+# entries per block of temporaries that grow with a repeat count (k-means
+# restarts, permutation replicates): bounds memory for any count
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,8 @@ def kmeans(
         raise ParameterError(f"K={K} out of range [2, n={n}]")
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     # K distinct first coordinates already give K distinct rows
     if np.unique(X[:, :1]).shape[0] < K and np.unique(X, axis=0).shape[0] < K:
         raise DegeneracyError(
@@ -160,37 +164,22 @@ def kmeans(
 
 
 def _kpp_centers(X: np.ndarray, K: int, rngs: list[np.random.Generator]) -> np.ndarray:
-    """(R, K, p) k-means++ seeds, restart r drawing from ``rngs[r]``; the
-    distances to each new center are computed for all restarts at once."""
+    """(R, K, p) k-means++ seeds, restart r drawing from ``rngs[r]``."""
     n = X.shape[0]
     centers = np.empty((len(rngs), K, X.shape[1]))
-    centers[:, 0] = X[[rng.integers(n) for rng in rngs]]
-    closest = _row_sq_dists(X, centers[:, 0])
-    for k in range(1, K):
-        for r, rng in enumerate(rngs):
-            total = closest[r].sum()
+    for r, rng in enumerate(rngs):
+        centers[r, 0] = X[rng.integers(n)]
+        closest = ((X - centers[r, 0]) ** 2).sum(axis=1)
+        for k in range(1, K):
+            total = closest.sum()
             if total <= 0.0:
                 # all remaining mass on chosen centers; pick any unchosen distinct row
                 centers[r, k] = X[rng.integers(n)]
             else:
-                centers[r, k] = X[rng.choice(n, p=closest[r] / total)]
-        if k + 1 < K:
-            np.minimum(closest, _row_sq_dists(X, centers[:, k]), out=closest)
+                centers[r, k] = X[rng.choice(n, p=closest / total)]
+            if k + 1 < K:
+                np.minimum(closest, ((X - centers[r, k]) ** 2).sum(axis=1), out=closest)
     return centers
-
-
-def _restart_block(n: int, p: int) -> int:
-    """Restarts per block of (n, p) temporaries: bounds memory for any restart count."""
-    return max(1, _BLOCK_ENTRIES // max(n * p, 1))
-
-
-def _row_sq_dists(X: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(R, n) squared distances of the rows of X to each of R points."""
-    out = np.empty((points.shape[0], X.shape[0]))
-    step = _restart_block(*X.shape)
-    for s in range(0, points.shape[0], step):
-        out[s : s + step] = ((X - points[s : s + step, None]) ** 2).sum(axis=2)
-    return out
 
 
 def _sq_dists(XT: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -241,7 +230,7 @@ def _lloyd(
     final = np.empty((R, n), dtype=np.intp)
     active = np.arange(R)
     prev = np.full(R, np.inf)
-    step = _restart_block(n, p)
+    step = max(1, _BLOCK_ENTRIES // max(n * p, 1))  # restarts per residual block
     residuals = np.empty((min(R, step), n, p))
     for it in range(max_iter):
         live = active.shape[0]

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .anchor import DiffVector, mapped_distances, paired_differences
-from .cluster import KmeansConfig, kmeans
+from .cluster import _BLOCK_ENTRIES, KmeansConfig, kmeans
 from .corpus import EmbeddingMatrix, validate_pairing
 from .errors import (
     DegeneracyError,
@@ -32,7 +32,6 @@ from .errors import (
 
 DEFAULT_PERMUTATIONS = 999
 DEFAULT_ALPHA = 0.05
-_BLOCK_ENTRIES = 1 << 16  # entries per block of permutation draws: bounds memory for any R
 
 METHOD_TAGS = ("anchored_johnson", "hotelling_paired", "nploc_mean", "energy")
 

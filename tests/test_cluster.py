@@ -57,6 +57,11 @@ def test_restarts_must_be_positive():
         kmeans(_mat([0.0], [1.0]), 2, seed=0, restarts=0)
 
 
+def test_max_iter_must_be_positive():
+    with pytest.raises(ParameterError, match="max_iter"):
+        kmeans(_mat([0.0], [1.0]), 2, seed=0, max_iter=0)
+
+
 def test_wcss_singletons_zero():
     m = _mat([0.0, 1.0], [2.0, 3.0], [4.0, 5.0])
     part = Partition(assignment=np.array([0, 1, 2]), K=3, wcss=0.0)
