@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Monte Carlo size and power study of the anchored test.
 
-Runs the null (shared structure) and alternative (independent structure)
+Runs the null (shared labels) and alternative (independent labels)
 scenarios at the same geometry and prints the rejection rates with their
 binomial confidence intervals.
 """
@@ -30,16 +30,15 @@ def main() -> int:
 
     print(f"seed: {args.seed}")
     reports = {}
-    for scenario, structure in (("null", "shared"), ("alt", "independent")):
-        cfg = ScenarioConfig(
-            n=args.n,
-            dim=args.dim,
-            K_true=args.k_true,
-            community_separation=args.separation,
-            noise_sd=args.noise,
-            structure=structure,
-            seed=args.seed,
-        )
+    cfg = ScenarioConfig(
+        n=args.n,
+        dim=args.dim,
+        K_true=args.k_true,
+        community_separation=args.separation,
+        noise_sd=args.noise,
+        seed=args.seed,
+    )
+    for scenario in ("null", "alt"):
         rep = monte_carlo(
             scenario, cfg, M=args.m, K=args.k, R=args.permutations, alpha=args.alpha
         )

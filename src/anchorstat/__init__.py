@@ -10,7 +10,7 @@ from .anchor import (
     mapped_distances,
     paired_differences,
 )
-from .cluster import KmeansConfig, Partition, brute_force_partition, kmeans, wcss
+from .cluster import Partition, kmeans, wcss
 from .corpus import (
     DatasetManifest,
     EmbeddingMatrix,
@@ -43,6 +43,7 @@ from .synth import (
     generate_battery_quad,
     generate_drift_family,
     generate_null_triple,
+    generate_scenario,
     monte_carlo,
     rand_index,
 )
@@ -55,9 +56,7 @@ __all__ = [
     "mapped_centers",
     "mapped_distances",
     "paired_differences",
-    "KmeansConfig",
     "Partition",
-    "brute_force_partition",
     "kmeans",
     "wcss",
     "DatasetManifest",
@@ -92,6 +91,7 @@ __all__ = [
     "generate_battery_quad",
     "generate_drift_family",
     "generate_null_triple",
+    "generate_scenario",
     "monte_carlo",
     "rand_index",
     "__version__",

@@ -9,7 +9,6 @@ directly comparable because their i-th entries refer to the same text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,15 +38,6 @@ class MappedDistanceSet:
     @property
     def n(self) -> int:
         return self.distances.shape[0]
-
-    def save_csv(self, path) -> None:
-        np.savetxt(Path(path), self.distances, fmt="%.17g")
-
-    @classmethod
-    def load_csv(cls, path, source: str = "", anchor: str = "", K: int = 0):
-        return cls(
-            distances=np.loadtxt(Path(path), ndmin=1), source=source, anchor=anchor, K=K
-        )
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,16 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import divergence
 from .anchor import mapped_distances
-from .cluster import KmeansConfig, kmeans
+from .cluster import kmeans
 from .corpus import ANCHOR_ROLE, PairedCollection
 from .errors import AnchorstatError, ManifestError, VacuousTestError
 from .stattests import (
     DEFAULT_ALPHA,
     DEFAULT_PERMUTATIONS,
     TestReport,
+    _child_seed,
     anchored_test,
     energy_test,
     hotelling_paired,
@@ -88,8 +87,7 @@ def format_p(p: float, R: int, alpha: float) -> str:
 
 
 def _cell_seed(seed: int, *names) -> int:
-    parts = [zlib.crc32(str(n).encode()) for n in names]
-    return int(np.random.SeedSequence([int(seed), *parts]).generate_state(1)[0])
+    return _child_seed(seed, *(zlib.crc32(str(n).encode()) for n in names))
 
 
 def run_cell(
@@ -100,7 +98,6 @@ def run_cell(
     R: int = DEFAULT_PERMUTATIONS,
     alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
-    kmeans_config: KmeansConfig = KmeansConfig(),
     baseline_collection: PairedCollection | None = None,
 ) -> TestReport:
     """One battery cell: the anchored test at K = ``method`` on the pair,
@@ -115,7 +112,6 @@ def run_cell(
             collection.member(r1).with_label(r1),
             collection.member(r2).with_label(r2),
             K=method,
-            kmeans_config=kmeans_config,
             R=R,
             seed=cell_seed,
             alpha=alpha,
@@ -144,7 +140,6 @@ def run_battery(
     alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
     baselines: tuple[str, ...] = BASELINE_NAMES,
-    kmeans_config: KmeansConfig = KmeansConfig(),
     baseline_collection: PairedCollection | None = None,
     jobs: int = 1,
 ) -> BatteryResult:
@@ -167,8 +162,7 @@ def run_battery(
         pair, method = task
         try:
             report = run_cell(
-                collection, dataset, pair, method, R, alpha, seed,
-                kmeans_config, baseline_collection,
+                collection, dataset, pair, method, R, alpha, seed, baseline_collection
             )
         except AnchorstatError as exc:
             return _error_cell(exc)
@@ -244,7 +238,6 @@ def run_distance_curves(
     collection: PairedCollection,
     k_values: tuple[int, ...],
     seed: int = 0,
-    kmeans_config: KmeansConfig = KmeansConfig(),
     bins: int = divergence.DEFAULT_BINS,
     smoothing: float = divergence.DEFAULT_SMOOTHING,
 ) -> list[dict]:
@@ -273,12 +266,7 @@ def run_distance_curves(
         raise ManifestError("distance curves need at least one varying member")
 
     def mapped(role, K):
-        part = kmeans(
-            collection.member(role),
-            K,
-            seed=_cell_seed(seed, "curve", role, K),
-            **vars(kmeans_config),
-        )
+        part = kmeans(collection.member(role), K, seed=_cell_seed(seed, "curve", role, K))
         return mapped_distances(collection.anchor, part, source=role)
 
     rows = []

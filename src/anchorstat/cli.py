@@ -94,14 +94,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _scenario_from_args(args, seed: int) -> ScenarioConfig:
-    structure = "shared" if args.scenario == "null" else "independent"
     return ScenarioConfig(
         n=args.n,
         dim=args.dim,
         K_true=args.k_true,
         community_separation=args.separation,
         noise_sd=args.noise,
-        structure=structure,
         seed=seed,
     )
 
@@ -180,12 +178,7 @@ def cmd_test(args) -> int:
 
 def cmd_synth(args) -> int:
     grid = _grid_from_args(args)
-    cfg = _scenario_from_args(args, grid.seed)
-    triple = (
-        synth.generate_null_triple(cfg)
-        if args.scenario == "null"
-        else synth.generate_alt_triple(cfg)
-    )
+    triple = synth.generate_scenario(args.scenario, _scenario_from_args(args, grid.seed))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -1,37 +1,22 @@
 """K-means clustering of non-anchor datasets.
 
-Lloyd iterations with k-means++ seeding, best-of-restarts selection, and
-an exhaustive-search oracle for small instances.
+Lloyd iterations with k-means++ seeding and best-of-restarts selection.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .corpus import EmbeddingMatrix
-from .errors import DegeneracyError, GuardError, ParameterError
+from .errors import DegeneracyError, ParameterError
 
-BRUTE_FORCE_MAX_N = 12
+RESTARTS = 10  # k-means++ restarts per clustering; the lowest WCSS wins
 # entries per block of temporaries that grow with a repeat count (k-means
 # restarts, permutation replicates): bounds memory for any count
 _BLOCK_ENTRIES = 1 << 16
-
-
-@dataclass(frozen=True)
-class KmeansConfig:
-    restarts: int = 10
-    max_iter: int = 300
-    tol: float = 1e-8  # relative WCSS change
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +46,6 @@ class Partition:
     @property
     def n(self) -> int:
         return self.assignment.shape[0]
-
-    def cluster_indices(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == k)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -109,7 +91,7 @@ def kmeans(
     m,
     K: int,
     seed: int = 0,
-    restarts: int = 10,
+    restarts: int = RESTARTS,
     max_iter: int = 300,
     tol: float = 1e-8,
     debug: bool = False,
@@ -298,53 +280,3 @@ def _exchange_refine(
             cost_add[:, k] = counts[k] / (counts[k] + 1) * d2[:, k]
         moved_any = True
     return assignment, moved_any
-
-
-def _partitions_into_k_blocks(n: int, K: int) -> Iterator[np.ndarray]:
-    """Yield every assignment of n items into exactly K non-empty blocks,
-    in canonical (restricted-growth) form."""
-    a = np.zeros(n, dtype=np.intp)
-
-    def rec(i: int, used: int):
-        if i == n:
-            if used == K:
-                yield a.copy()
-            return
-        # cannot reach K blocks if too few items remain
-        if used + (n - i) < K:
-            return
-        for b in range(min(used + 1, K)):
-            a[i] = b
-            yield from rec(i + 1, max(used, b + 1))
-
-    yield from rec(1, 1)  # item 0 is always in block 0
-
-
-def brute_force_partition(m, K: int) -> Partition:
-    """Globally WCSS-optimal partition by exhaustive enumeration.
-
-    Guarded to n <= 12; intended as a test oracle, not a clustering
-    method.
-    """
-    X = _values(m)
-    n = X.shape[0]
-    if n > BRUTE_FORCE_MAX_N:
-        raise GuardError(
-            f"exhaustive search guarded to n <= {BRUTE_FORCE_MAX_N}, got n={n}"
-        )
-    if not 2 <= K <= n:
-        raise ParameterError(f"K={K} out of range [2, n={n}]")
-    best_val = np.inf
-    best_assign: np.ndarray | None = None
-    for assign in _partitions_into_k_blocks(n, K):
-        total = 0.0
-        for k in range(K):
-            rows = X[assign == k]
-            center = rows.mean(axis=0)
-            total += float(((rows - center) ** 2).sum())
-            if total >= best_val:
-                break
-        if total < best_val:
-            best_val = total
-            best_assign = assign
-    return Partition(assignment=best_assign, K=K, wcss=best_val)

@@ -36,8 +36,7 @@ class VacuousTestError(DegeneracyError):
 
 
 class GuardError(AnchorstatError):
-    """A safety guard tripped (exhaustive search too large, retry budget
-    exhausted)."""
+    """A safety guard tripped (redraw budget exhausted)."""
 
 
 class ManifestError(AnchorstatError):

@@ -116,11 +116,6 @@ def apply_pca(model: PcaModel, m: EmbeddingMatrix) -> EmbeddingMatrix:
     return EmbeddingMatrix(values=projected, label=m.label)
 
 
-def reconstruct(model: PcaModel, reduced: np.ndarray) -> np.ndarray:
-    """Map reduced coordinates back to ambient space."""
-    return np.asarray(reduced, dtype=float) @ model.components + model.mean
-
-
 def fit_collection_models(
     c: PairedCollection, p: int, mode: str = "per_dataset"
 ) -> dict[str, PcaModel]:

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .anchor import DiffVector, mapped_distances, paired_differences
-from .cluster import _BLOCK_ENTRIES, KmeansConfig, kmeans
+from .cluster import _BLOCK_ENTRIES, RESTARTS, kmeans
 from .corpus import EmbeddingMatrix, validate_pairing
 from .errors import (
     DegeneracyError,
@@ -200,6 +200,8 @@ def sign_flip_pvalue(
 
 
 def _child_seed(seed: int, *path: int) -> int:
+    """Seed of the stream at ``path`` below ``seed``; every seed the package
+    derives (test parts, battery cells, Monte Carlo replicates) comes from here."""
     ss = np.random.SeedSequence([int(seed), *[int(x) for x in path]])
     return int(ss.generate_state(1)[0])
 
@@ -209,7 +211,6 @@ def anchored_test(
     d1: EmbeddingMatrix,
     d2: EmbeddingMatrix,
     K: int,
-    kmeans_config: KmeansConfig = KmeansConfig(),
     R: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
     alpha: float = DEFAULT_ALPHA,
@@ -222,8 +223,8 @@ def anchored_test(
     raise VacuousTestError.
     """
     validate_pairing({"anchor": anchor, "d1": d1, "d2": d2})
-    part1 = kmeans(d1, K, seed=_child_seed(seed, 1), **vars(kmeans_config))
-    part2 = kmeans(d2, K, seed=_child_seed(seed, 2), **vars(kmeans_config))
+    part1 = kmeans(d1, K, seed=_child_seed(seed, 1))
+    part2 = kmeans(d2, K, seed=_child_seed(seed, 2))
     set1 = mapped_distances(anchor, part1, source=d1.label)
     set2 = mapped_distances(anchor, part2, source=d2.label)
     diff = paired_differences(set1, set2)
@@ -236,7 +237,7 @@ def anchored_test(
         "anchor_label": anchor.label,
         "d1_label": d1.label,
         "d2_label": d2.label,
-        "kmeans_restarts": kmeans_config.restarts,
+        "kmeans_restarts": RESTARTS,
     }
     return sign_flip_pvalue(
         diff, R=R, seed=_child_seed(seed, 3), alpha=alpha, metadata=meta

@@ -3,10 +3,9 @@
 Each scenario draws one latent label vector and builds an anchor plus two
 non-anchor datasets as Gaussian mixtures around dataset-specific random
 community means, so the three datasets share a partition of the index
-set while living in unrelated coordinate frames. The "shared" structure
-keeps one label vector for everything (the null geometry); the
-"independent" structure redraws labels for the second non-anchor (the
-alternative geometry).
+set while living in unrelated coordinate frames. The "null" scenario
+keeps one label vector for everything; the "alt" scenario redraws labels
+for the second non-anchor.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import KmeansConfig
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
 from .errors import GuardError, ParameterError, VacuousTestError
-from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, anchored_test
+from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, _child_seed, anchored_test
 
 # Community means are placed at pairwise distance
 # _BOUNDARY_CONTRAST * community_separation * noise_sd. The factor keeps a
@@ -44,7 +42,6 @@ class ScenarioConfig:
     K_true: int = 2
     community_separation: float = 8.0
     noise_sd: float = 1.0
-    structure: str = "shared"
     seed: int = 0
 
     def __post_init__(self):
@@ -60,26 +57,6 @@ class ScenarioConfig:
             raise ParameterError("community_separation must be finite and >= 0")
         if self.noise_sd <= 0:
             raise ParameterError(f"noise_sd must be > 0, got {self.noise_sd}")
-        if self.structure not in ("shared", "independent"):
-            raise ParameterError(f"unknown structure '{self.structure}'")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "dim": self.dim,
-            "K_true": self.K_true,
-            "community_separation": self.community_separation,
-            "noise_sd": self.noise_sd,
-            "structure": self.structure,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        return cls(**json.loads(text))
 
 
 def _place_community_means(
@@ -123,8 +100,6 @@ def _canonical_labels(z: np.ndarray) -> tuple:
 
 def generate_null_triple(cfg: ScenarioConfig) -> PairedCollection:
     """Anchor and two non-anchors built on one shared label vector."""
-    if cfg.structure != "shared":
-        raise ParameterError("null scenario requires structure='shared'")
     rng = np.random.default_rng(cfg.seed)
     z = rng.integers(0, cfg.K_true, cfg.n)
     members = {
@@ -138,8 +113,6 @@ def generate_null_triple(cfg: ScenarioConfig) -> PairedCollection:
 def generate_alt_triple(cfg: ScenarioConfig) -> PairedCollection:
     """As the null triple, but the second non-anchor gets independently
     redrawn labels, so the two non-anchor partitions disagree."""
-    if cfg.structure != "independent":
-        raise ParameterError("alternative scenario requires structure='independent'")
     rng = np.random.default_rng(cfg.seed)
     z = rng.integers(0, cfg.K_true, cfg.n)
     z2 = None
@@ -158,6 +131,16 @@ def generate_alt_triple(cfg: ScenarioConfig) -> PairedCollection:
         "nonanchor_2": _mixture(z2, cfg, rng, "nonanchor_2"),
     }
     return validate_pairing(members)
+
+
+def generate_scenario(scenario: str, cfg: ScenarioConfig) -> PairedCollection:
+    """The triple of ``scenario``: "null" (shared labels) or "alt"
+    (independent labels for the second non-anchor)."""
+    if scenario == "null":
+        return generate_null_triple(cfg)
+    if scenario == "alt":
+        return generate_alt_triple(cfg)
+    raise ParameterError(f"unknown scenario '{scenario}'")
 
 
 def generate_battery_quad(cfg: ScenarioConfig) -> PairedCollection:
@@ -281,10 +264,6 @@ def _wilson_ci(successes: int, total: int, z: float = 1.959963984540054) -> tupl
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _replicate_seed(seed: int, m: int) -> int:
-    return int(np.random.SeedSequence([seed, m]).generate_state(1)[0])
-
-
 def monte_carlo(
     scenario: str,
     cfg: ScenarioConfig,
@@ -292,7 +271,6 @@ def monte_carlo(
     K: int | None = None,
     R: int = DEFAULT_PERMUTATIONS,
     alpha: float = DEFAULT_ALPHA,
-    kmeans_config: KmeansConfig = KmeansConfig(),
 ) -> MonteCarloReport:
     """Run the anchored test on M independently seeded triples.
 
@@ -306,30 +284,20 @@ def monte_carlo(
         raise ParameterError(f"permutation count must be >= 1, got {R}")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0,1), got {alpha}")
-    if scenario == "null":
-        generate = generate_null_triple
-        cfg = replace(cfg, structure="shared")
-    elif scenario == "alt":
-        generate = generate_alt_triple
-        cfg = replace(cfg, structure="independent")
-    else:
-        raise ParameterError(f"unknown scenario '{scenario}'")
     K_test = K if K is not None else cfg.K_true
     rejections = 0
     vacuous = 0
     start = time.perf_counter()
     for m in range(M):
-        rep_cfg = replace(cfg, seed=_replicate_seed(cfg.seed, m))
-        triple = generate(rep_cfg)
+        triple = generate_scenario(scenario, replace(cfg, seed=_child_seed(cfg.seed, m)))
         try:
             report = anchored_test(
                 triple.member("anchor"),
                 triple.member("nonanchor_1"),
                 triple.member("nonanchor_2"),
                 K=K_test,
-                kmeans_config=kmeans_config,
                 R=R,
-                seed=_replicate_seed(cfg.seed, M + m),
+                seed=_child_seed(cfg.seed, M + m),
                 alpha=alpha,
             )
         except VacuousTestError:

@@ -1,0 +1,61 @@
+"""Exhaustive-search k-means oracle for small instances: the globally
+WCSS-optimal partition, against which the tests check `kmeans`."""
+
+from typing import Iterator
+
+import numpy as np
+
+from anchorstat.cluster import Partition, _values
+from anchorstat.errors import GuardError, ParameterError
+
+BRUTE_FORCE_MAX_N = 12
+
+
+def _partitions_into_k_blocks(n: int, K: int) -> Iterator[np.ndarray]:
+    """Yield every assignment of n items into exactly K non-empty blocks,
+    in canonical (restricted-growth) form."""
+    a = np.zeros(n, dtype=np.intp)
+
+    def rec(i: int, used: int):
+        if i == n:
+            if used == K:
+                yield a.copy()
+            return
+        # cannot reach K blocks if too few items remain
+        if used + (n - i) < K:
+            return
+        for b in range(min(used + 1, K)):
+            a[i] = b
+            yield from rec(i + 1, max(used, b + 1))
+
+    yield from rec(1, 1)  # item 0 is always in block 0
+
+
+def brute_force_partition(m, K: int) -> Partition:
+    """Globally WCSS-optimal partition by exhaustive enumeration.
+
+    Guarded to n <= 12; intended as a test oracle, not a clustering
+    method.
+    """
+    X = _values(m)
+    n = X.shape[0]
+    if n > BRUTE_FORCE_MAX_N:
+        raise GuardError(
+            f"exhaustive search guarded to n <= {BRUTE_FORCE_MAX_N}, got n={n}"
+        )
+    if not 2 <= K <= n:
+        raise ParameterError(f"K={K} out of range [2, n={n}]")
+    best_val = np.inf
+    best_assign: np.ndarray | None = None
+    for assign in _partitions_into_k_blocks(n, K):
+        total = 0.0
+        for k in range(K):
+            rows = X[assign == k]
+            center = rows.mean(axis=0)
+            total += float(((rows - center) ** 2).sum())
+            if total >= best_val:
+                break
+        if total < best_val:
+            best_val = total
+            best_assign = assign
+    return Partition(assignment=best_assign, K=K, wcss=best_val)

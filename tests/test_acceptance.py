@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 
 from anchorstat.battery import run_battery
 from anchorstat.cli import main
-from anchorstat.cluster import brute_force_partition, kmeans
+from anchorstat.cluster import kmeans
 from anchorstat.corpus import EmbeddingMatrix
 from anchorstat.divergence import kl_divergence, wasserstein1
 from anchorstat.errors import DegenerateSampleError
@@ -20,6 +20,7 @@ from anchorstat.stattests import (
     sign_flip_pvalue,
 )
 from anchorstat.synth import ScenarioConfig, generate_battery_quad, monte_carlo
+from brute_force import brute_force_partition
 
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):
@@ -151,7 +152,7 @@ _MC_CFG = dict(n=300, dim=2, K_true=2, community_separation=8.0, noise_sd=1.0)
 
 
 def test_criterion_07_size_calibration():
-    cfg = ScenarioConfig(structure="shared", seed=0, **_MC_CFG)
+    cfg = ScenarioConfig(seed=0, **_MC_CFG)
     report = monte_carlo("null", cfg, M=200, K=2, R=999, alpha=0.05)
     ok = 0.01 <= report.rate <= 0.10
     _report(7, "null rejection rate within [0.01, 0.10]", ok,
@@ -159,7 +160,7 @@ def test_criterion_07_size_calibration():
 
 
 def test_criterion_08_power():
-    cfg = ScenarioConfig(structure="independent", seed=0, **_MC_CFG)
+    cfg = ScenarioConfig(seed=0, **_MC_CFG)
     report = monte_carlo("alt", cfg, M=200, K=2, R=999, alpha=0.05)
     ok = report.rate >= 0.9
     _report(8, "alternative rejection rate >= 0.9", ok, f"rate={report.rate:.3f}")

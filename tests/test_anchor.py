@@ -113,15 +113,6 @@ def test_translation_equivariance():
     np.testing.assert_allclose(shifted.distances, base.distances, atol=1e-9)
 
 
-def test_distance_set_csv_round_trip(tmp_path):
-    dset = MappedDistanceSet(
-        distances=np.array([0.5, 1.25, 0.0]), source="d1", anchor="anchor", K=2
-    )
-    dset.save_csv(tmp_path / "d.csv")
-    back = MappedDistanceSet.load_csv(tmp_path / "d.csv", source="d1", anchor="anchor", K=2)
-    np.testing.assert_allclose(back.distances, dset.distances, atol=1e-15)
-
-
 def test_distance_set_rejects_negative():
     with pytest.raises(PairingError):
         MappedDistanceSet(distances=np.array([-0.1]), source="s", anchor="a", K=2)

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from anchorstat.cluster import (
     Partition,
-    brute_force_partition,
     kmeans,
     wcss,
 )
 from anchorstat.corpus import EmbeddingMatrix
 from anchorstat.errors import DegeneracyError, GuardError, ParameterError
+from brute_force import brute_force_partition
 
 
 def _mat(*rows):

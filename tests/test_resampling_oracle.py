@@ -17,13 +17,9 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from anchorstat import stattests
 from anchorstat.errors import DegeneracyError
-from anchorstat.stattests import (
-    _BLOCK_ENTRIES,
-    energy_test,
-    nploc_mean_test,
-    sign_flip_pvalue,
-)
+from anchorstat.stattests import _block_rows, energy_test, nploc_mean_test, sign_flip_pvalue
 
 
 def _johnson_t_rows(X: np.ndarray) -> np.ndarray:
@@ -131,8 +127,9 @@ def oracle_energy(X, Y, R, seed, tie_rule=False):
 
 
 def _replicate_counts(width):
-    """R = 1, below one block, exactly one block, and not a block multiple."""
-    rows = max(1, _BLOCK_ENTRIES // width)
+    """R = 1, below one block, exactly one block, and not a block multiple,
+    for the engine's blocks of replicates of ``width`` entries."""
+    rows = _block_rows(width)
     return sorted({1, max(2, rows // 3), rows, 2 * rows + 7})
 
 
@@ -192,15 +189,22 @@ ENERGY_GRID = [(nx, ny, dup, seed)
                for dup in (False, True) for seed in (0, 1)]
 
 
+# replicates per energy block here: the oracle loop runs one replicate at
+# a time, so small blocks let small R cross the block boundaries
+ENERGY_BLOCK_ROWS = 32
+
+
 @pytest.mark.parametrize("nx,ny,dup,seed", ENERGY_GRID)
-def test_energy_matches_loop(nx, ny, dup, seed):
+def test_energy_matches_loop(nx, ny, dup, seed, monkeypatch):
     rng = np.random.default_rng(3000 + nx + ny + seed)
     X = rng.normal(size=(nx, 2))
     Y = rng.normal(size=(ny, 2)) + 0.2
     if dup:  # pooled sample with repeated rows, within and across the samples
         X[-1] = X[0]
         Y[: ny // 2] = X[np.arange(ny // 2) % nx]
-    for R in _replicate_counts(nx + ny)[1:3] + [1, 999]:
+    width = np.unique(np.vstack([X, Y]), axis=0).shape[0]  # distinct pooled rows
+    monkeypatch.setattr(stattests, "_BLOCK_ENTRIES", ENERGY_BLOCK_ROWS * width)
+    for R in _replicate_counts(width) + [999]:
         report = energy_test(X, Y, R=R, seed=seed)
         obs, p = oracle_energy(X, Y, R, seed, tie_rule=True)
         assert (report.statistic, report.p_value) == (obs, p)

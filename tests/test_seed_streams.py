@@ -1,0 +1,64 @@
+"""The seeds each entry point derives from (seed, names), pinned as literals.
+
+Partitions and p-values are reproducible only while these streams stay
+put, so a change to the child-seed rule, or to how an entry point applies
+it, fails here. A deliberate change of a stream updates these literals.
+"""
+
+from anchorstat import stattests, synth
+from anchorstat.battery import run_cell
+from anchorstat.stattests import anchored_test
+from anchorstat.synth import (
+    ScenarioConfig,
+    generate_alt_triple,
+    generate_battery_quad,
+    monte_carlo,
+)
+
+
+def test_battery_cell_seed():
+    quad = generate_battery_quad(ScenarioConfig(n=40, seed=3))
+    pair = ("nonanchor_aligned_1", "nonanchor_drifted")
+    # a baseline cell reports the cell seed itself
+    assert run_cell(quad, "quad", pair, "hotelling", seed=11).seed == 2500991577
+
+
+def test_anchored_test_seeds(monkeypatch):
+    kmeans_seeds = []
+    kmeans = stattests.kmeans
+
+    def spy(m, K, seed, **kwargs):
+        kmeans_seeds.append(seed)
+        return kmeans(m, K, seed=seed, **kwargs)
+
+    monkeypatch.setattr(stattests, "kmeans", spy)
+    triple = generate_alt_triple(ScenarioConfig(n=40, seed=1))
+    report = anchored_test(
+        triple.member("anchor"),
+        triple.member("nonanchor_1"),
+        triple.member("nonanchor_2"),
+        K=2,
+        R=19,
+        seed=11,
+    )
+    assert kmeans_seeds == [592467769, 621272063]
+    assert report.seed == 520846937  # the sign-flip seed
+
+
+def test_monte_carlo_replicate_seeds(monkeypatch):
+    data_seeds, test_seeds = [], []
+    generate, test = synth.generate_null_triple, synth.anchored_test
+
+    def generate_spy(cfg):
+        data_seeds.append(cfg.seed)
+        return generate(cfg)
+
+    def test_spy(*args, seed, **kwargs):
+        test_seeds.append(seed)
+        return test(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(synth, "generate_null_triple", generate_spy)
+    monkeypatch.setattr(synth, "anchored_test", test_spy)
+    monte_carlo("null", ScenarioConfig(n=40, seed=5), M=3, R=19)
+    assert data_seeds == [16823399, 3796490668, 3226123765]
+    assert test_seeds == [727168946, 278233753, 1608096988]

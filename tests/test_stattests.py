@@ -128,7 +128,7 @@ def test_sign_flip_strong_location_rejects():
 
 def _triple(seed=0):
     cfg = ScenarioConfig(
-        n=120, dim=2, K_true=2, community_separation=8.0, structure="independent", seed=seed
+        n=120, dim=2, K_true=2, community_separation=8.0, seed=seed
     )
     return generate_alt_triple(cfg)
 

@@ -27,19 +27,10 @@ def test_config_validation():
         _cfg(noise_sd=0.0)
     with pytest.raises(ParameterError):
         _cfg(community_separation=float("inf"))
-    with pytest.raises(ParameterError):
-        ScenarioConfig(structure="other")
-
-
-def test_structure_guards():
-    with pytest.raises(ParameterError, match="shared"):
-        generate_null_triple(_cfg(structure="independent"))
-    with pytest.raises(ParameterError, match="independent"):
-        generate_alt_triple(_cfg(structure="shared"))
 
 
 def test_same_config_bitwise_identical():
-    cfg = _cfg(structure="shared", seed=42)
+    cfg = _cfg(seed=42)
     t1 = generate_null_triple(cfg)
     t2 = generate_null_triple(cfg)
     for role in t1.roles:
@@ -47,15 +38,15 @@ def test_same_config_bitwise_identical():
 
 
 def test_different_seeds_differ():
-    a = generate_null_triple(_cfg(structure="shared", seed=1))
-    b = generate_null_triple(_cfg(structure="shared", seed=2))
+    a = generate_null_triple(_cfg(seed=1))
+    b = generate_null_triple(_cfg(seed=2))
     assert not np.array_equal(a.member("anchor").values, b.member("anchor").values)
 
 
 def test_null_noiseless_limit_recovers_identical_partitions():
     # separation dominates noise (only their ratio matters here), so both
     # clusterings recover the shared labels exactly
-    cfg = _cfg(structure="shared", community_separation=40.0, seed=3)
+    cfg = _cfg(community_separation=40.0, seed=3)
     triple = generate_null_triple(cfg)
     p1 = kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5)
     p2 = kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5)
@@ -65,7 +56,7 @@ def test_null_noiseless_limit_recovers_identical_partitions():
 def test_alt_noiseless_limit_rand_near_independence():
     # independent uniform labels with K=2: pair-concordance expectation is
     # 1/K^2 + (1 - 1/K)^2 = 0.5
-    cfg = _cfg(n=400, structure="independent", community_separation=40.0, seed=4)
+    cfg = _cfg(n=400, community_separation=40.0, seed=4)
     triple = generate_alt_triple(cfg)
     p1 = kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5)
     p2 = kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5)
@@ -77,13 +68,13 @@ def test_alt_noiseless_limit_rand_near_independence():
 def test_alt_label_collision_guard():
     # with a single community every redraw collides with the shared labels
     with pytest.raises(GuardError, match="collid"):
-        generate_alt_triple(_cfg(K_true=1, n=6, structure="independent"))
+        generate_alt_triple(_cfg(K_true=1, n=6))
 
 
 def test_null_rand_index_high_at_default_separation():
     scores = []
     for seed in range(20):
-        triple = generate_null_triple(_cfg(n=300, structure="shared", seed=seed))
+        triple = generate_null_triple(_cfg(n=300, seed=seed))
         p1 = kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5)
         p2 = kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5)
         scores.append(rand_index(p1.assignment, p2.assignment))
@@ -95,7 +86,7 @@ def test_null_mapped_distances_similar():
 
     hits = 0
     for seed in range(20):
-        triple = generate_null_triple(_cfg(n=300, structure="shared", seed=seed))
+        triple = generate_null_triple(_cfg(n=300, seed=seed))
         anchor = triple.member("anchor")
         d1 = mapped_distances(anchor, kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5))
         d2 = mapped_distances(anchor, kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5))
@@ -111,7 +102,7 @@ def test_null_diff_mean_within_noise_band():
     hits = 0
     seeds = range(40)
     for seed in seeds:
-        triple = generate_null_triple(_cfg(n=300, structure="shared", seed=seed))
+        triple = generate_null_triple(_cfg(n=300, seed=seed))
         anchor = triple.member("anchor")
         d1 = mapped_distances(anchor, kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5))
         d2 = mapped_distances(anchor, kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5))
@@ -123,7 +114,7 @@ def test_null_diff_mean_within_noise_band():
 
 
 def test_monte_carlo_single_replicate_degenerate_ci():
-    cfg = _cfg(n=60, structure="independent", seed=5)
+    cfg = _cfg(n=60, seed=5)
     report = monte_carlo("alt", cfg, M=1, R=99)
     assert report.rate in (0.0, 1.0)
     assert report.degenerate_ci
@@ -131,7 +122,7 @@ def test_monte_carlo_single_replicate_degenerate_ci():
 
 
 def test_monte_carlo_alt_rejects():
-    cfg = _cfg(n=200, structure="independent", seed=6)
+    cfg = _cfg(n=200, seed=6)
     report = monte_carlo("alt", cfg, M=12, R=199)
     assert report.rate >= 0.9
     assert report.ci_low <= report.rate <= report.ci_high
@@ -147,7 +138,7 @@ def test_monte_carlo_scenario_validation():
 def test_monte_carlo_counts_vacuous_as_accepts():
     # huge separation makes the two estimated partitions identical, so
     # every replicate is vacuous and nothing is rejected
-    cfg = _cfg(n=80, community_separation=40.0, structure="shared", seed=7)
+    cfg = _cfg(n=80, community_separation=40.0, seed=7)
     report = monte_carlo("null", cfg, M=6, R=99)
     assert report.vacuous == 6
     assert report.rejections == 0
@@ -189,7 +180,7 @@ def test_rand_index_matches_pairwise_definition():
 def test_power_monotone_in_separation():
     rates = []
     for sep in (2.0, 5.0, 8.0):
-        cfg = _cfg(n=150, community_separation=sep, structure="independent", seed=8)
+        cfg = _cfg(n=150, community_separation=sep, seed=8)
         rates.append(monte_carlo("alt", cfg, M=12, R=199).rate)
     # allow one small inversion per the statistical nature of the check
     inversions = sum(1 for a, b in zip(rates, rates[1:]) if b < a - 0.15)
