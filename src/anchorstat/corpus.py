@@ -7,7 +7,9 @@ key across datasets. A paired collection groups role-tagged matrices
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -118,45 +120,62 @@ def save_matrix(m: EmbeddingMatrix, path, fmt: str = "csv") -> None:
         raise CorpusFormatError(f"unknown matrix format '{fmt}'")
 
 
+def _nonblank_lines(fh):
+    # blank and whitespace-only lines are skipped
+    return (ln for ln in fh if ln.strip())
+
+
 def _read_csv(path: Path) -> np.ndarray:
-    # blank and whitespace-only lines are skipped; the rest is parsed once
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise CorpusFormatError(f"no rows in {path}")
-    try:
-        return np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        # slow diagnostic pass to say what failed
-        widths = sorted({len(ln.split(",")) for ln in lines})
-        if len(widths) > 1:
-            raise CorpusFormatError(
-                f"ragged rows in {path}: row lengths {widths[0]} and {widths[-1]} both present"
-            ) from None
-        for i, ln in enumerate(lines):
-            for j, cell in enumerate(ln.split(",")):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise CorpusFormatError(
-                        f"non-numeric cell {cell.strip()!r} at row {i}, col {j} in {path}"
-                    ) from None
-        raise CorpusFormatError(f"cannot parse {path}: {exc}") from exc
+    # parsed as a stream, so no full-size copy of the text is held
+    with open(path) as fh:
+        lines = _nonblank_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            # checked here: loadtxt only warns on input with no data
+            raise CorpusFormatError(f"no rows in {path}")
+        try:
+            return np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+        except ValueError as exc:
+            error = exc
+    # slow diagnostic pass to say what failed; reads the file again
+    with open(path) as fh:
+        rows = [ln.split(",") for ln in _nonblank_lines(fh)]
+    widths = sorted({len(cells) for cells in rows})
+    if len(widths) > 1:
+        raise CorpusFormatError(
+            f"ragged rows in {path}: row lengths {widths[0]} and {widths[-1]} both present"
+        )
+    for i, cells in enumerate(rows):
+        for j, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                raise CorpusFormatError(
+                    f"non-numeric cell {cell.strip()!r} at row {i}, col {j} in {path}"
+                ) from None
+    raise CorpusFormatError(f"cannot parse {path}: {error}") from error
 
 
 def _read_binary(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < 16:
-        raise CorpusFormatError(f"no rows in {path} (truncated header)")
-    if raw[:8] != _BINARY_MAGIC:
-        raise CorpusFormatError(f"bad magic in {path}; not a matrix file")
-    n, p = struct.unpack("<II", raw[8:16])
-    expected = 16 + 8 * n * p
-    if len(raw) != expected:
-        raise CorpusFormatError(
-            f"size mismatch in {path}: header says {n}x{p} "
-            f"({expected} bytes), file has {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype="<f8", offset=16).reshape(n, p).copy()
+    # the payload is read straight into the array that is returned
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16:
+            raise CorpusFormatError(f"no rows in {path} (truncated header)")
+        if header[:8] != _BINARY_MAGIC:
+            raise CorpusFormatError(f"bad magic in {path}; not a matrix file")
+        n, p = struct.unpack("<II", header[8:16])
+        expected = 16 + 8 * n * p
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise CorpusFormatError(
+                f"size mismatch in {path}: header says {n}x{p} "
+                f"({expected} bytes), file has {size}"
+            )
+        values = np.fromfile(fh, dtype="<f8", count=n * p)
+    if values.size != n * p:
+        raise CorpusFormatError(f"size mismatch in {path}: file shrank while read")
+    return values.reshape(n, p)
 
 
 def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:

@@ -86,14 +86,21 @@ def fit_pca(m: EmbeddingMatrix, p: int) -> PcaModel:
     making the largest-magnitude coordinate of each component positive,
     so the fit is deterministic.
     """
-    n, ambient = m.n, m.p
+    return _fit_in_place(m.values.copy(order="K"), p)
+
+
+def _fit_in_place(x: np.ndarray, p: int) -> PcaModel:
+    """Fit the model of ``fit_pca`` on the rows of ``x``, centring ``x``
+    in place: the caller hands over an array it no longer needs, so the
+    fit holds no second copy of the data."""
+    n, ambient = x.shape
     if not 1 <= p <= min(n - 1, ambient):
         raise DimensionError(
             f"target dimension p={p} out of range [1, min(n-1={n - 1}, ambient={ambient})]"
         )
-    mean = m.values.mean(axis=0)
-    centered = m.values - mean
-    cov = centered.T @ centered / (n - 1)
+    mean = x.mean(axis=0)
+    x -= mean
+    cov = x.T @ x / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     # eigh returns ascending; stable sort keeps tied eigenvalues in input order
     order = np.argsort(-eigvals, kind="stable")[:p]
@@ -128,8 +135,9 @@ def fit_collection_models(
             raise DimensionError(
                 f"joint reduction needs equal ambient dims, got {sorted(dims)}"
             )
+        # the stacked rows are a fresh array, so they are centred in place
         stacked = np.vstack([c.members[role].values for role in c.roles])
-        joint_model = fit_pca(EmbeddingMatrix(values=stacked, label="joint"), p)
+        joint_model = _fit_in_place(stacked, p)
         return {role: joint_model for role in c.roles}
     raise ParameterError(f"unknown reduction mode '{mode}'")
 

@@ -1,8 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorstat import corpus
 from anchorstat.corpus import (
     DatasetManifest,
     EmbeddingMatrix,
@@ -249,3 +253,52 @@ def test_manifest_missing_path(tmp_path):
     (tmp_path / "nonanchor_1.csv").unlink()
     with pytest.raises(ManifestError, match="does not exist"):
         manifest.validate_paths(tmp_path)
+
+
+@pytest.mark.parametrize("text", ["", "  \n\t\n\n"])
+def test_load_csv_no_rows_raises_without_warning(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorpusFormatError, match="no rows"):
+            load_matrix(path, fmt="csv")
+
+
+def test_load_csv_crlf_reads_like_lf(tmp_path):
+    text = "0.5,1e-3\n-2,3.25\n\n7,8\n"
+    (tmp_path / "lf.csv").write_bytes(text.encode())
+    (tmp_path / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode())
+    lf = load_matrix(tmp_path / "lf.csv", fmt="csv")
+    crlf = load_matrix(tmp_path / "crlf.csv", fmt="csv")
+    assert crlf.values.shape == (3, 2)
+    np.testing.assert_array_equal(crlf.values, lf.values)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_csv_peak_memory_is_bounded(tmp_path):
+    rng = np.random.default_rng(5)
+    m = EmbeddingMatrix(values=rng.normal(size=(2000, 64)))
+    path = tmp_path / "big.csv"
+    save_matrix(m, path, fmt="csv")
+    back, peak = _traced_peak(load_matrix, path, fmt="csv")
+    np.testing.assert_array_equal(back.values, m.values)
+    # the text is parsed as a stream: no full-size copy of the file is held
+    assert peak <= 2.5 * m.values.nbytes
+
+
+def test_binary_reader_holds_one_copy(tmp_path):
+    rng = np.random.default_rng(6)
+    m = EmbeddingMatrix(values=rng.normal(size=(2000, 64)))
+    path = tmp_path / "big.bin"
+    save_matrix(m, path, fmt="binary")
+    values, peak = _traced_peak(corpus._read_binary, path)
+    np.testing.assert_array_equal(values, m.values)
+    assert peak <= 1.5 * m.values.nbytes

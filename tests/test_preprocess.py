@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from anchorstat.errors import DimensionError
 from anchorstat.preprocess import (
     PcaModel,
     apply_pca,
+    fit_collection_models,
     fit_pca,
     reduce_collection,
 )
@@ -192,3 +195,36 @@ def test_model_validates_orthonormality():
             components=np.array([[1.0, 1.0], [0.0, 1.0]]),
             explained_variance=np.array([1.0, 0.5]),
         )
+
+
+def test_joint_model_equals_fit_pca_on_stacked_members():
+    coll = _collection(seed=12, shapes=((40, 7), (40, 7), (40, 7)))
+    models = fit_collection_models(coll, 4, mode="joint")
+    stacked = np.vstack([coll.member(r).values for r in coll.roles])
+    ref = fit_pca(EmbeddingMatrix(values=stacked), 4)
+    for role in coll.roles:
+        assert models[role] is models[coll.roles[0]]
+        np.testing.assert_array_equal(models[role].mean, ref.mean)
+        np.testing.assert_array_equal(models[role].components, ref.components)
+        np.testing.assert_array_equal(
+            models[role].explained_variance, ref.explained_variance
+        )
+
+
+def test_joint_p_range_is_checked_on_stacked_rows():
+    coll = _collection(shapes=((3, 8), (3, 8), (3, 8)))
+    assert fit_collection_models(coll, 8, mode="joint")["anchor"].p == 8
+    with pytest.raises(DimensionError, match=r"n-1=8"):
+        fit_collection_models(coll, 9, mode="joint")
+
+
+def test_joint_fit_holds_one_stacked_copy():
+    coll = _collection(seed=13, shapes=((2000, 64), (2000, 64), (2000, 64)))
+    stacked_bytes = 3 * 2000 * 64 * 8
+    tracemalloc.start()
+    try:
+        fit_collection_models(coll, 8, mode="joint")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * stacked_bytes
