@@ -10,7 +10,7 @@ import argparse
 import json
 from pathlib import Path
 
-from anchorstat.synth import ScenarioConfig, monte_carlo
+from anchorstat.synth import ScenarioConfig, monte_carlo, usable_cpus
 
 
 def main() -> int:
@@ -25,6 +25,10 @@ def main() -> int:
     ap.add_argument("--permutations", type=int, default=999)
     ap.add_argument("--alpha", type=float, default=0.05)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument(
+        "--jobs", type=int, default=usable_cpus(),
+        help="processes running replicates (default: the usable CPUs)",
+    )
     ap.add_argument("--out", help="write both reports to this JSON file")
     args = ap.parse_args()
 
@@ -40,7 +44,8 @@ def main() -> int:
     )
     for scenario in ("null", "alt"):
         rep = monte_carlo(
-            scenario, cfg, M=args.m, K=args.k, R=args.permutations, alpha=args.alpha
+            scenario, cfg, M=args.m, K=args.k, R=args.permutations, alpha=args.alpha,
+            jobs=args.jobs,
         )
         reports[scenario] = rep.to_dict()
         print(

@@ -21,7 +21,7 @@ from . import divergence
 from .anchor import mapped_distances
 from .cluster import kmeans
 from .corpus import ANCHOR_ROLE, PairedCollection
-from .errors import AnchorstatError, ManifestError, VacuousTestError
+from .errors import AnchorstatError, ManifestError, ParameterError, VacuousTestError
 from .stattests import (
     DEFAULT_ALPHA,
     DEFAULT_PERMUTATIONS,
@@ -153,6 +153,8 @@ def run_battery(
     unknown = set(baselines) - set(BASELINE_NAMES)
     if unknown:
         raise ManifestError(f"unknown baselines: {sorted(unknown)}")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     pairs = list(itertools.combinations(collection.nonanchor_roles, 2))
     if not pairs:
         raise ManifestError("battery needs at least two non-anchor members")

@@ -38,7 +38,7 @@ from .corpus import (
 from .errors import AnchorstatError, ManifestError, VacuousTestError
 from .llmpipeline import ClientConfig, embed_batch
 from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS
-from .synth import ScenarioConfig, monte_carlo
+from .synth import ScenarioConfig, monte_carlo, usable_cpus
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +118,11 @@ def cmd_battery(args) -> int:
             collection, args.pca_dim, mode=args.pca_mode
         )
         if baselines:
-            # paired baselines need one common space
-            baseline_collection = preprocess.reduce_collection(
-                collection, args.pca_dim, mode="joint"
+            # paired baselines need one common space: the joint reduction,
+            # which the anchored cells already use in joint mode
+            baseline_collection = (
+                anchored_coll if args.pca_mode == "joint"
+                else preprocess.reduce_collection(collection, args.pca_dim, mode="joint")
             )
     else:
         anchored_coll = collection
@@ -203,6 +205,7 @@ def cmd_mc(args) -> int:
         K=args.k,
         R=args.permutations if args.permutations is not None else DEFAULT_PERMUTATIONS,
         alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
+        jobs=args.jobs,
     )
     # the written file omits the wall-clock field so reruns are byte-identical
     text = report.to_json(volatile=False) + "\n"
@@ -378,6 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=200, help="number of replicates")
     p.add_argument("--k", type=int, default=None, help="cluster count for the test")
     p.add_argument("--out", help="output JSON path (stdout if omitted)")
+    p.add_argument(
+        "--jobs", type=int, default=usable_cpus(),
+        help="processes running replicates (default: the usable CPUs)",
+    )
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("ingest", help="validate matrices and write a manifest")

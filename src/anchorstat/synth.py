@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -213,7 +214,9 @@ def rand_index(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Rejection-rate summary over M independently seeded replicates."""
+    """Rejection-rate summary over M independently seeded replicates.
+    ``mean_runtime_s`` is the mean wall time of one replicate, measured
+    in the process that ran it."""
 
     scenario: str
     M: int
@@ -264,6 +267,63 @@ def _wilson_ci(successes: int, total: int, z: float = 1.959963984540054) -> tupl
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count (at least 1)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _replicate(
+    scenario: str, cfg: ScenarioConfig, M: int, K: int, R: int, alpha: float, m: int
+) -> tuple[str, float]:
+    """Replicate m of an M-replicate study: its outcome ("reject",
+    "accept" or "vacuous") and its wall time in seconds. The data seed
+    is (seed, m) and the test seed (seed, M + m), so the outcome does
+    not depend on which process runs it or in what order."""
+    start = time.perf_counter()
+    triple = generate_scenario(scenario, replace(cfg, seed=_child_seed(cfg.seed, m)))
+    try:
+        report = anchored_test(
+            triple.member("anchor"),
+            triple.member("nonanchor_1"),
+            triple.member("nonanchor_2"),
+            K=K,
+            R=R,
+            seed=_child_seed(cfg.seed, M + m),
+            alpha=alpha,
+        )
+        outcome = "reject" if report.reject else "accept"
+    except VacuousTestError:
+        outcome = "vacuous"
+    return outcome, time.perf_counter() - start
+
+
+def _replicates(args: tuple, ms: range) -> list[tuple[str, float]]:
+    """Replicates ``ms`` in order; the first error ends the chunk."""
+    return [_replicate(*args, m) for m in ms]
+
+
+def _run_sharded(args: tuple, M: int, jobs: int) -> list[tuple[str, float]]:
+    """All M replicates in index order, split into ``jobs`` contiguous
+    chunks. Worker processes run chunks 1.. while this process runs
+    chunk 0, so no process idles and a profile of this process still
+    sees every layer. Chunks are read in index order, so the error
+    raised is the lowest-index one, as in the serial loop."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [M * j // jobs for j in range(jobs + 1)]
+    chunks = [range(bounds[j], bounds[j + 1]) for j in range(jobs)]
+    with ProcessPoolExecutor(max_workers=jobs - 1) as pool:
+        futures = [pool.submit(_replicates, args, ms) for ms in chunks[1:]]
+        results = _replicates(args, chunks[0])
+        for future in futures:
+            results += future.result()
+    return results
+
+
 def monte_carlo(
     scenario: str,
     cfg: ScenarioConfig,
@@ -271,12 +331,18 @@ def monte_carlo(
     K: int | None = None,
     R: int = DEFAULT_PERMUTATIONS,
     alpha: float = DEFAULT_ALPHA,
+    jobs: int = 1,
 ) -> MonteCarloReport:
     """Run the anchored test on M independently seeded triples.
 
     A replicate whose mapped structures come out identical contributes a
     non-rejection (identical mappings are the strongest agreement with
     the null); such replicates are tallied in ``vacuous``.
+
+    ``jobs > 1`` spreads the replicates over that many processes (this
+    one included); the report, apart from ``mean_runtime_s``, is the
+    same for every ``jobs``. Replicates then run in worker processes
+    that do not see changes made to this process's modules at run time.
     """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
@@ -284,40 +350,26 @@ def monte_carlo(
         raise ParameterError(f"permutation count must be >= 1, got {R}")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0,1), got {alpha}")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     K_test = K if K is not None else cfg.K_true
-    rejections = 0
-    vacuous = 0
-    start = time.perf_counter()
-    for m in range(M):
-        triple = generate_scenario(scenario, replace(cfg, seed=_child_seed(cfg.seed, m)))
-        try:
-            report = anchored_test(
-                triple.member("anchor"),
-                triple.member("nonanchor_1"),
-                triple.member("nonanchor_2"),
-                K=K_test,
-                R=R,
-                seed=_child_seed(cfg.seed, M + m),
-                alpha=alpha,
-            )
-        except VacuousTestError:
-            vacuous += 1
-            continue
-        if report.reject:
-            rejections += 1
-    elapsed = time.perf_counter() - start
+    args = (scenario, cfg, M, K_test, R, alpha)
+    jobs = min(jobs, M)
+    results = _run_sharded(args, M, jobs) if jobs > 1 else _replicates(args, range(M))
+    outcomes = [outcome for outcome, _ in results]
+    rejections = outcomes.count("reject")
     rate = rejections / M
     ci_low, ci_high = _wilson_ci(rejections, M)
     return MonteCarloReport(
         scenario=scenario,
         M=M,
         rejections=rejections,
-        vacuous=vacuous,
+        vacuous=outcomes.count("vacuous"),
         rate=rate,
         ci_low=ci_low,
         ci_high=ci_high,
         degenerate_ci=(M * rate * (1 - rate) == 0),
-        mean_runtime_s=elapsed / M,
+        mean_runtime_s=sum(wall for _, wall in results) / M,
         alpha=alpha,
         K=K_test,
         replicates=R,
