@@ -25,10 +25,6 @@ def main() -> int:
     ap.add_argument("--permutations", type=int, default=999)
     ap.add_argument("--alpha", type=float, default=0.05)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument(
-        "--jobs", type=int, default=usable_cpus(),
-        help="processes running replicates (default: the usable CPUs)",
-    )
     ap.add_argument("--out", help="write both reports to this JSON file")
     args = ap.parse_args()
 
@@ -45,7 +41,7 @@ def main() -> int:
     for scenario in ("null", "alt"):
         rep = monte_carlo(
             scenario, cfg, M=args.m, K=args.k, R=args.permutations, alpha=args.alpha,
-            jobs=args.jobs,
+            jobs=usable_cpus(),
         )
         reports[scenario] = rep.to_dict()
         print(

@@ -205,7 +205,7 @@ def cmd_mc(args) -> int:
         K=args.k,
         R=args.permutations if args.permutations is not None else DEFAULT_PERMUTATIONS,
         alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-        jobs=args.jobs,
+        jobs=usable_cpus(),
     )
     # the written file omits the wall-clock field so reruns are byte-identical
     text = report.to_json(volatile=False) + "\n"
@@ -381,10 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=200, help="number of replicates")
     p.add_argument("--k", type=int, default=None, help="cluster count for the test")
     p.add_argument("--out", help="output JSON path (stdout if omitted)")
-    p.add_argument(
-        "--jobs", type=int, default=usable_cpus(),
-        help="processes running replicates (default: the usable CPUs)",
-    )
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("ingest", help="validate matrices and write a manifest")

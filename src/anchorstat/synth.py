@@ -306,21 +306,57 @@ def _replicates(args: tuple, ms: range) -> list[tuple[str, float]]:
     return [_replicate(*args, m) for m in ms]
 
 
+def _send_replicates(conn, args: tuple, ms: range) -> None:
+    """Worker process body: send back replicates ``ms`` or the error
+    that ended them."""
+    try:
+        conn.send(_replicates(args, ms))
+    except Exception as exc:
+        conn.send(exc)
+
+
 def _run_sharded(args: tuple, M: int, jobs: int) -> list[tuple[str, float]]:
     """All M replicates in index order, split into ``jobs`` contiguous
     chunks. Worker processes run chunks 1.. while this process runs
     chunk 0, so no process idles and a profile of this process still
     sees every layer. Chunks are read in index order, so the error
-    raised is the lowest-index one, as in the serial loop."""
-    from concurrent.futures import ProcessPoolExecutor
+    raised is the lowest-index one, as in the serial loop; on any error
+    the remaining workers are terminated rather than awaited."""
+    import multiprocessing
 
     bounds = [M * j // jobs for j in range(jobs + 1)]
     chunks = [range(bounds[j], bounds[j + 1]) for j in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs - 1) as pool:
-        futures = [pool.submit(_replicates, args, ms) for ms in chunks[1:]]
+    workers = []
+    try:
+        for ms in chunks[1:]:
+            receive, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_send_replicates, args=(send, args, ms), daemon=True
+            )
+            proc.start()
+            send.close()  # so a worker that dies unheard reads as EOF here
+            workers.append((proc, receive, ms))
         results = _replicates(args, chunks[0])
-        for future in futures:
-            results += future.result()
+        for proc, receive, ms in workers:
+            try:
+                got = receive.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"the worker running replicates {ms.start}-{ms.stop - 1} "
+                    f"exited with code {proc.exitcode} without a result"
+                ) from None
+            if isinstance(got, Exception):
+                raise got
+            results += got
+    except BaseException:
+        for proc, _, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receive, _ in workers:
+            proc.join()
+            receive.close()
     return results
 
 
@@ -341,8 +377,9 @@ def monte_carlo(
 
     ``jobs > 1`` spreads the replicates over that many processes (this
     one included); the report, apart from ``mean_runtime_s``, is the
-    same for every ``jobs``. Replicates then run in worker processes
-    that do not see changes made to this process's modules at run time.
+    same for every ``jobs``. Replicates then run in worker processes,
+    which see changes made to this process's modules at run time only
+    under the ``fork`` start method.
     """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")

@@ -1,16 +1,18 @@
-"""`mc` sharded over processes: the same report for every --jobs, the
-serial loop's error, and --jobs validation for `mc` and `battery`."""
+"""`mc` sharded over processes: the same report for every process count,
+the serial loop's error, and jobs validation for `monte_carlo` and
+`battery`."""
 
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from anchorstat import preprocess, synth
+from anchorstat import cli, preprocess, synth
 from anchorstat.battery import battery_csv, battery_json, run_battery
 from anchorstat.cli import main
 from anchorstat.corpus import load_manifest
@@ -41,18 +43,37 @@ def fork_start():
     ("--scenario", "alt", "--n", 100),
     ("--scenario", "null", "--n", 80, "--separation", 40),  # every replicate vacuous
 ])
-def test_mc_json_identical_across_jobs(tmp_path, flags):
+def test_mc_json_identical_across_jobs(tmp_path, monkeypatch, flags):
+    # `mc` runs on usable_cpus() processes; pin that count to 1, 2 and 3
     outs = {}
     for jobs in (1, 2, 3, None):
+        if jobs is not None:
+            monkeypatch.setattr(cli, "usable_cpus", lambda jobs=jobs: jobs)
+        else:
+            monkeypatch.undo()
         out = tmp_path / f"mc-{jobs}.json"
-        jobs_flag = () if jobs is None else ("--jobs", jobs)
         rc = run_cli("mc", *flags, "--m", 5, "--permutations", 49, "--seed", 4,
-                     *jobs_flag, "--out", out)
+                     "--out", out)
         assert rc == 0
         outs[jobs] = out.read_bytes()
     assert outs[2] == outs[1] and outs[3] == outs[1] and outs[None] == outs[1]
     if "--separation" in flags:
         assert json.loads(outs[1])["vacuous"] == 5
+
+
+def test_mc_runs_on_the_usable_cpus(tmp_path, monkeypatch):
+    seen = []
+    run = synth.monte_carlo
+
+    def monte_carlo_spy(*args, jobs=1, **kwargs):
+        seen.append(jobs)
+        return run(*args, jobs=jobs, **kwargs)
+
+    monkeypatch.setattr(cli, "monte_carlo", monte_carlo_spy)
+    rc = run_cli("mc", "--scenario", "null", "--n", 60, "--m", 2, "--permutations", 19,
+                 "--out", tmp_path / "mc.json")
+    assert rc == 0
+    assert seen == [synth.usable_cpus()]
 
 
 def test_monte_carlo_jobs_uneven_chunks():
@@ -105,6 +126,45 @@ def test_sharded_error_is_the_serial_loops(monkeypatch, fork_start, failing):
     assert multiprocessing.active_children() == []  # the pool is shut down
 
 
+@pytest.mark.parametrize("error", [ParameterError, KeyboardInterrupt])
+def test_sharded_error_in_callers_share_ends_workers(monkeypatch, fork_start, error):
+    # M=4, jobs=2: this process runs replicates 0-1, which fail at once,
+    # and one worker 2-3, which would take a minute each
+    cfg = ScenarioConfig(n=60, seed=5)
+    first, slow = _child_seed(cfg.seed, 0), {_child_seed(cfg.seed, m) for m in (2, 3)}
+    generate = synth.generate_null_triple
+
+    def generate_or_stall(c):
+        if c.seed == first:
+            raise error("replicate 0 failed")
+        if c.seed in slow:
+            time.sleep(60)
+        return generate(c)
+
+    monkeypatch.setattr(synth, "generate_null_triple", generate_or_stall)
+    start = time.perf_counter()
+    with pytest.raises(error, match="replicate 0 failed"):
+        monte_carlo("null", cfg, M=4, R=19, jobs=2)
+    assert time.perf_counter() - start < 20
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_dying_without_a_result(monkeypatch, fork_start):
+    cfg = ScenarioConfig(n=60, seed=5)
+    dies = _child_seed(cfg.seed, 3)
+    generate = synth.generate_null_triple
+
+    def generate_or_exit(c):
+        if c.seed == dies:
+            os._exit(7)
+        return generate(c)
+
+    monkeypatch.setattr(synth, "generate_null_triple", generate_or_exit)
+    with pytest.raises(RuntimeError, match="replicates 2-3 exited with code 7"):
+        monte_carlo("null", cfg, M=4, R=19, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_mean_runtime_is_one_replicates(monkeypatch, fork_start):
     # a clock that advances 1 s per reading: each replicate reads it twice
     class Clock:
@@ -138,15 +198,11 @@ def _synth_manifest(tmp_path, dim=2):
     return out / "manifest.json"
 
 
-@pytest.mark.parametrize("command", ["mc", "battery"])
 @pytest.mark.parametrize("jobs", [0, -3])
-def test_cli_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
+def test_battery_rejects_jobs_below_one(tmp_path, capsys, jobs):
     out = tmp_path / "out"
-    if command == "mc":
-        args = ("mc", "--scenario", "null", "--n", 60, "--m", 2)
-    else:
-        args = ("battery", "--manifest", _synth_manifest(tmp_path), "--k-grid", 2)
-    rc = run_cli(*args, "--permutations", 19, "--jobs", jobs, "--out", out)
+    rc = run_cli("battery", "--manifest", _synth_manifest(tmp_path), "--k-grid", 2,
+                 "--permutations", 19, "--jobs", jobs, "--out", out)
     assert rc == 1
     assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
