@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -37,8 +38,9 @@ from .corpus import (
 )
 from .errors import AnchorstatError, ManifestError, VacuousTestError
 from .llmpipeline import ClientConfig, embed_batch
+from .sharding import usable_cpus
 from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS
-from .synth import ScenarioConfig, monte_carlo, usable_cpus
+from .synth import ScenarioConfig, monte_carlo
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +220,18 @@ def cmd_mc(args) -> int:
     return 0
 
 
+def _manifest_path(path: str, manifest_dir: Path) -> str:
+    """``path`` as the manifest in ``manifest_dir`` stores it: absolute
+    paths as given, relative ones relative to that directory, where the
+    readers resolve them."""
+    if Path(path).is_absolute():
+        return path
+    return os.path.relpath(Path(path).resolve(), manifest_dir.resolve())
+
+
 def cmd_ingest(args) -> int:
     grid = _grid_from_args(args)
+    manifest_dir = Path(args.out_manifest).parent
     entries = []
     members = {}
     temps = {}
@@ -242,7 +254,7 @@ def cmd_ingest(args) -> int:
         temps[role] = temp
         entries.append(
             ManifestEntry(
-                path=path,
+                path=_manifest_path(path, manifest_dir),
                 role=role,
                 temperature=temp,
                 fmt="csv" if args.normalize else args.format,

@@ -7,6 +7,7 @@ key across datasets. A paired collection groups role-tagged matrices
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -24,15 +25,34 @@ from .errors import (
     ManifestError,
     PairingError,
 )
+from .sharding import run_sharded, usable_cpus
 
 ANCHOR_ROLE = "anchor"
 
 _BINARY_MAGIC = b"EMBMAT01"
 _UNIT_NORM_TOL = 1e-6
+# CSV files of at least twice this many bytes are parsed in ranges of at
+# least this size, one per usable CPU (break-even measured in CHANGES.md)
+_SHARD_BYTES = 8 << 20
 
 
-def _as_readonly(values: np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+class _Fresh:
+    """A float64 array that a loader has just built and holds no other
+    reference to, so the matrix may take it over without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _as_readonly(values) -> np.ndarray:
+    # anything a caller passes is copied, so the caller keeps no handle
+    # on the stored values
+    if isinstance(values, _Fresh):
+        arr = values.array
+    else:
+        arr = np.array(values, dtype=np.float64, copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -102,7 +122,7 @@ def load_matrix(path, fmt: str = "csv", label: str | None = None) -> EmbeddingMa
         values = _read_binary(path)
     else:
         raise CorpusFormatError(f"unknown matrix format '{fmt}'")
-    return EmbeddingMatrix(values=values, label=label)
+    return EmbeddingMatrix(values=_Fresh(values.astype(np.float64, copy=False)), label=label)
 
 
 def save_matrix(m: EmbeddingMatrix, path, fmt: str = "csv") -> None:
@@ -125,18 +145,73 @@ def _nonblank_lines(fh):
     return (ln for ln in fh if ln.strip())
 
 
-def _read_csv(path: Path) -> np.ndarray:
-    # parsed as a stream, so no full-size copy of the text is held
-    with open(path) as fh:
-        lines = _nonblank_lines(fh)
-        first = next(lines, None)
-        if first is None:
-            # checked here: loadtxt only warns on input with no data
-            raise CorpusFormatError(f"no rows in {path}")
-        try:
+class _Span(io.RawIOBase):
+    """The next ``size`` bytes of an open binary file, as a stream."""
+
+    def __init__(self, raw, size: int):
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        got = self._raw.readinto(memoryview(buf)[: self._left])
+        self._left -= got
+        return got
+
+
+def _parse_span(path: Path, span: range) -> np.ndarray | None:
+    """The rows on the non-blank lines of bytes ``span`` of the file, or
+    None if there are none. The bytes are decoded and split into lines
+    as ``open(path)`` does, and parsed as a stream, so no full-size copy
+    of the text is held."""
+    with open(path, "rb", buffering=0) as raw:
+        raw.seek(span.start)
+        with io.TextIOWrapper(io.BufferedReader(_Span(raw, len(span)))) as fh:
+            lines = _nonblank_lines(fh)
+            first = next(lines, None)
+            if first is None:
+                return None  # loadtxt only warns on input with no data
             return np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
-        except ValueError as exc:
-            error = exc
+
+
+def _line_spans(path: Path, size: int, jobs: int) -> list[range]:
+    """Up to ``jobs`` nonempty byte ranges that cover the file, each
+    ending at a line end: range j starts at the first line start at or
+    after size*j/jobs."""
+    bounds = [0]
+    with open(path, "rb") as fh:
+        for j in range(1, jobs):
+            fh.seek(size * j // jobs - 1)
+            fh.readline()
+            bounds.append(fh.tell())
+    bounds.append(size)
+    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _read_csv(path: Path) -> np.ndarray:
+    size = path.stat().st_size
+    jobs = min(usable_cpus(), size // _SHARD_BYTES)
+    if jobs > 1:
+        # each range parses its own lines, so every value has the bits of
+        # the serial parse; a bad cell or ranges of different widths raise
+        # ValueError, and the serial parse below then names the fault
+        try:
+            spans = _line_spans(path, size, jobs)
+            parts = run_sharded(_parse_span, (path,), spans, f"{path} bytes")
+            parts = [rows for rows in parts if rows is not None]
+            if parts:
+                return np.concatenate(parts)
+        except ValueError:
+            pass
+    try:
+        values = _parse_span(path, range(size))
+    except ValueError as exc:
+        error = exc
+    else:
+        if values is None:
+            raise CorpusFormatError(f"no rows in {path}")
+        return values
     # slow diagnostic pass to say what failed; reads the file again
     with open(path) as fh:
         rows = [ln.split(",") for ln in _nonblank_lines(fh)]

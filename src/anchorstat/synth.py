@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -21,6 +20,7 @@ import numpy as np
 
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
 from .errors import GuardError, ParameterError, VacuousTestError
+from .sharding import run_sharded, usable_cpus  # noqa: F401  (usable_cpus: re-exported)
 from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, _child_seed, anchored_test
 
 # Community means are placed at pairwise distance
@@ -267,15 +267,6 @@ def _wilson_ci(successes: int, total: int, z: float = 1.959963984540054) -> tupl
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's count (at least 1)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _replicate(
     scenario: str, cfg: ScenarioConfig, M: int, K: int, R: int, alpha: float, m: int
 ) -> tuple[str, float]:
@@ -304,60 +295,6 @@ def _replicate(
 def _replicates(args: tuple, ms: range) -> list[tuple[str, float]]:
     """Replicates ``ms`` in order; the first error ends the chunk."""
     return [_replicate(*args, m) for m in ms]
-
-
-def _send_replicates(conn, args: tuple, ms: range) -> None:
-    """Worker process body: send back replicates ``ms`` or the error
-    that ended them."""
-    try:
-        conn.send(_replicates(args, ms))
-    except Exception as exc:
-        conn.send(exc)
-
-
-def _run_sharded(args: tuple, M: int, jobs: int) -> list[tuple[str, float]]:
-    """All M replicates in index order, split into ``jobs`` contiguous
-    chunks. Worker processes run chunks 1.. while this process runs
-    chunk 0, so no process idles and a profile of this process still
-    sees every layer. Chunks are read in index order, so the error
-    raised is the lowest-index one, as in the serial loop; on any error
-    the remaining workers are terminated rather than awaited."""
-    import multiprocessing
-
-    bounds = [M * j // jobs for j in range(jobs + 1)]
-    chunks = [range(bounds[j], bounds[j + 1]) for j in range(jobs)]
-    workers = []
-    try:
-        for ms in chunks[1:]:
-            receive, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
-                target=_send_replicates, args=(send, args, ms), daemon=True
-            )
-            proc.start()
-            send.close()  # so a worker that dies unheard reads as EOF here
-            workers.append((proc, receive, ms))
-        results = _replicates(args, chunks[0])
-        for proc, receive, ms in workers:
-            try:
-                got = receive.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"the worker running replicates {ms.start}-{ms.stop - 1} "
-                    f"exited with code {proc.exitcode} without a result"
-                ) from None
-            if isinstance(got, Exception):
-                raise got
-            results += got
-    except BaseException:
-        for proc, _, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for proc, receive, _ in workers:
-            proc.join()
-            receive.close()
-    return results
 
 
 def monte_carlo(
@@ -392,7 +329,10 @@ def monte_carlo(
     K_test = K if K is not None else cfg.K_true
     args = (scenario, cfg, M, K_test, R, alpha)
     jobs = min(jobs, M)
-    results = _run_sharded(args, M, jobs) if jobs > 1 else _replicates(args, range(M))
+    bounds = [M * j // jobs for j in range(jobs + 1)]
+    chunks = [range(bounds[j], bounds[j + 1]) for j in range(jobs)]
+    shares = run_sharded(_replicates, (args,), chunks, "replicates")
+    results = [r for share in shares for r in share]
     outcomes = [outcome for outcome, _ in results]
     rejections = outcomes.count("reject")
     rate = rejections / M

@@ -450,3 +450,33 @@ def test_every_command_prints_seed(tmp_path, capsys):
     _synth_manifest(tmp_path, scenario="null", seed=13)
     out = capsys.readouterr().out
     assert "seed: 13" in out
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_ingest_into_a_subdirectory_then_battery(tmp_path, monkeypatch, normalize):
+    # relative --dataset and --out-dir paths are stored relative to the
+    # manifest's directory, where `battery` resolves them
+    monkeypatch.chdir(tmp_path)
+    _synth_manifest(Path("."), scenario="null", seed=4, n=40)
+    data = Path("null4")
+    Path("sub").mkdir()
+    flags = ("--normalize", "--out-dir", "norm") if normalize else ()
+    rc = run_cli(
+        "ingest",
+        "--dataset", data / "anchor.csv:anchor",
+        "--dataset", data / "nonanchor_1.csv:nonanchor_1",
+        "--dataset", f"{tmp_path}/{data}/nonanchor_2.csv:nonanchor_2",
+        *flags,
+        "--out-manifest", "sub/m.json",
+    )
+    assert rc == 0
+    paths = [e.path for e in load_manifest("sub/m.json").entries]
+    if normalize:
+        assert paths[:2] == ["../norm/anchor.norm.csv", "../norm/nonanchor_1.norm.csv"]
+    else:
+        assert paths == ["../null4/anchor.csv", "../null4/nonanchor_1.csv",
+                         f"{tmp_path}/null4/nonanchor_2.csv"]
+    rc = run_cli("battery", "--manifest", "sub/m.json", "--k-grid", 2,
+                 "--permutations", 19, "--out", "battery.csv")
+    assert rc == 0
+    assert Path("battery.csv").read_text().startswith("dataset,")

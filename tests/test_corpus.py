@@ -302,3 +302,22 @@ def test_binary_reader_holds_one_copy(tmp_path):
     values, peak = _traced_peak(corpus._read_binary, path)
     np.testing.assert_array_equal(values, m.values)
     assert peak <= 1.5 * m.values.nbytes
+
+
+def test_binary_load_matrix_takes_over_the_read_array(tmp_path):
+    rng = np.random.default_rng(7)
+    m = EmbeddingMatrix(values=rng.normal(size=(2000, 64)))
+    path = tmp_path / "big.bin"
+    save_matrix(m, path, fmt="binary")
+    back, peak = _traced_peak(load_matrix, path, fmt="binary")
+    np.testing.assert_array_equal(back.values, m.values)
+    # the matrix keeps the array the reader built instead of copying it
+    assert peak <= 1.5 * m.values.nbytes
+
+
+def test_matrix_copies_the_callers_array():
+    values = np.arange(6.0).reshape(3, 2)
+    m = EmbeddingMatrix(values=values)
+    values[0, 0] = 99.0
+    assert m.values[0, 0] == 0.0
+    assert m.with_label("x").values[0, 0] == 0.0
