@@ -10,7 +10,7 @@ import argparse
 import json
 from pathlib import Path
 
-from anchorstat.synth import ScenarioConfig, monte_carlo, usable_cpus
+from anchorstat.synth import ScenarioConfig, monte_carlo
 
 
 def main() -> int:
@@ -40,8 +40,7 @@ def main() -> int:
     )
     for scenario in ("null", "alt"):
         rep = monte_carlo(
-            scenario, cfg, M=args.m, K=args.k, R=args.permutations, alpha=args.alpha,
-            jobs=usable_cpus(),
+            scenario, cfg, M=args.m, K=args.k, R=args.permutations, alpha=args.alpha
         )
         reports[scenario] = rep.to_dict()
         print(

@@ -14,14 +14,13 @@ import itertools
 import json
 import re
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import divergence
 from .anchor import mapped_distances
 from .cluster import kmeans
 from .corpus import ANCHOR_ROLE, PairedCollection
-from .errors import AnchorstatError, ManifestError, ParameterError, VacuousTestError
+from .errors import AnchorstatError, ManifestError, VacuousTestError
 from .stattests import (
     DEFAULT_ALPHA,
     DEFAULT_PERMUTATIONS,
@@ -141,7 +140,6 @@ def run_battery(
     seed: int = 0,
     baselines: tuple[str, ...] = BASELINE_NAMES,
     baseline_collection: PairedCollection | None = None,
-    jobs: int = 1,
 ) -> BatteryResult:
     """Run the anchored test over every non-anchor pair and K, plus each
     enabled baseline once per pair (the baselines do not depend on K).
@@ -153,8 +151,6 @@ def run_battery(
     unknown = set(baselines) - set(BASELINE_NAMES)
     if unknown:
         raise ManifestError(f"unknown baselines: {sorted(unknown)}")
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     pairs = list(itertools.combinations(collection.nonanchor_roles, 2))
     if not pairs:
         raise ManifestError("battery needs at least two non-anchor members")
@@ -175,11 +171,7 @@ def run_battery(
             statistic=report.statistic,
         )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = dict(zip(tasks, pool.map(compute, tasks)))
-    else:
-        cells = dict(zip(tasks, map(compute, tasks)))
+    cells = {task: compute(task) for task in tasks}
 
     rows = tuple(
         BatteryRow(
@@ -240,8 +232,6 @@ def run_distance_curves(
     collection: PairedCollection,
     k_values: tuple[int, ...],
     seed: int = 0,
-    bins: int = divergence.DEFAULT_BINS,
-    smoothing: float = divergence.DEFAULT_SMOOTHING,
 ) -> list[dict]:
     """KL and order-1 transport distance between the baseline member's
     mapped distances and each temperature-tagged member's, per K."""
@@ -276,9 +266,7 @@ def run_distance_curves(
         set_base = mapped(base_role, K)
         for role in varying:
             set_rho = mapped(role, K)
-            kl = divergence.kl_divergence(
-                set_base.distances, set_rho.distances, bins=bins, smoothing=smoothing
-            )
+            kl = divergence.kl_divergence(set_base.distances, set_rho.distances)
             w1 = divergence.wasserstein1(set_base.distances, set_rho.distances)
             rows.append(
                 {

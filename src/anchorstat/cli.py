@@ -35,10 +35,10 @@ from .corpus import (
     save_manifest,
     save_matrix,
     validate_pairing,
+    write_text,
 )
 from .errors import AnchorstatError, ManifestError, VacuousTestError
 from .llmpipeline import ClientConfig, embed_batch
-from .sharding import usable_cpus
 from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS
 from .synth import ScenarioConfig, monte_carlo
 
@@ -90,7 +90,7 @@ def _load_collection(args) -> tuple[DatasetManifest, PairedCollection]:
 
 def _write_text(path: str | None, text: str) -> None:
     if path:
-        Path(path).write_text(text)
+        write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -137,7 +137,6 @@ def cmd_battery(args) -> int:
         seed=grid.seed,
         baselines=baselines,
         baseline_collection=baseline_collection,
-        jobs=args.jobs,
     )
     text = battery_json(result) if args.format == "json" else battery_csv(result)
     _write_text(args.out, text)
@@ -207,7 +206,6 @@ def cmd_mc(args) -> int:
         K=args.k,
         R=args.permutations if args.permutations is not None else DEFAULT_PERMUTATIONS,
         alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-        jobs=usable_cpus(),
     )
     # the written file omits the wall-clock field so reruns are byte-identical
     text = report.to_json(volatile=False) + "\n"
@@ -242,7 +240,14 @@ def cmd_ingest(args) -> int:
                 f"bad --dataset '{descriptor}'; expected path:role[:temperature]"
             )
         path, role = parts[0], parts[1]
-        temp = float(parts[2]) if len(parts) > 2 and parts[2] != "" else None
+        temp = None
+        if len(parts) > 2 and parts[2] != "":
+            try:
+                temp = float(parts[2])
+            except ValueError:
+                raise ManifestError(
+                    f"bad temperature '{parts[2]}' in --dataset '{descriptor}'"
+                ) from None
         m = load_matrix(path, fmt=args.format, label=role)
         if args.normalize:
             m = normalize_rows(m)
@@ -359,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baselines", help="comma list from hotelling,nploc,energy")
     p.add_argument("--pca-dim", type=int, default=None)
     p.add_argument("--pca-mode", choices=("per_dataset", "joint"), default="per_dataset")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent battery cells")
     p.set_defaults(func=cmd_battery)
 
     p = sub.add_parser("distances", help="KL/transport curves vs temperature")

@@ -12,7 +12,7 @@ import itertools
 import json
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -37,8 +37,9 @@ _SHARD_BYTES = 8 << 20
 
 
 class _Fresh:
-    """A float64 array that a loader has just built and holds no other
-    reference to, so the matrix may take it over without a copy."""
+    """A float64 array that the matrix may take over without a copy: one
+    that a loader or ``normalize_rows`` has just built and holds no
+    other reference to, or the read-only values of another matrix."""
 
     __slots__ = ("array",)
 
@@ -101,7 +102,7 @@ class EmbeddingMatrix:
         return self.values.shape[1]
 
     def with_label(self, label: str) -> "EmbeddingMatrix":
-        return replace(self, label=label)
+        return EmbeddingMatrix(_Fresh(self.values), label, self.unit_norm)
 
 
 def load_matrix(path, fmt: str = "csv", label: str | None = None) -> EmbeddingMatrix:
@@ -123,6 +124,13 @@ def load_matrix(path, fmt: str = "csv", label: str | None = None) -> EmbeddingMa
     else:
         raise CorpusFormatError(f"unknown matrix format '{fmt}'")
     return EmbeddingMatrix(values=_Fresh(values.astype(np.float64, copy=False)), label=label)
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, creating missing parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def save_matrix(m: EmbeddingMatrix, path, fmt: str = "csv") -> None:
@@ -265,7 +273,9 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     if np.any(norms == 0.0):
         i = int(np.argmin(norms))
         raise DegeneracyError(f"row {i} of '{m.label}' is all zeros; cannot normalize")
-    return EmbeddingMatrix(values=m.values / norms[:, None], label=m.label, unit_norm=True)
+    return EmbeddingMatrix(
+        values=_Fresh(m.values / norms[:, None]), label=m.label, unit_norm=True
+    )
 
 
 @dataclass(frozen=True)
@@ -432,4 +442,4 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
             "seed": manifest.grid.seed,
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

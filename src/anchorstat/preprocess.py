@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
+from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing, write_text
 from .errors import DimensionError, ParameterError
 
 _ORTHO_TOL = 1e-8
@@ -72,7 +72,7 @@ class PcaModel:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        write_text(path, self.to_json() + "\n")
 
     @classmethod
     def load(cls, path) -> "PcaModel":

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
 from .errors import GuardError, ParameterError, VacuousTestError
-from .sharding import run_sharded, usable_cpus  # noqa: F401  (usable_cpus: re-exported)
+from .sharding import run_sharded, usable_cpus
 from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, _child_seed, anchored_test
 
 # Community means are placed at pairwise distance
@@ -87,18 +87,6 @@ def _mixture(
     return EmbeddingMatrix(values=values, label=label)
 
 
-def _canonical_labels(z: np.ndarray) -> tuple:
-    """Relabel so cluster ids appear in first-occurrence order; two label
-    vectors describe the same set partition iff their canonical forms match."""
-    mapping: dict[int, int] = {}
-    out = []
-    for v in z.tolist():
-        if v not in mapping:
-            mapping[v] = len(mapping)
-        out.append(mapping[v])
-    return tuple(out)
-
-
 def generate_null_triple(cfg: ScenarioConfig) -> PairedCollection:
     """Anchor and two non-anchors built on one shared label vector."""
     rng = np.random.default_rng(cfg.seed)
@@ -119,7 +107,7 @@ def generate_alt_triple(cfg: ScenarioConfig) -> PairedCollection:
     z2 = None
     for _ in range(_REDRAW_ATTEMPTS):
         cand = rng.integers(0, cfg.K_true, cfg.n)
-        if _canonical_labels(cand) != _canonical_labels(z):
+        if rand_index(cand, z) < 1.0:  # 1.0 exactly when the partitions are equal
             z2 = cand
             break
     if z2 is None:
@@ -304,7 +292,6 @@ def monte_carlo(
     K: int | None = None,
     R: int = DEFAULT_PERMUTATIONS,
     alpha: float = DEFAULT_ALPHA,
-    jobs: int = 1,
 ) -> MonteCarloReport:
     """Run the anchored test on M independently seeded triples.
 
@@ -312,11 +299,11 @@ def monte_carlo(
     non-rejection (identical mappings are the strongest agreement with
     the null); such replicates are tallied in ``vacuous``.
 
-    ``jobs > 1`` spreads the replicates over that many processes (this
-    one included); the report, apart from ``mean_runtime_s``, is the
-    same for every ``jobs``. Replicates then run in worker processes,
-    which see changes made to this process's modules at run time only
-    under the ``fork`` start method.
+    The replicates are spread over ``usable_cpus()`` processes (this
+    one included), at most one per replicate; the report, apart from
+    ``mean_runtime_s``, is the same for every process count. Worker
+    processes see changes made to this process's modules at run time
+    only under the ``fork`` start method.
     """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
@@ -324,11 +311,9 @@ def monte_carlo(
         raise ParameterError(f"permutation count must be >= 1, got {R}")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0,1), got {alpha}")
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     K_test = K if K is not None else cfg.K_true
     args = (scenario, cfg, M, K_test, R, alpha)
-    jobs = min(jobs, M)
+    jobs = min(usable_cpus(), M)
     bounds = [M * j // jobs for j in range(jobs + 1)]
     chunks = [range(bounds[j], bounds[j + 1]) for j in range(jobs)]
     shares = run_sharded(_replicates, (args,), chunks, "replicates")

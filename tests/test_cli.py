@@ -140,21 +140,6 @@ def test_battery_csv_schema_and_reproducibility(tmp_path):
     assert len(out1.read_text().splitlines()) == 2  # one non-anchor pair
 
 
-def test_battery_thread_count_invariance(tmp_path):
-    manifest = _synth_manifest(tmp_path, scenario="alt", seed=6)
-    outs = []
-    for jobs in (1, 4):
-        out = tmp_path / f"battery-j{jobs}.json"
-        rc = run_cli(
-            "battery", "--manifest", manifest,
-            "--k-grid", "2,3", "--permutations", 199, "--seed", 11,
-            "--format", "json", "--jobs", jobs, "--out", out,
-        )
-        assert rc == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_battery_alt_triple_all_anchored_cells_significant(tmp_path):
     manifest = _synth_manifest(tmp_path, scenario="alt", seed=21, n=300)
     out = tmp_path / "battery.json"
@@ -363,6 +348,13 @@ def test_mc_has_no_k_grid_flag(capsys):
     assert "--k-grid" in capsys.readouterr().err
 
 
+def test_battery_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("battery", "--manifest", "m.json", "--jobs", 2)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_reduce_single_matrix_shape(tmp_path):
     rng = np.random.default_rng(0)
     m = EmbeddingMatrix(values=rng.normal(size=(40, 1536)))
@@ -480,3 +472,39 @@ def test_ingest_into_a_subdirectory_then_battery(tmp_path, monkeypatch, normaliz
                  "--permutations", 19, "--out", "battery.csv")
     assert rc == 0
     assert Path("battery.csv").read_text().startswith("dataset,")
+
+
+@pytest.mark.parametrize("command", ["ingest", "battery", "mc", "reduce"])
+def test_output_parent_directories_are_created(tmp_path, command):
+    manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)
+    data = manifest.parent
+    out = tmp_path / "new" / "deeper" / "out"
+    argv = {
+        "ingest": ("ingest", "--dataset", f"{data}/anchor.csv:anchor",
+                   "--dataset", f"{data}/nonanchor_1.csv:nonanchor_1",
+                   "--dataset", f"{data}/nonanchor_2.csv:nonanchor_2",
+                   "--out-manifest", out),
+        "battery": ("battery", "--manifest", manifest, "--k-grid", 2,
+                    "--permutations", 19, "--baselines", "none", "--out", out),
+        "mc": ("mc", "--scenario", "null", "--n", 40, "--m", 1, "--permutations", 19,
+               "--out", out),
+        "reduce": ("reduce", "--input", data / "anchor.csv", "--pca-dim", 1,
+                   "--out", tmp_path / "reduced.csv", "--model-out", out),
+    }[command]
+    assert run_cli(*argv) == 0
+    assert out.read_text()
+
+
+def test_ingest_bad_temperature_is_a_usage_error(tmp_path, capsys):
+    data = _synth_manifest(tmp_path, scenario="null", seed=5, n=40).parent
+    hot = f"{data}/nonanchor_1.csv:nonanchor_1:hot"
+    rc = run_cli(
+        "ingest",
+        "--dataset", f"{data}/anchor.csv:anchor",
+        "--dataset", hot,
+        "--dataset", f"{data}/nonanchor_2.csv:nonanchor_2",
+        "--out-manifest", tmp_path / "m.json",
+    )
+    assert rc == 1
+    assert f"error: bad temperature 'hot' in --dataset '{hot}'" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()

@@ -315,6 +315,26 @@ def test_binary_load_matrix_takes_over_the_read_array(tmp_path):
     assert peak <= 1.5 * m.values.nbytes
 
 
+def test_normalize_rows_takes_over_its_quotient():
+    rng = np.random.default_rng(8)
+    m = EmbeddingMatrix(values=rng.normal(size=(2000, 64)))
+    unit, peak = _traced_peak(normalize_rows, m)
+    np.testing.assert_allclose(np.linalg.norm(unit.values, axis=1), 1.0)
+    # the squares inside the norm and the quotient, which the matrix keeps
+    assert peak <= 2.2 * m.values.nbytes
+
+
+def test_with_label_shares_the_values():
+    rng = np.random.default_rng(9)
+    m = EmbeddingMatrix(values=rng.normal(size=(2000, 64)), label="a")
+    relabelled, peak = _traced_peak(m.with_label, "b")
+    assert relabelled.label == "b" and m.label == "a"
+    assert np.shares_memory(relabelled.values, m.values)
+    assert not relabelled.values.flags.writeable
+    # no copy: only the finiteness check's booleans, an eighth of the values
+    assert peak <= 0.5 * m.values.nbytes
+
+
 def test_matrix_copies_the_callers_array():
     values = np.arange(6.0).reshape(3, 2)
     m = EmbeddingMatrix(values=values)

@@ -1,6 +1,6 @@
-"""`mc` sharded over processes: the same report for every process count,
-the serial loop's error, and jobs validation for `monte_carlo` and
-`battery`."""
+"""`mc` sharded over processes: the same report for every process count
+and the serial loop's error. The process count is ``synth.usable_cpus()``,
+which the tests pin with ``pin_cpus``."""
 
 import json
 import multiprocessing
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from anchorstat import cli, preprocess, synth
+from anchorstat import preprocess, synth
 from anchorstat.battery import battery_csv, battery_json, run_battery
 from anchorstat.cli import main
 from anchorstat.corpus import load_manifest
@@ -25,6 +25,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def pin_cpus(monkeypatch, count):
+    """Run ``monte_carlo`` on ``count`` processes (at most one per replicate)."""
+    monkeypatch.setattr(synth, "usable_cpus", lambda: count)
 
 
 @pytest.fixture
@@ -48,7 +53,7 @@ def test_mc_json_identical_across_jobs(tmp_path, monkeypatch, flags):
     outs = {}
     for jobs in (1, 2, 3, None):
         if jobs is not None:
-            monkeypatch.setattr(cli, "usable_cpus", lambda jobs=jobs: jobs)
+            pin_cpus(monkeypatch, jobs)
         else:
             monkeypatch.undo()
         out = tmp_path / f"mc-{jobs}.json"
@@ -63,35 +68,40 @@ def test_mc_json_identical_across_jobs(tmp_path, monkeypatch, flags):
 
 def test_mc_runs_on_the_usable_cpus(tmp_path, monkeypatch):
     seen = []
-    run = synth.monte_carlo
+    run = synth.run_sharded
 
-    def monte_carlo_spy(*args, jobs=1, **kwargs):
-        seen.append(jobs)
-        return run(*args, jobs=jobs, **kwargs)
+    def run_sharded_spy(fn, args, chunks, label):
+        seen.append(len(chunks))
+        return run(fn, args, chunks, label)
 
-    monkeypatch.setattr(cli, "monte_carlo", monte_carlo_spy)
-    rc = run_cli("mc", "--scenario", "null", "--n", 60, "--m", 2, "--permutations", 19,
-                 "--out", tmp_path / "mc.json")
-    assert rc == 0
-    assert seen == [synth.usable_cpus()]
+    monkeypatch.setattr(synth, "run_sharded", run_sharded_spy)
+    for M in (1, 2, 5):
+        rc = run_cli("mc", "--scenario", "null", "--n", 60, "--m", M,
+                     "--permutations", 19, "--out", tmp_path / "mc.json")
+        assert rc == 0
+    assert seen == [min(synth.usable_cpus(), M) for M in (1, 2, 5)]
 
 
-def test_monte_carlo_jobs_uneven_chunks():
+def test_monte_carlo_jobs_uneven_chunks(monkeypatch):
     cfg = ScenarioConfig(n=80, seed=9)
+    pin_cpus(monkeypatch, 1)
     serial = monte_carlo("alt", cfg, M=7, R=49)
-    sharded = monte_carlo("alt", cfg, M=7, R=49, jobs=3)
+    pin_cpus(monkeypatch, 3)
+    sharded = monte_carlo("alt", cfg, M=7, R=49)
     assert sharded.to_dict(volatile=False) == serial.to_dict(volatile=False)
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_monte_carlo_jobs_without_fork(method):
+def test_monte_carlo_jobs_without_fork(monkeypatch, method):
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"the {method} start method is not available")
     code = (
         "import multiprocessing, sys\n"
+        "from anchorstat import synth\n"
         "from anchorstat.synth import ScenarioConfig, monte_carlo\n"
         f"multiprocessing.set_start_method({method!r})\n"
-        "report = monte_carlo('null', ScenarioConfig(n=60, seed=3), M=4, R=49, jobs=2)\n"
+        "synth.usable_cpus = lambda: 2\n"
+        "report = monte_carlo('null', ScenarioConfig(n=60, seed=3), M=4, R=49)\n"
         "sys.stdout.write(report.to_json(volatile=False))\n"
     )
     env = dict(os.environ)
@@ -100,13 +110,14 @@ def test_monte_carlo_jobs_without_fork(method):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
+    pin_cpus(monkeypatch, 1)
     serial = monte_carlo("null", ScenarioConfig(n=60, seed=3), M=4, R=49)
     assert out.stdout == serial.to_json(volatile=False)
 
 
 @pytest.mark.parametrize("failing", [(5, 6), (2, 5), (7,)])
 def test_sharded_error_is_the_serial_loops(monkeypatch, fork_start, failing):
-    # M=8, jobs=2: this process runs replicates 0-3 and one worker 4-7
+    # M=8 on 2 processes: this process runs replicates 0-3 and one worker 4-7
     cfg = ScenarioConfig(n=60, seed=5)
     fail_at = {_child_seed(cfg.seed, m): m for m in failing}
     generate = synth.generate_null_triple
@@ -119,8 +130,9 @@ def test_sharded_error_is_the_serial_loops(monkeypatch, fork_start, failing):
     monkeypatch.setattr(synth, "generate_null_triple", failing_generate)
     raised = []
     for jobs in (1, 2):
+        pin_cpus(monkeypatch, jobs)
         with pytest.raises(ParameterError) as exc:
-            monte_carlo("null", cfg, M=8, R=19, jobs=jobs)
+            monte_carlo("null", cfg, M=8, R=19)
         raised.append((type(exc.value), str(exc.value)))
     assert raised[0] == raised[1] == (ParameterError, f"replicate {failing[0]} failed")
     assert multiprocessing.active_children() == []  # the pool is shut down
@@ -128,7 +140,7 @@ def test_sharded_error_is_the_serial_loops(monkeypatch, fork_start, failing):
 
 @pytest.mark.parametrize("error", [ParameterError, KeyboardInterrupt])
 def test_sharded_error_in_callers_share_ends_workers(monkeypatch, fork_start, error):
-    # M=4, jobs=2: this process runs replicates 0-1, which fail at once,
+    # M=4 on 2 processes: this process runs replicates 0-1, which fail at once,
     # and one worker 2-3, which would take a minute each
     cfg = ScenarioConfig(n=60, seed=5)
     first, slow = _child_seed(cfg.seed, 0), {_child_seed(cfg.seed, m) for m in (2, 3)}
@@ -142,9 +154,10 @@ def test_sharded_error_in_callers_share_ends_workers(monkeypatch, fork_start, er
         return generate(c)
 
     monkeypatch.setattr(synth, "generate_null_triple", generate_or_stall)
+    pin_cpus(monkeypatch, 2)
     start = time.perf_counter()
     with pytest.raises(error, match="replicate 0 failed"):
-        monte_carlo("null", cfg, M=4, R=19, jobs=2)
+        monte_carlo("null", cfg, M=4, R=19)
     assert time.perf_counter() - start < 20
     assert multiprocessing.active_children() == []
 
@@ -160,8 +173,9 @@ def test_worker_dying_without_a_result(monkeypatch, fork_start):
         return generate(c)
 
     monkeypatch.setattr(synth, "generate_null_triple", generate_or_exit)
+    pin_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="replicates 2-3 exited with code 7"):
-        monte_carlo("null", cfg, M=4, R=19, jobs=2)
+        monte_carlo("null", cfg, M=4, R=19)
     assert multiprocessing.active_children() == []
 
 
@@ -177,17 +191,8 @@ def test_mean_runtime_is_one_replicates(monkeypatch, fork_start):
     monkeypatch.setattr(synth, "time", Clock())
     cfg = ScenarioConfig(n=60, seed=1)
     for jobs in (1, 2, 3):
-        assert monte_carlo("null", cfg, M=5, R=19, jobs=jobs).mean_runtime_s == 1.0
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_monte_carlo_rejects_jobs_below_one(monkeypatch, jobs):
-    def no_replicate(cfg):
-        raise AssertionError("a replicate ran before jobs was validated")
-
-    monkeypatch.setattr(synth, "generate_null_triple", no_replicate)
-    with pytest.raises(ParameterError, match="jobs must be >= 1"):
-        monte_carlo("null", ScenarioConfig(n=60), M=2, jobs=jobs)
+        pin_cpus(monkeypatch, jobs)
+        assert monte_carlo("null", cfg, M=5, R=19).mean_runtime_s == 1.0
 
 
 def _synth_manifest(tmp_path, dim=2):
@@ -196,23 +201,6 @@ def _synth_manifest(tmp_path, dim=2):
                  "--out-dir", out)
     assert rc == 0
     return out / "manifest.json"
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_battery_rejects_jobs_below_one(tmp_path, capsys, jobs):
-    out = tmp_path / "out"
-    rc = run_cli("battery", "--manifest", _synth_manifest(tmp_path), "--k-grid", 2,
-                 "--permutations", 19, "--jobs", jobs, "--out", out)
-    assert rc == 1
-    assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_run_battery_rejects_jobs_below_one(tmp_path):
-    manifest_path = _synth_manifest(tmp_path)
-    collection = load_manifest(manifest_path).load_collection(manifest_path.parent)
-    with pytest.raises(ParameterError, match="jobs must be >= 1"):
-        run_battery(collection, "d", (2,), R=19, jobs=0)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

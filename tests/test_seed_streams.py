@@ -59,6 +59,7 @@ def test_monte_carlo_replicate_seeds(monkeypatch):
 
     monkeypatch.setattr(synth, "generate_null_triple", generate_spy)
     monkeypatch.setattr(synth, "anchored_test", test_spy)
+    monkeypatch.setattr(synth, "usable_cpus", lambda: 1)  # the spies see every replicate
     monte_carlo("null", ScenarioConfig(n=40, seed=5), M=3, R=19)
     assert data_seeds == [16823399, 3796490668, 3226123765]
     assert test_seeds == [727168946, 278233753, 1608096988]
