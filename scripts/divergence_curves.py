@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from anchorstat.battery import curves_csv, run_distance_curves
+from anchorstat.corpus import write_text
 from anchorstat.synth import ScenarioConfig, generate_drift_family
 
 
@@ -45,8 +46,7 @@ def main() -> int:
     rows = run_distance_curves(family, k_values, seed=args.seed)
     text = curves_csv(rows)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_text(args.out, text)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -8,8 +8,8 @@ binomial confidence intervals.
 
 import argparse
 import json
-from pathlib import Path
 
+from anchorstat.corpus import write_text
 from anchorstat.synth import ScenarioConfig, monte_carlo
 
 
@@ -50,7 +50,7 @@ def main() -> int:
             f"mean_runtime={rep.mean_runtime_s * 1e3:.0f} ms"
         )
     if args.out:
-        Path(args.out).write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
+        write_text(args.out, json.dumps(reports, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
     return 0
 

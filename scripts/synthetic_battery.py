@@ -14,7 +14,7 @@ import argparse
 from pathlib import Path
 
 from anchorstat.battery import battery_csv, run_battery
-from anchorstat.synth import ScenarioConfig, generate_battery_quad
+from anchorstat.synth import ScenarioConfig, battery_pattern_counts, generate_battery_quad
 
 
 def main() -> int:
@@ -35,8 +35,7 @@ def main() -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    drift_rejects = drift_total = 0
-    aligned_accepts = aligned_total = 0
+    tallies = []
     for seed in range(args.seeds):
         print(f"seed: {seed}")
         cfg = ScenarioConfig(
@@ -57,18 +56,8 @@ def main() -> int:
             seed=seed,
         )
         (out_dir / f"battery-{seed}.csv").write_text(battery_csv(result))
-        rows = {row.pair: row for row in result.rows}
-        drift = rows[("nonanchor_aligned_1", "nonanchor_drifted")]
-        for K in k_values:
-            drift_total += 1
-            drift_rejects += bool(drift.anchored[K].reject)
-        for b in result.baselines:
-            drift_total += 1
-            drift_rejects += bool(drift.baselines[b].reject)
-        aligned = rows[("nonanchor_aligned_1", "nonanchor_aligned_2")]
-        for K in k_values:
-            aligned_total += 1
-            aligned_accepts += not aligned.anchored[K].reject
+        tallies.append(battery_pattern_counts(result))
+    drift_rejects, drift_total, aligned_accepts, aligned_total = map(sum, zip(*tallies))
 
     print(
         f"drifted pair rejected in {drift_rejects}/{drift_total} cells "

@@ -2,14 +2,20 @@
 to the paired baselines, and the divergence curves over a temperature
 family.
 
-Every cell of the battery, and the single cell of `anchorstat test`,
+A member has one partition at each K: `mapped_member` clusters it with
+a seed derived from (seed, role, K) and maps the partition onto the
+anchor. `run_battery` computes that set once per (member, K) and shares
+it across every pair the member is in; `anchorstat test` and the
+divergence curves take theirs from the same function. Each cell then
 runs through `run_cell` with a seed derived from (seed, dataset, pair,
-K or baseline name), so the two commands agree on the same inputs and
-results do not depend on scheduling.
+K or baseline name) for the sign flips or the baseline, so `test` and
+`battery` agree on the same inputs and results do not depend on
+scheduling.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -17,7 +23,7 @@ import zlib
 from dataclasses import asdict, dataclass, field
 
 from . import divergence
-from .anchor import mapped_distances
+from .anchor import MappedDistanceSet, mapped_distances
 from .cluster import kmeans
 from .corpus import ANCHOR_ROLE, PairedCollection
 from .errors import AnchorstatError, ManifestError, VacuousTestError
@@ -89,6 +95,16 @@ def _cell_seed(seed: int, *names) -> int:
     return _child_seed(seed, *(zlib.crc32(str(n).encode()) for n in names))
 
 
+def mapped_member(
+    collection: PairedCollection, role: str, K: int, seed: int
+) -> MappedDistanceSet:
+    """Member ``role``'s partition at K, mapped onto the anchor: the one
+    partition of that member at K for a given seed, whichever row, cell
+    or curve uses it."""
+    part = kmeans(collection.member(role), K, seed=_cell_seed(seed, role, K))
+    return mapped_distances(collection.anchor, part, source=role)
+
+
 def run_cell(
     collection: PairedCollection,
     dataset: str,
@@ -103,13 +119,24 @@ def run_cell(
     or the baseline named ``method``. Baselines read their members from
     ``baseline_collection`` when given (a common space for the paired
     tests). Errors propagate; `run_battery` turns them into cells."""
+    return _run_cell(
+        collection, dataset, pair, method, R, alpha, seed, baseline_collection,
+        functools.partial(mapped_member, collection, seed=seed),
+    )
+
+
+def _run_cell(
+    collection, dataset, pair, method, R, alpha, seed, baseline_collection, member_set
+) -> TestReport:
+    """`run_cell` with the anchored cell's distance sets taken from
+    ``member_set(role, K)``."""
     r1, r2 = pair
     cell_seed = _cell_seed(seed, dataset, r1, r2, method)
     if not isinstance(method, str):
         return anchored_test(
             collection.anchor,
-            collection.member(r1).with_label(r1),
-            collection.member(r2).with_label(r2),
+            member_set(r1, method),
+            member_set(r2, method),
             K=method,
             R=R,
             seed=cell_seed,
@@ -156,11 +183,16 @@ def run_battery(
         raise ManifestError("battery needs at least two non-anchor members")
     tasks = [(pair, method) for pair in pairs for method in (*k_values, *baselines)]
 
+    # one distance set per (member, K), shared by the member's rows; a
+    # member that cannot be clustered fails kmeans's input checks in each
+    member_set = functools.cache(functools.partial(mapped_member, collection, seed=seed))
+
     def compute(task) -> BatteryCell:
         pair, method = task
         try:
-            report = run_cell(
-                collection, dataset, pair, method, R, alpha, seed, baseline_collection
+            report = _run_cell(
+                collection, dataset, pair, method, R, alpha, seed, baseline_collection,
+                member_set,
             )
         except AnchorstatError as exc:
             return _error_cell(exc)
@@ -257,15 +289,11 @@ def run_distance_curves(
     if not varying:
         raise ManifestError("distance curves need at least one varying member")
 
-    def mapped(role, K):
-        part = kmeans(collection.member(role), K, seed=_cell_seed(seed, "curve", role, K))
-        return mapped_distances(collection.anchor, part, source=role)
-
     rows = []
     for K in k_values:
-        set_base = mapped(base_role, K)
+        set_base = mapped_member(collection, base_role, K, seed)
         for role in varying:
-            set_rho = mapped(role, K)
+            set_rho = mapped_member(collection, role, K, seed)
             kl = divergence.kl_divergence(set_base.distances, set_rho.distances)
             w1 = divergence.wasserstein1(set_base.distances, set_rho.distances)
             rows.append(

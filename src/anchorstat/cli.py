@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -244,6 +245,8 @@ def cmd_ingest(args) -> int:
         if len(parts) > 2 and parts[2] != "":
             try:
                 temp = float(parts[2])
+                if not math.isfinite(temp):  # the manifest is strict JSON
+                    raise ValueError
             except ValueError:
                 raise ManifestError(
                     f"bad temperature '{parts[2]}' in --dataset '{descriptor}'"

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .anchor import DiffVector, mapped_distances, paired_differences
+from .anchor import DiffVector, MappedDistanceSet, mapped_distances, paired_differences
 from .cluster import _BLOCK_ENTRIES, RESTARTS, kmeans
 from .corpus import EmbeddingMatrix, validate_pairing
 from .errors import (
@@ -208,8 +208,8 @@ def _child_seed(seed: int, *path: int) -> int:
 
 def anchored_test(
     anchor: EmbeddingMatrix,
-    d1: EmbeddingMatrix,
-    d2: EmbeddingMatrix,
+    d1: EmbeddingMatrix | MappedDistanceSet,
+    d2: EmbeddingMatrix | MappedDistanceSet,
     K: int,
     R: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
@@ -217,16 +217,17 @@ def anchored_test(
 ) -> TestReport:
     """Test whether two non-anchor datasets share one community structure.
 
-    Clusters each non-anchor at K, maps both partitions onto the anchor,
-    and applies the sign-flip modified-t test to the paired distance
-    differences. Identical mapped structures leave nothing to test and
-    raise VacuousTestError.
+    Maps each non-anchor's partition at K onto the anchor and applies the
+    sign-flip modified-t test to the paired distance differences. A
+    non-anchor given as its matrix is clustered here, with child stream 1
+    or 2 of ``seed``; one given as its MappedDistanceSet at K is used as
+    it is (the battery passes each member's one partition this way).
+    Identical mapped structures leave nothing to test and raise
+    VacuousTestError.
     """
     validate_pairing({"anchor": anchor, "d1": d1, "d2": d2})
-    part1 = kmeans(d1, K, seed=_child_seed(seed, 1))
-    part2 = kmeans(d2, K, seed=_child_seed(seed, 2))
-    set1 = mapped_distances(anchor, part1, source=d1.label)
-    set2 = mapped_distances(anchor, part2, source=d2.label)
+    set1 = _mapped_at(anchor, d1, K, _child_seed(seed, 1))
+    set2 = _mapped_at(anchor, d2, K, _child_seed(seed, 2))
     diff = paired_differences(set1, set2)
     if np.all(diff.diffs == 0.0):
         raise VacuousTestError(
@@ -235,13 +236,26 @@ def anchored_test(
     meta = {
         "K": K,
         "anchor_label": anchor.label,
-        "d1_label": d1.label,
-        "d2_label": d2.label,
+        "d1_label": set1.source,
+        "d2_label": set2.source,
         "kmeans_restarts": RESTARTS,
     }
     return sign_flip_pvalue(
         diff, R=R, seed=_child_seed(seed, 3), alpha=alpha, metadata=meta
     )
+
+
+def _mapped_at(anchor: EmbeddingMatrix, d, K: int, seed: int) -> MappedDistanceSet:
+    """``d``'s distance set over ``anchor`` at K: a matrix is clustered with
+    ``seed`` and mapped; a distance set must already be at K over it."""
+    if not isinstance(d, MappedDistanceSet):
+        return mapped_distances(anchor, kmeans(d, K, seed=seed), source=d.label)
+    if d.K != K or d.anchor != anchor.label:
+        raise ParameterError(
+            f"distance set of '{d.source}' is at K={d.K} over '{d.anchor}', "
+            f"not at K={K} over '{anchor.label}'"
+        )
+    return d
 
 
 def _sample_rows(x) -> np.ndarray:

@@ -152,6 +152,27 @@ def generate_battery_quad(cfg: ScenarioConfig) -> PairedCollection:
     return validate_pairing(members)
 
 
+def battery_pattern_counts(result) -> tuple[int, int, int, int]:
+    """Criterion 9's tallies for one `BatteryResult` over a
+    `generate_battery_quad` collection: (drifted-pair cells rejected,
+    drifted-pair cells, aligned-pair anchored cells accepted, aligned-pair
+    anchored cells). Every anchored and baseline cell of the drifted pair
+    counts; of the aligned pair only the anchored cells do, since the
+    direct comparisons see members in unrelated frames."""
+    rows = {row.pair: row for row in result.rows}
+    drift = rows[("nonanchor_aligned_1", "nonanchor_drifted")]
+    aligned = rows[("nonanchor_aligned_1", "nonanchor_aligned_2")]
+    drift_cells = [drift.anchored[K] for K in result.k_values]
+    drift_cells += [drift.baselines[b] for b in result.baselines]
+    aligned_cells = [aligned.anchored[K] for K in result.k_values]
+    return (
+        sum(bool(c.reject) for c in drift_cells),
+        len(drift_cells),
+        sum(not c.reject for c in aligned_cells),
+        len(aligned_cells),
+    )
+
+
 def generate_drift_family(
     cfg: ScenarioConfig, rho_fractions: Sequence[tuple[float, float]]
 ) -> PairedCollection:

@@ -19,7 +19,7 @@ from anchorstat.stattests import (
     johnson_t,
     sign_flip_pvalue,
 )
-from anchorstat.synth import ScenarioConfig, generate_battery_quad, monte_carlo
+from anchorstat.synth import ScenarioConfig, battery_pattern_counts, generate_battery_quad, monte_carlo
 from brute_force import brute_force_partition
 
 
@@ -167,10 +167,7 @@ def test_criterion_08_power():
 
 
 def test_criterion_09_battery_patterns():
-    reject_cells = 0
-    reject_total = 0
-    accept_cells = 0
-    accept_total = 0
+    tallies = []
     k_values = (2, 3, 4, 5)
     for seed in range(20):
         cfg = ScenarioConfig(
@@ -185,18 +182,8 @@ def test_criterion_09_battery_patterns():
             alpha=0.05,
             seed=seed,
         )
-        rows = {row.pair: row for row in result.rows}
-        drift_row = rows[("nonanchor_aligned_1", "nonanchor_drifted")]
-        for K in k_values:
-            reject_total += 1
-            reject_cells += bool(drift_row.anchored[K].reject)
-        for b in result.baselines:
-            reject_total += 1
-            reject_cells += bool(drift_row.baselines[b].reject)
-        aligned_row = rows[("nonanchor_aligned_1", "nonanchor_aligned_2")]
-        for K in k_values:
-            accept_total += 1
-            accept_cells += not aligned_row.anchored[K].reject
+        tallies.append(battery_pattern_counts(result))
+    reject_cells, reject_total, accept_cells, accept_total = map(sum, zip(*tallies))
     reject_frac = reject_cells / reject_total
     accept_frac = accept_cells / accept_total
     ok = reject_frac >= 0.95 and accept_frac >= 0.80

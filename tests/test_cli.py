@@ -107,6 +107,61 @@ def test_cmd_test_agrees_with_battery(tmp_path):
         assert reports[b]["p_value"] == row["baselines"][b]["p_value"]
 
 
+def test_battery_and_distances_share_one_mapped_set_per_member_and_k(tmp_path, monkeypatch):
+    # every anchored cell of a battery, and the `distances` rows on the same
+    # manifest and seed, describe a member at K by one distance set
+    from anchorstat import stattests
+    from anchorstat.divergence import kl_divergence, wasserstein1
+
+    manifest = _family_manifest(tmp_path, seed=3)
+    seen = {}
+    paired_differences = stattests.paired_differences
+
+    def spy(a, b):
+        for s in (a, b):
+            seen.setdefault((s.source, s.K), set()).add(s.distances.tobytes())
+        return paired_differences(a, b)
+
+    monkeypatch.setattr(stattests, "paired_differences", spy)
+    grid = ("--k-grid", "2,3,4,5", "--seed", 7)
+    rc = run_cli("battery", "--manifest", manifest, *grid, "--permutations", 19,
+                 "--baselines", "none", "--out", tmp_path / "battery.csv")
+    assert rc == 0
+    assert len(seen) == 4 * 4  # four non-anchors at four K
+    assert all(len(v) == 1 for v in seen.values())
+    sets = {key: np.frombuffer(v.pop()) for key, v in seen.items()}
+
+    out = tmp_path / "curves.csv"
+    assert run_cli("distances", "--manifest", manifest, *grid, "--out", out) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 4
+    for K, _, kl, w1, tag in rows:
+        base, role = tag.removeprefix("H0(anchor; ").removesuffix(")").split(" vs ")
+        a, b = sets[base, int(K)], sets[role, int(K)]
+        assert kl == f"{kl_divergence(a, b).value:.12g}"
+        assert w1 == f"{wasserstein1(a, b):.12g}"
+
+
+def test_battery_member_with_too_few_rows_errors_in_each_of_its_rows():
+    from anchorstat.battery import run_battery
+    from anchorstat.corpus import validate_pairing
+    from anchorstat.synth import ScenarioConfig, generate_battery_quad
+
+    quad = generate_battery_quad(ScenarioConfig(n=40, seed=2))
+    members = dict(quad.members)
+    two_rows = np.repeat([[0.0, 1.0], [2.0, 3.0]], 20, axis=0)
+    members["nonanchor_drifted"] = EmbeddingMatrix(two_rows, label="nonanchor_drifted")
+    result = run_battery(validate_pairing(members), "quad", k_values=(2, 3), R=19,
+                         baselines=())
+    message = "ERROR: fewer than K=3 distinct rows; cannot form K non-empty clusters"
+    for row in result.rows:
+        assert row.anchored[2].error is None
+        if "nonanchor_drifted" in row.pair:
+            assert row.anchored[3].display == message
+        else:
+            assert row.anchored[3].error is None
+
+
 def test_cli_import_loads_no_http_client():
     code = (
         "import sys, anchorstat.cli\n"
@@ -493,6 +548,23 @@ def test_output_parent_directories_are_created(tmp_path, command):
     }[command]
     assert run_cli(*argv) == 0
     assert out.read_text()
+
+
+@pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
+def test_ingest_non_finite_temperature_is_a_usage_error(tmp_path, capsys, temperature):
+    data = _synth_manifest(tmp_path, scenario="null", seed=5, n=40).parent
+    hot = f"{data}/nonanchor_1.csv:nonanchor_1:{temperature}"
+    rc = run_cli(
+        "ingest",
+        "--dataset", f"{data}/anchor.csv:anchor",
+        "--dataset", hot,
+        "--dataset", f"{data}/nonanchor_2.csv:nonanchor_2",
+        "--out-manifest", tmp_path / "m.json",
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: bad temperature '{temperature}' in --dataset '{hot}'" in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_ingest_bad_temperature_is_a_usage_error(tmp_path, capsys):

@@ -31,3 +31,22 @@ def test_script_runs(script, args, tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert "seed: " in out.stdout + out.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("size_power_study.py", ["--n", "40", "--m", "1", "--permutations", "19"]),
+        ("divergence_curves.py", ["--n", "40", "--k-grid", "2", "--rhos", "0.5"]),
+    ],
+)
+def test_script_out_creates_missing_directories(script, args, tmp_path):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", "missing/dir/x"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "missing" / "dir" / "x").read_text()

@@ -5,8 +5,8 @@ put, so a change to the child-seed rule, or to how an entry point applies
 it, fails here. A deliberate change of a stream updates these literals.
 """
 
-from anchorstat import stattests, synth
-from anchorstat.battery import run_cell
+from anchorstat import battery, stattests, synth
+from anchorstat.battery import run_battery, run_cell
 from anchorstat.stattests import anchored_test
 from anchorstat.synth import (
     ScenarioConfig,
@@ -21,6 +21,29 @@ def test_battery_cell_seed():
     pair = ("nonanchor_aligned_1", "nonanchor_drifted")
     # a baseline cell reports the cell seed itself
     assert run_cell(quad, "quad", pair, "hotelling", seed=11).seed == 2500991577
+
+
+def test_battery_partition_seeds(monkeypatch):
+    # one k-means call per (member, K), seeded by (seed, role, K) alone
+    calls = []
+    kmeans = battery.kmeans
+
+    def spy(m, K, seed, **kwargs):
+        calls.append((m.label, K, seed))
+        return kmeans(m, K, seed=seed, **kwargs)
+
+    monkeypatch.setattr(battery, "kmeans", spy)
+    monkeypatch.setattr(stattests, "kmeans", spy)
+    quad = generate_battery_quad(ScenarioConfig(n=40, seed=3))
+    run_battery(quad, "quad", k_values=(2, 3), R=19, seed=11, baselines=())
+    assert sorted(calls) == [
+        ("nonanchor_aligned_1", 2, 3165633387),
+        ("nonanchor_aligned_1", 3, 1928603395),
+        ("nonanchor_aligned_2", 2, 585233585),
+        ("nonanchor_aligned_2", 3, 3620925608),
+        ("nonanchor_drifted", 2, 2694760516),
+        ("nonanchor_drifted", 3, 3010091481),
+    ]
 
 
 def test_anchored_test_seeds(monkeypatch):

@@ -17,8 +17,11 @@ from anchorstat.errors import (
     ParameterError,
     VacuousTestError,
 )
+from anchorstat.anchor import mapped_distances
+from anchorstat.cluster import kmeans
 from anchorstat.stattests import (
     _block_rows,
+    _child_seed,
     _sign_flips,
     anchored_test,
     energy_statistic,
@@ -208,6 +211,21 @@ def test_anchored_test_deterministic():
     b = anchored_test(*args, K=2, R=199, seed=9)
     assert a.p_value == b.p_value
     assert a.statistic == b.statistic
+
+
+def test_anchored_test_takes_mapped_sets():
+    # a member given as its distance set at K is the member the test
+    # would otherwise cluster with its child stream and map
+    triple = _triple(seed=7)
+    anchor = triple.member("anchor")
+    d1, d2 = triple.member("nonanchor_1"), triple.member("nonanchor_2")
+    set1 = mapped_distances(anchor, kmeans(d1, 3, seed=_child_seed(4, 1)), source=d1.label)
+    set2 = mapped_distances(anchor, kmeans(d2, 3, seed=_child_seed(4, 2)), source=d2.label)
+    expected = anchored_test(anchor, d1, d2, K=3, R=99, seed=4).to_dict()
+    assert anchored_test(anchor, set1, set2, K=3, R=99, seed=4).to_dict() == expected
+    assert anchored_test(anchor, set1, d2, K=3, R=99, seed=4).to_dict() == expected
+    with pytest.raises(ParameterError, match="at K=3 over 'anchor', not at K=2"):
+        anchored_test(anchor, set1, d2, K=2, R=99, seed=4)
 
 
 def _col(values):
