@@ -19,7 +19,12 @@ from anchorstat.stattests import (
     johnson_t,
     sign_flip_pvalue,
 )
-from anchorstat.synth import ScenarioConfig, battery_pattern_counts, generate_battery_quad, monte_carlo
+from anchorstat.synth import (
+    ScenarioConfig,
+    battery_pattern_counts,
+    generate_battery_quad,
+    monte_carlo,
+)
 from brute_force import brute_force_partition
 
 
