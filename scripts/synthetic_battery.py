@@ -17,9 +17,16 @@ from anchorstat.battery import battery_csv, run_battery
 from anchorstat.synth import ScenarioConfig, battery_pattern_counts, generate_battery_quad
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=20, help="number of grid seeds")
+    ap.add_argument("--seeds", type=positive_int, default=20, help="number of grid seeds")
     ap.add_argument("--n", type=int, default=300)
     ap.add_argument("--dim", type=int, default=2)
     ap.add_argument("--k-true", type=int, default=2)

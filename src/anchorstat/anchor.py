@@ -35,6 +35,11 @@ class MappedDistanceSet:
             raise PairingError("distances must be finite and nonnegative")
         object.__setattr__(self, "distances", arr)
 
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy from a worker process is
+        # read-only too
+        return MappedDistanceSet, (self.distances, self.source, self.anchor, self.K)
+
     @property
     def n(self) -> int:
         return self.distances.shape[0]

@@ -4,12 +4,13 @@ family.
 
 A member has one partition at each K: `mapped_member` clusters it with
 a seed derived from (seed, role, K) and maps the partition onto the
-anchor. `run_battery` computes that set once per (member, K) and shares
-it across every pair the member is in; `anchorstat test` and the
-divergence curves take theirs from the same function. Each cell then
-runs through `run_cell` with a seed derived from (seed, dataset, pair,
-K or baseline name) for the sign flips or the baseline, so `test` and
-`battery` agree on the same inputs and results do not depend on
+anchor. `run_battery` and the divergence curves compute every
+(member, K) set up front, spread over worker processes, and the battery
+shares each set across every pair the member is in; `anchorstat test`
+takes its sets from the same function. Each cell then runs in this
+process through `run_cell` with a seed derived from (seed, dataset,
+pair, K or baseline name) for the sign flips or the baseline, so `test`
+and `battery` agree on the same inputs and results do not depend on
 scheduling.
 """
 
@@ -27,6 +28,7 @@ from .anchor import MappedDistanceSet, mapped_distances
 from .cluster import kmeans
 from .corpus import ANCHOR_ROLE, PairedCollection
 from .errors import AnchorstatError, ManifestError, VacuousTestError
+from .sharding import run_sharded, split_range, usable_cpus
 from .stattests import (
     DEFAULT_ALPHA,
     DEFAULT_PERMUTATIONS,
@@ -103,6 +105,41 @@ def mapped_member(
     or curve uses it."""
     part = kmeans(collection.member(role), K, seed=_cell_seed(seed, role, K))
     return mapped_distances(collection.anchor, part, source=role)
+
+
+def _mapped_members(
+    collection: PairedCollection, tasks: list, seed: int, chunk: range
+) -> list:
+    """`mapped_member` for ``tasks[i]`` = (role, K), i in ``chunk``; a
+    task that fails with an `AnchorstatError` gives that error."""
+    sets = []
+    for role, K in (tasks[i] for i in chunk):
+        try:
+            sets.append(mapped_member(collection, role, K, seed))
+        except AnchorstatError as exc:
+            sets.append(exc)
+    return sets
+
+
+def _member_sets(collection: PairedCollection, roles: list, k_values, seed: int):
+    """``member_set(role, K)`` for every role and K, computed up front in
+    contiguous chunks of the role-major task list, one chunk per usable
+    CPU. The lookup raises the error of a member that could not be
+    clustered, each time it is asked for it."""
+    tasks = [(role, K) for role in roles for K in k_values]
+    shares = run_sharded(
+        _mapped_members, (collection, tasks, seed),
+        split_range(len(tasks), usable_cpus()), "(member, K) tasks",
+    )
+    sets = dict(zip(tasks, itertools.chain.from_iterable(shares)))
+
+    def member_set(role: str, K: int) -> MappedDistanceSet:
+        found = sets[(role, K)]
+        if isinstance(found, AnchorstatError):
+            raise found
+        return found
+
+    return member_set
 
 
 def run_cell(
@@ -184,8 +221,8 @@ def run_battery(
     tasks = [(pair, method) for pair in pairs for method in (*k_values, *baselines)]
 
     # one distance set per (member, K), shared by the member's rows; a
-    # member that cannot be clustered fails kmeans's input checks in each
-    member_set = functools.cache(functools.partial(mapped_member, collection, seed=seed))
+    # member that cannot be clustered shows its error in each of its cells
+    member_set = _member_sets(collection, collection.nonanchor_roles, k_values, seed)
 
     def compute(task) -> BatteryCell:
         pair, method = task
@@ -289,11 +326,12 @@ def run_distance_curves(
     if not varying:
         raise ManifestError("distance curves need at least one varying member")
 
+    member_set = _member_sets(collection, [base_role, *varying], k_values, seed)
     rows = []
     for K in k_values:
-        set_base = mapped_member(collection, base_role, K, seed)
+        set_base = member_set(base_role, K)
         for role in varying:
-            set_rho = mapped_member(collection, role, K, seed)
+            set_rho = member_set(role, K)
             kl = divergence.kl_divergence(set_base.distances, set_rho.distances)
             w1 = divergence.wasserstein1(set_base.distances, set_rho.distances)
             rows.append(

@@ -1,13 +1,27 @@
 """Contiguous chunks of work spread over processes, this one included.
 
 ``run_sharded`` is the one place where the package starts worker
-processes: ``mc`` runs its replicates through it and the CSV reader its
-byte ranges. ``multiprocessing`` is imported only when a worker is
+processes: ``mc`` runs its replicates through it, the CSV reader its
+byte ranges and the battery and distance curves their (member, K)
+partitions. ``multiprocessing`` is imported only when a worker is
 needed, so a run that never shards does not load it.
+
+While sharded work runs, every process uses one BLAS thread, this one
+included: the caller sets the OpenBLAS that numpy loaded to one thread
+before it starts the workers and restores its count afterwards, also on
+error, and each worker sets one thread itself, whatever the start
+method. Two processes on two cores with OpenBLAS's default two threads
+each oversubscribe the cores and gain nothing over one process. Where
+no such library is found the thread counts are left as they are. The
+platform's default start method is kept; on Python 3.12 and later a
+``fork`` while OpenBLAS threads are alive may emit a
+``DeprecationWarning`` (not verified: only 3.11 was tried).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 from typing import Callable, Sequence
 
@@ -21,10 +35,54 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _send_result(conn, fn: Callable, args: tuple, chunk: range) -> None:
-    """Worker process body: send back ``fn(*args, chunk)`` or the error
-    that ended it."""
+def split_range(count: int, jobs: int) -> list[range]:
+    """``range(count)`` cut into min(jobs, count) contiguous chunks whose
+    sizes differ by at most one, in order (one empty chunk if count is 0)."""
+    jobs = max(min(jobs, count), 1)
+    bounds = [count * j // jobs for j in range(jobs + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, looked up through numpy's own extension module, or None."""
     try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            return get, set_
+    return None
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Give numpy's OpenBLAS ``count`` threads and return the count it
+    had; None, changing nothing, where no OpenBLAS is found."""
+    blas = _openblas()
+    if blas is None:
+        return None
+    get, set_ = blas
+    before = get()
+    set_(count)
+    return before
+
+
+def _send_result(conn, fn: Callable, args: tuple, chunk: range) -> None:
+    """Worker process body: send back ``fn(*args, chunk)``, run on one
+    BLAS thread, or the error that ended it."""
+    try:
+        _set_blas_threads(1)
         conn.send(fn(*args, chunk))
     except Exception as exc:
         conn.send(exc)
@@ -35,7 +93,9 @@ def run_sharded(fn: Callable, args: tuple, chunks: Sequence[range], label: str) 
 
     Worker processes run chunks 1.. while this process runs chunk 0, so
     no process idles and a profile of this process still sees every
-    layer. ``fn`` must be a module-level function and ``args`` picklable.
+    layer. Every chunk runs on one BLAS thread; this process gets its
+    own count back on return. ``fn`` must be a module-level function
+    and ``args`` picklable.
     Results are read in chunk order, so the error raised is the
     lowest-index one, as in the serial loop; on any error the remaining
     workers are terminated rather than awaited. A worker that exits
@@ -46,6 +106,7 @@ def run_sharded(fn: Callable, args: tuple, chunks: Sequence[range], label: str) 
         return [fn(*args, chunk) for chunk in chunks]
     import multiprocessing
 
+    threads = _set_blas_threads(1)  # before the fork, which copies the count
     workers = []
     try:
         for chunk in chunks[1:]:
@@ -77,4 +138,6 @@ def run_sharded(fn: Callable, args: tuple, chunks: Sequence[range], label: str) 
         for proc, receive, _ in workers:
             proc.join()
             receive.close()
+        if threads is not None:
+            _set_blas_threads(threads)
     return results

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
 from .errors import GuardError, ParameterError, VacuousTestError
-from .sharding import run_sharded, usable_cpus
+from .sharding import run_sharded, split_range, usable_cpus
 from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, _child_seed, anchored_test
 
 # Community means are placed at pairwise distance
@@ -334,9 +334,7 @@ def monte_carlo(
         raise ParameterError(f"alpha must be in (0,1), got {alpha}")
     K_test = K if K is not None else cfg.K_true
     args = (scenario, cfg, M, K_test, R, alpha)
-    jobs = min(usable_cpus(), M)
-    bounds = [M * j // jobs for j in range(jobs + 1)]
-    chunks = [range(bounds[j], bounds[j + 1]) for j in range(jobs)]
+    chunks = split_range(M, usable_cpus())
     shares = run_sharded(_replicates, (args,), chunks, "replicates")
     results = [r for share in shares for r in share]
     outcomes = [outcome for outcome, _ in results]

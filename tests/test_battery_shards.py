@@ -1,0 +1,158 @@
+"""The battery's and the distance curves' (member, K) partitions, computed
+over several processes: the same bytes for every process count, and one
+BLAS thread in every process while sharded work runs."""
+
+import multiprocessing
+import pickle
+
+import numpy as np
+import pytest
+
+from anchorstat import battery, sharding
+from anchorstat.anchor import MappedDistanceSet
+from anchorstat.cli import main
+from anchorstat.corpus import (
+    DatasetManifest,
+    EmbeddingMatrix,
+    ExperimentGrid,
+    ManifestEntry,
+    save_manifest,
+    save_matrix,
+)
+from anchorstat.errors import ParameterError
+from anchorstat.synth import ScenarioConfig, generate_battery_quad, generate_drift_family
+
+
+def run_cli(*argv):
+    return main([str(a) for a in argv])
+
+
+def _write_manifest(tmp_path, collection, label):
+    entries = []
+    for role in collection.roles:
+        save_matrix(collection.member(role), tmp_path / f"{role}.csv")
+        entries.append(ManifestEntry(path=f"{role}.csv", role=role,
+                                     temperature=collection.temperatures.get(role)))
+    path = tmp_path / "manifest.json"
+    save_manifest(DatasetManifest(entries=tuple(entries), grid=ExperimentGrid(k_values=(2,)),
+                                  label=label), path)
+    return path
+
+
+def _quad_manifest(tmp_path):
+    """A battery quad whose drifted member has two distinct rows, so it
+    cannot be clustered at K=3 or K=4 and shows ERROR cells there."""
+    quad = generate_battery_quad(ScenarioConfig(n=60, dim=4, seed=2))
+    path = _write_manifest(tmp_path, quad, "quad")
+    rows = np.zeros((quad.n, 4))
+    rows[::2] = 1.0
+    save_matrix(EmbeddingMatrix(values=rows), tmp_path / "nonanchor_drifted.csv")
+    return path
+
+
+@pytest.mark.parametrize("pca", [
+    (),
+    ("--pca-dim", 2, "--pca-mode", "per_dataset"),
+    ("--pca-dim", 2, "--pca-mode", "joint"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_battery_identical_across_process_counts(tmp_path, monkeypatch, pca, fmt):
+    manifest = _quad_manifest(tmp_path)
+    outs = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(battery, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"battery-{cpus}.{fmt}"
+        rc = run_cli("battery", "--manifest", manifest, "--k-grid", "2,3,4",
+                     "--permutations", 49, "--seed", 5, *pca, "--format", fmt, "--out", out)
+        assert rc == 0
+        outs[cpus] = out.read_bytes()
+    assert outs[2] == outs[1] and outs[3] == outs[1]
+    if not pca:
+        assert outs[1].count(b"ERROR: fewer than K=3 distinct rows") == 2
+
+
+def test_distances_identical_across_process_counts(tmp_path, monkeypatch):
+    cfg = ScenarioConfig(n=120, dim=2, K_true=2, community_separation=8.0, seed=4)
+    family = generate_drift_family(cfg, [(0.1, 0.02), (0.7, 0.3), (1.5, 0.85)])
+    manifest = _write_manifest(tmp_path, family, "family")
+    outs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(battery, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"curves-{cpus}.csv"
+        rc = run_cli("distances", "--manifest", manifest, "--k-grid", "2,3,4", "--seed", 6,
+                     "--out", out)
+        assert rc == 0
+        outs[cpus] = out.read_bytes()
+    assert outs[2] == outs[1]
+    assert len(outs[1].splitlines()) == 1 + 3 * 3
+
+
+def test_member_set_from_a_worker_is_read_only():
+    # sets come back from worker processes pickled
+    sent = MappedDistanceSet(distances=np.array([0.5, 1.0]), source="m", anchor="a", K=2)
+    got = pickle.loads(pickle.dumps(sent))
+    assert got.distances.tolist() == [0.5, 1.0]
+    assert (got.source, got.anchor, got.K) == ("m", "a", 2)
+    assert not got.distances.flags.writeable
+
+
+def _threads_in_chunk(fail_at, chunk):
+    """The BLAS thread count this chunk runs with; chunk ``fail_at`` raises."""
+    if chunk.start == fail_at:
+        raise ParameterError(f"chunk {fail_at} failed")
+    get, _ = sharding._openblas()
+    return get()
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS set to two threads for the test, then reset."""
+    found = sharding._openblas()
+    if found is None:
+        pytest.skip("no OpenBLAS thread functions found in numpy")
+    get, set_ = found
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+@pytest.fixture(params=["fork", "spawn", "forkserver"])
+def start_method(request):
+    """Each start method in turn: a fresh worker must set one thread itself."""
+    if request.param not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"the {request.param} start method is not available")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield
+    multiprocessing.set_start_method(previous, force=True)
+
+
+def test_sharded_chunks_run_on_one_blas_thread(blas, start_method):
+    callers = blas()
+    assert sharding.run_sharded(_threads_in_chunk, (None,), sharding.split_range(3, 3),
+                                "chunks") == [1, 1, 1]
+    assert blas() == callers
+
+
+@pytest.mark.parametrize("fail_at", [0, 2])
+def test_callers_blas_threads_restored_after_an_error(blas, fail_at):
+    callers = blas()
+    with pytest.raises(ParameterError, match=f"chunk {fail_at} failed"):
+        sharding.run_sharded(_threads_in_chunk, (fail_at,), sharding.split_range(3, 3),
+                             "chunks")
+    assert blas() == callers
+
+
+def test_one_chunk_keeps_the_callers_blas_threads(blas):
+    callers = blas()
+    assert sharding.run_sharded(_threads_in_chunk, (None,), [range(1)], "chunks") == [callers]
+
+
+@pytest.mark.parametrize("count, jobs, sizes", [
+    (8, 2, [4, 4]), (7, 3, [2, 2, 3]), (2, 5, [1, 1]), (0, 2, [0]),
+])
+def test_split_range(count, jobs, sizes):
+    chunks = sharding.split_range(count, jobs)
+    assert [len(c) for c in chunks] == sizes
+    assert [i for c in chunks for i in c] == list(range(count))

@@ -50,3 +50,17 @@ def test_script_out_creates_missing_directories(script, args, tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "missing" / "dir" / "x").read_text()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_battery_script_rejects_seed_counts_below_one(seeds, tmp_path):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "synthetic_battery.py"), "--seeds", seeds],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 2
+    assert "argument --seeds: must be at least 1" in out.stderr
+    assert "Traceback" not in out.stderr

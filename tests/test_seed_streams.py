@@ -34,6 +34,8 @@ def test_battery_partition_seeds(monkeypatch):
 
     monkeypatch.setattr(battery, "kmeans", spy)
     monkeypatch.setattr(stattests, "kmeans", spy)
+    # one process, so the spy sees every (member, K) task
+    monkeypatch.setattr(battery, "usable_cpus", lambda: 1)
     quad = generate_battery_quad(ScenarioConfig(n=40, seed=3))
     run_battery(quad, "quad", k_values=(2, 3), R=19, seed=11, baselines=())
     assert sorted(calls) == [
