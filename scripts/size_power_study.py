@@ -42,7 +42,8 @@ def main() -> int:
         rep = monte_carlo(
             scenario, cfg, M=args.m, K=args.k, R=args.permutations, alpha=args.alpha
         )
-        reports[scenario] = rep.to_dict()
+        # the wall-clock field is printed, not written, so reruns are byte-identical
+        reports[scenario] = rep.to_dict(volatile=False)
         print(
             f"{scenario:>4}: rate={rep.rate:.3f} "
             f"CI=[{rep.ci_low:.3f}, {rep.ci_high:.3f}] "

@@ -7,11 +7,11 @@ a seed derived from (seed, role, K) and maps the partition onto the
 anchor. `run_battery` and the divergence curves compute every
 (member, K) set up front, spread over worker processes, and the battery
 shares each set across every pair the member is in; `anchorstat test`
-takes its sets from the same function. Each cell then runs in this
-process through `run_cell` with a seed derived from (seed, dataset,
-pair, K or baseline name) for the sign flips or the baseline, so `test`
-and `battery` agree on the same inputs and results do not depend on
-scheduling.
+and each Monte Carlo replicate call `run_cell`, which takes its sets
+from the same function. Each cell then runs in this process through
+`run_cell` with a seed derived from (seed, dataset, pair, K or baseline
+name) for the sign flips or the baseline, so `test`, `battery` and `mc`
+agree on the same inputs and results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -171,13 +171,7 @@ def _run_cell(
     cell_seed = _cell_seed(seed, dataset, r1, r2, method)
     if not isinstance(method, str):
         return anchored_test(
-            collection.anchor,
-            member_set(r1, method),
-            member_set(r2, method),
-            K=method,
-            R=R,
-            seed=cell_seed,
-            alpha=alpha,
+            member_set(r1, method), member_set(r2, method), R=R, seed=cell_seed, alpha=alpha
         )
     if method not in BASELINES:
         raise ManifestError(f"unknown baseline '{method}'")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ _SHARD_BYTES = 8 << 20
 class _Fresh:
     """A float64 array that the matrix may take over without a copy: one
     that a loader or ``normalize_rows`` has just built and holds no
-    other reference to, or the read-only values of another matrix."""
+    other reference to."""
 
     __slots__ = ("array",)
 
@@ -100,9 +101,6 @@ class EmbeddingMatrix:
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-    def with_label(self, label: str) -> "EmbeddingMatrix":
-        return EmbeddingMatrix(_Fresh(self.values), label, self.unit_norm)
 
 
 def load_matrix(path, fmt: str = "csv", label: str | None = None) -> EmbeddingMatrix:
@@ -346,6 +344,8 @@ class ExperimentGrid:
     def __post_init__(self):
         if any(k < 2 for k in self.k_values):
             raise ManifestError(f"grid K values must be >= 2, got {self.k_values}")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise ManifestError(f"grid K values must be distinct, got {self.k_values}")
         if not 0 < self.alpha < 1:
             raise ManifestError(f"alpha must be in (0,1), got {self.alpha}")
         if self.permutations < 1:
@@ -402,15 +402,7 @@ def load_manifest(path) -> DatasetManifest:
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     try:
-        entries = tuple(
-            ManifestEntry(
-                path=d["path"],
-                role=d["role"],
-                temperature=d.get("temperature"),
-                fmt=d.get("format", "csv"),
-            )
-            for d in doc["datasets"]
-        )
+        entries = tuple(_manifest_entry(i, d) for i, d in enumerate(doc["datasets"]))
         g = doc.get("grid", {})
         grid = ExperimentGrid(
             k_values=tuple(g.get("k_values", (2, 3, 4, 5))),
@@ -421,6 +413,21 @@ def load_manifest(path) -> DatasetManifest:
     except (KeyError, TypeError) as exc:
         raise ManifestError(f"manifest missing required field: {exc}") from exc
     return DatasetManifest(entries=entries, grid=grid, label=doc.get("label", path.stem))
+
+
+def _manifest_entry(i: int, d: dict) -> ManifestEntry:
+    """Entry i of a manifest's datasets, each field of the type readers rely on."""
+    fields = {"path": d["path"], "role": d["role"], "format": d.get("format", "csv")}
+    for name, value in fields.items():
+        if not isinstance(value, str):
+            raise ManifestError(f"manifest datasets[{i}]: '{name}' must be a string, got {value!r}")
+    t = d.get("temperature")
+    # the type test turns away bools, and isfinite the NaN and Infinity json reads
+    if t is not None and (type(t) not in (int, float) or not math.isfinite(t)):
+        raise ManifestError(
+            f"manifest datasets[{i}]: 'temperature' must be null or a finite number, got {t!r}"
+        )
+    return ManifestEntry(fields["path"], fields["role"], t, fields["format"])
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

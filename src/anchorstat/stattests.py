@@ -9,6 +9,10 @@ classical paired t plus a third-central-moment correction,
 with se = sqrt(var/n), var the (n-1)-denominator sample variance and
 mu3 = sum((d - dbar)^3) / (n-1). Its null distribution is estimated by
 flipping the sign of each paired difference independently.
+
+`anchored_test` applies it to two mapped distance sets over one anchor;
+the partitions behind those sets are chosen and clustered elsewhere
+(`battery.mapped_member`), so nothing here clusters.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .anchor import DiffVector, MappedDistanceSet, mapped_distances, paired_differences
-from .cluster import _BLOCK_ENTRIES, RESTARTS, kmeans
-from .corpus import EmbeddingMatrix, validate_pairing
+from .anchor import DiffVector, MappedDistanceSet, paired_differences
+from .cluster import _BLOCK_ENTRIES, RESTARTS
+from .corpus import EmbeddingMatrix
 from .errors import (
     DegeneracyError,
     DegenerateSampleError,
@@ -207,35 +211,34 @@ def _child_seed(seed: int, *path: int) -> int:
 
 
 def anchored_test(
-    anchor: EmbeddingMatrix,
-    d1: EmbeddingMatrix | MappedDistanceSet,
-    d2: EmbeddingMatrix | MappedDistanceSet,
-    K: int,
+    set1: MappedDistanceSet,
+    set2: MappedDistanceSet,
     R: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
     alpha: float = DEFAULT_ALPHA,
 ) -> TestReport:
-    """Test whether two non-anchor datasets share one community structure.
+    """Test whether two non-anchor partitions, given as their distance
+    sets over one anchor at one K, describe one community structure.
 
-    Maps each non-anchor's partition at K onto the anchor and applies the
-    sign-flip modified-t test to the paired distance differences. A
-    non-anchor given as its matrix is clustered here, with child stream 1
-    or 2 of ``seed``; one given as its MappedDistanceSet at K is used as
-    it is (the battery passes each member's one partition this way).
-    Identical mapped structures leave nothing to test and raise
-    VacuousTestError.
+    Applies the sign-flip modified-t test to the paired differences
+    set1 - set2, with child stream 3 of ``seed``. Which partition
+    describes a member is decided by the caller (`battery.mapped_member`).
+    Sets at different K raise ParameterError; identical sets leave
+    nothing to test and raise VacuousTestError.
     """
-    validate_pairing({"anchor": anchor, "d1": d1, "d2": d2})
-    set1 = _mapped_at(anchor, d1, K, _child_seed(seed, 1))
-    set2 = _mapped_at(anchor, d2, K, _child_seed(seed, 2))
+    if set1.K != set2.K:
+        raise ParameterError(
+            f"distance sets of '{set1.source}' and '{set2.source}' are at "
+            f"different K: {set1.K} vs {set2.K}"
+        )
     diff = paired_differences(set1, set2)
     if np.all(diff.diffs == 0.0):
         raise VacuousTestError(
             "mapped community structures are identical; the paired test is vacuous"
         )
     meta = {
-        "K": K,
-        "anchor_label": anchor.label,
+        "K": set1.K,
+        "anchor_label": set1.anchor,
         "d1_label": set1.source,
         "d2_label": set2.source,
         "kmeans_restarts": RESTARTS,
@@ -243,19 +246,6 @@ def anchored_test(
     return sign_flip_pvalue(
         diff, R=R, seed=_child_seed(seed, 3), alpha=alpha, metadata=meta
     )
-
-
-def _mapped_at(anchor: EmbeddingMatrix, d, K: int, seed: int) -> MappedDistanceSet:
-    """``d``'s distance set over ``anchor`` at K: a matrix is clustered with
-    ``seed`` and mapped; a distance set must already be at K over it."""
-    if not isinstance(d, MappedDistanceSet):
-        return mapped_distances(anchor, kmeans(d, K, seed=seed), source=d.label)
-    if d.K != K or d.anchor != anchor.label:
-        raise ParameterError(
-            f"distance set of '{d.source}' is at K={d.K} over '{d.anchor}', "
-            f"not at K={K} over '{anchor.label}'"
-        )
-    return d
 
 
 def _sample_rows(x) -> np.ndarray:

@@ -6,6 +6,12 @@ community means, so the three datasets share a partition of the index
 set while living in unrelated coordinate frames. The "null" scenario
 keeps one label vector for everything; the "alt" scenario redraws labels
 for the second non-anchor.
+
+`monte_carlo` tests replicate m of a study with seed s as `anchorstat
+test --seed (s, m, 1)` tests the triple `anchorstat synth --seed (s, m, 0)`
+writes, through the same `battery.run_cell`; (s, m, i) is
+`stattests._child_seed(s, m, i)`. So a study is a prefix of any longer
+one with the same seed.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .battery import run_cell
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
 from .errors import GuardError, ParameterError, VacuousTestError
 from .sharding import run_sharded, split_range, usable_cpus
-from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, _child_seed, anchored_test
+from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, _child_seed
 
 # Community means are placed at pairwise distance
 # _BOUNDARY_CONTRAST * community_separation * noise_sd. The factor keeps a
@@ -277,23 +284,17 @@ def _wilson_ci(successes: int, total: int, z: float = 1.959963984540054) -> tupl
 
 
 def _replicate(
-    scenario: str, cfg: ScenarioConfig, M: int, K: int, R: int, alpha: float, m: int
+    scenario: str, cfg: ScenarioConfig, K: int, R: int, alpha: float, m: int
 ) -> tuple[str, float]:
-    """Replicate m of an M-replicate study: its outcome ("reject",
-    "accept" or "vacuous") and its wall time in seconds. The data seed
-    is (seed, m) and the test seed (seed, M + m), so the outcome does
-    not depend on which process runs it or in what order."""
+    """Replicate m's outcome ("reject", "accept" or "vacuous") and wall
+    time in seconds; it depends on (seed, m) alone, not on M, the process
+    or the order."""
     start = time.perf_counter()
-    triple = generate_scenario(scenario, replace(cfg, seed=_child_seed(cfg.seed, m)))
+    triple = generate_scenario(scenario, replace(cfg, seed=_child_seed(cfg.seed, m, 0)))
     try:
-        report = anchored_test(
-            triple.member("anchor"),
-            triple.member("nonanchor_1"),
-            triple.member("nonanchor_2"),
-            K=K,
-            R=R,
-            seed=_child_seed(cfg.seed, M + m),
-            alpha=alpha,
+        report = run_cell(
+            triple, f"synth-{scenario}", ("nonanchor_1", "nonanchor_2"), K,
+            R=R, alpha=alpha, seed=_child_seed(cfg.seed, m, 1),
         )
         outcome = "reject" if report.reject else "accept"
     except VacuousTestError:
@@ -314,7 +315,8 @@ def monte_carlo(
     R: int = DEFAULT_PERMUTATIONS,
     alpha: float = DEFAULT_ALPHA,
 ) -> MonteCarloReport:
-    """Run the anchored test on M independently seeded triples.
+    """Run the anchored test on M independently seeded triples, replicate
+    m as the module docstring says.
 
     A replicate whose mapped structures come out identical contributes a
     non-rejection (identical mappings are the strongest agreement with
@@ -333,7 +335,7 @@ def monte_carlo(
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0,1), got {alpha}")
     K_test = K if K is not None else cfg.K_true
-    args = (scenario, cfg, M, K_test, R, alpha)
+    args = (scenario, cfg, K_test, R, alpha)
     chunks = split_range(M, usable_cpus())
     shares = run_sharded(_replicates, (args,), chunks, "replicates")
     results = [r for share in shares for r in share]

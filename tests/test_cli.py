@@ -297,6 +297,15 @@ def test_battery_empty_manifest_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+def test_battery_rejects_repeated_k(tmp_path, capsys):
+    manifest = _synth_manifest(tmp_path, n=40)
+    out = tmp_path / "battery.csv"
+    rc = run_cli("battery", "--manifest", manifest, "--k-grid", "2,2", "--out", out)
+    assert rc == 1
+    assert "grid K values must be distinct, got (2, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _family_manifest(tmp_path, seed=0):
     from anchorstat.corpus import DatasetManifest, ExperimentGrid, ManifestEntry, save_manifest
     from anchorstat.synth import ScenarioConfig, generate_drift_family

@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 import warnings
 
@@ -248,6 +250,24 @@ def test_manifest_rejects_small_k():
         ExperimentGrid(k_values=(1, 2))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("temperature", "0.7", "'temperature' must be null or a finite number, got '0.7'"),
+    ("temperature", float("nan"), "'temperature' must be null or a finite number, got nan"),
+    ("temperature", float("inf"), "'temperature' must be null or a finite number, got inf"),
+    ("temperature", True, "'temperature' must be null or a finite number, got True"),
+    ("path", 5, "'path' must be a string, got 5"),
+    ("role", ["x"], "'role' must be a string"),
+    ("format", None, "'format' must be a string, got None"),
+])
+def test_load_manifest_checks_field_types(tmp_path, field, value, message):
+    save_manifest(_manifest(tmp_path), tmp_path / "manifest.json")
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["datasets"][1][field] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))  # NaN and Infinity as Python writes them
+    with pytest.raises(ManifestError, match=re.escape(f"datasets[1]: {message}")):
+        load_manifest(tmp_path / "manifest.json")
+
+
 def test_manifest_missing_path(tmp_path):
     manifest = _manifest(tmp_path)
     (tmp_path / "nonanchor_1.csv").unlink()
@@ -324,20 +344,8 @@ def test_normalize_rows_takes_over_its_quotient():
     assert peak <= 2.2 * m.values.nbytes
 
 
-def test_with_label_shares_the_values():
-    rng = np.random.default_rng(9)
-    m = EmbeddingMatrix(values=rng.normal(size=(2000, 64)), label="a")
-    relabelled, peak = _traced_peak(m.with_label, "b")
-    assert relabelled.label == "b" and m.label == "a"
-    assert np.shares_memory(relabelled.values, m.values)
-    assert not relabelled.values.flags.writeable
-    # no copy: only the finiteness check's booleans, an eighth of the values
-    assert peak <= 0.5 * m.values.nbytes
-
-
 def test_matrix_copies_the_callers_array():
     values = np.arange(6.0).reshape(3, 2)
     m = EmbeddingMatrix(values=values)
     values[0, 0] = 99.0
     assert m.values[0, 0] == 0.0
-    assert m.with_label("x").values[0, 0] == 0.0

@@ -64,3 +64,20 @@ def test_battery_script_rejects_seed_counts_below_one(seeds, tmp_path):
     assert out.returncode == 2
     assert "argument --seeds: must be at least 1" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_size_power_study_out_is_byte_identical_across_reruns(tmp_path):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    written = []
+    for run in range(2):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "size_power_study.py"), "--n", "40",
+             "--m", "2", "--permutations", "19", "--out", f"run{run}.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "mean_runtime=" in out.stdout  # printed, not written
+        written.append((tmp_path / f"run{run}.json").read_bytes())
+    assert written[0] == written[1]

@@ -5,7 +5,7 @@ put, so a change to the child-seed rule, or to how an entry point applies
 it, fails here. A deliberate change of a stream updates these literals.
 """
 
-from anchorstat import battery, stattests, synth
+from anchorstat import battery, synth
 from anchorstat.battery import run_battery, run_cell
 from anchorstat.stattests import anchored_test
 from anchorstat.synth import (
@@ -33,7 +33,6 @@ def test_battery_partition_seeds(monkeypatch):
         return kmeans(m, K, seed=seed, **kwargs)
 
     monkeypatch.setattr(battery, "kmeans", spy)
-    monkeypatch.setattr(stattests, "kmeans", spy)
     # one process, so the spy sees every (member, K) task
     monkeypatch.setattr(battery, "usable_cpus", lambda: 1)
     quad = generate_battery_quad(ScenarioConfig(n=40, seed=3))
@@ -48,31 +47,16 @@ def test_battery_partition_seeds(monkeypatch):
     ]
 
 
-def test_anchored_test_seeds(monkeypatch):
-    kmeans_seeds = []
-    kmeans = stattests.kmeans
-
-    def spy(m, K, seed, **kwargs):
-        kmeans_seeds.append(seed)
-        return kmeans(m, K, seed=seed, **kwargs)
-
-    monkeypatch.setattr(stattests, "kmeans", spy)
+def test_anchored_test_seeds():
     triple = generate_alt_triple(ScenarioConfig(n=40, seed=1))
-    report = anchored_test(
-        triple.member("anchor"),
-        triple.member("nonanchor_1"),
-        triple.member("nonanchor_2"),
-        K=2,
-        R=19,
-        seed=11,
-    )
-    assert kmeans_seeds == [592467769, 621272063]
+    sets = [battery.mapped_member(triple, role, 2, 11) for role in ("nonanchor_1", "nonanchor_2")]
+    report = anchored_test(*sets, R=19, seed=11)
     assert report.seed == 520846937  # the sign-flip seed
 
 
 def test_monte_carlo_replicate_seeds(monkeypatch):
     data_seeds, test_seeds = [], []
-    generate, test = synth.generate_null_triple, synth.anchored_test
+    generate, test = synth.generate_null_triple, synth.run_cell
 
     def generate_spy(cfg):
         data_seeds.append(cfg.seed)
@@ -83,8 +67,8 @@ def test_monte_carlo_replicate_seeds(monkeypatch):
         return test(*args, seed=seed, **kwargs)
 
     monkeypatch.setattr(synth, "generate_null_triple", generate_spy)
-    monkeypatch.setattr(synth, "anchored_test", test_spy)
+    monkeypatch.setattr(synth, "run_cell", test_spy)
     monkeypatch.setattr(synth, "usable_cpus", lambda: 1)  # the spies see every replicate
     monte_carlo("null", ScenarioConfig(n=40, seed=5), M=3, R=19)
     assert data_seeds == [16823399, 3796490668, 3226123765]
-    assert test_seeds == [727168946, 278233753, 1608096988]
+    assert test_seeds == [3598628658, 3269189123, 1070606992]

@@ -17,11 +17,9 @@ from anchorstat.errors import (
     ParameterError,
     VacuousTestError,
 )
-from anchorstat.anchor import mapped_distances
-from anchorstat.cluster import kmeans
+from anchorstat.battery import mapped_member
 from anchorstat.stattests import (
     _block_rows,
-    _child_seed,
     _sign_flips,
     anchored_test,
     energy_statistic,
@@ -151,24 +149,20 @@ def test_sign_draw_equals_integers_draw(n):
         np.testing.assert_array_equal(got.astype(int), want)
 
 
+def _sets(collection, roles, K, seed):
+    """The mapped distance sets of ``roles`` at K, as the battery gives them."""
+    return [mapped_member(collection, role, K, seed) for role in roles]
+
+
 def test_anchored_identical_nonanchors_vacuous():
-    triple = _triple()
-    anchor = triple.member("anchor")
-    d1 = triple.member("nonanchor_1")
+    (set1,) = _sets(_triple(), ["nonanchor_1"], 2, 0)
     with pytest.raises(VacuousTestError, match="identical"):
-        anchored_test(anchor, d1, d1, K=2, seed=0)
+        anchored_test(set1, set1, seed=0)
 
 
 def test_anchored_test_composes_and_reports_metadata():
     triple = _triple(seed=5)
-    report = anchored_test(
-        triple.member("anchor"),
-        triple.member("nonanchor_1"),
-        triple.member("nonanchor_2"),
-        K=2,
-        R=199,
-        seed=3,
-    )
+    report = anchored_test(*_sets(triple, ["nonanchor_1", "nonanchor_2"], 2, 3), R=199, seed=3)
     assert report.method == "anchored_johnson"
     assert report.metadata["K"] == 2
     assert report.metadata["d1_label"] == "nonanchor_1"
@@ -187,45 +181,31 @@ def test_anchored_test_handles_unequal_member_dimensions():
     d1 = np.array([[mu[v], 0.0, 0.0] for v in z]) + rng.normal(size=(n, 3))
     z2 = rng.integers(0, 2, n)
     d2 = np.array([[mu[v]] for v in z2]) + rng.normal(size=(n, 1))
-    from anchorstat.corpus import EmbeddingMatrix
+    from anchorstat.corpus import EmbeddingMatrix, validate_pairing
 
-    report = anchored_test(
-        EmbeddingMatrix(values=anchor, label="anchor"),
-        EmbeddingMatrix(values=d1, label="three_dim"),
-        EmbeddingMatrix(values=d2, label="one_dim"),
-        K=2,
-        R=199,
-        seed=1,
-    )
+    collection = validate_pairing({
+        "anchor": EmbeddingMatrix(values=anchor, label="anchor"),
+        "three_dim": EmbeddingMatrix(values=d1, label="three_dim"),
+        "one_dim": EmbeddingMatrix(values=d2, label="one_dim"),
+    })
+    report = anchored_test(*_sets(collection, ["three_dim", "one_dim"], 2, 1), R=199, seed=1)
     assert report.reject  # structures disagree despite mismatched dims
 
 
 def test_anchored_test_deterministic():
-    triple = _triple(seed=6)
-    args = (
-        triple.member("anchor"),
-        triple.member("nonanchor_1"),
-        triple.member("nonanchor_2"),
-    )
-    a = anchored_test(*args, K=2, R=199, seed=9)
-    b = anchored_test(*args, K=2, R=199, seed=9)
+    sets = _sets(_triple(seed=6), ["nonanchor_1", "nonanchor_2"], 2, 9)
+    a = anchored_test(*sets, R=199, seed=9)
+    b = anchored_test(*sets, R=199, seed=9)
     assert a.p_value == b.p_value
     assert a.statistic == b.statistic
 
 
 def test_anchored_test_takes_mapped_sets():
-    # a member given as its distance set at K is the member the test
-    # would otherwise cluster with its child stream and map
     triple = _triple(seed=7)
-    anchor = triple.member("anchor")
-    d1, d2 = triple.member("nonanchor_1"), triple.member("nonanchor_2")
-    set1 = mapped_distances(anchor, kmeans(d1, 3, seed=_child_seed(4, 1)), source=d1.label)
-    set2 = mapped_distances(anchor, kmeans(d2, 3, seed=_child_seed(4, 2)), source=d2.label)
-    expected = anchored_test(anchor, d1, d2, K=3, R=99, seed=4).to_dict()
-    assert anchored_test(anchor, set1, set2, K=3, R=99, seed=4).to_dict() == expected
-    assert anchored_test(anchor, set1, d2, K=3, R=99, seed=4).to_dict() == expected
-    with pytest.raises(ParameterError, match="at K=3 over 'anchor', not at K=2"):
-        anchored_test(anchor, set1, d2, K=2, R=99, seed=4)
+    (set1,) = _sets(triple, ["nonanchor_1"], 3, 4)
+    (set2,) = _sets(triple, ["nonanchor_2"], 2, 4)
+    with pytest.raises(ParameterError, match="different K: 3 vs 2"):
+        anchored_test(set1, set2, R=99, seed=4)
 
 
 def _col(values):

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from anchorstat import cli, synth
 from anchorstat.cluster import kmeans
-from anchorstat.errors import GuardError, ParameterError
+from anchorstat.errors import GuardError, ParameterError, VacuousTestError
+from anchorstat.stattests import _child_seed
 from anchorstat.synth import (
     ScenarioConfig,
     generate_alt_triple,
@@ -226,3 +230,59 @@ def test_rand_index_basics():
     assert rand_index(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])) == pytest.approx(1 / 3)
     with pytest.raises(ParameterError):
         rand_index(np.array([0, 1]), np.array([0, 1, 1]))
+
+
+def _spy_replicates(monkeypatch):
+    """Run `monte_carlo` in this process and record, per replicate, its
+    (data seed, test seed, report or "vacuous")."""
+    seeds, outcomes = [], []
+    generate, run_cell = synth.generate_scenario, synth.run_cell
+
+    def generate_spy(scenario, cfg):
+        seeds.append(cfg.seed)
+        return generate(scenario, cfg)
+
+    def run_cell_spy(*args, seed, **kwargs):
+        try:
+            report = run_cell(*args, seed=seed, **kwargs)
+        except VacuousTestError:
+            outcomes.append((seed, "vacuous"))
+            raise
+        outcomes.append((seed, report))
+        return report
+
+    monkeypatch.setattr(synth, "generate_scenario", generate_spy)
+    monkeypatch.setattr(synth, "run_cell", run_cell_spy)
+    monkeypatch.setattr(synth, "usable_cpus", lambda: 1)
+    return lambda: [(d, t, r) for d, (t, r) in zip(seeds, outcomes)]
+
+
+@pytest.mark.parametrize("scenario", ["null", "alt"])
+def test_monte_carlo_replicate_is_synth_then_test(scenario, monkeypatch, tmp_path):
+    # replicate m is what `synth --seed (s, m, 0)` then `test --seed (s, m, 1)` give
+    replicates = _spy_replicates(monkeypatch)
+    monte_carlo(scenario, _cfg(n=60, seed=8), M=3, K=2, R=49)
+    for m, (data_seed, test_seed, report) in enumerate(replicates()):
+        assert (data_seed, test_seed) == (_child_seed(8, m, 0), _child_seed(8, m, 1))
+        out = tmp_path / f"{scenario}{m}"
+        assert cli.main(["synth", "--scenario", scenario, "--n", "60", "--seed", str(data_seed),
+                         "--permutations", "49", "--out-dir", str(out)]) == 0
+        rc = cli.main(["test", "--manifest", str(out / "manifest.json"), "--k", "2",
+                       "--seed", str(test_seed), "--out", str(out / "test.json")])
+        if report == "vacuous":
+            assert rc == 1
+            continue
+        assert rc == 0
+        doc = json.loads((out / "test.json").read_text())["anchored"]
+        assert (doc["p_value"], doc["statistic"]) == (report.p_value, report.statistic)
+
+
+def test_monte_carlo_study_is_a_prefix_of_a_longer_one(monkeypatch):
+    def summary(M):
+        replicates = _spy_replicates(monkeypatch)
+        monte_carlo("null", _cfg(n=60, seed=2), M=M, R=49)
+        return [(d, t, r if r == "vacuous" else r.p_value) for d, t, r in replicates()]
+
+    short, long = summary(4), summary(8)
+    assert len(short) == 4 and len(long) == 8
+    assert long[:4] == short
