@@ -403,16 +403,36 @@ def load_manifest(path) -> DatasetManifest:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     try:
         entries = tuple(_manifest_entry(i, d) for i, d in enumerate(doc["datasets"]))
-        g = doc.get("grid", {})
-        grid = ExperimentGrid(
-            k_values=tuple(g.get("k_values", (2, 3, 4, 5))),
-            alpha=g.get("alpha", 0.05),
-            permutations=g.get("permutations", 999),
-            seed=g.get("seed", 0),
-        )
+        grid = _manifest_grid(doc.get("grid", {}))
     except (KeyError, TypeError) as exc:
         raise ManifestError(f"manifest missing required field: {exc}") from exc
     return DatasetManifest(entries=entries, grid=grid, label=doc.get("label", path.stem))
+
+
+def _manifest_grid(g: dict) -> ExperimentGrid:
+    """A manifest's grid, each field of the type the test code relies on."""
+
+    def field(name, default, ok, kind):
+        value = g.get(name, default)
+        if not ok(value):
+            raise ManifestError(f"manifest grid.{name} must be {kind}, got {value!r}")
+        return value
+
+    def is_int(v):  # the type test turns away bools
+        return type(v) is int
+
+    return ExperimentGrid(
+        k_values=tuple(field(
+            "k_values", [2, 3, 4, 5],
+            lambda v: type(v) is list and all(map(is_int, v)), "a list of integers",
+        )),
+        alpha=field(
+            "alpha", 0.05,
+            lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number",
+        ),
+        permutations=field("permutations", 999, is_int, "an integer"),
+        seed=field("seed", 0, is_int, "an integer"),
+    )
 
 
 def _manifest_entry(i: int, d: dict) -> ManifestEntry:

@@ -177,6 +177,39 @@ def test_cli_import_loads_no_http_client():
     assert out.stdout.strip() == "[]"
 
 
+def test_commands_import_no_scipy(tmp_path):
+    triple = _synth_manifest(tmp_path, n=60)
+    family = _family_manifest(tmp_path)
+    baselines = ["--baselines", "hotelling,nploc,energy", "--permutations", "19"]
+    runs = [
+        ["battery", "--manifest", triple, "--k-grid", "2", *baselines, "--out", "b.csv"],
+        ["battery", "--manifest", triple, "--k-grid", "2", *baselines,
+         "--format", "json", "--out", "b.json"],
+        ["test", "--manifest", triple, "--k", "2", *baselines, "--out", "t.json"],
+        ["distances", "--manifest", family, "--out", "d.csv"],
+        ["mc", "--scenario", "null", "--n", "60", "--m", "2", "--permutations", "19",
+         "--out", "mc.json"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from anchorstat.cli import main\n"
+        "seen = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n"
+        "    seen.append([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([[str(a) for a in r] for r in runs])],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [[]] * len(runs)
+    assert all((tmp_path / r[-1]).exists() for r in runs)
+
+
 def test_battery_csv_schema_and_reproducibility(tmp_path):
     manifest = _synth_manifest(tmp_path, scenario="alt", seed=4)
     out1 = tmp_path / "battery1.csv"

@@ -268,6 +268,22 @@ def test_load_manifest_checks_field_types(tmp_path, field, value, message):
         load_manifest(tmp_path / "manifest.json")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("permutations", 19.5, "grid.permutations must be an integer, got 19.5"),
+    ("permutations", True, "grid.permutations must be an integer, got True"),
+    ("k_values", [2.5], "grid.k_values must be a list of integers, got [2.5]"),
+    ("seed", 1.5, "grid.seed must be an integer, got 1.5"),
+    ("alpha", "0.05", "grid.alpha must be a finite number, got '0.05'"),
+])
+def test_load_manifest_checks_grid_types(tmp_path, field, value, message):
+    save_manifest(_manifest(tmp_path), tmp_path / "manifest.json")
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["grid"][field] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=re.escape(f"manifest {message}")):
+        load_manifest(tmp_path / "manifest.json")
+
+
 def test_manifest_missing_path(tmp_path):
     manifest = _manifest(tmp_path)
     (tmp_path / "nonanchor_1.csv").unlink()

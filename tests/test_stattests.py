@@ -20,6 +20,8 @@ from anchorstat.errors import (
 from anchorstat.battery import mapped_member
 from anchorstat.stattests import (
     _block_rows,
+    _distances,
+    _f_tail,
     _sign_flips,
     anchored_test,
     energy_statistic,
@@ -251,8 +253,67 @@ def test_hotelling_tail_equals_f_survival_function():
     for shift in (0.0, 0.1, 0.5, 3.0, 50.0):
         x = rng.normal(size=(40, 3)) + shift
         report = hotelling_paired(x, rng.normal(size=(40, 3)))
-        tail = f.sf(report.metadata["f_statistic"], 3, 37)
-        assert report.p_value == float(min(max(tail, np.nextafter(0, 1)), 1.0))
+        tail = _mp_f_tail(3, 37, report.metadata["f_statistic"])
+        assert abs(report.p_value - tail) <= 1e-11 * tail
+
+
+def _mp_f_tail(dfn, dfd, f):
+    """Survival function of F(dfn, dfd) at f, to 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = dfd / (dfd + dfn * mpmath.mpf(f))
+        return mpmath.betainc(mpmath.mpf(dfd) / 2, mpmath.mpf(dfn) / 2, 0, x, regularized=True)
+
+
+def _f_tail_grid():
+    rng = np.random.default_rng(14)
+    grid = [(61, 5403, 30.05), (79, 9349, 19.86)]  # where scipy's fdtrc gives 0 and 1e-9 off
+    for _ in range(600):
+        dfn, dfd = int(rng.integers(1, 801)), int(rng.integers(1, 12001))
+        grid.append((dfn, dfd, float(rng.exponential() * 10 ** rng.uniform(-6, 3))))
+    return grid
+
+
+def test_f_tail_matches_mpmath():
+    for dfn, dfd, F in _f_tail_grid():
+        tail, exact = _f_tail(dfn, dfd, F), _mp_f_tail(dfn, dfd, F)
+        if exact >= 1e-300:
+            assert abs(tail - exact) <= 1e-11 * exact, (dfn, dfd, F, tail)
+        else:
+            assert tail < 1e-299
+
+
+def test_f_tail_closed_form_and_ends():
+    import mpmath
+
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        dfd, F = int(rng.integers(1, 3000)), float(rng.exponential() * 10 ** rng.uniform(-4, 2))
+        with mpmath.workdps(50):  # at dfn = 2 the tail is (dfd / (dfd + 2F))^(dfd/2)
+            exact = (dfd / (dfd + 2 * mpmath.mpf(F))) ** (mpmath.mpf(dfd) / 2)
+        assert abs(_f_tail(2, dfd, F) - exact) <= 1e-11 * exact
+    for dfn, dfd in [(1, 1), (2, 37), (800, 12000)]:
+        assert _f_tail(dfn, dfd, 0.0) == 1.0
+        assert _f_tail(dfn, dfd, np.inf) == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 9, 32, 768])
+def test_distances_equal_cdist_bitwise(p):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(p)
+    for n, m in [(1, 1), (1, 7), (7, 1), (5, 13), (40, 3), (300, 260)]:
+        for a, b in [
+            (rng.normal(size=(n, p)), rng.normal(size=(m, p))),
+            (rng.normal(size=(n, p)) + 1e6, rng.normal(size=(m, p)) - 1e6),
+            (rng.normal(size=(n, p)) * 1e-3 + 1e6, rng.normal(size=(m, p)) * 1e-3 + 1e6),
+            (rng.integers(-2, 3, (n, p)).astype(float), rng.integers(-2, 3, (m, p)).astype(float)),
+        ]:
+            if p == 768 and n * m > 600:
+                continue
+            assert np.array_equal(_distances(a, b), cdist(a, b))
+            assert np.array_equal(_distances(a), cdist(a, a))
 
 
 def test_hotelling_does_not_import_scipy_stats():
