@@ -4,7 +4,6 @@ anchor mapping, the sign-flip modified-t test with baselines, divergence
 diagnostics, and synthetic generators."""
 
 from .anchor import (
-    DiffVector,
     MappedDistanceSet,
     mapped_centers,
     mapped_distances,
@@ -51,7 +50,6 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiffVector",
     "MappedDistanceSet",
     "mapped_centers",
     "mapped_distances",

@@ -45,26 +45,6 @@ class MappedDistanceSet:
         return self.distances.shape[0]
 
 
-@dataclass(frozen=True)
-class DiffVector:
-    """Paired differences between two mapped distance sets."""
-
-    diffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.diffs, dtype=float).copy()
-        arr.setflags(write=False)
-        if arr.ndim != 1:
-            raise PairingError("diffs must be a flat vector")
-        if not np.all(np.isfinite(arr)):
-            raise PairingError("diffs must be finite")
-        object.__setattr__(self, "diffs", arr)
-
-    @property
-    def n(self) -> int:
-        return self.diffs.shape[0]
-
-
 def mapped_centers(anchor: EmbeddingMatrix, part: Partition) -> np.ndarray:
     """K centers in anchor space: center k is the mean of anchor rows whose
     index lies in cluster k of ``part``."""
@@ -89,12 +69,16 @@ def mapped_distances(
     )
 
 
-def paired_differences(a: MappedDistanceSet, b: MappedDistanceSet) -> DiffVector:
-    """Elementwise difference a - b of two distance sets over one anchor."""
+def paired_differences(a: MappedDistanceSet, b: MappedDistanceSet) -> np.ndarray:
+    """Elementwise difference a - b of two distance sets over one anchor,
+    as a read-only array. Both sets are finite and nonnegative, so
+    |a - b| <= max(a, b) and the difference is finite too."""
     if a.anchor != b.anchor:
         raise PairingError(
             f"distance sets live over different anchors: '{a.anchor}' vs '{b.anchor}'"
         )
     if a.n != b.n:
         raise PairingError(f"distance set lengths differ: {a.n} vs {b.n}")
-    return DiffVector(diffs=a.distances - b.distances)
+    diffs = a.distances - b.distances
+    diffs.setflags(write=False)
+    return diffs

@@ -1,5 +1,6 @@
-"""Command-line surface: ingest -> embed -> reduce -> test/battery/
-distances/synth/mc, emitting p-value tables and divergence curves.
+"""Command-line surface: ingest -> embed -> test/battery/distances/
+synth/mc, emitting p-value tables and divergence curves. PCA reduction
+happens only inside `battery` and `distances` (``--pca-dim``).
 
 Every command takes --seed and prints it; reruns with identical inputs,
 flags and seed produce byte-identical output files.
@@ -61,7 +62,11 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
 def _parse_baselines(text: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
     if text is None:
         return default
-    return () if text in ("", "none") else tuple(text.split(","))
+    names = () if text in ("", "none") else tuple(text.split(","))
+    for name in names:
+        if names.count(name) > 1:
+            raise ManifestError(f"baseline '{name}' is repeated in '{text}'")
+    return names
 
 
 def _seed(args, default: int = 0) -> int:
@@ -116,7 +121,7 @@ def cmd_battery(args) -> int:
     grid = _grid_from_args(args, manifest.grid)
     baselines = _parse_baselines(args.baselines, BASELINE_NAMES)
     baseline_collection = None
-    if args.pca_dim:
+    if args.pca_dim is not None:
         anchored_coll = preprocess.reduce_collection(
             collection, args.pca_dim, mode=args.pca_mode
         )
@@ -147,7 +152,7 @@ def cmd_battery(args) -> int:
 def cmd_distances(args) -> int:
     manifest, collection = _load_collection(args)
     grid = _grid_from_args(args, manifest.grid)
-    if args.pca_dim:
+    if args.pca_dim is not None:
         collection = preprocess.reduce_collection(collection, args.pca_dim, mode=args.pca_mode)
     rows = run_distance_curves(collection, grid.k_values, seed=grid.seed)
     _write_text(args.out, curves_csv(rows))
@@ -293,39 +298,6 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def cmd_reduce(args) -> int:
-    _seed(args)
-    if args.manifest:
-        manifest, collection = _load_collection(args)
-        models = preprocess.fit_collection_models(collection, args.pca_dim, mode=args.pca_mode)
-        out_dir = Path(args.out_dir or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        entries = []
-        for e in manifest.entries:
-            reduced = preprocess.apply_pca(models[e.role], collection.member(e.role))
-            fname = f"{e.role}.reduced.csv"
-            save_matrix(reduced, out_dir / fname, fmt="csv")
-            entries.append(
-                ManifestEntry(path=fname, role=e.role, temperature=e.temperature, fmt="csv")
-            )
-        reduced_manifest = DatasetManifest(
-            entries=tuple(entries), grid=manifest.grid, label=manifest.label
-        )
-        save_manifest(reduced_manifest, out_dir / "manifest.json")
-        print(f"reduced {len(entries)} members to p={args.pca_dim} in {out_dir}")
-        return 0
-    if not args.input or not args.out:
-        raise ManifestError("reduce needs either --manifest or both --input and --out")
-    m = load_matrix(args.input, fmt=args.format)
-    model = preprocess.fit_pca(m, args.pca_dim)
-    reduced = preprocess.apply_pca(model, m)
-    save_matrix(reduced, args.out, fmt="csv")
-    if args.model_out:
-        model.save(args.model_out)
-    print(f"reduced {m.n}x{m.p} -> {reduced.n}x{reduced.p} -> {args.out}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -337,6 +309,12 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None, help="significance level")
     p.add_argument("--permutations", type=int, default=None, help="permutation replicates R")
     p.add_argument("--seed", type=int, default=None, help="root RNG seed")
+
+
+def _add_pca_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pca-dim", type=int, default=None,
+                   help="PCA-reduce every member to this dimension first")
+    p.add_argument("--pca-mode", choices=("per_dataset", "joint"), default="per_dataset")
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -365,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--baselines", help="comma list from hotelling,nploc,energy")
-    p.add_argument("--pca-dim", type=int, default=None)
-    p.add_argument("--pca-mode", choices=("per_dataset", "joint"), default="per_dataset")
+    _add_pca_flags(p)
     p.set_defaults(func=cmd_battery)
 
     p = sub.add_parser("distances", help="KL/transport curves vs temperature")
@@ -374,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", help=_K_GRID_HELP)
     _add_grid_flags(p)
     p.add_argument("--out", help="output CSV path (stdout if omitted)")
-    p.add_argument("--pca-dim", type=int, default=None)
-    p.add_argument("--pca-mode", choices=("per_dataset", "joint"), default="per_dataset")
+    _add_pca_flags(p)
     p.set_defaults(func=cmd_distances)
 
     p = sub.add_parser("test", help="single anchored test on one triple")
@@ -429,18 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("reduce", help="PCA-reduce a matrix or a whole manifest")
-    p.add_argument("--input", help="single matrix input path")
-    p.add_argument("--out", help="single matrix output path")
-    p.add_argument("--manifest", help="reduce every member of a manifest")
-    p.add_argument("--out-dir", help="output directory for manifest mode")
-    p.add_argument("--format", choices=("csv", "binary"), default="csv")
-    p.add_argument("--pca-dim", type=int, required=True)
-    p.add_argument("--pca-mode", choices=("per_dataset", "joint"), default="per_dataset")
-    p.add_argument("--model-out", help="write the fitted model JSON here")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_reduce)
 
     return parser
 

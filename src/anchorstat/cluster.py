@@ -5,7 +5,6 @@ Lloyd iterations with k-means++ seeding and best-of-restarts selection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,21 +45,6 @@ class Partition:
     @property
     def n(self) -> int:
         return self.assignment.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"K": self.K, "assignment": self.assignment.tolist(), "wcss": self.wcss},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Partition":
-        doc = json.loads(text)
-        return cls(
-            assignment=np.asarray(doc["assignment"], dtype=np.intp),
-            K=int(doc["K"]),
-            wcss=float(doc["wcss"]),
-        )
 
 
 def _values(m) -> np.ndarray:

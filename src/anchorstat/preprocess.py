@@ -6,13 +6,11 @@ convention so that two fits on identical data agree bitwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing, write_text
+from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
 from .errors import DimensionError, ParameterError
 
 _ORTHO_TOL = 1e-8
@@ -51,32 +49,6 @@ class PcaModel:
     @property
     def p_ambient(self) -> int:
         return self.components.shape[1]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": self.mean.tolist(),
-                "components": self.components.tolist(),
-                "explained_variance": self.explained_variance.tolist(),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PcaModel":
-        doc = json.loads(text)
-        return cls(
-            mean=np.asarray(doc["mean"], dtype=float),
-            components=np.asarray(doc["components"], dtype=float),
-            explained_variance=np.asarray(doc["explained_variance"], dtype=float),
-        )
-
-    def save(self, path) -> None:
-        write_text(path, self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "PcaModel":
-        return cls.from_json(Path(path).read_text())
 
 
 def fit_pca(m: EmbeddingMatrix, p: int) -> PcaModel:

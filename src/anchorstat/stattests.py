@@ -17,14 +17,13 @@ the partitions behind those sets are chosen and clustered elsewhere
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .anchor import DiffVector, MappedDistanceSet, paired_differences
+from .anchor import MappedDistanceSet, paired_differences
 from .cluster import _BLOCK_ENTRIES, RESTARTS
 from .corpus import EmbeddingMatrix
 from .errors import (
@@ -74,15 +73,6 @@ class TestReport:
             "metadata": dict(self.metadata),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _as_diff_array(d) -> np.ndarray:
-    if isinstance(d, DiffVector):
-        return d.diffs
-    return np.asarray(d, dtype=float)
-
 
 def _modified_t(mean, var, mu3, n: int):
     """Modified paired t from the sample moments; zero variance maps to
@@ -95,7 +85,7 @@ def _modified_t(mean, var, mu3, n: int):
 
 def johnson_t(d) -> float:
     """Modified paired t-statistic of a difference sample."""
-    arr = _as_diff_array(d)
+    arr = np.asarray(d, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 2:
         raise ParameterError(f"need a flat sample with n >= 2, got shape {arr.shape}")
     if np.ptp(arr) == 0.0:
@@ -175,7 +165,7 @@ def sign_flip_pvalue(
     reproducible and independent of execution order or thread count. A
     replicate needs only s.d and s.d^3 over the nonzero entries of d.
     """
-    arr = _as_diff_array(d)
+    arr = np.asarray(d, dtype=float)
     t_obs = johnson_t(arr)
     n = arr.shape[0]
     support = arr != 0.0
@@ -233,7 +223,7 @@ def anchored_test(
             f"different K: {set1.K} vs {set2.K}"
         )
     diff = paired_differences(set1, set2)
-    if np.all(diff.diffs == 0.0):
+    if np.all(diff == 0.0):
         raise VacuousTestError(
             "mapped community structures are identical; the paired test is vacuous"
         )

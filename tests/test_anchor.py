@@ -68,9 +68,10 @@ def test_paired_differences_zero_and_arithmetic():
     a = MappedDistanceSet(distances=np.array([1.0, 1.0, 0.0]), source="x", anchor="A", K=2)
     b = MappedDistanceSet(distances=np.array([0.0, 1.0, 1.0]), source="y", anchor="A", K=2)
     same = paired_differences(a, a)
-    np.testing.assert_array_equal(same.diffs, np.zeros(3))
+    np.testing.assert_array_equal(same, np.zeros(3))
     diff = paired_differences(a, b)
-    np.testing.assert_array_equal(diff.diffs, [1.0, 0.0, -1.0])
+    np.testing.assert_array_equal(diff, [1.0, 0.0, -1.0])
+    assert diff.dtype == float and not diff.flags.writeable
 
 
 def test_paired_differences_anchor_mismatch():

@@ -339,6 +339,18 @@ def test_battery_rejects_repeated_k(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["battery", "test"])
+def test_repeated_baseline_is_a_usage_error(tmp_path, capsys, command):
+    manifest = _synth_manifest(tmp_path, n=40)
+    out = tmp_path / "out"
+    rc = run_cli(command, "--manifest", manifest, "--k-grid", 2, "--permutations", 19,
+                 "--baselines", "hotelling,nploc,hotelling", "--out", out)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "baseline 'hotelling' is repeated in 'hotelling,nploc,hotelling'" in err
+    assert not out.exists()
+
+
 def _family_manifest(tmp_path, seed=0):
     from anchorstat.corpus import DatasetManifest, ExperimentGrid, ManifestEntry, save_manifest
     from anchorstat.synth import ScenarioConfig, generate_drift_family
@@ -452,33 +464,23 @@ def test_battery_has_no_jobs_flag(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_reduce_single_matrix_shape(tmp_path):
-    rng = np.random.default_rng(0)
-    m = EmbeddingMatrix(values=rng.normal(size=(40, 1536)))
-    src = tmp_path / "wide.bin"
-    save_matrix(m, src, fmt="binary")
-    out = tmp_path / "narrow.csv"
-    rc = run_cli(
-        "reduce", "--input", src, "--format", "binary",
-        "--pca-dim", 10, "--out", out,
-        "--model-out", tmp_path / "model.json",
-    )
-    assert rc == 0
-    reduced = load_matrix(out)
-    assert (reduced.n, reduced.p) == (40, 10)
-    assert (tmp_path / "model.json").exists()
+def test_reduce_is_not_a_command(capsys):
+    # members are reduced only inside `battery` and `distances` (--pca-dim)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("reduce", "--manifest", "m.json", "--pca-dim", 2)
+    assert exc.value.code == 2
+    assert "invalid choice: 'reduce'" in capsys.readouterr().err
 
 
-def test_reduce_manifest_mode(tmp_path):
-    manifest = _synth_manifest(tmp_path, scenario="null", seed=8, n=60)
-    out_dir = tmp_path / "reduced"
-    rc = run_cli(
-        "reduce", "--manifest", manifest, "--pca-dim", 1,
-        "--pca-mode", "joint", "--out-dir", out_dir,
-    )
-    assert rc == 0
-    reduced = load_manifest(out_dir / "manifest.json").load_collection(out_dir)
-    assert all(reduced.member(r).p == 1 for r in reduced.roles)
+@pytest.mark.parametrize("command", ["battery", "distances"])
+def test_pca_dim_zero_is_an_error(tmp_path, capsys, command):
+    manifest = _family_manifest(tmp_path)
+    out = tmp_path / "out.csv"
+    rc = run_cli(command, "--manifest", manifest, "--pca-dim", 0, "--permutations", 19,
+                 "--out", out)
+    assert rc == 1
+    assert "target dimension p=0 out of range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ingest_builds_manifest(tmp_path):
@@ -571,7 +573,7 @@ def test_ingest_into_a_subdirectory_then_battery(tmp_path, monkeypatch, normaliz
     assert Path("battery.csv").read_text().startswith("dataset,")
 
 
-@pytest.mark.parametrize("command", ["ingest", "battery", "mc", "reduce"])
+@pytest.mark.parametrize("command", ["ingest", "battery", "mc"])
 def test_output_parent_directories_are_created(tmp_path, command):
     manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)
     data = manifest.parent
@@ -585,8 +587,6 @@ def test_output_parent_directories_are_created(tmp_path, command):
                     "--permutations", 19, "--baselines", "none", "--out", out),
         "mc": ("mc", "--scenario", "null", "--n", 40, "--m", 1, "--permutations", 19,
                "--out", out),
-        "reduce": ("reduce", "--input", data / "anchor.csv", "--pca-dim", 1,
-                   "--out", tmp_path / "reduced.csv", "--model-out", out),
     }[command]
     assert run_cli(*argv) == 0
     assert out.read_text()

@@ -168,14 +168,6 @@ def test_relabeling_preserves_wcss(seed):
     assert wcss(m, relabeled) == pytest.approx(wcss(m, part), abs=1e-12)
 
 
-def test_partition_json_round_trip():
-    part = Partition(assignment=np.array([0, 1, 1, 0]), K=2, wcss=2.5)
-    back = Partition.from_json(part.to_json())
-    np.testing.assert_array_equal(back.assignment, part.assignment)
-    assert back.K == part.K
-    assert back.wcss == part.wcss
-
-
 def test_kmeans_peak_memory_does_not_grow_with_restarts():
     # a full (restarts, n, p) residual would be 102 MB here; restarts run in
     # blocks of a fixed number of entries, so ten cost about what one does

@@ -63,7 +63,7 @@ def test_anchored_statistic_invariant_to_joint_row_permutation(seed, K):
         anchor = EmbeddingMatrix(values=values[rows], label="anchor")
         set1 = mapped_distances(anchor, Partition(a1[rows], K, 0.0))
         set2 = mapped_distances(anchor, Partition(a2[rows], K, 0.0))
-        return paired_differences(set1, set2).diffs
+        return paired_differences(set1, set2)
 
     base = diffs(np.arange(n))
     rows = rng.permutation(n)
@@ -96,7 +96,10 @@ rng = np.random.default_rng(6)
 x = rng.normal(size=(3000, 32)) + 2.0 * rng.normal(size=(3, 32))[rng.integers(0, 3, 3000)]
 x /= np.linalg.norm(x, axis=1, keepdims=True)
 parts = [kmeans(x, K, seed=K, restarts=2) for K in (2, 5)]
-print(json.dumps([json.loads(part.to_json()) for part in parts]))
+print(json.dumps([
+    {"K": part.K, "assignment": part.assignment.tolist(), "wcss": part.wcss}
+    for part in parts
+]))
 """
 
 

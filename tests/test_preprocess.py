@@ -179,15 +179,6 @@ def test_per_dataset_handles_unequal_dims():
     assert all(out.member(r).p == 2 for r in out.roles)
 
 
-def test_model_json_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    model = fit_pca(EmbeddingMatrix(values=rng.normal(size=(10, 4))), 3)
-    model.save(tmp_path / "pca.json")
-    back = PcaModel.load(tmp_path / "pca.json")
-    np.testing.assert_array_equal(back.components, model.components)
-    np.testing.assert_array_equal(back.mean, model.mean)
-
-
 def test_model_validates_orthonormality():
     with pytest.raises(DimensionError, match="orthonormal"):
         PcaModel(

@@ -110,7 +110,7 @@ def test_null_diff_mean_within_noise_band():
         anchor = triple.member("anchor")
         d1 = mapped_distances(anchor, kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5))
         d2 = mapped_distances(anchor, kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5))
-        diff = paired_differences(d1, d2).diffs
+        diff = paired_differences(d1, d2)
         sd = diff.std(ddof=1) if diff.size > 1 else 0.0
         if abs(diff.mean()) <= 3.0 * sd / np.sqrt(diff.size):
             hits += 1
