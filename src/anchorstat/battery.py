@@ -150,23 +150,19 @@ def run_cell(
     R: int = DEFAULT_PERMUTATIONS,
     alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
-    baseline_collection: PairedCollection | None = None,
 ) -> TestReport:
     """One battery cell: the anchored test at K = ``method`` on the pair,
-    or the baseline named ``method``. Baselines read their members from
-    ``baseline_collection`` when given (a common space for the paired
-    tests). Errors propagate; `run_battery` turns them into cells."""
+    or the baseline named ``method``. Errors propagate; `run_battery`
+    turns them into cells."""
     return _run_cell(
-        collection, dataset, pair, method, R, alpha, seed, baseline_collection,
+        collection, dataset, pair, method, R, alpha, seed,
         functools.partial(mapped_member, collection, seed=seed),
     )
 
 
-def _run_cell(
-    collection, dataset, pair, method, R, alpha, seed, baseline_collection, member_set
-) -> TestReport:
+def _run_cell(members, dataset, pair, method, R, alpha, seed, member_set) -> TestReport:
     """`run_cell` with the anchored cell's distance sets taken from
-    ``member_set(role, K)``."""
+    ``member_set(role, K)`` and the baselines' members from ``members``."""
     r1, r2 = pair
     cell_seed = _cell_seed(seed, dataset, r1, r2, method)
     if not isinstance(method, str):
@@ -175,7 +171,6 @@ def _run_cell(
         )
     if method not in BASELINES:
         raise ManifestError(f"unknown baseline '{method}'")
-    members = baseline_collection if baseline_collection is not None else collection
     return BASELINES[method](members.member(r1), members.member(r2), R, cell_seed, alpha)
 
 
@@ -217,14 +212,12 @@ def run_battery(
     # one distance set per (member, K), shared by the member's rows; a
     # member that cannot be clustered shows its error in each of its cells
     member_set = _member_sets(collection, collection.nonanchor_roles, k_values, seed)
+    members = baseline_collection if baseline_collection is not None else collection
 
     def compute(task) -> BatteryCell:
         pair, method = task
         try:
-            report = _run_cell(
-                collection, dataset, pair, method, R, alpha, seed, baseline_collection,
-                member_set,
-            )
+            report = _run_cell(members, dataset, pair, method, R, alpha, seed, member_set)
         except AnchorstatError as exc:
             return _error_cell(exc)
         return BatteryCell(

@@ -1,6 +1,8 @@
 """Command-line surface: ingest -> embed -> test/battery/distances/
 synth/mc, emitting p-value tables and divergence curves. PCA reduction
-happens only inside `battery` and `distances` (``--pca-dim``).
+happens only inside `battery` and `distances` (``--pca-dim``): per member
+for the anchored cells and the curves, jointly for the paired baselines.
+A command declares only the flags that change what it writes.
 
 Every command takes --seed and prints it; reruns with identical inputs,
 flags and seed produce byte-identical output files.
@@ -78,11 +80,13 @@ def _seed(args, default: int = 0) -> int:
 
 
 def _grid_from_args(args, base: ExperimentGrid = ExperimentGrid()) -> ExperimentGrid:
-    """The run's grid: each grid flag that is given overrides ``base``."""
+    """The run's grid: each grid flag that the command declares and that
+    is given overrides ``base``."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
     return ExperimentGrid(
-        k_values=_parse_k_grid(args.k_grid) if args.k_grid else base.k_values,
-        alpha=args.alpha if args.alpha is not None else base.alpha,
-        permutations=args.permutations if args.permutations is not None else base.permutations,
+        k_values=_parse_k_grid(given["k_grid"]) if given.get("k_grid") else base.k_values,
+        alpha=given.get("alpha", base.alpha),
+        permutations=given.get("permutations", base.permutations),
         seed=_seed(args, base.seed),
     )
 
@@ -120,20 +124,13 @@ def cmd_battery(args) -> int:
     manifest, collection = _load_collection(args)
     grid = _grid_from_args(args, manifest.grid)
     baselines = _parse_baselines(args.baselines, BASELINE_NAMES)
-    baseline_collection = None
+    anchored_coll, baseline_collection = collection, None
     if args.pca_dim is not None:
-        anchored_coll = preprocess.reduce_collection(
-            collection, args.pca_dim, mode=args.pca_mode
-        )
+        anchored_coll = preprocess.reduce_collection(collection, args.pca_dim)
         if baselines:
-            # paired baselines need one common space: the joint reduction,
-            # which the anchored cells already use in joint mode
-            baseline_collection = (
-                anchored_coll if args.pca_mode == "joint"
-                else preprocess.reduce_collection(collection, args.pca_dim, mode="joint")
-            )
-    else:
-        anchored_coll = collection
+            # the paired baselines compare members coordinate by coordinate,
+            # so they need one common space: the joint reduction
+            baseline_collection = preprocess.reduce_collection(collection, args.pca_dim, "joint")
     result = run_battery(
         anchored_coll,
         dataset=manifest.label,
@@ -153,7 +150,7 @@ def cmd_distances(args) -> int:
     manifest, collection = _load_collection(args)
     grid = _grid_from_args(args, manifest.grid)
     if args.pca_dim is not None:
-        collection = preprocess.reduce_collection(collection, args.pca_dim, mode=args.pca_mode)
+        collection = preprocess.reduce_collection(collection, args.pca_dim)
     rows = run_distance_curves(collection, grid.k_values, seed=grid.seed)
     _write_text(args.out, curves_csv(rows))
     return 0
@@ -234,6 +231,8 @@ def _manifest_path(path: str, manifest_dir: Path) -> str:
 
 
 def cmd_ingest(args) -> int:
+    if args.out_dir is not None and not args.normalize:
+        raise ManifestError("--out-dir needs --normalize (it holds the normalized copies)")
     grid = _grid_from_args(args)
     manifest_dir = Path(args.out_manifest).parent
     entries = []
@@ -302,19 +301,18 @@ def cmd_embed(args) -> int:
 # parser
 
 
-_K_GRID_HELP = "comma-separated cluster counts, e.g. 2,3,4,5"
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None, help="significance level")
-    p.add_argument("--permutations", type=int, default=None, help="permutation replicates R")
+def _add_grid_flags(p: argparse.ArgumentParser, k_grid: bool = True, tests: bool = True) -> None:
+    """--k-grid unless the command takes one K, --alpha and --permutations
+    if it runs or records a test, and --seed."""
+    if k_grid:
+        p.add_argument("--k-grid", help="comma-separated cluster counts, e.g. 2,3,4,5")
+    if tests:
+        p.add_argument("--alpha", type=float, default=None, help="significance level")
+        p.add_argument("--permutations", type=int, default=None, help="permutation replicates R")
     p.add_argument("--seed", type=int, default=None, help="root RNG seed")
 
 
-def _add_pca_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pca-dim", type=int, default=None,
-                   help="PCA-reduce every member to this dimension first")
-    p.add_argument("--pca-mode", choices=("per_dataset", "joint"), default="per_dataset")
+_PCA_DIM_HELP = "PCA-reduce every member to this dimension first"
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -338,26 +336,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("battery", help="p-value grid over K plus baselines")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--k-grid", help=_K_GRID_HELP)
     _add_grid_flags(p)
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--baselines", help="comma list from hotelling,nploc,energy")
-    _add_pca_flags(p)
+    p.add_argument("--pca-dim", type=int, default=None, help=_PCA_DIM_HELP)
     p.set_defaults(func=cmd_battery)
 
     p = sub.add_parser("distances", help="KL/transport curves vs temperature")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--k-grid", help=_K_GRID_HELP)
-    _add_grid_flags(p)
+    _add_grid_flags(p, tests=False)  # no test, so no --alpha or --permutations
     p.add_argument("--out", help="output CSV path (stdout if omitted)")
-    _add_pca_flags(p)
+    p.add_argument("--pca-dim", type=int, default=None, help=_PCA_DIM_HELP)
     p.set_defaults(func=cmd_distances)
 
     p = sub.add_parser("test", help="single anchored test on one triple")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--k-grid", help=_K_GRID_HELP)
-    _add_grid_flags(p)
+    _add_grid_flags(p, k_grid=False)  # `test` runs one K, set by --k
     p.add_argument("--k", type=int, default=None, help="cluster count (default: first grid value)")
     p.add_argument("--baselines", help="comma list from hotelling,nploc,energy")
     p.add_argument("--out", help="output JSON path (stdout if omitted)")
@@ -365,14 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic triple and manifest")
     _add_scenario_flags(p)
-    p.add_argument("--k-grid", help=_K_GRID_HELP)
     _add_grid_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("mc", help="Monte Carlo rejection-rate study")
     _add_scenario_flags(p)
-    _add_grid_flags(p)  # no --k-grid: `mc` tests one K, set by --k
+    _add_grid_flags(p, k_grid=False)  # `mc` tests one K, set by --k
     p.add_argument("--m", type=int, default=200, help="number of replicates")
     p.add_argument("--k", type=int, default=None, help="cluster count for the test")
     p.add_argument("--out", help="output JSON path (stdout if omitted)")
@@ -387,10 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=("csv", "binary"), default="csv")
     p.add_argument("--normalize", action="store_true", help="unit-normalize rows")
-    p.add_argument("--out-dir", help="directory for normalized copies")
+    p.add_argument("--out-dir", help="directory for normalized copies (needs --normalize)")
     p.add_argument("--out-manifest", required=True)
     p.add_argument("--label", help="dataset label for battery rows")
-    p.add_argument("--k-grid", help=_K_GRID_HELP)
     _add_grid_flags(p)
     p.set_defaults(func=cmd_ingest)
 

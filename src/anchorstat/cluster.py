@@ -13,6 +13,8 @@ from .corpus import EmbeddingMatrix
 from .errors import DegeneracyError, ParameterError
 
 RESTARTS = 10  # k-means++ restarts per clustering; the lowest WCSS wins
+MAX_ITER = 300  # Lloyd passes per restart at most
+TOL = 1e-8  # a restart stops once a pass lowers its WCSS by at most this fraction
 # entries per block of temporaries that grow with a repeat count (k-means
 # restarts, permutation replicates): bounds memory for any count
 _BLOCK_ENTRIES = 1 << 16
@@ -76,8 +78,6 @@ def kmeans(
     K: int,
     seed: int = 0,
     restarts: int = RESTARTS,
-    max_iter: int = 300,
-    tol: float = 1e-8,
     debug: bool = False,
 ) -> Partition:
     """Best-of-restarts Lloyd clustering with k-means++ seeding.
@@ -98,8 +98,6 @@ def kmeans(
         raise ParameterError(f"K={K} out of range [2, n={n}]")
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     # K distinct first coordinates already give K distinct rows
     if np.unique(X[:, :1]).shape[0] < K and np.unique(X, axis=0).shape[0] < K:
         raise DegeneracyError(
@@ -113,7 +111,7 @@ def kmeans(
     seeds = _kpp_centers(X, K, rngs) - X[0]
     refined: dict[bytes, tuple[float, np.ndarray]] = {}
     best: tuple[float, np.ndarray] | None = None
-    for assignment in _lloyd(Xs, XT, xx, K, seeds, max_iter, tol, debug):
+    for assignment in _lloyd(Xs, XT, xx, K, seeds, MAX_ITER, TOL, debug):
         key = assignment.tobytes()
         if key not in refined:
             for _ in range(8):  # alternate exchanges with fresh Lloyd passes
@@ -121,7 +119,7 @@ def kmeans(
                 if not moved:
                     break
                 centers = _centers(XT, assignment, K)[None]
-                assignment = _lloyd(Xs, XT, xx, K, centers, max_iter, tol, debug)[0]
+                assignment = _lloyd(Xs, XT, xx, K, centers, MAX_ITER, TOL, debug)[0]
             refined[key] = (_wcss(X, assignment, K), assignment)
         value, assignment = refined[key]
         if best is None or value < best[0] - 1e-12:

@@ -350,6 +350,8 @@ class ExperimentGrid:
             raise ManifestError(f"alpha must be in (0,1), got {self.alpha}")
         if self.permutations < 1:
             raise ManifestError("permutations must be >= 1")
+        if self.seed < 0:
+            raise ManifestError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

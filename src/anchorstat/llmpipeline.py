@@ -199,6 +199,8 @@ def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
 
     Cached per text hash; only uncached texts touch the endpoint.
     """
+    if config.embed_batch_size < 1:
+        raise ParameterError(f"embed batch size must be >= 1, got {config.embed_batch_size}")
     texts = list(texts)
     cache_dir = Path(config.cache_dir)
     keys = [_cache_key("embed", model=config.embed_model, text=t) for t in texts]

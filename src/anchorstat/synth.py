@@ -63,8 +63,10 @@ class ScenarioConfig:
             raise ParameterError(f"dim must be >= 1, got {self.dim}")
         if not math.isfinite(self.community_separation) or self.community_separation < 0:
             raise ParameterError("community_separation must be finite and >= 0")
-        if self.noise_sd <= 0:
-            raise ParameterError(f"noise_sd must be > 0, got {self.noise_sd}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd > 0):
+            raise ParameterError(f"noise_sd must be finite and > 0, got {self.noise_sd}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def _place_community_means(

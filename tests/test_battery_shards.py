@@ -50,11 +50,7 @@ def _quad_manifest(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("pca", [
-    (),
-    ("--pca-dim", 2, "--pca-mode", "per_dataset"),
-    ("--pca-dim", 2, "--pca-mode", "joint"),
-])
+@pytest.mark.parametrize("pca", [(), ("--pca-dim", 2)])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_battery_identical_across_process_counts(tmp_path, monkeypatch, pca, fmt):
     manifest = _quad_manifest(tmp_path)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from anchorstat.battery import format_p
-from anchorstat.cli import main
+from anchorstat.cli import build_parser, main
 from anchorstat.corpus import EmbeddingMatrix, load_manifest, load_matrix, save_matrix
 
 
@@ -339,11 +339,14 @@ def test_battery_rejects_repeated_k(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["battery", "test"])
-def test_repeated_baseline_is_a_usage_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, k", [
+    pytest.param("battery", "--k-grid", id="battery"),
+    pytest.param("test", "--k", id="test"),
+])
+def test_repeated_baseline_is_a_usage_error(tmp_path, capsys, command, k):
     manifest = _synth_manifest(tmp_path, n=40)
     out = tmp_path / "out"
-    rc = run_cli(command, "--manifest", manifest, "--k-grid", 2, "--permutations", 19,
+    rc = run_cli(command, "--manifest", manifest, k, 2, "--permutations", 19,
                  "--baselines", "hotelling,nploc,hotelling", "--out", out)
     assert rc == 1
     err = capsys.readouterr().err
@@ -450,11 +453,42 @@ def test_mc_rejects_bad_grid_flags(tmp_path, capsys, flag, value, message):
     assert not out.exists()
 
 
-def test_mc_has_no_k_grid_flag(capsys):
+# each subcommand's optional flags: a new knob needs a deliberate edit here
+OPTIONAL_FLAGS = {
+    "battery": "--k-grid --alpha --permutations --seed --out --format --baselines --pca-dim",
+    "distances": "--k-grid --seed --out --pca-dim",
+    "test": "--alpha --permutations --seed --k --baselines --out",
+    "synth": "--n --dim --k-true --separation --noise --k-grid --alpha --permutations --seed",
+    "mc": "--n --dim --k-true --separation --noise --alpha --permutations --seed --m --k --out",
+    "ingest": "--format --normalize --out-dir --label --k-grid --alpha --permutations --seed",
+    "embed": "--format --base-url --embed-model --api-key-env --cache-dir --batch-size --seed",
+}
+
+
+def test_optional_flags_are_pinned():
+    (action,) = build_parser()._subparsers._group_actions
+    found = {
+        name: sorted(flag for a in sub._actions if a.option_strings and not a.required
+                     for flag in a.option_strings if flag not in ("-h", "--help"))
+        for name, sub in action.choices.items()
+    }
+    assert found == {name: sorted(flags.split()) for name, flags in OPTIONAL_FLAGS.items()}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param("mc", "--k-grid", "x", id="mc--k-grid"),
+    pytest.param("battery", "--pca-mode", "joint", id="battery--pca-mode"),
+    pytest.param("distances", "--pca-mode", "joint", id="distances--pca-mode"),
+    pytest.param("distances", "--alpha", 0.5, id="distances--alpha"),
+    pytest.param("distances", "--permutations", 5, id="distances--permutations"),
+    pytest.param("test", "--k-grid", "3,4,5", id="test--k-grid"),
+])
+def test_flag_the_command_would_ignore_is_a_usage_error(capsys, command, flag, value):
+    required = ("--scenario", "null") if command == "mc" else ("--manifest", "m.json")
     with pytest.raises(SystemExit) as exc:
-        run_cli("mc", "--scenario", "null", "--m", 1, "--k-grid", "x")
+        run_cli(command, *required, flag, value)
     assert exc.value.code == 2
-    assert "--k-grid" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_battery_has_no_jobs_flag(capsys):
@@ -476,8 +510,7 @@ def test_reduce_is_not_a_command(capsys):
 def test_pca_dim_zero_is_an_error(tmp_path, capsys, command):
     manifest = _family_manifest(tmp_path)
     out = tmp_path / "out.csv"
-    rc = run_cli(command, "--manifest", manifest, "--pca-dim", 0, "--permutations", 19,
-                 "--out", out)
+    rc = run_cli(command, "--manifest", manifest, "--pca-dim", 0, "--out", out)
     assert rc == 1
     assert "target dimension p=0 out of range" in capsys.readouterr().err
     assert not out.exists()
@@ -590,6 +623,61 @@ def test_output_parent_directories_are_created(tmp_path, command):
     }[command]
     assert run_cli(*argv) == 0
     assert out.read_text()
+
+
+def test_ingest_out_dir_needs_normalize(tmp_path, capsys):
+    # rejected before any matrix is read: the dataset paths do not exist
+    rc = run_cli(
+        "ingest",
+        "--dataset", tmp_path / "anchor.csv:anchor",
+        "--dataset", tmp_path / "na1.csv:na1",
+        "--out-dir", tmp_path / "norm",
+        "--out-manifest", tmp_path / "m.json",
+    )
+    assert rc == 1
+    assert "--out-dir needs --normalize" in capsys.readouterr().err
+    assert not (tmp_path / "norm").exists() and not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["mc", "test", "synth", "battery", "ingest"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)
+    data = manifest.parent
+    argv = {
+        "mc": ("mc", "--scenario", "null", "--n", 40, "--m", 1),
+        "test": ("test", "--manifest", manifest, "--k", 2),
+        "synth": ("synth", "--scenario", "null", "--out-dir", tmp_path / "out"),
+        "battery": ("battery", "--manifest", manifest),
+        "ingest": ("ingest", "--dataset", f"{data}/anchor.csv:anchor",
+                   "--dataset", f"{data}/nonanchor_1.csv:nonanchor_1",
+                   "--dataset", f"{data}/nonanchor_2.csv:nonanchor_2",
+                   "--out-manifest", tmp_path / "out" / "m.json"),
+    }[command]
+    rc = run_cli(*argv, "--seed", -1)
+    assert rc == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_manifest_seed_is_a_manifest_error(tmp_path, capsys):
+    manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)
+    doc = json.loads(manifest.read_text())
+    doc["grid"]["seed"] = -3
+    manifest.write_text(json.dumps(doc))
+    rc = run_cli("battery", "--manifest", manifest)
+    assert rc == 1
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["mc", "synth"])
+def test_non_finite_noise_names_noise_sd(tmp_path, capsys, command, noise):
+    out = {"mc": ("--m", 1, "--out", tmp_path / "mc.json"),
+           "synth": ("--out-dir", tmp_path / "s")}[command]
+    rc = run_cli(command, "--scenario", "null", "--n", 40, "--noise", noise, *out)
+    assert rc == 1
+    assert f"noise_sd must be finite and > 0, got {noise}" in capsys.readouterr().err
+    assert not out[-1].exists()
 
 
 @pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])

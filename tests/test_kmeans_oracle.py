@@ -329,10 +329,14 @@ def test_debug_many_restarts_matches_oracle(case):
     np.testing.assert_array_equal(got, want)
 
 
-def test_max_iter_stop_matches_oracle():
+def test_max_iter_stop_matches_oracle(monkeypatch):
     cfg = ScenarioConfig(n=300, dim=2, K_true=3, community_separation=3.0, seed=4)
     X = generate_null_triple(cfg).member("nonanchor_2").values
     for max_iter in (1, 2, 3):
-        _assert_same(X, 4, seed=2, restarts=5, max_iter=max_iter)
+        monkeypatch.setattr(cluster, "MAX_ITER", max_iter)
+        want = oracle_kmeans(X, 4, seed=2, restarts=5, max_iter=max_iter)
+        got = kmeans(X, 4, seed=2, restarts=5)
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+        assert got.wcss == want.wcss
         got, want = _first_pass(X, 4, seed=2, restarts=5, max_iter=max_iter)
         np.testing.assert_array_equal(got, want)

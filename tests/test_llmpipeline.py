@@ -163,6 +163,14 @@ def test_embed_batching_respects_chunk_size(tmp_path):
     assert fake.calls == 3  # ceil(5 / 2)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_embed_batch_size_must_be_positive(tmp_path, size):
+    fake = FakeEmbed()
+    with pytest.raises(ParameterError, match=f"embed batch size must be >= 1, got {size}"):
+        embed_batch(["a", "b"], _config(tmp_path, fake, embed_batch_size=size))
+    assert fake.calls == 0
+
+
 def test_transport_retries_then_fails(tmp_path):
     attempts = {"n": 0}
 

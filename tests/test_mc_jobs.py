@@ -203,16 +203,13 @@ def _synth_manifest(tmp_path, dim=2):
     return out / "manifest.json"
 
 
-@pytest.mark.parametrize("fmt, mode", [
-    pytest.param("csv", "joint", id="csv"),
-    pytest.param("json", "joint", id="json"),
-    pytest.param("csv", "per_dataset", id="per_dataset-csv"),
-    pytest.param("json", "per_dataset", id="per_dataset-json"),
+@pytest.mark.parametrize("fmt", [
+    pytest.param("csv", id="per_dataset-csv"),
+    pytest.param("json", id="per_dataset-json"),
 ])
-def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt, mode):
-    # each mode is fitted once: in joint mode the anchored cells and the
-    # baselines share one reduction; per-dataset anchored cells take their
-    # baselines from a separate joint reduction
+def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt):
+    # each mode is fitted once: the per-dataset reduction for the anchored
+    # cells first, then the joint one for the paired baselines
     manifest_path = _synth_manifest(tmp_path, dim=4)
     modes = []
     reduce = preprocess.reduce_collection
@@ -224,16 +221,16 @@ def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt, mode):
     monkeypatch.setattr(preprocess, "reduce_collection", reduce_spy)
     out = tmp_path / f"battery.{fmt}"
     rc = run_cli("battery", "--manifest", manifest_path, "--k-grid", "2,3",
-                 "--permutations", 49, "--seed", 3, "--pca-dim", 2, "--pca-mode", mode,
+                 "--permutations", 49, "--seed", 3, "--pca-dim", 2,
                  "--format", fmt, "--out", out)
     assert rc == 0
-    assert modes == (["joint"] if mode == "joint" else ["per_dataset", "joint"])
+    assert modes == ["per_dataset", "joint"]
 
     # the same cells as with a separate joint reduction for the baselines
     manifest = load_manifest(manifest_path)
     collection = manifest.load_collection(manifest_path.parent)
     result = run_battery(
-        reduce(collection, 2, mode=mode), manifest.label, (2, 3), R=49,
+        reduce(collection, 2), manifest.label, (2, 3), R=49,
         alpha=manifest.grid.alpha, seed=3,
         baseline_collection=reduce(collection, 2, mode="joint"),
     )
