@@ -10,47 +10,32 @@ plotting divergence against temperature.
 import argparse
 import sys
 
+from anchorstat import cli
 from anchorstat.battery import curves_csv, run_distance_curves
-from anchorstat.corpus import write_text
-from anchorstat.synth import ScenarioConfig, generate_drift_family
+from anchorstat.synth import generate_drift_family
+
+
+def study(args) -> int:
+    grid = cli._grid_from_args(args)
+    rhos = [float(v) for v in args.rhos.split(",")]
+    cfg = cli._scenario_from_args(args, grid.seed)
+    family = generate_drift_family(cfg, [(rho, min(1.0, rho / 2.0)) for rho in rhos])
+    cli._write_text(args.out, curves_csv(run_distance_curves(family, grid.k_values, grid.seed)))
+    if args.out:
+        print(f"wrote {args.out}", file=sys.stderr)
+    return 0
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=300)
-    ap.add_argument("--dim", type=int, default=2)
-    ap.add_argument("--k-true", type=int, default=2)
-    ap.add_argument("--separation", type=float, default=8.0)
-    ap.add_argument("--noise", type=float, default=1.0)
+    cli._add_scenario_flags(ap)
     ap.add_argument(
         "--rhos", default="0.1,0.4,0.7,1.0,1.5",
         help="comma-separated temperatures; drift fraction is rho/2",
     )
-    ap.add_argument("--k-grid", default="2,3,4,5")
-    ap.add_argument("--seed", type=int, default=0)
+    cli._add_grid_flags(ap, tests=False)
     ap.add_argument("--out", help="output CSV (stdout if omitted)")
-    args = ap.parse_args()
-
-    print(f"seed: {args.seed}", file=sys.stderr)
-    rhos = [float(v) for v in args.rhos.split(",")]
-    cfg = ScenarioConfig(
-        n=args.n,
-        dim=args.dim,
-        K_true=args.k_true,
-        community_separation=args.separation,
-        noise_sd=args.noise,
-        seed=args.seed,
-    )
-    family = generate_drift_family(cfg, [(rho, min(1.0, rho / 2.0)) for rho in rhos])
-    k_values = tuple(int(v) for v in args.k_grid.split(","))
-    rows = run_distance_curves(family, k_values, seed=args.seed)
-    text = curves_csv(rows)
-    if args.out:
-        write_text(args.out, text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return cli._run(study, ap.parse_args())
 
 
 if __name__ == "__main__":

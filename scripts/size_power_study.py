@@ -9,39 +9,17 @@ binomial confidence intervals.
 import argparse
 import json
 
+from anchorstat import cli
 from anchorstat.corpus import write_text
-from anchorstat.synth import ScenarioConfig, monte_carlo
+from anchorstat.synth import monte_carlo
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=300)
-    ap.add_argument("--dim", type=int, default=2)
-    ap.add_argument("--k-true", type=int, default=2)
-    ap.add_argument("--separation", type=float, default=8.0)
-    ap.add_argument("--noise", type=float, default=1.0)
-    ap.add_argument("--m", type=int, default=200, help="replicates per scenario")
-    ap.add_argument("--k", type=int, default=None, help="cluster count for the test")
-    ap.add_argument("--permutations", type=int, default=999)
-    ap.add_argument("--alpha", type=float, default=0.05)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", help="write both reports to this JSON file")
-    args = ap.parse_args()
-
-    print(f"seed: {args.seed}")
+def study(args) -> int:
+    grid = cli._grid_from_args(args)
+    cfg = cli._scenario_from_args(args, grid.seed)
     reports = {}
-    cfg = ScenarioConfig(
-        n=args.n,
-        dim=args.dim,
-        K_true=args.k_true,
-        community_separation=args.separation,
-        noise_sd=args.noise,
-        seed=args.seed,
-    )
     for scenario in ("null", "alt"):
-        rep = monte_carlo(
-            scenario, cfg, M=args.m, K=args.k, R=args.permutations, alpha=args.alpha
-        )
+        rep = monte_carlo(scenario, cfg, M=args.m, K=args.k, R=grid.permutations, alpha=grid.alpha)
         # the wall-clock field is printed, not written, so reruns are byte-identical
         reports[scenario] = rep.to_dict(volatile=False)
         print(
@@ -54,6 +32,16 @@ def main() -> int:
         write_text(args.out, json.dumps(reports, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
     return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    cli._add_scenario_flags(ap)
+    cli._add_grid_flags(ap, k_grid=False)
+    ap.add_argument("--m", type=int, default=200, help="replicates per scenario")
+    ap.add_argument("--k", type=int, default=None, help="cluster count for the test")
+    ap.add_argument("--out", help="write both reports to this JSON file")
+    return cli._run(study, ap.parse_args())
 
 
 if __name__ == "__main__":

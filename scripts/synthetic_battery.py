@@ -11,10 +11,12 @@ members live in unrelated frames.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
+from anchorstat import cli
 from anchorstat.battery import battery_csv, run_battery
-from anchorstat.synth import ScenarioConfig, battery_pattern_counts, generate_battery_quad
+from anchorstat.synth import battery_pattern_counts, generate_battery_quad
 
 
 def positive_int(text: str) -> int:
@@ -24,44 +26,17 @@ def positive_int(text: str) -> int:
     return value
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=positive_int, default=20, help="number of grid seeds")
-    ap.add_argument("--n", type=int, default=300)
-    ap.add_argument("--dim", type=int, default=2)
-    ap.add_argument("--k-true", type=int, default=2)
-    ap.add_argument("--separation", type=float, default=10.0)
-    ap.add_argument("--noise", type=float, default=1.0)
-    ap.add_argument("--k-grid", default="2,3,4,5")
-    ap.add_argument("--permutations", type=int, default=999)
-    ap.add_argument("--alpha", type=float, default=0.05)
-    ap.add_argument("--out-dir", default="battery-out", help="per-seed CSV tables")
-    args = ap.parse_args()
-
-    k_values = tuple(int(v) for v in args.k_grid.split(","))
+def study(args) -> int:
+    grid = cli._grid_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tallies = []
     for seed in range(args.seeds):
-        print(f"seed: {seed}")
-        cfg = ScenarioConfig(
-            n=args.n,
-            dim=args.dim,
-            K_true=args.k_true,
-            community_separation=args.separation,
-            noise_sd=args.noise,
-            seed=seed,
-        )
-        quad = generate_battery_quad(cfg)
-        result = run_battery(
-            quad,
-            dataset=f"synthetic-{seed}",
-            k_values=k_values,
-            R=args.permutations,
-            alpha=args.alpha,
-            seed=seed,
-        )
+        print(f"seed: {seed}", file=sys.stderr)
+        quad = generate_battery_quad(cli._scenario_from_args(args, seed))
+        result = run_battery(quad, dataset=f"synthetic-{seed}", k_values=grid.k_values,
+                             R=grid.permutations, alpha=grid.alpha, seed=seed)
         (out_dir / f"battery-{seed}.csv").write_text(battery_csv(result))
         tallies.append(battery_pattern_counts(result))
     drift_rejects, drift_total, aligned_accepts, aligned_total = map(sum, zip(*tallies))
@@ -76,6 +51,16 @@ def main() -> int:
     )
     print(f"tables in {out_dir}/")
     return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--seeds", type=positive_int, default=20, help="number of grid seeds")
+    cli._add_scenario_flags(ap)
+    ap.set_defaults(separation=10.0)  # this study's default; `mc` uses 8
+    cli._add_grid_flags(ap, seed=False)  # runs seeds 0..--seeds-1
+    ap.add_argument("--out-dir", default="battery-out", help="per-seed CSV tables")
+    return cli._run(study, ap.parse_args())
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ agree on the same inputs and results do not depend on scheduling.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import itertools
 import json
 import re
@@ -249,19 +251,24 @@ def run_battery(
     )
 
 
+def _csv(rows) -> str:
+    """``rows`` as CSV; a cell that holds a comma (an ``ERROR: …`` message,
+    a label) is quoted, so every row keeps the header's width."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def battery_csv(result: BatteryResult) -> str:
     header = ["dataset", "hypothesis"]
     header += [f"anchored_K{k}" for k in result.k_values]
     header += list(result.baselines)
     header += ["ball_external"]  # reserved for externally computed results
-    lines = [",".join(header)]
-    for row in result.rows:
-        cells = [result.dataset, row.hypothesis]
-        cells += [row.anchored[k].display for k in result.k_values]
-        cells += [row.baselines[b].display for b in result.baselines]
-        cells += [""]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv([header] + [
+        [result.dataset, row.hypothesis, *(row.anchored[k].display for k in result.k_values),
+         *(row.baselines[b].display for b in result.baselines), ""]
+        for row in result.rows
+    ])
 
 
 def battery_json(result: BatteryResult) -> str:
@@ -335,9 +342,8 @@ def run_distance_curves(
 
 
 def curves_csv(rows: list[dict]) -> str:
-    lines = ["K,rho,kl,wasserstein,hypothesis_tag"]
-    for r in rows:
-        lines.append(
-            f"{r['K']},{r['rho']:g},{r['kl']:.12g},{r['wasserstein']:.12g},{r['hypothesis_tag']}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv([["K", "rho", "kl", "wasserstein", "hypothesis_tag"]] + [
+        [r["K"], f"{r['rho']:g}", f"{r['kl']:.12g}", f"{r['wasserstein']:.12g}",
+         r["hypothesis_tag"]]
+        for r in rows
+    ])

@@ -4,8 +4,10 @@ happens only inside `battery` and `distances` (``--pca-dim``): per member
 for the anchored cells and the curves, jointly for the paired baselines.
 A command declares only the flags that change what it writes.
 
-Every command takes --seed and prints it; reruns with identical inputs,
-flags and seed produce byte-identical output files.
+Every command but `embed` takes --seed; reruns with identical inputs,
+flags and seed produce byte-identical output files. Status lines go to
+stderr, so stdout holds only a document. The experiment scripts read
+their shared flags through the helpers here and end the same way.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .corpus import (
 )
 from .errors import AnchorstatError, ManifestError, VacuousTestError
 from .llmpipeline import ClientConfig, embed_batch
-from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS
 from .synth import ScenarioConfig, monte_carlo
 
 
@@ -71,23 +72,18 @@ def _parse_baselines(text: str | None, default: tuple[str, ...]) -> tuple[str, .
     return names
 
 
-def _seed(args, default: int = 0) -> int:
-    """The run's seed (the flag, else ``default``), printed as every
-    command's first line."""
-    seed = args.seed if args.seed is not None else default
-    print(f"seed: {seed}")
-    return seed
-
-
 def _grid_from_args(args, base: ExperimentGrid = ExperimentGrid()) -> ExperimentGrid:
     """The run's grid: each grid flag that the command declares and that
-    is given overrides ``base``."""
+    is given overrides ``base``. A command that declares --seed prints
+    the seed as its first status line."""
     given = {name: value for name, value in vars(args).items() if value is not None}
+    if "seed" in vars(args):
+        print(f"seed: {given.get('seed', base.seed)}", file=sys.stderr)
     return ExperimentGrid(
         k_values=_parse_k_grid(given["k_grid"]) if given.get("k_grid") else base.k_values,
         alpha=given.get("alpha", base.alpha),
         permutations=given.get("permutations", base.permutations),
-        seed=_seed(args, base.seed),
+        seed=given.get("seed", base.seed),
     )
 
 
@@ -177,8 +173,7 @@ def cmd_test(args) -> int:
         reports[b] = cell(b).to_dict()
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     _write_text(args.out, text)
-    if args.out:
-        print(f"anchored p-value: {report.p_value:g} (reject={report.reject})")
+    print(f"anchored p-value: {report.p_value:g} (reject={report.reject})", file=sys.stderr)
     return 0
 
 
@@ -196,19 +191,15 @@ def cmd_synth(args) -> int:
         entries=tuple(entries), grid=grid, label=f"synth-{args.scenario}"
     )
     save_manifest(manifest, out / "manifest.json")
-    print(f"wrote {len(entries)} matrices and manifest.json to {out}")
+    print(f"wrote {len(entries)} matrices and manifest.json to {out}", file=sys.stderr)
     return 0
 
 
 def cmd_mc(args) -> int:
-    cfg = _scenario_from_args(args, _seed(args))
+    grid = _grid_from_args(args)
+    cfg = _scenario_from_args(args, grid.seed)
     report = monte_carlo(
-        args.scenario,
-        cfg,
-        M=args.m,
-        K=args.k,
-        R=args.permutations if args.permutations is not None else DEFAULT_PERMUTATIONS,
-        alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
+        args.scenario, cfg, M=args.m, K=args.k, R=grid.permutations, alpha=grid.alpha
     )
     # the written file omits the wall-clock field so reruns are byte-identical
     text = report.to_json(volatile=False) + "\n"
@@ -216,7 +207,8 @@ def cmd_mc(args) -> int:
     print(
         f"{args.scenario}: rejection rate {report.rate:.3f} "
         f"[{report.ci_low:.3f}, {report.ci_high:.3f}] over M={report.M} "
-        f"(vacuous={report.vacuous}, mean runtime {report.mean_runtime_s * 1e3:.0f} ms)"
+        f"(vacuous={report.vacuous}, mean runtime {report.mean_runtime_s * 1e3:.0f} ms)",
+        file=sys.stderr,
     )
     return 0
 
@@ -277,12 +269,12 @@ def cmd_ingest(args) -> int:
         entries=tuple(entries), grid=grid, label=args.label or "ingested"
     )
     save_manifest(manifest, args.out_manifest)
-    print(f"validated {len(entries)} members (n={members[entries[0].role].n}); wrote {args.out_manifest}")
+    n = members[entries[0].role].n
+    print(f"validated {len(entries)} members (n={n}); wrote {args.out_manifest}", file=sys.stderr)
     return 0
 
 
 def cmd_embed(args) -> int:
-    _seed(args)
     texts = [ln for ln in Path(args.input).read_text().splitlines() if ln.strip()]
     config = ClientConfig(
         base_url=args.base_url,
@@ -293,7 +285,7 @@ def cmd_embed(args) -> int:
     )
     matrix = embed_batch(texts, config)
     save_matrix(matrix, args.out, fmt=args.format)
-    print(f"embedded {matrix.n} texts into {matrix.p}-dim rows -> {args.out}")
+    print(f"embedded {matrix.n} texts into {matrix.p}-dim rows -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -301,22 +293,23 @@ def cmd_embed(args) -> int:
 # parser
 
 
-def _add_grid_flags(p: argparse.ArgumentParser, k_grid: bool = True, tests: bool = True) -> None:
+def _add_grid_flags(p: argparse.ArgumentParser, k_grid=True, tests=True, seed=True) -> None:
     """--k-grid unless the command takes one K, --alpha and --permutations
-    if it runs or records a test, and --seed."""
+    if it runs or records a test, and --seed unless it runs a seed range."""
     if k_grid:
         p.add_argument("--k-grid", help="comma-separated cluster counts, e.g. 2,3,4,5")
     if tests:
         p.add_argument("--alpha", type=float, default=None, help="significance level")
         p.add_argument("--permutations", type=int, default=None, help="permutation replicates R")
-    p.add_argument("--seed", type=int, default=None, help="root RNG seed")
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="root RNG seed")
 
 
 _PCA_DIM_HELP = "PCA-reduce every member to this dimension first"
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", choices=("null", "alt"), required=True)
+    """The five geometry flags of a synthetic scenario."""
     p.add_argument("--n", type=int, default=300)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--k-true", type=int, default=2)
@@ -359,12 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("synth", help="write a synthetic triple and manifest")
+    p.add_argument("--scenario", choices=("null", "alt"), required=True)
     _add_scenario_flags(p)
     _add_grid_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("mc", help="Monte Carlo rejection-rate study")
+    p.add_argument("--scenario", choices=("null", "alt"), required=True)
     _add_scenario_flags(p)
     _add_grid_flags(p, k_grid=False)  # `mc` tests one K, set by --k
     p.add_argument("--m", type=int, default=200, help="number of replicates")
@@ -396,23 +391,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--api-key-env", default="LLM_API_KEY")
     p.add_argument("--cache-dir", default=".anchorstat-cache")
     p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_embed)
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(func, args) -> int:
+    """``func(args)``; a package error ends it with one line on stderr, status 1."""
     try:
-        return args.func(args)
+        return func(args)
     except VacuousTestError as exc:
         print(f"vacuous test: {exc}", file=sys.stderr)
         return 1
     except (AnchorstatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return _run(args.func, args)
 
 
 if __name__ == "__main__":

@@ -349,7 +349,7 @@ class ExperimentGrid:
         if not 0 < self.alpha < 1:
             raise ManifestError(f"alpha must be in (0,1), got {self.alpha}")
         if self.permutations < 1:
-            raise ManifestError("permutations must be >= 1")
+            raise ManifestError(f"permutation count must be >= 1, got {self.permutations}")
         if self.seed < 0:
             raise ManifestError(f"seed must be >= 0, got {self.seed}")
 

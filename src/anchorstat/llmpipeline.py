@@ -132,8 +132,16 @@ def _call_with_retries(config: ClientConfig, url: str, payload: dict, read):
 
 
 def _embedding_rows(doc: dict) -> list[list[float]]:
+    """The rows of a response in index order; indices other than 0..len-1
+    or rows of unequal widths make a bad body, retried and never cached."""
     items = sorted(doc["data"], key=lambda d: d["index"])
-    return [[float(v) for v in item["embedding"]] for item in items]
+    if [item["index"] for item in items] != list(range(len(items))):
+        raise TransportError(f"embedding indices are not 0..{len(items) - 1}")
+    rows = [[float(v) for v in item["embedding"]] for item in items]
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise TransportError(f"embedding rows differ in width: {sorted(widths)}")
+    return rows
 
 
 def paraphrase_batch(job: ParaphraseJob, config: ClientConfig) -> list[str]:
@@ -208,6 +216,7 @@ def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
     pending = [i for i, v in enumerate(vectors) if v is None]
 
     url = config.base_url.rstrip("/") + "/embeddings"
+    widths = {len(v) for v in vectors if v is not None}
     for start in range(0, len(pending), config.embed_batch_size):
         chunk = pending[start : start + config.embed_batch_size]
         payload = {"model": config.embed_model, "input": [texts[i] for i in chunk]}
@@ -216,8 +225,13 @@ def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
             raise TransportError(
                 f"endpoint returned {len(rows)} embeddings for {len(chunk)} inputs"
             )
+        widths.add(len(rows[0]))
+        if len(widths) > 1:
+            break  # cache nothing of this batch
         for local, vec in zip(chunk, rows):
             vectors[local] = vec
             _cache_write(cache_dir, keys[local], vec)
+    if len(widths) > 1:
+        raise TransportError(f"cached and fresh embeddings differ in width: {sorted(widths)}")
     matrix = EmbeddingMatrix(values=np.asarray(vectors, dtype=float), label="embedded")
     return normalize_rows(matrix)

@@ -167,7 +167,8 @@ def battery_pattern_counts(result) -> tuple[int, int, int, int]:
     drifted-pair cells, aligned-pair anchored cells accepted, aligned-pair
     anchored cells). Every anchored and baseline cell of the drifted pair
     counts; of the aligned pair only the anchored cells do, since the
-    direct comparisons see members in unrelated frames."""
+    direct comparisons see members in unrelated frames. An ``ERROR`` cell
+    is neither a rejection nor an acceptance; a vacuous cell accepts."""
     rows = {row.pair: row for row in result.rows}
     drift = rows[("nonanchor_aligned_1", "nonanchor_drifted")]
     aligned = rows[("nonanchor_aligned_1", "nonanchor_aligned_2")]
@@ -177,7 +178,7 @@ def battery_pattern_counts(result) -> tuple[int, int, int, int]:
     return (
         sum(bool(c.reject) for c in drift_cells),
         len(drift_cells),
-        sum(not c.reject for c in aligned_cells),
+        sum(c.reject is False for c in aligned_cells),
         len(aligned_cells),
     )
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import shutil
@@ -8,9 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anchorstat.battery import format_p
+from anchorstat.battery import battery_csv, curves_csv, format_p, run_battery
 from anchorstat.cli import build_parser, main
-from anchorstat.corpus import EmbeddingMatrix, load_manifest, load_matrix, save_matrix
+from anchorstat.corpus import (
+    EmbeddingMatrix,
+    load_manifest,
+    load_matrix,
+    save_matrix,
+    validate_pairing,
+)
 
 
 def run_cli(*argv):
@@ -59,7 +67,7 @@ def test_synth_reproducible_files(tmp_path, capsys):
     p2 = _synth_manifest(tmp_path / "b", scenario="null", seed=9)
     for name in ("anchor.csv", "nonanchor_1.csv", "nonanchor_2.csv"):
         assert (p1.parent / name).read_bytes() == (p2.parent / name).read_bytes()
-    assert "seed: 9" in capsys.readouterr().out
+    assert "seed: 9" in capsys.readouterr().err
 
 
 def test_cmd_test_alt_rejects(tmp_path):
@@ -226,6 +234,37 @@ def test_battery_csv_schema_and_reproducibility(tmp_path):
         "dataset,hypothesis,anchored_K2,anchored_K3,hotelling,nploc,energy,ball_external"
     )
     assert len(out1.read_text().splitlines()) == 2  # one non-anchor pair
+
+
+def test_battery_csv_rows_keep_the_header_width():
+    # n <= p: the hotelling and nploc cells read "ERROR: need n > p, got n=20, p=30"
+    rng = np.random.default_rng(0)
+    coll = validate_pairing({role: EmbeddingMatrix(values=rng.normal(size=(20, 30)))
+                             for role in ("anchor", "na1", "na2")})
+    result = run_battery(coll, dataset="wide, real", k_values=(2,), R=19, alpha=0.05, seed=0)
+    assert result.rows[0].baselines["hotelling"].display.startswith("ERROR: need n > p, ")
+    curves = [{"K": 2, "rho": 0.5, "kl": 0.1, "wasserstein": 0.2, "hypothesis_tag": "p1,p2"}]
+    for text in (battery_csv(result), curves_csv(curves)):
+        header, *rows = csv.reader(io.StringIO(text))
+        assert rows and all(len(row) == len(header) for row in rows)
+
+
+@pytest.mark.parametrize("command", ["test", "mc", "battery"])
+def test_stdout_holds_only_the_document(tmp_path, capsys, command):
+    manifest = _synth_manifest(tmp_path, scenario="alt", seed=2, n=60)
+    capsys.readouterr()
+    argv = {
+        "test": ("test", "--manifest", manifest, "--k", 2, "--permutations", 19),
+        "mc": ("mc", "--scenario", "null", "--n", 40, "--m", 1, "--permutations", 19),
+        "battery": ("battery", "--manifest", manifest, "--k-grid", 2, "--permutations", 19),
+    }[command]
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("seed: ")
+    if command == "battery":
+        assert captured.out.startswith("dataset,hypothesis,anchored_K2,")
+    else:
+        json.loads(captured.out)
 
 
 def test_battery_alt_triple_all_anchored_cells_significant(tmp_path):
@@ -461,7 +500,7 @@ OPTIONAL_FLAGS = {
     "synth": "--n --dim --k-true --separation --noise --k-grid --alpha --permutations --seed",
     "mc": "--n --dim --k-true --separation --noise --alpha --permutations --seed --m --k --out",
     "ingest": "--format --normalize --out-dir --label --k-grid --alpha --permutations --seed",
-    "embed": "--format --base-url --embed-model --api-key-env --cache-dir --batch-size --seed",
+    "embed": "--format --base-url --embed-model --api-key-env --cache-dir --batch-size",
 }
 
 
@@ -482,9 +521,12 @@ def test_optional_flags_are_pinned():
     pytest.param("distances", "--alpha", 0.5, id="distances--alpha"),
     pytest.param("distances", "--permutations", 5, id="distances--permutations"),
     pytest.param("test", "--k-grid", "3,4,5", id="test--k-grid"),
+    pytest.param("embed", "--seed", 5, id="embed--seed"),
 ])
 def test_flag_the_command_would_ignore_is_a_usage_error(capsys, command, flag, value):
-    required = ("--scenario", "null") if command == "mc" else ("--manifest", "m.json")
+    required = {
+        "mc": ("--scenario", "null"), "embed": ("--input", "t.txt", "--out", "e.csv"),
+    }.get(command, ("--manifest", "m.json"))
     with pytest.raises(SystemExit) as exc:
         run_cli(command, *required, flag, value)
     assert exc.value.code == 2
@@ -572,7 +614,7 @@ def test_ingest_mismatched_rows_fails(tmp_path, capsys):
 
 def test_every_command_prints_seed(tmp_path, capsys):
     _synth_manifest(tmp_path, scenario="null", seed=13)
-    out = capsys.readouterr().out
+    out = capsys.readouterr().err
     assert "seed: 13" in out
 
 

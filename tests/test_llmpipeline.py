@@ -210,6 +210,37 @@ def test_embed_malformed_response_is_transport_error(tmp_path):
         embed_batch(["a"], _config(tmp_path, malformed))
 
 
+def test_embed_duplicate_indices_are_retried_and_never_cached(tmp_path):
+    # every item claims index 0, so arrival order would decide which text gets which row
+    calls = []
+
+    def aliased(url, headers, payload, timeout_s):
+        calls.append(payload["input"])
+        return {"data": [{"index": 0, "embedding": [float(i), 1.0]}
+                         for i in range(len(payload["input"]))]}
+
+    cfg = _config(tmp_path, aliased)
+    with pytest.raises(TransportError, match="indices are not 0..1"):
+        embed_batch(["a", "b"], cfg)
+    assert len(calls) == cfg.max_retries
+    assert not list((tmp_path / "cache").rglob("*.json"))
+
+
+def test_embed_rows_of_unequal_widths_are_a_transport_error(tmp_path):
+    def ragged(url, headers, payload, timeout_s):
+        return {"data": [{"index": i, "embedding": [1.0] * (2 + i)}
+                         for i in range(len(payload["input"]))]}
+
+    with pytest.raises(TransportError, match=r"rows differ in width: \[2, 3\]"):
+        embed_batch(["a", "b"], _config(tmp_path, ragged))
+    assert not list((tmp_path / "cache").rglob("*.json"))
+    # a batch that is fine on its own but differs from the cached rows
+    embed_batch(["a", "b"], _config(tmp_path, FakeEmbed(dim=4)))
+    with pytest.raises(TransportError, match=r"cached and fresh embeddings differ in width"):
+        embed_batch(["a", "b", "c"], _config(tmp_path, FakeEmbed(dim=3)))
+    assert len(list((tmp_path / "cache").rglob("*.json"))) == 2
+
+
 def test_truncated_cache_entry_is_a_miss(tmp_path):
     cfg = _config(tmp_path, FakeChat())
     paraphrase_batch(_job(["one"]), cfg)

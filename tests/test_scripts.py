@@ -1,12 +1,15 @@
 """Smoke runs of the experiment scripts at tiny sizes, so that a moved
 import or a changed signature cannot break them silently."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from anchorstat import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,3 +84,47 @@ def test_size_power_study_out_is_byte_identical_across_reruns(tmp_path):
         assert "mean_runtime=" in out.stdout  # printed, not written
         written.append((tmp_path / f"run{run}.json").read_bytes())
     assert written[0] == written[1]
+
+
+# each script's bad inputs, for the flags it declares: the CLI's refusals
+_BAD_INPUTS = {
+    "size_power_study.py": [["--alpha", "0"], ["--permutations", "0"], ["--seed", "-1"]],
+    "synthetic_battery.py": [["--k-grid", "2,2"], ["--k-grid", "1"], ["--alpha", "0"],
+                             ["--permutations", "0"]],
+    "divergence_curves.py": [["--k-grid", "2,2"], ["--k-grid", "1"], ["--seed", "-1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "script, bad",
+    [(script, bad) for script, bads in _BAD_INPUTS.items() for bad in bads],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_script_refuses_what_the_cli_refuses(script, bad, tmp_path):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--n", "40", *bad],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 1
+    assert "error: " in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("script", sorted(_BAD_INPUTS))
+def test_script_geometry_flags_match_mc(script, monkeypatch):
+    spec = importlib.util.spec_from_file_location("script", ROOT / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    parsed = []
+    monkeypatch.setattr(cli, "_run", lambda study, args: parsed.append(args) or 0)
+    monkeypatch.setattr(sys, "argv", [script])
+    assert module.main() == 0
+    geometry = ("n", "dim", "k_true", "separation", "noise")
+    mc = vars(cli.build_parser().parse_args(["mc", "--scenario", "null"]))
+    expected = {name: mc[name] for name in geometry}
+    if script == "synthetic_battery.py":
+        expected["separation"] = 10.0
+    assert {name: vars(parsed[0])[name] for name in geometry} == expected

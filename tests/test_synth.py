@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anchorstat import cli, synth
+from anchorstat.battery import BatteryCell, BatteryResult, BatteryRow
 from anchorstat.cluster import kmeans
 from anchorstat.errors import GuardError, ParameterError, VacuousTestError
 from anchorstat.stattests import _child_seed
@@ -205,6 +206,21 @@ def test_battery_quad_roles_and_alignment():
     pd = kmeans(quad.member("nonanchor_drifted"), 2, seed=2, restarts=5)
     assert rand_index(p1.assignment, p2.assignment) > 0.9
     assert rand_index(p1.assignment, pd.assignment) < 0.75
+
+
+def test_battery_pattern_counts_do_not_count_error_cells_as_acceptances():
+    ok = BatteryCell(p_value=0.5, reject=False, display="0.500")
+    identical = BatteryCell(p_value=None, reject=False, display="identical", vacuous=True)
+    error = BatteryCell(p_value=None, reject=None, display="ERROR: x", error="x")
+    rejected = BatteryCell(p_value=0.001, reject=True, display="< 1e-3*")
+    rows = (
+        BatteryRow("aligned", ("nonanchor_aligned_1", "nonanchor_aligned_2"),
+                   {2: ok, 3: identical, 4: error}, {}),
+        BatteryRow("drifted", ("nonanchor_aligned_1", "nonanchor_drifted"),
+                   {2: rejected, 3: error, 4: rejected}, {}),
+    )
+    result = BatteryResult("quad", (2, 3, 4), 0.05, 99, 0, (), rows)
+    assert synth.battery_pattern_counts(result) == (2, 3, 2, 3)
 
 
 def test_drift_family_temperatures_and_monotone_drift():
