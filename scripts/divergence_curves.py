@@ -8,16 +8,32 @@ plotting divergence against temperature.
 """
 
 import argparse
+import math
 import sys
 
 from anchorstat import cli
 from anchorstat.battery import curves_csv, run_distance_curves
+from anchorstat.errors import ParameterError
 from anchorstat.synth import generate_drift_family
+
+
+def parse_rhos(text: str) -> list[float]:
+    """The --rhos temperatures; blank entries are skipped, as in --k-grid."""
+    rhos = []
+    for v in filter(str.strip, text.split(",")):
+        try:
+            rho = float(v)
+        except ValueError:
+            rho = math.nan
+        if not math.isfinite(rho):
+            raise ParameterError(f"bad temperature '{v}' in --rhos '{text}'")
+        rhos.append(rho)
+    return rhos
 
 
 def study(args) -> int:
     grid = cli._grid_from_args(args)
-    rhos = [float(v) for v in args.rhos.split(",")]
+    rhos = parse_rhos(args.rhos)
     cfg = cli._scenario_from_args(args, grid.seed)
     family = generate_drift_family(cfg, [(rho, min(1.0, rho / 2.0)) for rho in rhos])
     cli._write_text(args.out, curves_csv(run_distance_curves(family, grid.k_values, grid.seed)))

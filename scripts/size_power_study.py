@@ -21,7 +21,7 @@ def study(args) -> int:
     for scenario in ("null", "alt"):
         rep = monte_carlo(scenario, cfg, M=args.m, K=args.k, R=grid.permutations, alpha=grid.alpha)
         # the wall-clock field is printed, not written, so reruns are byte-identical
-        reports[scenario] = rep.to_dict(volatile=False)
+        reports[scenario] = rep.to_dict()
         print(
             f"{scenario:>4}: rate={rep.rate:.3f} "
             f"CI=[{rep.ci_low:.3f}, {rep.ci_high:.3f}] "

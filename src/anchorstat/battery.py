@@ -333,7 +333,6 @@ def run_distance_curves(
                     "K": K,
                     "rho": temps[role],
                     "kl": kl.value,
-                    "kl_degenerate": kl.degenerate,
                     "wasserstein": w1,
                     "hypothesis_tag": f"H0({ANCHOR_ROLE}; {base_role} vs {role})",
                 }

@@ -342,6 +342,8 @@ class ExperimentGrid:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.k_values:
+            raise ManifestError("grid K values must not be empty")
         if any(k < 2 for k in self.k_values):
             raise ManifestError(f"grid K values must be >= 2, got {self.k_values}")
         if len(set(self.k_values)) != len(self.k_values):

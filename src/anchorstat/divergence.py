@@ -9,8 +9,8 @@ import numpy as np
 from .anchor import MappedDistanceSet
 from .errors import ParameterError
 
-DEFAULT_BINS = 50
-DEFAULT_SMOOTHING = 0.5
+BINS = 50  # shared equal-width bins over the pooled range
+SMOOTHING = 0.5  # pseudo-count added to every bin of both histograms
 
 
 def _as_sample(a) -> np.ndarray:
@@ -39,30 +39,24 @@ class KlEstimate(NamedTuple):
     degenerate: bool = False
 
 
-def kl_divergence(
-    a, b, bins: int = DEFAULT_BINS, smoothing: float = DEFAULT_SMOOTHING
-) -> KlEstimate:
+def kl_divergence(a, b) -> KlEstimate:
     """Binned Kullback-Leibler divergence KL(a || b).
 
-    Both samples are histogrammed on shared equal-width bins spanning
-    their pooled range; ``smoothing`` pseudo-counts per bin keep the
-    reference strictly positive. If every value in both samples is
+    Both samples are histogrammed on ``BINS`` shared equal-width bins
+    spanning their pooled range; ``SMOOTHING`` pseudo-counts per bin keep
+    the reference strictly positive. If every value in both samples is
     identical the range is degenerate and the estimate is 0 with the
     ``degenerate`` flag set.
     """
-    if bins < 2:
-        raise ParameterError(f"bins must be >= 2, got {bins}")
-    if smoothing <= 0:
-        raise ParameterError(f"smoothing must be > 0, got {smoothing}")
     x = _as_sample(a)
     y = _as_sample(b)
     lo = min(x.min(), y.min())
     hi = max(x.max(), y.max())
     if lo == hi:
         return KlEstimate(value=0.0, degenerate=True)
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, BINS + 1)
     px, _ = np.histogram(x, bins=edges)
     qy, _ = np.histogram(y, bins=edges)
-    p = (px + smoothing) / (px.sum() + smoothing * bins)
-    q = (qy + smoothing) / (qy.sum() + smoothing * bins)
+    p = (px + SMOOTHING) / (px.sum() + SMOOTHING * BINS)
+    q = (qy + SMOOTHING) / (qy.sum() + SMOOTHING * BINS)
     return KlEstimate(value=float(np.sum(p * np.log(p / q))), degenerate=False)

@@ -210,6 +210,8 @@ def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
     if config.embed_batch_size < 1:
         raise ParameterError(f"embed batch size must be >= 1, got {config.embed_batch_size}")
     texts = list(texts)
+    if not texts:
+        raise ParameterError("no texts to embed")
     cache_dir = Path(config.cache_dir)
     keys = [_cache_key("embed", model=config.embed_model, text=t) for t in texts]
     vectors: list[list[float] | None] = [_cache_read(cache_dir, k) for k in keys]

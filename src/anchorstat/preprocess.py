@@ -13,34 +13,15 @@ import numpy as np
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
 from .errors import DimensionError, ParameterError
 
-_ORTHO_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class PcaModel:
     """Fitted projection: ``mean`` (ambient), ``components`` (p x ambient,
-    orthonormal rows), ``explained_variance`` (non-increasing)."""
+    orthonormal rows), ``explained_variance`` (non-increasing, >= 0)."""
 
     mean: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        comps = np.asarray(self.components, dtype=float)
-        ev = np.asarray(self.explained_variance, dtype=float)
-        if comps.ndim != 2 or mean.ndim != 1 or comps.shape[1] != mean.shape[0]:
-            raise DimensionError("components must be p x ambient with matching mean")
-        gram = comps @ comps.T
-        if not np.allclose(gram, np.eye(comps.shape[0]), atol=_ORTHO_TOL):
-            raise DimensionError("component rows are not orthonormal")
-        if np.any(np.diff(ev) > 1e-12):
-            raise DimensionError("explained_variance must be non-increasing")
-        if np.any(ev < -1e-10):
-            raise DimensionError("explained_variance must be nonnegative")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "explained_variance", np.maximum(ev, 0.0))
 
     @property
     def p(self) -> int:
@@ -95,25 +76,6 @@ def apply_pca(model: PcaModel, m: EmbeddingMatrix) -> EmbeddingMatrix:
     return EmbeddingMatrix(values=projected, label=m.label)
 
 
-def fit_collection_models(
-    c: PairedCollection, p: int, mode: str = "per_dataset"
-) -> dict[str, PcaModel]:
-    """Fit the reduction model(s) for a collection without applying them."""
-    if mode == "per_dataset":
-        return {role: fit_pca(c.members[role], p) for role in c.roles}
-    if mode == "joint":
-        dims = {c.members[role].p for role in c.roles}
-        if len(dims) > 1:
-            raise DimensionError(
-                f"joint reduction needs equal ambient dims, got {sorted(dims)}"
-            )
-        # the stacked rows are a fresh array, so they are centred in place
-        stacked = np.vstack([c.members[role].values for role in c.roles])
-        joint_model = _fit_in_place(stacked, p)
-        return {role: joint_model for role in c.roles}
-    raise ParameterError(f"unknown reduction mode '{mode}'")
-
-
 def reduce_collection(
     c: PairedCollection, p: int, mode: str = "per_dataset"
 ) -> PairedCollection:
@@ -124,6 +86,20 @@ def reduce_collection(
     joint: one model is fitted on the row-concatenation of all members
     and applied to each, giving a single common space.
     """
-    models = fit_collection_models(c, p, mode)
+    if mode == "per_dataset":
+        models = {role: fit_pca(c.members[role], p) for role in c.roles}
+    elif mode == "joint":
+        dims = {c.members[role].p for role in c.roles}
+        if len(dims) > 1:
+            raise DimensionError(
+                f"joint reduction needs equal ambient dims, got {sorted(dims)}"
+            )
+        # the stacked rows are a fresh array, so the fit centres them in
+        # place, and they are freed before any member is projected
+        stacked = np.vstack([c.members[role].values for role in c.roles])
+        models = dict.fromkeys(c.roles, _fit_in_place(stacked, p))
+        del stacked
+    else:
+        raise ParameterError(f"unknown reduction mode '{mode}'")
     reduced = {role: apply_pca(models[role], c.members[role]) for role in c.roles}
     return validate_pairing(reduced, temperatures=c.temperatures)

@@ -18,7 +18,7 @@ the partitions behind those sets are chosen and clustered elsewhere
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -62,16 +62,7 @@ class TestReport:
             raise ParameterError("reject flag inconsistent with p-value and alpha")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "reject": self.reject,
-            "metadata": dict(self.metadata),
-        }
+        return asdict(self)
 
 
 def _modified_t(mean, var, mu3, n: int):

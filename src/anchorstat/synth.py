@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -199,12 +199,14 @@ def generate_drift_family(
     }
     temperatures: dict[str, float | None] = {"anchor": None, "nonanchor_base": None}
     for rho, fraction in rho_fractions:
+        role = f"nonanchor_rho_{rho:g}"
+        if role in members:
+            raise ParameterError(f"temperature {rho!r} repeats the member '{role}'")
         if not 0.0 <= fraction <= 1.0:
             raise ParameterError(f"drift fraction must be in [0,1], got {fraction}")
         z_rho = z.copy()
         moved = rng.random(cfg.n) < fraction
         z_rho[moved] = rng.integers(0, cfg.K_true, int(moved.sum()))
-        role = f"nonanchor_rho_{rho:g}"
         members[role] = _mixture(z_rho, cfg, rng, role)
         temperatures[role] = float(rho)
     return validate_pairing(members, temperatures=temperatures)
@@ -251,29 +253,15 @@ class MonteCarloReport:
     replicates: int
     seed: int
 
-    def to_dict(self, volatile: bool = True) -> dict:
-        """``volatile=False`` drops the wall-clock field so the document
-        is byte-reproducible across reruns."""
-        doc = {
-            "scenario": self.scenario,
-            "M": self.M,
-            "rejections": self.rejections,
-            "vacuous": self.vacuous,
-            "rate": self.rate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "degenerate_ci": self.degenerate_ci,
-            "alpha": self.alpha,
-            "K": self.K,
-            "replicates": self.replicates,
-            "seed": self.seed,
-        }
-        if volatile:
-            doc["mean_runtime_s"] = self.mean_runtime_s
+    def to_dict(self) -> dict:
+        """Every field but the wall-clock ``mean_runtime_s``, so the
+        document is byte-reproducible across reruns."""
+        doc = asdict(self)
+        del doc["mean_runtime_s"]
         return doc
 
-    def to_json(self, volatile: bool = True) -> str:
-        return json.dumps(self.to_dict(volatile=volatile), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _wilson_ci(successes: int, total: int, z: float = 1.959963984540054) -> tuple[float, float]:

@@ -1,7 +1,10 @@
 import csv
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import anchorstat
 from anchorstat.battery import battery_csv, curves_csv, format_p, run_battery
 from anchorstat.cli import build_parser, main
 from anchorstat.corpus import (
@@ -514,6 +518,72 @@ def test_optional_flags_are_pinned():
     assert found == {name: sorted(flags.split()) for name, flags in OPTIONAL_FLAGS.items()}
 
 
+# every defaulted parameter of a public function, or of a public method of
+# a public class, defined in an anchorstat module, with its default
+LIBRARY_DEFAULTS = {
+    "anchor.mapped_distances(source)": "",
+    "battery.run_battery(R)": 999,
+    "battery.run_battery(alpha)": 0.05,
+    "battery.run_battery(baseline_collection)": None,
+    "battery.run_battery(baselines)": ("hotelling", "nploc", "energy"),
+    "battery.run_battery(seed)": 0,
+    "battery.run_cell(R)": 999,
+    "battery.run_cell(alpha)": 0.05,
+    "battery.run_cell(seed)": 0,
+    "battery.run_distance_curves(seed)": 0,
+    "cli.main(argv)": None,
+    "cluster.kmeans(debug)": False,
+    "cluster.kmeans(restarts)": 10,
+    "cluster.kmeans(seed)": 0,
+    "corpus.DatasetManifest.load_collection(base)": None,
+    "corpus.DatasetManifest.validate_paths(base)": None,
+    "corpus.load_matrix(fmt)": "csv",
+    "corpus.load_matrix(label)": None,
+    "corpus.save_matrix(fmt)": "csv",
+    "corpus.validate_pairing(temperatures)": None,
+    "preprocess.reduce_collection(mode)": "per_dataset",
+    "stattests.anchored_test(R)": 999,
+    "stattests.anchored_test(alpha)": 0.05,
+    "stattests.anchored_test(seed)": 0,
+    "stattests.energy_test(R)": 999,
+    "stattests.energy_test(alpha)": 0.05,
+    "stattests.energy_test(seed)": 0,
+    "stattests.hotelling_paired(alpha)": 0.05,
+    "stattests.hotelling_paired(seed)": 0,
+    "stattests.nploc_mean_test(R)": 999,
+    "stattests.nploc_mean_test(alpha)": 0.05,
+    "stattests.nploc_mean_test(seed)": 0,
+    "stattests.sign_flip_pvalue(R)": 999,
+    "stattests.sign_flip_pvalue(alpha)": 0.05,
+    "stattests.sign_flip_pvalue(metadata)": None,
+    "stattests.sign_flip_pvalue(seed)": 0,
+    "synth.monte_carlo(K)": None,
+    "synth.monte_carlo(R)": 999,
+    "synth.monte_carlo(alpha)": 0.05,
+}
+
+
+def test_library_defaults_are_pinned():
+    found = {}
+    for info in pkgutil.iter_modules(anchorstat.__path__):
+        module = importlib.import_module(f"anchorstat.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions = {name: obj}
+            elif inspect.isclass(obj):
+                functions = {f"{name}.{m}": f for m, f in vars(obj).items()
+                             if not m.startswith("_") and inspect.isfunction(f)}
+            else:
+                continue
+            for qualname, f in functions.items():
+                for param in inspect.signature(f).parameters.values():
+                    if param.default is not param.empty:
+                        found[f"{info.name}.{qualname}({param.name})"] = param.default
+    assert found == LIBRARY_DEFAULTS
+
+
 @pytest.mark.parametrize("command, flag, value", [
     pytest.param("mc", "--k-grid", "x", id="mc--k-grid"),
     pytest.param("battery", "--pca-mode", "joint", id="battery--pca-mode"),
@@ -711,6 +781,22 @@ def test_negative_manifest_seed_is_a_manifest_error(tmp_path, capsys):
     assert "seed must be >= 0, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("test",), ("battery", "--baselines", "none"), ("battery", "--k-grid", ""),
+], ids=" ".join)
+def test_empty_k_grid_is_a_manifest_error(tmp_path, capsys, argv):
+    manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)
+    doc = json.loads(manifest.read_text())
+    if "--k-grid" not in argv:
+        doc["grid"]["k_values"] = []
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    rc = run_cli(*argv, "--manifest", manifest, "--out", out)
+    assert rc == 1
+    assert "error: grid K values must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("noise", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["mc", "synth"])
 def test_non_finite_noise_names_noise_sd(tmp_path, capsys, command, noise):
@@ -720,6 +806,15 @@ def test_non_finite_noise_names_noise_sd(tmp_path, capsys, command, noise):
     assert rc == 1
     assert f"noise_sd must be finite and > 0, got {noise}" in capsys.readouterr().err
     assert not out[-1].exists()
+
+
+def test_embed_without_texts_is_an_error(tmp_path, capsys):
+    (tmp_path / "t.txt").write_text("\n  \n")
+    rc = run_cli("embed", "--input", tmp_path / "t.txt", "--out", tmp_path / "e.csv",
+                 "--cache-dir", tmp_path / "cache")
+    assert rc == 1
+    assert "error: no texts to embed" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
 
 
 @pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])

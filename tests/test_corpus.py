@@ -250,6 +250,11 @@ def test_manifest_rejects_small_k():
         ExperimentGrid(k_values=(1, 2))
 
 
+def test_manifest_rejects_empty_k_grid():
+    with pytest.raises(ManifestError, match="grid K values must not be empty"):
+        ExperimentGrid(k_values=())
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("temperature", "0.7", "'temperature' must be null or a finite number, got '0.7'"),
     ("temperature", float("nan"), "'temperature' must be null or a finite number, got nan"),

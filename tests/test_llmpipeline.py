@@ -171,6 +171,14 @@ def test_embed_batch_size_must_be_positive(tmp_path, size):
     assert fake.calls == 0
 
 
+def test_embed_without_texts_is_refused_before_any_call(tmp_path):
+    fake = FakeEmbed()
+    with pytest.raises(ParameterError, match="no texts to embed"):
+        embed_batch([], _config(tmp_path, fake))
+    assert fake.calls == 0
+    assert not (tmp_path / "cache").exists()
+
+
 def test_transport_retries_then_fails(tmp_path):
     attempts = {"n": 0}
 

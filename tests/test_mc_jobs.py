@@ -88,7 +88,7 @@ def test_monte_carlo_jobs_uneven_chunks(monkeypatch):
     serial = monte_carlo("alt", cfg, M=7, R=49)
     pin_cpus(monkeypatch, 3)
     sharded = monte_carlo("alt", cfg, M=7, R=49)
-    assert sharded.to_dict(volatile=False) == serial.to_dict(volatile=False)
+    assert sharded.to_dict() == serial.to_dict()
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -102,7 +102,7 @@ def test_monte_carlo_jobs_without_fork(monkeypatch, method):
         f"multiprocessing.set_start_method({method!r})\n"
         "synth.usable_cpus = lambda: 2\n"
         "report = monte_carlo('null', ScenarioConfig(n=60, seed=3), M=4, R=49)\n"
-        "sys.stdout.write(report.to_json(volatile=False))\n"
+        "sys.stdout.write(report.to_json())\n"
     )
     env = dict(os.environ)
     src = str(ROOT / "src")
@@ -112,7 +112,7 @@ def test_monte_carlo_jobs_without_fork(monkeypatch, method):
     assert out.returncode == 0, out.stderr
     pin_cpus(monkeypatch, 1)
     serial = monte_carlo("null", ScenarioConfig(n=60, seed=3), M=4, R=49)
-    assert out.stdout == serial.to_json(volatile=False)
+    assert out.stdout == serial.to_json()
 
 
 @pytest.mark.parametrize("failing", [(5, 6), (2, 5), (7,)])

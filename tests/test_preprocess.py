@@ -5,13 +5,7 @@ import pytest
 
 from anchorstat.corpus import EmbeddingMatrix, validate_pairing
 from anchorstat.errors import DimensionError
-from anchorstat.preprocess import (
-    PcaModel,
-    apply_pca,
-    fit_collection_models,
-    fit_pca,
-    reduce_collection,
-)
+from anchorstat.preprocess import PcaModel, apply_pca, fit_pca, reduce_collection
 
 
 def _line_data():
@@ -179,34 +173,22 @@ def test_per_dataset_handles_unequal_dims():
     assert all(out.member(r).p == 2 for r in out.roles)
 
 
-def test_model_validates_orthonormality():
-    with pytest.raises(DimensionError, match="orthonormal"):
-        PcaModel(
-            mean=np.zeros(2),
-            components=np.array([[1.0, 1.0], [0.0, 1.0]]),
-            explained_variance=np.array([1.0, 0.5]),
-        )
-
-
 def test_joint_model_equals_fit_pca_on_stacked_members():
     coll = _collection(seed=12, shapes=((40, 7), (40, 7), (40, 7)))
-    models = fit_collection_models(coll, 4, mode="joint")
+    out = reduce_collection(coll, 4, "joint")
     stacked = np.vstack([coll.member(r).values for r in coll.roles])
     ref = fit_pca(EmbeddingMatrix(values=stacked), 4)
     for role in coll.roles:
-        assert models[role] is models[coll.roles[0]]
-        np.testing.assert_array_equal(models[role].mean, ref.mean)
-        np.testing.assert_array_equal(models[role].components, ref.components)
         np.testing.assert_array_equal(
-            models[role].explained_variance, ref.explained_variance
+            out.member(role).values, apply_pca(ref, coll.member(role)).values
         )
 
 
 def test_joint_p_range_is_checked_on_stacked_rows():
     coll = _collection(shapes=((3, 8), (3, 8), (3, 8)))
-    assert fit_collection_models(coll, 8, mode="joint")["anchor"].p == 8
+    assert reduce_collection(coll, 8, "joint").member("anchor").p == 8
     with pytest.raises(DimensionError, match=r"n-1=8"):
-        fit_collection_models(coll, 9, mode="joint")
+        reduce_collection(coll, 9, "joint")
 
 
 def test_joint_fit_holds_one_stacked_copy():
@@ -214,7 +196,7 @@ def test_joint_fit_holds_one_stacked_copy():
     stacked_bytes = 3 * 2000 * 64 * 8
     tracemalloc.start()
     try:
-        fit_collection_models(coll, 8, mode="joint")
+        reduce_collection(coll, 8, "joint")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -113,6 +113,41 @@ def test_script_refuses_what_the_cli_refuses(script, bad, tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("rhos, message", [
+    ("x", "bad temperature 'x' in --rhos 'x'"),
+    ("0.1,nan", "bad temperature 'nan' in --rhos '0.1,nan'"),
+    ("inf", "bad temperature 'inf' in --rhos 'inf'"),
+    ("0.1,0.1", "temperature 0.1 repeats the member 'nonanchor_rho_0.1'"),
+    ("0.10,0.1", "temperature 0.1 repeats the member 'nonanchor_rho_0.1'"),
+])
+def test_divergence_curves_refuses_bad_rhos(rhos, message, tmp_path):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "divergence_curves.py"), "--n", "40",
+         "--k-grid", "2", "--rhos", rhos, "--out", "c.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 1
+    assert f"error: {message}" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_divergence_curves_skips_blank_rhos(tmp_path):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "divergence_curves.py"), "--n", "40",
+         "--k-grid", "2", "--rhos", " 0.5,, 1.0,"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert [row.split(",")[1] for row in out.stdout.splitlines()[1:]] == ["0.5", "1"]
+
+
 @pytest.mark.parametrize("script", sorted(_BAD_INPUTS))
 def test_script_geometry_flags_match_mc(script, monkeypatch):
     spec = importlib.util.spec_from_file_location("script", ROOT / "scripts" / script)

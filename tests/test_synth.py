@@ -241,6 +241,12 @@ def test_drift_family_fraction_validation():
         generate_drift_family(_cfg(), [(0.5, 1.5)])
 
 
+@pytest.mark.parametrize("rhos", [(0.1, 0.1), (0.10, 0.1, 0.4), (1e-1, 0.4, 0.1)])
+def test_drift_family_refuses_temperatures_naming_one_member(rhos):
+    with pytest.raises(ParameterError, match="repeats the member 'nonanchor_rho_0.1'"):
+        generate_drift_family(_cfg(), [(rho, rho / 2) for rho in rhos])
+
+
 def test_rand_index_basics():
     assert rand_index(np.array([0, 0, 1, 1]), np.array([1, 1, 0, 0])) == 1.0
     assert rand_index(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])) == pytest.approx(1 / 3)
