@@ -6,12 +6,13 @@ A member has one partition at each K: `mapped_member` clusters it with
 a seed derived from (seed, role, K) and maps the partition onto the
 anchor. `run_battery` and the divergence curves compute every
 (member, K) set up front, spread over worker processes, and the battery
-shares each set across every pair the member is in; `anchorstat test`
-and each Monte Carlo replicate call `run_cell`, which takes its sets
-from the same function. Each cell then runs in this process through
-`run_cell` with a seed derived from (seed, dataset, pair, K or baseline
-name) for the sign flips or the baseline, so `test`, `battery` and `mc`
-agree on the same inputs and results do not depend on scheduling.
+shares each set across every pair the member is in; each Monte Carlo
+replicate calls `run_cell`, which takes its sets from the same function.
+Each cell then runs in this process through `run_cell` with a seed
+derived from (seed, dataset, pair, K or baseline name) for the sign
+flips or the baseline, so a battery cell and an `mc` replicate agree on
+the same inputs and results do not depend on scheduling. A cell keeps
+its test's whole `TestReport`, which the JSON table writes out.
 """
 
 from __future__ import annotations
@@ -53,15 +54,35 @@ BASELINE_NAMES = tuple(BASELINES)
 
 @dataclass(frozen=True)
 class BatteryCell:
-    p_value: float | None
-    reject: bool | None
+    """One cell's table text and its test's report. A cell with neither a
+    report nor an error is vacuous: it accepts, while a failed cell
+    neither accepts nor rejects."""
+
     display: str
-    statistic: float | None = None
-    vacuous: bool = False
+    report: TestReport | None = None
     error: str | None = None
 
+    @property
+    def vacuous(self) -> bool:
+        return self.report is None and self.error is None
+
+    @property
+    def p_value(self) -> float | None:
+        return None if self.report is None else self.report.p_value
+
+    @property
+    def statistic(self) -> float | None:
+        return None if self.report is None else self.report.statistic
+
+    @property
+    def reject(self) -> bool | None:
+        if self.report is None:
+            return False if self.vacuous else None
+        return self.report.reject
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "p_value": self.p_value, "reject": self.reject,
+                "statistic": self.statistic, "vacuous": self.vacuous}
 
 
 @dataclass(frozen=True)
@@ -178,12 +199,8 @@ def _run_cell(members, dataset, pair, method, R, alpha, seed, member_set) -> Tes
 
 def _error_cell(exc: Exception) -> BatteryCell:
     if isinstance(exc, VacuousTestError):
-        return BatteryCell(
-            p_value=None, reject=False, display="identical", vacuous=True
-        )
-    return BatteryCell(
-        p_value=None, reject=None, display=f"ERROR: {exc}", error=str(exc)
-    )
+        return BatteryCell(display="identical")
+    return BatteryCell(display=f"ERROR: {exc}", error=str(exc))
 
 
 def run_battery(
@@ -222,12 +239,7 @@ def run_battery(
             report = _run_cell(members, dataset, pair, method, R, alpha, seed, member_set)
         except AnchorstatError as exc:
             return _error_cell(exc)
-        return BatteryCell(
-            p_value=report.p_value,
-            reject=report.reject,
-            display=format_p(report.p_value, R, alpha),
-            statistic=report.statistic,
-        )
+        return BatteryCell(display=format_p(report.p_value, R, alpha), report=report)
 
     cells = {task: compute(task) for task in tasks}
 

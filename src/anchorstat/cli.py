@@ -1,5 +1,5 @@
-"""Command-line surface: ingest -> embed -> test/battery/distances/
-synth/mc, emitting p-value tables and divergence curves. PCA reduction
+"""Command-line surface: ingest -> embed -> battery/distances/synth/mc,
+emitting p-value tables and divergence curves. PCA reduction
 happens only inside `battery` and `distances` (``--pca-dim``): per member
 for the anchored cells and the curves, jointly for the paired baselines.
 A command declares only the flags that change what it writes.
@@ -13,8 +13,6 @@ their shared flags through the helpers here and end the same way.
 from __future__ import annotations
 
 import argparse
-import functools
-import json
 import math
 import os
 import sys
@@ -27,7 +25,6 @@ from .battery import (
     battery_json,
     curves_csv,
     run_battery,
-    run_cell,
     run_distance_curves,
 )
 from .corpus import (
@@ -43,7 +40,7 @@ from .corpus import (
     validate_pairing,
     write_text,
 )
-from .errors import AnchorstatError, ManifestError, VacuousTestError
+from .errors import AnchorstatError, ManifestError
 from .llmpipeline import ClientConfig, embed_batch
 from .synth import ScenarioConfig, monte_carlo
 
@@ -60,9 +57,9 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
     return values
 
 
-def _parse_baselines(text: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
+def _parse_baselines(text: str | None) -> tuple[str, ...]:
     if text is None:
-        return default
+        return BASELINE_NAMES
     names = () if text in ("", "none") else tuple(text.split(","))
     for name in names:
         if names.count(name) > 1:
@@ -117,7 +114,7 @@ def _scenario_from_args(args, seed: int) -> ScenarioConfig:
 def cmd_battery(args) -> int:
     manifest, collection = _load_collection(args)
     grid = _grid_from_args(args, manifest.grid)
-    baselines = _parse_baselines(args.baselines, BASELINE_NAMES)
+    baselines = _parse_baselines(args.baselines)
     anchored_coll, baseline_collection = collection, None
     if args.pca_dim is not None:
         anchored_coll = preprocess.reduce_collection(collection, args.pca_dim)
@@ -147,31 +144,6 @@ def cmd_distances(args) -> int:
         collection = preprocess.reduce_collection(collection, args.pca_dim)
     rows = run_distance_curves(collection, grid.k_values, seed=grid.seed)
     _write_text(args.out, curves_csv(rows))
-    return 0
-
-
-def cmd_test(args) -> int:
-    """One battery row restricted to one K: the same cells, seeds and
-    p-values as `battery` on the same manifest and seed."""
-    manifest, collection = _load_collection(args)
-    grid = _grid_from_args(args, manifest.grid)
-    nonanchors = collection.nonanchor_roles
-    if len(nonanchors) != 2:
-        raise ManifestError(
-            f"single-triple test needs exactly two non-anchors, got {nonanchors}"
-        )
-    K = args.k if args.k is not None else grid.k_values[0]
-    cell = functools.partial(
-        run_cell, collection, manifest.label, nonanchors,
-        R=grid.permutations, alpha=grid.alpha, seed=grid.seed,
-    )
-    report = cell(K)
-    reports = {"anchored": report.to_dict()}
-    for b in _parse_baselines(args.baselines, ()):
-        reports[b] = cell(b).to_dict()
-    text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
-    _write_text(args.out, text)
-    print(f"anchored p-value: {report.p_value:g} (reject={report.reject})", file=sys.stderr)
     return 0
 
 
@@ -341,14 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca-dim", type=int, default=None, help=_PCA_DIM_HELP)
     p.set_defaults(func=cmd_distances)
 
-    p = sub.add_parser("test", help="single anchored test on one triple")
-    p.add_argument("--manifest", required=True)
-    _add_grid_flags(p, k_grid=False)  # `test` runs one K, set by --k
-    p.add_argument("--k", type=int, default=None, help="cluster count (default: first grid value)")
-    p.add_argument("--baselines", help="comma list from hotelling,nploc,energy")
-    p.add_argument("--out", help="output JSON path (stdout if omitted)")
-    p.set_defaults(func=cmd_test)
-
     p = sub.add_parser("synth", help="write a synthetic triple and manifest")
     p.add_argument("--scenario", choices=("null", "alt"), required=True)
     _add_scenario_flags(p)
@@ -398,9 +362,6 @@ def _run(func, args) -> int:
     """``func(args)``; a package error ends it with one line on stderr, status 1."""
     try:
         return func(args)
-    except VacuousTestError as exc:
-        print(f"vacuous test: {exc}", file=sys.stderr)
-        return 1
     except (AnchorstatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -482,8 +482,12 @@ def energy_test(
         return nx * ny / (nx + ny) * (2 * between / nx / ny - within_x / nx**2 - within_y / ny**2)
 
     def relabel(rng, b):  # x-labelled copies of each distinct row, per relabelling
-        firsts = [group[rng.permutation(nx + ny)[:nx]] for _ in range(b)]
-        return np.array([np.bincount(f, minlength=len(rows)) for f in firsts], dtype=float)
+        # shuffled in place: the same draws as b calls of rng.permutation(nx + ny)
+        order = np.tile(np.arange(nx + ny), (b, 1))
+        firsts = group[rng.permuted(order, axis=1, out=order)[:, :nx]]
+        firsts += len(rows) * np.arange(b)[:, None]
+        counts = np.bincount(firsts.ravel(), minlength=b * len(rows))
+        return counts.reshape(b, len(rows)).astype(float)
 
     observed = np.bincount(group[:nx], minlength=len(rows)).astype(float)
     p_value, _ = _permutation_pvalue(energy, relabel, observed, copies - observed, R, seed)

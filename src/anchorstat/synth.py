@@ -7,11 +7,11 @@ set while living in unrelated coordinate frames. The "null" scenario
 keeps one label vector for everything; the "alt" scenario redraws labels
 for the second non-anchor.
 
-`monte_carlo` tests replicate m of a study with seed s as `anchorstat
-test --seed (s, m, 1)` tests the triple `anchorstat synth --seed (s, m, 0)`
-writes, through the same `battery.run_cell`; (s, m, i) is
-`stattests._child_seed(s, m, i)`. So a study is a prefix of any longer
-one with the same seed.
+`monte_carlo` tests replicate m of a study with seed s as the anchored
+cell at K of `anchorstat battery --seed (s, m, 1)` tests the triple
+`anchorstat synth --seed (s, m, 0)` writes, through the same
+`battery.run_cell`; (s, m, i) is `stattests._child_seed(s, m, i)`. So a
+study is a prefix of any longer one with the same seed.
 """
 
 from __future__ import annotations

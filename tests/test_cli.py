@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import anchorstat
-from anchorstat.battery import battery_csv, curves_csv, format_p, run_battery
+from anchorstat.battery import battery_csv, curves_csv, format_p, run_battery, run_cell
 from anchorstat.cli import build_parser, main
 from anchorstat.corpus import (
     EmbeddingMatrix,
@@ -23,6 +23,7 @@ from anchorstat.corpus import (
     save_matrix,
     validate_pairing,
 )
+from anchorstat.errors import AnchorstatError
 
 
 def run_cli(*argv):
@@ -74,49 +75,32 @@ def test_synth_reproducible_files(tmp_path, capsys):
     assert "seed: 9" in capsys.readouterr().err
 
 
-def test_cmd_test_alt_rejects(tmp_path):
-    manifest = _synth_manifest(tmp_path, scenario="alt", seed=1)
-    out = tmp_path / "report.json"
-    rc = run_cli(
-        "test", "--manifest", manifest,
-        "--k", 2, "--permutations", 199, "--seed", 5,
-        "--baselines", "hotelling,energy",
-        "--out", out,
-    )
+def test_battery_cell_reports_are_run_cell_reports(tmp_path):
+    # n=20 rows in p=30: the anchored cell at K=2 is vacuous and the paired
+    # baselines cannot run, so this one table holds reports and both nulls
+    out = tmp_path / "wide"
+    assert run_cli("synth", "--scenario", "null", "--n", 20, "--dim", 30, "--seed", 8,
+                   "--out-dir", out) == 0
+    table = tmp_path / "battery.json"
+    rc = run_cli("battery", "--manifest", out / "manifest.json", "--k-grid", "2,3",
+                 "--permutations", 49, "--seed", 1, "--format", "json", "--out", table)
     assert rc == 0
-    doc = json.loads(out.read_text())
-    assert doc["anchored"]["reject"] is True
-    assert set(doc) == {"anchored", "hotelling", "energy"}
-
-
-def test_cmd_test_identical_nonanchors_exits_nonzero(tmp_path, capsys):
-    manifest_path = _synth_manifest(tmp_path, scenario="null", seed=2)
-    base = manifest_path.parent
-    shutil.copyfile(base / "nonanchor_1.csv", base / "nonanchor_2.csv")
-    rc = run_cli("test", "--manifest", manifest_path, "--k", 2, "--seed", 0)
-    assert rc != 0
-    assert "vacuous" in capsys.readouterr().err
-
-
-def test_cmd_test_agrees_with_battery(tmp_path):
-    # `test` is a one-pair battery: same cell seeds, same p-values
-    manifest = _synth_manifest(tmp_path, scenario="null", seed=0, n=200)
-    single, table = tmp_path / "test.json", tmp_path / "battery.json"
-    rc = run_cli(
-        "test", "--manifest", manifest, "--k", 2, "--seed", 1,
-        "--baselines", "hotelling,nploc,energy", "--out", single,
-    )
-    assert rc == 0
-    rc = run_cli(
-        "battery", "--manifest", manifest, "--k-grid", 2, "--seed", 1,
-        "--format", "json", "--out", table,
-    )
-    assert rc == 0
-    reports = json.loads(single.read_text())
-    row = json.loads(table.read_text())["rows"][0]
-    assert reports["anchored"]["p_value"] == row["anchored"]["2"]["p_value"] == 0.525
-    for b in ("hotelling", "nploc", "energy"):
-        assert reports[b]["p_value"] == row["baselines"][b]["p_value"]
+    (row,) = json.loads(table.read_text())["rows"]
+    coll = load_manifest(out / "manifest.json").load_collection(out)
+    cells = {int(k): c for k, c in row["anchored"].items()} | row["baselines"]
+    for method, cell in cells.items():
+        try:
+            report = run_cell(coll, "synth-null", tuple(row["pair"]), method, 49, 0.05, 1)
+        except AnchorstatError:
+            assert cell["report"] is None
+            continue
+        assert cell["report"] == report.to_dict()
+        assert (cell["p_value"], cell["reject"]) == (report.p_value, report.reject)
+    assert cells[2]["vacuous"] is True and cells[2]["report"] is None
+    assert cells["hotelling"]["error"] == "need n > p, got n=20, p=30"
+    assert cells["hotelling"]["report"] is None
+    assert cells[3]["report"]["method"] == "anchored_johnson"
+    assert cells["energy"]["report"]["method"] == "energy"
 
 
 def test_battery_and_distances_share_one_mapped_set_per_member_and_k(tmp_path, monkeypatch):
@@ -197,7 +181,6 @@ def test_commands_import_no_scipy(tmp_path):
         ["battery", "--manifest", triple, "--k-grid", "2", *baselines, "--out", "b.csv"],
         ["battery", "--manifest", triple, "--k-grid", "2", *baselines,
          "--format", "json", "--out", "b.json"],
-        ["test", "--manifest", triple, "--k", "2", *baselines, "--out", "t.json"],
         ["distances", "--manifest", family, "--out", "d.csv"],
         ["mc", "--scenario", "null", "--n", "60", "--m", "2", "--permutations", "19",
          "--out", "mc.json"],
@@ -253,20 +236,25 @@ def test_battery_csv_rows_keep_the_header_width():
         assert rows and all(len(row) == len(header) for row in rows)
 
 
-@pytest.mark.parametrize("command", ["test", "mc", "battery"])
+@pytest.mark.parametrize("command", ["mc", "battery", "battery-json"])
 def test_stdout_holds_only_the_document(tmp_path, capsys, command):
     manifest = _synth_manifest(tmp_path, scenario="alt", seed=2, n=60)
     capsys.readouterr()
+    battery = ("battery", "--manifest", manifest, "--k-grid", 2, "--permutations", 19)
     argv = {
-        "test": ("test", "--manifest", manifest, "--k", 2, "--permutations", 19),
         "mc": ("mc", "--scenario", "null", "--n", 40, "--m", 1, "--permutations", 19),
-        "battery": ("battery", "--manifest", manifest, "--k-grid", 2, "--permutations", 19),
+        "battery": battery,
+        "battery-json": (*battery, "--format", "json"),
     }[command]
     assert run_cli(*argv) == 0
     captured = capsys.readouterr()
     assert captured.err.startswith("seed: ")
     if command == "battery":
         assert captured.out.startswith("dataset,hypothesis,anchored_K2,")
+    elif command == "battery-json":
+        (row,) = json.loads(captured.out)["rows"]
+        cells = [*row["anchored"].values(), *row["baselines"].values()]
+        assert len(cells) == 4 and all(cell["report"]["p_value"] for cell in cells)
     else:
         json.loads(captured.out)
 
@@ -347,6 +335,7 @@ def test_battery_cell_diagnostics_do_not_abort(tmp_path):
     assert row["anchored"]["2"]["vacuous"] is True
     assert row["anchored"]["2"]["display"] == "identical"
     assert row["anchored"]["2"]["reject"] is False
+    assert row["anchored"]["2"]["report"] is None
     assert row["baselines"]["hotelling"]["vacuous"] is True
     # the unpaired baseline sees two equal samples: a p-value near 1
     assert row["baselines"]["energy"]["p_value"] > 0.5
@@ -382,14 +371,11 @@ def test_battery_rejects_repeated_k(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, k", [
-    pytest.param("battery", "--k-grid", id="battery"),
-    pytest.param("test", "--k", id="test"),
-])
-def test_repeated_baseline_is_a_usage_error(tmp_path, capsys, command, k):
+@pytest.mark.parametrize("command", ["battery"])
+def test_repeated_baseline_is_a_usage_error(tmp_path, capsys, command):
     manifest = _synth_manifest(tmp_path, n=40)
     out = tmp_path / "out"
-    rc = run_cli(command, "--manifest", manifest, k, 2, "--permutations", 19,
+    rc = run_cli(command, "--manifest", manifest, "--k-grid", 2, "--permutations", 19,
                  "--baselines", "hotelling,nploc,hotelling", "--out", out)
     assert rc == 1
     err = capsys.readouterr().err
@@ -500,7 +486,6 @@ def test_mc_rejects_bad_grid_flags(tmp_path, capsys, flag, value, message):
 OPTIONAL_FLAGS = {
     "battery": "--k-grid --alpha --permutations --seed --out --format --baselines --pca-dim",
     "distances": "--k-grid --seed --out --pca-dim",
-    "test": "--alpha --permutations --seed --k --baselines --out",
     "synth": "--n --dim --k-true --separation --noise --k-grid --alpha --permutations --seed",
     "mc": "--n --dim --k-true --separation --noise --alpha --permutations --seed --m --k --out",
     "ingest": "--format --normalize --out-dir --label --k-grid --alpha --permutations --seed",
@@ -590,7 +575,6 @@ def test_library_defaults_are_pinned():
     pytest.param("distances", "--pca-mode", "joint", id="distances--pca-mode"),
     pytest.param("distances", "--alpha", 0.5, id="distances--alpha"),
     pytest.param("distances", "--permutations", 5, id="distances--permutations"),
-    pytest.param("test", "--k-grid", "3,4,5", id="test--k-grid"),
     pytest.param("embed", "--seed", 5, id="embed--seed"),
 ])
 def test_flag_the_command_would_ignore_is_a_usage_error(capsys, command, flag, value):
@@ -616,6 +600,14 @@ def test_reduce_is_not_a_command(capsys):
         run_cli("reduce", "--manifest", "m.json", "--pca-dim", 2)
     assert exc.value.code == 2
     assert "invalid choice: 'reduce'" in capsys.readouterr().err
+
+
+def test_test_is_not_a_command(capsys):
+    # one anchored test is a battery cell: `battery --k-grid K` on the triple
+    with pytest.raises(SystemExit) as exc:
+        run_cli("test", "--manifest", "m.json", "--k", 2)
+    assert exc.value.code == 2
+    assert "invalid choice: 'test'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["battery", "distances"])
@@ -751,13 +743,12 @@ def test_ingest_out_dir_needs_normalize(tmp_path, capsys):
     assert not (tmp_path / "norm").exists() and not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize("command", ["mc", "test", "synth", "battery", "ingest"])
+@pytest.mark.parametrize("command", ["mc", "synth", "battery", "ingest"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)
     data = manifest.parent
     argv = {
         "mc": ("mc", "--scenario", "null", "--n", 40, "--m", 1),
-        "test": ("test", "--manifest", manifest, "--k", 2),
         "synth": ("synth", "--scenario", "null", "--out-dir", tmp_path / "out"),
         "battery": ("battery", "--manifest", manifest),
         "ingest": ("ingest", "--dataset", f"{data}/anchor.csv:anchor",
@@ -782,7 +773,7 @@ def test_negative_manifest_seed_is_a_manifest_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("test",), ("battery", "--baselines", "none"), ("battery", "--k-grid", ""),
+    ("battery", "--baselines", "none"), ("battery", "--k-grid", ""),
 ], ids=" ".join)
 def test_empty_k_grid_is_a_manifest_error(tmp_path, capsys, argv):
     manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from anchorstat import cli, synth
+from anchorstat import cli, stattests, synth
 from anchorstat.battery import BatteryCell, BatteryResult, BatteryRow
 from anchorstat.cluster import kmeans
 from anchorstat.errors import GuardError, ParameterError, VacuousTestError
@@ -209,10 +209,13 @@ def test_battery_quad_roles_and_alignment():
 
 
 def test_battery_pattern_counts_do_not_count_error_cells_as_acceptances():
-    ok = BatteryCell(p_value=0.5, reject=False, display="0.500")
-    identical = BatteryCell(p_value=None, reject=False, display="identical", vacuous=True)
-    error = BatteryCell(p_value=None, reject=None, display="ERROR: x", error="x")
-    rejected = BatteryCell(p_value=0.001, reject=True, display="< 1e-3*")
+    def report(p):
+        return stattests.TestReport("anchored_johnson", 1.0, p, 99, 0, 0.05, p < 0.05)
+
+    ok = BatteryCell(display="0.500", report=report(0.5))
+    identical = BatteryCell(display="identical")
+    error = BatteryCell(display="ERROR: x", error="x")
+    rejected = BatteryCell(display="< 1e-2*", report=report(0.01))
     rows = (
         BatteryRow("aligned", ("nonanchor_aligned_1", "nonanchor_aligned_2"),
                    {2: ok, 3: identical, 4: error}, {}),
@@ -281,22 +284,29 @@ def _spy_replicates(monkeypatch):
 
 @pytest.mark.parametrize("scenario", ["null", "alt"])
 def test_monte_carlo_replicate_is_synth_then_test(scenario, monkeypatch, tmp_path):
-    # replicate m is what `synth --seed (s, m, 0)` then `test --seed (s, m, 1)` give
+    # replicate m is the anchored cell at K=2 that `synth --seed (s, m, 0)`
+    # then `battery --seed (s, m, 1)` give
     replicates = _spy_replicates(monkeypatch)
     monte_carlo(scenario, _cfg(n=60, seed=8), M=3, K=2, R=49)
+    outcomes = []
     for m, (data_seed, test_seed, report) in enumerate(replicates()):
         assert (data_seed, test_seed) == (_child_seed(8, m, 0), _child_seed(8, m, 1))
         out = tmp_path / f"{scenario}{m}"
         assert cli.main(["synth", "--scenario", scenario, "--n", "60", "--seed", str(data_seed),
                          "--permutations", "49", "--out-dir", str(out)]) == 0
-        rc = cli.main(["test", "--manifest", str(out / "manifest.json"), "--k", "2",
-                       "--seed", str(test_seed), "--out", str(out / "test.json")])
-        if report == "vacuous":
-            assert rc == 1
-            continue
+        rc = cli.main(["battery", "--manifest", str(out / "manifest.json"), "--k-grid", "2",
+                       "--baselines", "none", "--seed", str(test_seed), "--format", "json",
+                       "--out", str(out / "battery.json")])
         assert rc == 0
-        doc = json.loads((out / "test.json").read_text())["anchored"]
-        assert (doc["p_value"], doc["statistic"]) == (report.p_value, report.statistic)
+        (row,) = json.loads((out / "battery.json").read_text())["rows"]
+        cell = row["anchored"]["2"]
+        if report == "vacuous":
+            assert cell["vacuous"] is True and cell["report"] is None
+        else:
+            assert cell["report"] == report.to_dict()
+        outcomes.append(report == "vacuous")
+    # the null study's replicate 1 is vacuous, so both branches run
+    assert outcomes == {"null": [False, True, False], "alt": [False] * 3}[scenario]
 
 
 def test_monte_carlo_study_is_a_prefix_of_a_longer_one(monkeypatch):
