@@ -192,38 +192,42 @@ def _manifest_path(path: str, manifest_dir: Path) -> str:
     return os.path.relpath(Path(path).resolve(), manifest_dir.resolve())
 
 
+def _parse_dataset(descriptor: str) -> tuple[str, str, float | None]:
+    """(path, role, temperature) of one ``--dataset path:role[:temperature]``."""
+    parts = descriptor.split(":")
+    if not 2 <= len(parts) <= 3 or not parts[0] or not parts[1]:
+        raise ManifestError(f"bad --dataset '{descriptor}'; expected path:role[:temperature]")
+    temp = None
+    if len(parts) > 2 and parts[2] != "":
+        try:
+            temp = float(parts[2])
+            if not math.isfinite(temp):  # the manifest is strict JSON
+                raise ValueError
+        except ValueError:
+            raise ManifestError(
+                f"bad temperature '{parts[2]}' in --dataset '{descriptor}'"
+            ) from None
+    return parts[0], parts[1], temp
+
+
 def cmd_ingest(args) -> int:
     if args.out_dir is not None and not args.normalize:
         raise ManifestError("--out-dir needs --normalize (it holds the normalized copies)")
     grid = _grid_from_args(args)
+    datasets = [_parse_dataset(d) for d in args.dataset]  # all refused before any read
     manifest_dir = Path(args.out_manifest).parent
     entries = []
     members = {}
     temps = {}
-    for descriptor in args.dataset:
-        parts = descriptor.split(":")
-        if len(parts) < 2:
-            raise ManifestError(
-                f"bad --dataset '{descriptor}'; expected path:role[:temperature]"
-            )
-        path, role = parts[0], parts[1]
-        temp = None
-        if len(parts) > 2 and parts[2] != "":
-            try:
-                temp = float(parts[2])
-                if not math.isfinite(temp):  # the manifest is strict JSON
-                    raise ValueError
-            except ValueError:
-                raise ManifestError(
-                    f"bad temperature '{parts[2]}' in --dataset '{descriptor}'"
-                ) from None
+    for path, role, temp in datasets:
         m = load_matrix(path, fmt=args.format, label=role)
         if args.normalize:
             m = normalize_rows(m)
             out_dir = Path(args.out_dir or ".")
             out_dir.mkdir(parents=True, exist_ok=True)
-            path = str(out_dir / f"{role}.norm.csv")
-            save_matrix(m, path, fmt="csv")
+            ext = "bin" if args.format == "binary" else "csv"
+            path = str(out_dir / f"{role}.norm.{ext}")
+            save_matrix(m, path, fmt=args.format)
         members[role] = m
         temps[role] = temp
         entries.append(
@@ -231,7 +235,7 @@ def cmd_ingest(args) -> int:
                 path=_manifest_path(path, manifest_dir),
                 role=role,
                 temperature=temp,
-                fmt="csv" if args.normalize else args.format,
+                fmt=args.format,
             )
         )
     validate_pairing(members, temperatures=temps)

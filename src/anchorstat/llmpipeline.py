@@ -1,10 +1,9 @@
-"""Corpus construction against chat-completion and embedding endpoints.
+"""Text embedding against an OpenAI-style ``/embeddings`` endpoint.
 
-Every (input, temperature, template, model, chain role) result is cached
-on disk by content hash, so a rerun with a warm cache performs zero
-network calls and the pipeline can resume after partial failures. The
-HTTP transport is injectable, which keeps the module testable without a
-live endpoint.
+Every (model, text) embedding is cached on disk by content hash, so a
+rerun with a warm cache performs zero network calls and an interrupted
+run resumes with only the texts it had not finished. The HTTP transport
+is injectable, which keeps the module testable without a live endpoint.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -26,9 +23,11 @@ from .errors import ParameterError, TransportError
 
 Transport = Callable[[str, dict, dict, float], dict]
 
-DEFAULT_PROMPT_TEMPLATE = "Paraphrase the following text:\n\n{text}"
-
-CHAIN_ROLES = ("G", "Gprime", "S")
+# attempts per request, the first backoff (doubled after each failure) and
+# the per-request timeout; read at call time, so tests can patch them
+MAX_RETRIES = 3
+BACKOFF_S = 0.5
+TIMEOUT_S = 60.0
 
 
 def _urllib_transport(url: str, headers: dict, payload: dict, timeout_s: float) -> dict:
@@ -45,17 +44,12 @@ def _urllib_transport(url: str, headers: dict, payload: dict, timeout_s: float) 
 
 @dataclass
 class ClientConfig:
-    """Endpoint, credential and cache settings for corpus construction."""
+    """Endpoint, credential and cache settings for ``embed_batch``."""
 
     base_url: str = "http://localhost:8000/v1"
-    chat_model: str = "paraphrase-model"
     embed_model: str = "embedding-model"
     api_key_env: str = "LLM_API_KEY"
     cache_dir: Path | str = ".anchorstat-cache"
-    concurrency: int = 4
-    max_retries: int = 3
-    backoff_s: float = 0.5
-    timeout_s: float = 60.0
     embed_batch_size: int = 128
     transport: Transport = field(default=_urllib_transport, repr=False)
 
@@ -65,28 +59,6 @@ class ClientConfig:
         if key:
             headers["Authorization"] = f"Bearer {key}"
         return headers
-
-
-@dataclass(frozen=True)
-class ParaphraseJob:
-    """One batch of texts to paraphrase at a fixed temperature."""
-
-    texts: tuple[str, ...]
-    temperature: float
-    prompt_template: str = DEFAULT_PROMPT_TEMPLATE
-    model: str = ""
-    chain_role: str = "G"
-
-    def __post_init__(self):
-        object.__setattr__(self, "texts", tuple(self.texts))
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ParameterError(
-                f"temperature must be in [0, 2], got {self.temperature}"
-            )
-        if self.chain_role not in CHAIN_ROLES:
-            raise ParameterError(f"chain_role must be one of {CHAIN_ROLES}")
-        if "{text}" not in self.prompt_template:
-            raise ParameterError("prompt_template must contain '{text}'")
 
 
 def _cache_key(kind: str, **fields) -> str:
@@ -109,26 +81,25 @@ def _cache_read(cache_dir: Path, key: str):
 def _cache_write(cache_dir: Path, key: str, output) -> None:
     path = _cache_path(cache_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # one temporary file per thread: workers may write equal keys at once
-    tmp = path.with_suffix(f".{threading.get_ident()}.tmp")
+    # one temporary file per process: runs sharing a cache may write equal keys at once
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
     tmp.write_text(json.dumps({"output": output}, sort_keys=True))
     os.replace(tmp, path)  # atomic on POSIX
 
 
-def _call_with_retries(config: ClientConfig, url: str, payload: dict, read):
-    """POST ``payload`` with bounded retries and return ``read(body)``; a
-    body that ``read`` cannot parse counts as a failed attempt."""
+def _call_with_retries(config: ClientConfig, url: str, payload: dict) -> list[list[float]]:
+    """POST ``payload`` with bounded retries and return the body's embedding
+    rows; a body that ``_embedding_rows`` refuses counts as a failed attempt."""
     last_exc: Exception | None = None
-    for attempt in range(config.max_retries):
+    for attempt in range(MAX_RETRIES):
         try:
-            return read(config.transport(url, config.headers(), dict(payload), config.timeout_s))
+            doc = config.transport(url, config.headers(), dict(payload), TIMEOUT_S)
+            return _embedding_rows(doc)
         except Exception as exc:  # transport failures are provider-specific
             last_exc = exc
-            if attempt + 1 < config.max_retries:
-                time.sleep(config.backoff_s * (2**attempt))
-    raise TransportError(
-        f"request to {url} failed after {config.max_retries} attempts: {last_exc!r}"
-    )
+            if attempt + 1 < MAX_RETRIES:
+                time.sleep(BACKOFF_S * (2**attempt))
+    raise TransportError(f"request to {url} failed after {MAX_RETRIES} attempts: {last_exc!r}")
 
 
 def _embedding_rows(doc: dict) -> list[list[float]]:
@@ -142,64 +113,6 @@ def _embedding_rows(doc: dict) -> list[list[float]]:
     if len(widths) > 1:
         raise TransportError(f"embedding rows differ in width: {sorted(widths)}")
     return rows
-
-
-def paraphrase_batch(job: ParaphraseJob, config: ClientConfig) -> list[str]:
-    """Paraphrase every text in the job; output i pairs with input i.
-
-    Completed items are cached immediately, so a failed run leaves its
-    partial results behind and a rerun only retries the gaps.
-    """
-    cache_dir = Path(config.cache_dir)
-    model = job.model or config.chat_model
-    keys = [
-        _cache_key(
-            "chat",
-            model=model,
-            temperature=job.temperature,
-            template=job.prompt_template,
-            chain_role=job.chain_role,
-            text=text,
-        )
-        for text in job.texts
-    ]
-    results: list[str | None] = [_cache_read(cache_dir, k) for k in keys]
-    pending = [i for i, r in enumerate(results) if r is None]
-    if not pending:
-        return [str(r) for r in results]
-
-    url = config.base_url.rstrip("/") + "/chat/completions"
-
-    def fetch(i: int):
-        payload = {
-            "model": model,
-            "temperature": job.temperature,
-            "messages": [
-                {
-                    "role": "user",
-                    "content": job.prompt_template.format(text=job.texts[i]),
-                }
-            ],
-        }
-        text = _call_with_retries(
-            config, url, payload, lambda doc: str(doc["choices"][0]["message"]["content"])
-        )
-        _cache_write(cache_dir, keys[i], text)
-        return i, text
-
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        for future in [pool.submit(fetch, i) for i in pending]:
-            try:
-                i, text = future.result()
-            except TransportError:
-                continue
-            results[i] = text
-    failures = [i for i, r in enumerate(results) if r is None]
-    if failures:
-        raise TransportError(
-            f"paraphrase job failed for indices {failures}; completed items are cached"
-        )
-    return [str(r) for r in results]
 
 
 def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
@@ -222,7 +135,7 @@ def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
     for start in range(0, len(pending), config.embed_batch_size):
         chunk = pending[start : start + config.embed_batch_size]
         payload = {"model": config.embed_model, "input": [texts[i] for i in chunk]}
-        rows = _call_with_retries(config, url, payload, _embedding_rows)
+        rows = _call_with_retries(config, url, payload)
         if len(rows) != len(chunk):
             raise TransportError(
                 f"endpoint returned {len(rows)} embeddings for {len(chunk)} inputs"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import inspect
 import io
@@ -14,12 +15,14 @@ import numpy as np
 import pytest
 
 import anchorstat
+from anchorstat import llmpipeline
 from anchorstat.battery import battery_csv, curves_csv, format_p, run_battery, run_cell
 from anchorstat.cli import build_parser, main
 from anchorstat.corpus import (
     EmbeddingMatrix,
     load_manifest,
     load_matrix,
+    normalize_rows,
     save_matrix,
     validate_pairing,
 )
@@ -569,6 +572,64 @@ def test_library_defaults_are_pinned():
     assert found == LIBRARY_DEFAULTS
 
 
+
+# every field of a public dataclass defined in an anchorstat module, with
+# its default: REQUIRED when it has none, the factory when it has one
+REQUIRED = "required"
+CONFIG_FIELDS = {
+    "anchor.MappedDistanceSet": {"distances": REQUIRED, "source": REQUIRED,
+                                 "anchor": REQUIRED, "K": REQUIRED},
+    "battery.BatteryCell": {"display": REQUIRED, "report": None, "error": None},
+    "battery.BatteryResult": {"dataset": REQUIRED, "k_values": REQUIRED, "alpha": REQUIRED,
+                              "permutations": REQUIRED, "seed": REQUIRED,
+                              "baselines": REQUIRED, "rows": tuple},
+    "battery.BatteryRow": {"hypothesis": REQUIRED, "pair": REQUIRED, "anchored": REQUIRED,
+                           "baselines": REQUIRED},
+    "cluster.Partition": {"assignment": REQUIRED, "K": REQUIRED, "wcss": REQUIRED},
+    "corpus.DatasetManifest": {"entries": REQUIRED, "grid": REQUIRED, "label": ""},
+    "corpus.EmbeddingMatrix": {"values": REQUIRED, "label": "", "unit_norm": False},
+    "corpus.ExperimentGrid": {"k_values": (2, 3, 4, 5), "alpha": 0.05, "permutations": 999,
+                              "seed": 0},
+    "corpus.ManifestEntry": {"path": REQUIRED, "role": REQUIRED, "temperature": None,
+                             "fmt": "csv"},
+    "corpus.PairedCollection": {"members": REQUIRED, "n": REQUIRED, "temperatures": dict},
+    "llmpipeline.ClientConfig": {"base_url": "http://localhost:8000/v1",
+                                 "embed_model": "embedding-model",
+                                 "api_key_env": "LLM_API_KEY",
+                                 "cache_dir": ".anchorstat-cache", "embed_batch_size": 128,
+                                 "transport": llmpipeline._urllib_transport},
+    "preprocess.PcaModel": {"mean": REQUIRED, "components": REQUIRED,
+                            "explained_variance": REQUIRED},
+    "stattests.TestReport": {"method": REQUIRED, "statistic": REQUIRED, "p_value": REQUIRED,
+                             "replicates": REQUIRED, "seed": REQUIRED, "alpha": REQUIRED,
+                             "reject": REQUIRED, "metadata": dict},
+    "synth.MonteCarloReport": {name: REQUIRED for name in (
+        "scenario", "M", "rejections", "vacuous", "rate", "ci_low", "ci_high",
+        "degenerate_ci", "mean_runtime_s", "alpha", "K", "replicates", "seed")},
+    "synth.ScenarioConfig": {"n": 300, "dim": 2, "K_true": 2, "community_separation": 8.0,
+                             "noise_sd": 1.0, "seed": 0},
+}
+
+
+def test_config_fields_are_pinned():
+    found = {}
+    for info in pkgutil.iter_modules(anchorstat.__path__):
+        module = importlib.import_module(f"anchorstat.{info.name}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or getattr(obj, "__module__", None) != module.__name__
+                    or not (inspect.isclass(obj) and dataclasses.is_dataclass(obj))):
+                continue
+            found[f"{info.name}.{name}"] = {
+                f.name: f.default if f.default is not dataclasses.MISSING
+                else f.default_factory if f.default_factory is not dataclasses.MISSING
+                else REQUIRED
+                for f in dataclasses.fields(obj)
+            }
+    # as item lists, so that the field order (the positional signature) counts too
+    assert {k: list(v.items()) for k, v in found.items()} == {
+        k: list(v.items()) for k, v in CONFIG_FIELDS.items()
+    }
+
 @pytest.mark.parametrize("command, flag, value", [
     pytest.param("mc", "--k-grid", "x", id="mc--k-grid"),
     pytest.param("battery", "--pca-mode", "joint", id="battery--pca-mode"),
@@ -838,3 +899,45 @@ def test_ingest_bad_temperature_is_a_usage_error(tmp_path, capsys):
     assert rc == 1
     assert f"error: bad temperature 'hot' in --dataset '{hot}'" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("descriptor", [
+    "{data}/nonanchor_1.csv:g:0.7:junk", "{data}/nonanchor_1.csv:g::",
+    "{data}/nonanchor_1.csv::0.5", "{data}/nonanchor_1.csv:", ":g",
+])
+def test_ingest_malformed_descriptor_is_a_usage_error(tmp_path, capsys, descriptor):
+    data = _synth_manifest(tmp_path, scenario="null", seed=5, n=40).parent
+    bad = descriptor.format(data=data)
+    rc = run_cli(
+        "ingest",
+        "--dataset", f"{data}/anchor.csv:anchor",
+        "--dataset", bad,
+        "--dataset", f"{data}/nonanchor_2.csv:nonanchor_2",
+        "--out-manifest", tmp_path / "m.json",
+    )
+    assert rc == 1
+    assert f"error: bad --dataset '{bad}'" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_ingest_normalize_keeps_the_binary_format(tmp_path):
+    rng = np.random.default_rng(3)
+    for role in ("anchor", "na1", "na2"):
+        save_matrix(EmbeddingMatrix(values=rng.normal(size=(12, 5))),
+                    tmp_path / f"{role}.bin", fmt="binary")
+    rc = run_cli(
+        "ingest",
+        *[a for role in ("anchor", "na1", "na2")
+          for a in ("--dataset", f"{tmp_path}/{role}.bin:{role}")],
+        "--format", "binary", "--normalize", "--out-dir", tmp_path / "norm",
+        "--out-manifest", tmp_path / "m.json",
+    )
+    assert rc == 0
+    entries = load_manifest(tmp_path / "m.json").entries
+    assert [(e.path, e.fmt) for e in entries] == [
+        (f"{tmp_path}/norm/{role}.norm.bin", "binary") for role in ("anchor", "na1", "na2")
+    ]
+    for role, entry in zip(("anchor", "na1", "na2"), entries):
+        copy = load_matrix(entry.path, fmt="binary")
+        expected = normalize_rows(load_matrix(tmp_path / f"{role}.bin", fmt="binary"))
+        assert copy.values.tobytes() == expected.values.tobytes()

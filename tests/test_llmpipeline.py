@@ -6,37 +6,16 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from anchorstat import llmpipeline
 from anchorstat.cli import main
 from anchorstat.errors import ParameterError, TransportError
-from anchorstat.llmpipeline import (
-    ClientConfig,
-    ParaphraseJob,
-    _cache_key,
-    _urllib_transport,
-    embed_batch,
-    paraphrase_batch,
-)
+from anchorstat.llmpipeline import ClientConfig, _cache_key, _urllib_transport, embed_batch
 
 
-class FakeChat:
-    """Transport double: paraphrases by upper-casing the last prompt line.
-    Texts in ``fail_indices`` raise, texts in ``malformed`` get a body
-    without "choices"."""
-
-    def __init__(self, fail_indices=(), malformed=()):
-        self.calls = 0
-        self.fail_texts = set(fail_indices)
-        self.malformed = set(malformed)
-
-    def __call__(self, url, headers, payload, timeout_s):
-        self.calls += 1
-        assert url.endswith("/chat/completions")
-        text = payload["messages"][0]["content"].split("\n")[-1]
-        if text in self.fail_texts:
-            raise ConnectionError("boom")
-        if text in self.malformed:
-            return {"nope": 1}
-        return {"choices": [{"message": {"content": text.upper()}}]}
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    # retries sleep BACKOFF_S, 2*BACKOFF_S, ... between attempts
+    monkeypatch.setattr(llmpipeline, "BACKOFF_S", 0.0)
 
 
 class FakeEmbed:
@@ -61,71 +40,22 @@ class FakeEmbed:
 
 def _config(tmp_path, transport, **kw):
     return ClientConfig(
-        base_url="http://fake/v1",
-        cache_dir=tmp_path / "cache",
-        transport=transport,
-        max_retries=2,
-        backoff_s=0.0,
-        **kw,
+        base_url="http://fake/v1", cache_dir=tmp_path / "cache", transport=transport, **kw
     )
 
 
-def _job(texts, **kw):
-    defaults = dict(temperature=0.7, chain_role="G")
-    defaults.update(kw)
-    return ParaphraseJob(texts=tuple(texts), **defaults)
-
-
-def test_paraphrase_pairing_preserved(tmp_path):
-    fake = FakeChat()
-    out = paraphrase_batch(_job(["alpha", "beta", "gamma"]), _config(tmp_path, fake))
-    assert out == ["ALPHA", "BETA", "GAMMA"]
-    assert fake.calls == 3
-
-
-def test_paraphrase_warm_cache_zero_calls(tmp_path):
-    cfg = _config(tmp_path, FakeChat())
-    first = paraphrase_batch(_job(["one", "two"]), cfg)
-    cold_calls = cfg.transport.calls
-    cfg2 = _config(tmp_path, FakeChat())
-    second = paraphrase_batch(_job(["one", "two"]), cfg2)
-    assert cold_calls == 2
-    assert cfg2.transport.calls == 0
-    assert second == first
-
-
-def test_paraphrase_empty_input(tmp_path):
-    assert paraphrase_batch(_job([]), _config(tmp_path, FakeChat())) == []
-
-
-def test_paraphrase_partial_failure_lists_indices(tmp_path):
-    fake = FakeChat(fail_indices={"bad"})
-    cfg = _config(tmp_path, fake)
-    with pytest.raises(TransportError, match=r"indices \[1\]"):
-        paraphrase_batch(_job(["ok", "bad", "fine"]), cfg)
-    # completed items were persisted; only the failure is retried next time
-    fake2 = FakeChat()
-    out = paraphrase_batch(_job(["ok", "bad", "fine"]), _config(tmp_path, fake2))
-    assert out == ["OK", "BAD", "FINE"]
-    assert fake2.calls == 1
-
-
-def test_temperature_and_template_validation():
-    with pytest.raises(ParameterError):
-        ParaphraseJob(texts=("x",), temperature=3.0)
-    with pytest.raises(ParameterError):
-        ParaphraseJob(texts=("x",), temperature=0.5, prompt_template="no placeholder")
-    with pytest.raises(ParameterError):
-        ParaphraseJob(texts=("x",), temperature=0.5, chain_role="Z")
-
-
 def test_cache_key_sensitivity():
-    base = dict(model="m", temperature=0.7, template="t {text}", text="hello")
-    k = _cache_key("chat", **base)
-    assert _cache_key("chat", **base) == k
-    assert _cache_key("chat", **{**base, "temperature": 0.8}) != k
-    assert _cache_key("chat", **{**base, "template": "u {text}"}) != k
-    assert _cache_key("embed", **base) != k
+    base = dict(model="m", text="hello")
+    k = _cache_key("embed", **base)
+    assert _cache_key("embed", **base) == k
+    assert _cache_key("embed", **{**base, "model": "n"}) != k
+    assert _cache_key("embed", **{**base, "text": "hello "}) != k
+
+
+def test_cache_key_is_pinned():
+    # the key names the cache file: a change would orphan every existing cache
+    key = _cache_key("embed", model="embedding-model", text="hello")
+    assert key == "3023952dc2d8d5bab09484fb59b3a851a6a61ab2e8546269d26a7b26d5a9f8d9"
 
 
 def test_embed_fixed_vector_rows(tmp_path):
@@ -186,28 +116,9 @@ def test_transport_retries_then_fails(tmp_path):
         attempts["n"] += 1
         raise ConnectionError("down")
 
-    cfg = _config(tmp_path, flaky)
     with pytest.raises(TransportError):
-        embed_batch(["a", "b"], cfg)
-    assert attempts["n"] == cfg.max_retries
-
-
-def test_paraphrase_chain_roles_do_not_share_cache(tmp_path):
-    fake = FakeChat()
-    cfg = _config(tmp_path, fake)
-    paraphrase_batch(_job(["one", "two"], chain_role="G"), cfg)
-    paraphrase_batch(_job(["one", "two"], chain_role="Gprime"), cfg)
-    assert fake.calls == 4
-
-
-def test_paraphrase_malformed_response_keeps_finished_items(tmp_path):
-    texts = ["ok", "bad", "fine", "also"]
-    with pytest.raises(TransportError, match=r"indices \[1\]"):
-        paraphrase_batch(_job(texts), _config(tmp_path, FakeChat(malformed={"bad"})))
-    fake2 = FakeChat()
-    out = paraphrase_batch(_job(texts), _config(tmp_path, fake2))
-    assert out == ["OK", "BAD", "FINE", "ALSO"]
-    assert fake2.calls == 1
+        embed_batch(["a", "b"], _config(tmp_path, flaky))
+    assert attempts["n"] == llmpipeline.MAX_RETRIES
 
 
 def test_embed_malformed_response_is_transport_error(tmp_path):
@@ -227,10 +138,9 @@ def test_embed_duplicate_indices_are_retried_and_never_cached(tmp_path):
         return {"data": [{"index": 0, "embedding": [float(i), 1.0]}
                          for i in range(len(payload["input"]))]}
 
-    cfg = _config(tmp_path, aliased)
     with pytest.raises(TransportError, match="indices are not 0..1"):
-        embed_batch(["a", "b"], cfg)
-    assert len(calls) == cfg.max_retries
+        embed_batch(["a", "b"], _config(tmp_path, aliased))
+    assert len(calls) == llmpipeline.MAX_RETRIES
     assert not list((tmp_path / "cache").rglob("*.json"))
 
 
@@ -250,13 +160,33 @@ def test_embed_rows_of_unequal_widths_are_a_transport_error(tmp_path):
 
 
 def test_truncated_cache_entry_is_a_miss(tmp_path):
-    cfg = _config(tmp_path, FakeChat())
-    paraphrase_batch(_job(["one"]), cfg)
-    (entry,) = (tmp_path / "cache").rglob("*.json")
+    embed_batch(["one", "two"], _config(tmp_path, FakeEmbed()))
+    key = _cache_key("embed", model=ClientConfig().embed_model, text="one")
+    (entry,) = (tmp_path / "cache").rglob(f"{key}.json")
     entry.write_text(entry.read_text()[:5])
-    fake2 = FakeChat()
-    assert paraphrase_batch(_job(["one", "two"]), _config(tmp_path, fake2)) == ["ONE", "TWO"]
-    assert fake2.calls == 2
+    fake2 = FakeEmbed()
+    m = embed_batch(["one", "two", "three"], _config(tmp_path, fake2))
+    assert fake2.seen == ["one", "three"]
+    assert m.n == 3
+
+
+def test_embed_resumes_with_only_the_failed_batch(tmp_path):
+    # batches of 2: the second fails every attempt, the first is cached
+    texts = ["a", "b", "c", "d"]
+    fake = FakeEmbed()
+
+    def second_batch_down(url, headers, payload, timeout_s):
+        if payload["input"] == ["c", "d"]:
+            raise ConnectionError("down")
+        return fake(url, headers, payload, timeout_s)
+
+    with pytest.raises(TransportError, match="failed after"):
+        embed_batch(texts, _config(tmp_path, second_batch_down, embed_batch_size=2))
+    assert fake.seen == ["a", "b"]
+    fake2 = FakeEmbed()
+    m = embed_batch(texts, _config(tmp_path, fake2, embed_batch_size=2))
+    assert fake2.seen == ["c", "d"]
+    assert m.n == 4
 
 
 @pytest.fixture
@@ -281,7 +211,8 @@ def http_server():
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
     server.received = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval keeps shutdown() from waiting out the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield server
@@ -319,4 +250,4 @@ def test_cli_embed_transport_failure_is_clean_error(http_server, tmp_path, capsy
     ])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: request to ")
-    assert len(http_server.received) == ClientConfig().max_retries
+    assert len(http_server.received) == llmpipeline.MAX_RETRIES
