@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,14 +27,16 @@ from .errors import (
     ManifestError,
     PairingError,
 )
-from .sharding import run_sharded, usable_cpus
+from .sharding import run_sharded, split_range, usable_cpus
 
 ANCHOR_ROLE = "anchor"
 
 _BINARY_MAGIC = b"EMBMAT01"
 _UNIT_NORM_TOL = 1e-6
-# CSV files of at least twice this many bytes are parsed in ranges of at
-# least this size, one per usable CPU (break-even measured in CHANGES.md)
+# CSV files of at least twice this many bytes are parsed, and matrices of
+# at least twice this many bytes of values written, in ranges of at least
+# this size, one per usable CPU (the reader's break-even under each start
+# method is measured in CHANGES.md)
 _SHARD_BYTES = 8 << 20
 
 
@@ -132,18 +135,51 @@ def write_text(path, text: str) -> None:
 
 
 def save_matrix(m: EmbeddingMatrix, path, fmt: str = "csv") -> None:
+    """Write ``m`` to ``path`` in a format ``load_matrix`` reads back bit
+    for bit. A CSV file appears whole or not at all: matrices of at least
+    2 * ``_SHARD_BYTES`` of values are formatted in row ranges on the
+    usable CPUs, each range into a part file beside ``path``, and the
+    joined parts replace ``path``."""
+    if fmt not in ("csv", "binary"):
+        raise CorpusFormatError(f"unknown matrix format '{fmt}'")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        # 17 significant digits round-trips float64 exactly
-        np.savetxt(path, m.values, delimiter=",", fmt="%.17g")
-    elif fmt == "binary":
+    if fmt == "binary":
         header = _BINARY_MAGIC + struct.pack("<II", m.n, m.p)
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(np.ascontiguousarray(m.values, dtype="<f8").tobytes())
-    else:
-        raise CorpusFormatError(f"unknown matrix format '{fmt}'")
+            # the array's own buffer, not a bytes copy of it
+            fh.write(memoryview(np.ascontiguousarray(m.values, dtype="<f8")))
+        return
+    ranges = split_range(m.n, min(usable_cpus(), m.values.nbytes // _SHARD_BYTES))
+    prefix = str(path.with_name(f".{path.name}.{os.getpid()}"))
+    parts = [_part_path(prefix, rows) for rows in ranges]
+    try:
+        run_sharded(_write_rows, (m.values, prefix), ranges, f"{path} rows")
+        with open(parts[0], "ab") as out:
+            for part in parts[1:]:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, out)
+        os.replace(parts[0], path)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
+
+
+def _part_path(prefix: str, rows: range) -> Path:
+    return Path(f"{prefix}.{rows.start}.part")
+
+
+def _write_rows(values: np.ndarray, prefix: str, rows: range) -> None:
+    """Write rows ``rows`` of ``values`` as ``np.savetxt(fmt="%.17g",
+    delimiter=",")`` does (17 significant digits round-trip float64),
+    formatting blocks of about 2**16 values so no full-size text is held."""
+    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    step = max(1, (1 << 16) // values.shape[1])
+    with open(_part_path(prefix, rows), "w") as fh:
+        for start in range(rows.start, rows.stop, step):
+            block = values[start : min(start + step, rows.stop)].tolist()
+            fh.write("".join([line % tuple(row) for row in block]))
 
 
 def _nonblank_lines(fh):

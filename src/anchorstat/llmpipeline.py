@@ -123,8 +123,9 @@ def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
     if config.embed_batch_size < 1:
         raise ParameterError(f"embed batch size must be >= 1, got {config.embed_batch_size}")
     texts = list(texts)
-    if not texts:
-        raise ParameterError("no texts to embed")
+    if len(texts) < 2:
+        # a matrix needs two rows: refused before the cache or the endpoint is used
+        raise ParameterError(f"need at least 2 texts to embed, got {len(texts)}")
     cache_dir = Path(config.cache_dir)
     keys = [_cache_key("embed", model=config.embed_model, text=t) for t in texts]
     vectors: list[list[float] | None] = [_cache_read(cache_dir, k) for k in keys]

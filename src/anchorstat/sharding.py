@@ -2,9 +2,10 @@
 
 ``run_sharded`` is the one place where the package starts worker
 processes: ``mc`` runs its replicates through it, the CSV reader its
-byte ranges and the battery and distance curves their (member, K)
-partitions. ``multiprocessing`` is imported only when a worker is
-needed, so a run that never shards does not load it.
+byte ranges, the CSV writer its row ranges and the battery and distance
+curves their (member, K) partitions. ``multiprocessing`` is imported
+only when a worker is needed, so a run that never shards does not load
+it.
 
 While sharded work runs, every process uses one BLAS thread, this one
 included: the caller sets the OpenBLAS that numpy loaded to one thread

@@ -865,7 +865,7 @@ def test_embed_without_texts_is_an_error(tmp_path, capsys):
     rc = run_cli("embed", "--input", tmp_path / "t.txt", "--out", tmp_path / "e.csv",
                  "--cache-dir", tmp_path / "cache")
     assert rc == 1
-    assert "error: no texts to embed" in capsys.readouterr().err
+    assert "error: need at least 2 texts to embed, got 0" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
 
 

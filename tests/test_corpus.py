@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import tracemalloc
 import warnings
 
@@ -343,6 +344,28 @@ def test_binary_reader_holds_one_copy(tmp_path):
     values, peak = _traced_peak(corpus._read_binary, path)
     np.testing.assert_array_equal(values, m.values)
     assert peak <= 1.5 * m.values.nbytes
+
+
+def test_unknown_save_format_creates_no_directory(tmp_path):
+    m = EmbeddingMatrix(values=np.ones((2, 2)))
+    with pytest.raises(CorpusFormatError, match="unknown matrix format 'bogus'"):
+        save_matrix(m, tmp_path / "a" / "b" / "x", fmt="bogus")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_binary_writer_writes_the_arrays_buffer(tmp_path, order):
+    rng = np.random.default_rng(9)
+    m = EmbeddingMatrix(values=np.asarray(rng.normal(size=(2000, 64)), order=order))
+    path = tmp_path / "big.bin"
+    _, peak = _traced_peak(save_matrix, m, path, fmt="binary")
+    assert path.read_bytes() == (
+        corpus._BINARY_MAGIC + struct.pack("<II", m.n, m.p)
+        + np.ascontiguousarray(m.values, dtype="<f8").tobytes()
+    )
+    if order == "C":
+        # no bytes copy of the matrix is made on the way to the file
+        assert peak < m.values.nbytes
 
 
 def test_binary_load_matrix_takes_over_the_read_array(tmp_path):

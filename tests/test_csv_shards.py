@@ -1,6 +1,8 @@
-"""The CSV reader's parallel path: a file is cut into byte ranges that end
-at line ends, each range is parsed on its own, and the rows come back
-with the bits, errors and warnings of the serial parse."""
+"""The CSV reader's and writer's parallel paths. The reader cuts a file
+into byte ranges that end at line ends, parses each range on its own,
+and gives back the rows with the bits, errors and warnings of the serial
+parse. The writer cuts a matrix into row ranges, formats each into its
+own part file, and joins the parts into the bytes of ``np.savetxt``."""
 
 import multiprocessing
 import os
@@ -241,3 +243,115 @@ def test_small_files_stay_in_this_process(tmp_path, monkeypatch):
 
     monkeypatch.setattr(corpus, "run_sharded", no_shards)
     assert load_matrix(path).n == 40
+
+
+# the writer
+
+_EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16 + 1]
+
+
+def _edge_matrix(n, p):
+    values = np.random.default_rng(n * 10 + p).normal(size=(n, p))
+    flat = values.reshape(-1)
+    flat[:5] = _EDGE_VALUES
+    flat[-5:] = [-v for v in _EDGE_VALUES]
+    return EmbeddingMatrix(values=values)
+
+
+def _spy(ranges):
+    """``run_sharded``, recording in ``ranges`` the chunks it is handed."""
+
+    def spy(fn, args, chunks, label):
+        ranges.extend(chunks)
+        return run_sharded(fn, args, chunks, label)
+
+    return spy
+
+
+def _write(monkeypatch, m, path, cpus):
+    """Write ``m`` in ``cpus`` row ranges; returns the ranges handed out."""
+    ranges = []
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus, "usable_cpus", lambda: cpus)
+        patch.setattr(corpus, "_SHARD_BYTES", max(1, m.values.nbytes // cpus))
+        patch.setattr(corpus, "run_sharded", _spy(ranges))
+        save_matrix(m, path, fmt="csv")
+    return ranges
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_written_ranges_join_into_the_savetxt_bytes(tmp_path, monkeypatch, cpus, p):
+    m = _edge_matrix(7 if p == 4 else 11, p)  # no row count divisible by 2 or 3
+    expected = tmp_path / "savetxt.csv"
+    np.savetxt(expected, m.values, delimiter=",", fmt="%.17g")
+    path = tmp_path / "m.csv"
+    ranges = _write(monkeypatch, m, path, cpus)
+    assert len(ranges) == cpus and ranges[-1].stop == m.n
+    assert path.read_bytes() == expected.read_bytes()
+    _assert_same_bits(load_matrix(path).values, m.values)
+    assert sorted(tmp_path.iterdir()) == [path, expected]
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_write_without_fork(tmp_path, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"the {method} start method is not available")
+    m = _edge_matrix(30, 4)
+    expected = tmp_path / "savetxt.csv"
+    np.savetxt(expected, m.values, delimiter=",", fmt="%.17g")
+    np.save(tmp_path / "m.npy", m.values)
+    code = (
+        "import multiprocessing\n"
+        "import numpy as np\n"
+        "from anchorstat import corpus\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        f"m = corpus.EmbeddingMatrix(values=np.load({str(tmp_path / 'm.npy')!r}))\n"
+        "corpus.usable_cpus = lambda: 2\n"
+        "corpus._SHARD_BYTES = m.values.nbytes // 2\n"
+        "run = corpus.run_sharded\n"
+        "def spy(fn, args, chunks, label):\n"
+        "    print(len(chunks))\n"
+        "    return run(fn, args, chunks, label)\n"
+        "corpus.run_sharded = spy\n"
+        f"corpus.save_matrix(m, {str(tmp_path / 'm.csv')!r})\n"
+    )
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr.decode()
+    assert out.stdout == b"2\n"
+    assert (tmp_path / "m.csv").read_bytes() == expected.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.npy", "savetxt.csv"]
+
+
+def test_a_small_matrix_is_written_in_one_range(tmp_path, monkeypatch):
+    m = _edge_matrix(300, 2)
+    ranges = []
+    monkeypatch.setattr(corpus, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(corpus, "run_sharded", _spy(ranges))
+    save_matrix(m, tmp_path / "m.csv")
+    assert ranges == [range(300)]
+    _assert_same_bits(load_matrix(tmp_path / "m.csv").values, m.values)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_failed_write_keeps_the_old_file_and_leaves_no_part(tmp_path, monkeypatch, fork_start,
+                                                             failing):
+    path = tmp_path / "m.csv"
+    path.write_text("old contents\n")
+    write_rows = corpus._write_rows
+
+    def write_then_raise(values, prefix, rows):
+        write_rows(values, prefix, rows)  # leaves a whole part file behind
+        if (rows.start == 0) == (failing == "caller"):
+            raise OSError(f"disk full in rows from {rows.start}")
+
+    monkeypatch.setattr(corpus, "_write_rows", write_then_raise)
+    with pytest.raises(OSError, match="disk full in rows from"):
+        _write(monkeypatch, _edge_matrix(40, 3), path, 3)
+    assert path.read_text() == "old contents\n"
+    assert list(tmp_path.iterdir()) == [path]
+    assert multiprocessing.active_children() == []

@@ -103,8 +103,10 @@ def test_embed_batch_size_must_be_positive(tmp_path, size):
 
 def test_embed_without_texts_is_refused_before_any_call(tmp_path):
     fake = FakeEmbed()
-    with pytest.raises(ParameterError, match="no texts to embed"):
-        embed_batch([], _config(tmp_path, fake))
+    for texts in ([], ["one"]):
+        message = f"need at least 2 texts to embed, got {len(texts)}"
+        with pytest.raises(ParameterError, match=message):
+            embed_batch(texts, _config(tmp_path, fake))
     assert fake.calls == 0
     assert not (tmp_path / "cache").exists()
 
@@ -126,7 +128,7 @@ def test_embed_malformed_response_is_transport_error(tmp_path):
         return {"nope": 1}
 
     with pytest.raises(TransportError, match="KeyError"):
-        embed_batch(["a"], _config(tmp_path, malformed))
+        embed_batch(["a", "b"], _config(tmp_path, malformed))
 
 
 def test_embed_duplicate_indices_are_retried_and_never_cached(tmp_path):
@@ -251,3 +253,17 @@ def test_cli_embed_transport_failure_is_clean_error(http_server, tmp_path, capsy
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: request to ")
     assert len(http_server.received) == llmpipeline.MAX_RETRIES
+
+
+def test_cli_embed_of_one_text_is_refused_before_any_request(http_server, tmp_path, capsys):
+    http_server.answer = (200, {"data": [{"index": 0, "embedding": [1.0, 0.0]}]})
+    texts = tmp_path / "texts.txt"
+    texts.write_text("\n  only one\n\n")
+    rc = main([
+        "embed", "--input", str(texts), "--out", str(tmp_path / "emb.csv"),
+        "--base-url", _url(http_server, "/v1"), "--cache-dir", str(tmp_path / "cache"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need at least 2 texts to embed, got 1\n"
+    assert http_server.received == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["texts.txt"]
