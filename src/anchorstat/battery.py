@@ -31,7 +31,7 @@ from .anchor import MappedDistanceSet, mapped_distances
 from .cluster import kmeans
 from .corpus import ANCHOR_ROLE, PairedCollection
 from .errors import AnchorstatError, ManifestError, VacuousTestError
-from .sharding import run_sharded, split_range, usable_cpus
+from .sharding import run_sharded
 from .stattests import (
     DEFAULT_ALPHA,
     DEFAULT_PERMUTATIONS,
@@ -130,31 +130,24 @@ def mapped_member(
     return mapped_distances(collection.anchor, part, source=role)
 
 
-def _mapped_members(
-    collection: PairedCollection, tasks: list, seed: int, chunk: range
-) -> list:
-    """`mapped_member` for ``tasks[i]`` = (role, K), i in ``chunk``; a
-    task that fails with an `AnchorstatError` gives that error."""
-    sets = []
-    for role, K in (tasks[i] for i in chunk):
-        try:
-            sets.append(mapped_member(collection, role, K, seed))
-        except AnchorstatError as exc:
-            sets.append(exc)
-    return sets
+def _mapped_member_or_error(collection: PairedCollection, seed: int, task: tuple):
+    """`mapped_member` for ``task`` = (role, K), or the `AnchorstatError`
+    it fails with."""
+    try:
+        return mapped_member(collection, *task, seed)
+    except AnchorstatError as exc:
+        return exc
 
 
 def _member_sets(collection: PairedCollection, roles: list, k_values, seed: int):
-    """``member_set(role, K)`` for every role and K, computed up front in
-    contiguous chunks of the role-major task list, one chunk per usable
-    CPU. The lookup raises the error of a member that could not be
-    clustered, each time it is asked for it."""
+    """``member_set(role, K)`` for every role and K, computed up front by
+    `run_sharded` over the role-major task list. The lookup raises the
+    error of a member that could not be clustered, each time it is asked
+    for it."""
     tasks = [(role, K) for role in roles for K in k_values]
-    shares = run_sharded(
-        _mapped_members, (collection, tasks, seed),
-        split_range(len(tasks), usable_cpus()), "(member, K) tasks",
-    )
-    sets = dict(zip(tasks, itertools.chain.from_iterable(shares)))
+    sets = dict(zip(tasks, run_sharded(
+        _mapped_member_or_error, (collection, seed), tasks, "(member, K) tasks"
+    )))
 
     def member_set(role: str, K: int) -> MappedDistanceSet:
         found = sets[(role, K)]

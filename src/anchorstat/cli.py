@@ -151,7 +151,6 @@ def cmd_synth(args) -> int:
     grid = _grid_from_args(args)
     triple = synth.generate_scenario(args.scenario, _scenario_from_args(args, grid.seed))
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     entries = []
     for role in triple.roles:
         fname = f"{role}.csv"
@@ -215,36 +214,31 @@ def cmd_ingest(args) -> int:
         raise ManifestError("--out-dir needs --normalize (it holds the normalized copies)")
     grid = _grid_from_args(args)
     datasets = [_parse_dataset(d) for d in args.dataset]  # all refused before any read
+    ext = "bin" if args.format == "binary" else "csv"
+    # where each member's manifest entry points: its normalized copy or the input
+    paths = [
+        str(Path(args.out_dir or ".") / f"{role}.norm.{ext}") if args.normalize else path
+        for path, role, _ in datasets
+    ]
     manifest_dir = Path(args.out_manifest).parent
-    entries = []
+    manifest = DatasetManifest(  # refuses a bad role set before any read or write
+        entries=tuple(
+            ManifestEntry(_manifest_path(out, manifest_dir), role, temp, args.format)
+            for out, (_, role, temp) in zip(paths, datasets)
+        ),
+        grid=grid,
+        label=args.label or "ingested",
+    )
     members = {}
-    temps = {}
-    for path, role, temp in datasets:
+    for out, (path, role, _) in zip(paths, datasets):
         m = load_matrix(path, fmt=args.format, label=role)
         if args.normalize:
             m = normalize_rows(m)
-            out_dir = Path(args.out_dir or ".")
-            out_dir.mkdir(parents=True, exist_ok=True)
-            ext = "bin" if args.format == "binary" else "csv"
-            path = str(out_dir / f"{role}.norm.{ext}")
-            save_matrix(m, path, fmt=args.format)
+            save_matrix(m, out, fmt=args.format)
         members[role] = m
-        temps[role] = temp
-        entries.append(
-            ManifestEntry(
-                path=_manifest_path(path, manifest_dir),
-                role=role,
-                temperature=temp,
-                fmt=args.format,
-            )
-        )
-    validate_pairing(members, temperatures=temps)
-    manifest = DatasetManifest(
-        entries=tuple(entries), grid=grid, label=args.label or "ingested"
-    )
+    n = validate_pairing(members).n
     save_manifest(manifest, args.out_manifest)
-    n = members[entries[0].role].n
-    print(f"validated {len(entries)} members (n={n}); wrote {args.out_manifest}", file=sys.stderr)
+    print(f"validated {len(datasets)} members (n={n}); wrote {args.out_manifest}", file=sys.stderr)
     return 0
 
 
@@ -363,10 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(func, args) -> int:
-    """``func(args)``; a package error ends it with one line on stderr, status 1."""
+    """``func(args)``; a package or file-system error ends it with one
+    line on stderr, status 1."""
     try:
         return func(args)
-    except (AnchorstatError, FileNotFoundError) as exc:
+    except (AnchorstatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

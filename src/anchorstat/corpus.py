@@ -27,7 +27,7 @@ from .errors import (
     ManifestError,
     PairingError,
 )
-from .sharding import run_sharded, split_range, usable_cpus
+from . import sharding
 
 ANCHOR_ROLE = "anchor"
 
@@ -35,8 +35,9 @@ _BINARY_MAGIC = b"EMBMAT01"
 _UNIT_NORM_TOL = 1e-6
 # CSV files of at least twice this many bytes are parsed, and matrices of
 # at least twice this many bytes of values written, in ranges of at least
-# this size, one per usable CPU (the reader's break-even under each start
-# method is measured in CHANGES.md)
+# this size, at most one per `sharding.usable_cpus()`, so `run_sharded`
+# gives each range a process of its own (the reader's break-even under
+# each start method is measured in CHANGES.md)
 _SHARD_BYTES = 8 << 20
 
 
@@ -151,11 +152,13 @@ def save_matrix(m: EmbeddingMatrix, path, fmt: str = "csv") -> None:
             # the array's own buffer, not a bytes copy of it
             fh.write(memoryview(np.ascontiguousarray(m.values, dtype="<f8")))
         return
-    ranges = split_range(m.n, min(usable_cpus(), m.values.nbytes // _SHARD_BYTES))
+    ranges = sharding.split_range(
+        m.n, min(sharding.usable_cpus(), m.values.nbytes // _SHARD_BYTES)
+    )
     prefix = str(path.with_name(f".{path.name}.{os.getpid()}"))
     parts = [_part_path(prefix, rows) for rows in ranges]
     try:
-        run_sharded(_write_rows, (m.values, prefix), ranges, f"{path} rows")
+        sharding.run_sharded(_write_rows, (m.values, prefix), ranges, f"{path} row ranges")
         with open(parts[0], "ab") as out:
             for part in parts[1:]:
                 with open(part, "rb") as fh:
@@ -233,14 +236,14 @@ def _line_spans(path: Path, size: int, jobs: int) -> list[range]:
 
 def _read_csv(path: Path) -> np.ndarray:
     size = path.stat().st_size
-    jobs = min(usable_cpus(), size // _SHARD_BYTES)
+    jobs = min(sharding.usable_cpus(), size // _SHARD_BYTES)
     if jobs > 1:
         # each range parses its own lines, so every value has the bits of
         # the serial parse; a bad cell or ranges of different widths raise
         # ValueError, and the serial parse below then names the fault
         try:
             spans = _line_spans(path, size, jobs)
-            parts = run_sharded(_parse_span, (path,), spans, f"{path} bytes")
+            parts = sharding.run_sharded(_parse_span, (path,), spans, f"{path} byte ranges")
             parts = [rows for rows in parts if rows is not None]
             if parts:
                 return np.concatenate(parts)
@@ -451,6 +454,8 @@ def load_manifest(path) -> DatasetManifest:
 
 def _manifest_grid(g: dict) -> ExperimentGrid:
     """A manifest's grid, each field of the type the test code relies on."""
+    if type(g) is not dict:
+        raise ManifestError(f"manifest grid must be a JSON object, got {g!r}")
 
     def field(name, default, ok, kind):
         value = g.get(name, default)

@@ -1,11 +1,13 @@
-"""Contiguous chunks of work spread over processes, this one included.
+"""Independent units of work spread over processes, this one included.
 
-``run_sharded`` is the one place where the package starts worker
-processes: ``mc`` runs its replicates through it, the CSV reader its
-byte ranges, the CSV writer its row ranges and the battery and distance
-curves their (member, K) partitions. ``multiprocessing`` is imported
-only when a worker is needed, so a run that never shards does not load
-it.
+``run_sharded(fn, args, items, label)`` is ``[fn(*args, item) for item
+in items]``, and it is the one place where the package starts worker
+processes and the one owner of their count: one process per usable CPU,
+at most one per item. ``mc`` hands it its replicates, the battery and
+distance curves their (member, K) partitions, the CSV reader its byte
+ranges and the CSV writer its row ranges. ``multiprocessing`` is
+imported only when a worker is needed, so a run that never shards does
+not load it.
 
 While sharded work runs, every process uses one BLAS thread, this one
 included: the caller sets the OpenBLAS that numpy loaded to one thread
@@ -79,58 +81,62 @@ def _set_blas_threads(count: int) -> int | None:
     return before
 
 
-def _send_result(conn, fn: Callable, args: tuple, chunk: range) -> None:
-    """Worker process body: send back ``fn(*args, chunk)``, run on one
-    BLAS thread, or the error that ended it."""
+def _send_results(conn, fn: Callable, args: tuple, items: Sequence) -> None:
+    """Worker process body: send back ``[fn(*args, item) for item in
+    items]``, run on one BLAS thread, or the error that ended it."""
     try:
         _set_blas_threads(1)
-        conn.send(fn(*args, chunk))
+        conn.send([fn(*args, item) for item in items])
     except Exception as exc:
         conn.send(exc)
 
 
-def run_sharded(fn: Callable, args: tuple, chunks: Sequence[range], label: str) -> list:
-    """``[fn(*args, chunk) for chunk in chunks]``, one chunk per process.
+def run_sharded(fn: Callable, args: tuple, items: Sequence, label: str) -> list:
+    """``[fn(*args, item) for item in items]``, the items cut by
+    ``split_range`` into one contiguous run per usable CPU.
 
-    Worker processes run chunks 1.. while this process runs chunk 0, so
+    Worker processes take runs 1.. while this process takes run 0, so
     no process idles and a profile of this process still sees every
-    layer. Every chunk runs on one BLAS thread; this process gets its
-    own count back on return. ``fn`` must be a module-level function
-    and ``args`` picklable.
-    Results are read in chunk order, so the error raised is the
+    layer. Each worker sends back one list for its run. Every run is on
+    one BLAS thread; this process gets its own count back on return.
+    ``fn`` must be a module-level function and ``args`` and ``items``
+    picklable.
+    Results are read in item order, so the error raised is the
     lowest-index one, as in the serial loop; on any error the remaining
     workers are terminated rather than awaited. A worker that exits
-    without a result raises ``RuntimeError`` naming its chunk as
-    ``label start-last``.
+    without a result raises ``RuntimeError`` naming the indices of its
+    items as ``label first-last``.
     """
-    if len(chunks) < 2:
-        return [fn(*args, chunk) for chunk in chunks]
+    runs = split_range(len(items), usable_cpus())
+    if len(runs) < 2:
+        return [fn(*args, item) for item in items]
     import multiprocessing
 
     threads = _set_blas_threads(1)  # before the fork, which copies the count
     workers = []
     try:
-        for chunk in chunks[1:]:
+        for run in runs[1:]:
             receive, send = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(
-                target=_send_result, args=(send, fn, args, chunk), daemon=True
+                target=_send_results, args=(send, fn, args, items[run.start : run.stop]),
+                daemon=True,
             )
             proc.start()
             send.close()  # so a worker that dies unheard reads as EOF here
-            workers.append((proc, receive, chunk))
-        results = [fn(*args, chunks[0])]
-        for proc, receive, chunk in workers:
+            workers.append((proc, receive, run))
+        results = [fn(*args, item) for item in items[: runs[0].stop]]
+        for proc, receive, run in workers:
             try:
                 got = receive.recv()
             except EOFError:
                 proc.join()
                 raise RuntimeError(
-                    f"the worker running {label} {chunk.start}-{chunk.stop - 1} "
+                    f"the worker running {label} {run.start}-{run.stop - 1} "
                     f"exited with code {proc.exitcode} without a result"
                 ) from None
             if isinstance(got, Exception):
                 raise got
-            results.append(got)
+            results.extend(got)
     except BaseException:
         for proc, _, _ in workers:
             proc.terminate()

@@ -27,7 +27,7 @@ import numpy as np
 from .battery import run_cell
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
 from .errors import GuardError, ParameterError, VacuousTestError
-from .sharding import run_sharded, split_range, usable_cpus
+from .sharding import run_sharded
 from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, _child_seed
 
 # Community means are placed at pairwise distance
@@ -293,11 +293,6 @@ def _replicate(
     return outcome, time.perf_counter() - start
 
 
-def _replicates(args: tuple, ms: range) -> list[tuple[str, float]]:
-    """Replicates ``ms`` in order; the first error ends the chunk."""
-    return [_replicate(*args, m) for m in ms]
-
-
 def monte_carlo(
     scenario: str,
     cfg: ScenarioConfig,
@@ -313,8 +308,8 @@ def monte_carlo(
     non-rejection (identical mappings are the strongest agreement with
     the null); such replicates are tallied in ``vacuous``.
 
-    The replicates are spread over ``usable_cpus()`` processes (this
-    one included), at most one per replicate; the report, apart from
+    ``sharding.run_sharded`` spreads the replicates over the usable
+    CPUs (this process included); the report, apart from
     ``mean_runtime_s``, is the same for every process count. Worker
     processes see changes made to this process's modules at run time
     only under the ``fork`` start method.
@@ -326,10 +321,7 @@ def monte_carlo(
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0,1), got {alpha}")
     K_test = K if K is not None else cfg.K_true
-    args = (scenario, cfg, K_test, R, alpha)
-    chunks = split_range(M, usable_cpus())
-    shares = run_sharded(_replicates, (args,), chunks, "replicates")
-    results = [r for share in shares for r in share]
+    results = run_sharded(_replicate, (scenario, cfg, K_test, R, alpha), range(M), "replicates")
     outcomes = [outcome for outcome, _ in results]
     rejections = outcomes.count("reject")
     rate = rejections / M

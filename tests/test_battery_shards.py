@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from anchorstat import battery, sharding
+from anchorstat import sharding
 from anchorstat.anchor import MappedDistanceSet
 from anchorstat.cli import main
 from anchorstat.corpus import (
@@ -52,11 +52,11 @@ def _quad_manifest(tmp_path):
 
 @pytest.mark.parametrize("pca", [(), ("--pca-dim", 2)])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_battery_identical_across_process_counts(tmp_path, monkeypatch, pca, fmt):
+def test_battery_identical_across_process_counts(tmp_path, pin_cpus, pca, fmt):
     manifest = _quad_manifest(tmp_path)
     outs = {}
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(battery, "usable_cpus", lambda: cpus)
+        pin_cpus(cpus)
         out = tmp_path / f"battery-{cpus}.{fmt}"
         rc = run_cli("battery", "--manifest", manifest, "--k-grid", "2,3,4",
                      "--permutations", 49, "--seed", 5, *pca, "--format", fmt, "--out", out)
@@ -67,13 +67,13 @@ def test_battery_identical_across_process_counts(tmp_path, monkeypatch, pca, fmt
         assert outs[1].count(b"ERROR: fewer than K=3 distinct rows") == 2
 
 
-def test_distances_identical_across_process_counts(tmp_path, monkeypatch):
+def test_distances_identical_across_process_counts(tmp_path, pin_cpus):
     cfg = ScenarioConfig(n=120, dim=2, K_true=2, community_separation=8.0, seed=4)
     family = generate_drift_family(cfg, [(0.1, 0.02), (0.7, 0.3), (1.5, 0.85)])
     manifest = _write_manifest(tmp_path, family, "family")
     outs = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(battery, "usable_cpus", lambda: cpus)
+        pin_cpus(cpus)
         out = tmp_path / f"curves-{cpus}.csv"
         rc = run_cli("distances", "--manifest", manifest, "--k-grid", "2,3,4", "--seed", 6,
                      "--out", out)
@@ -92,10 +92,10 @@ def test_member_set_from_a_worker_is_read_only():
     assert not got.distances.flags.writeable
 
 
-def _threads_in_chunk(fail_at, chunk):
-    """The BLAS thread count this chunk runs with; chunk ``fail_at`` raises."""
-    if chunk.start == fail_at:
-        raise ParameterError(f"chunk {fail_at} failed")
+def _threads_for_item(fail_at, item):
+    """The BLAS thread count this item runs with; item ``fail_at`` raises."""
+    if item == fail_at:
+        raise ParameterError(f"item {fail_at} failed")
     get, _ = sharding._openblas()
     return get()
 
@@ -124,25 +124,26 @@ def start_method(request):
     multiprocessing.set_start_method(previous, force=True)
 
 
-def test_sharded_chunks_run_on_one_blas_thread(blas, start_method):
+def test_sharded_chunks_run_on_one_blas_thread(blas, start_method, pin_cpus):
     callers = blas()
-    assert sharding.run_sharded(_threads_in_chunk, (None,), sharding.split_range(3, 3),
-                                "chunks") == [1, 1, 1]
+    pin_cpus(3)
+    assert sharding.run_sharded(_threads_for_item, (None,), range(3), "items") == [1, 1, 1]
     assert blas() == callers
 
 
 @pytest.mark.parametrize("fail_at", [0, 2])
-def test_callers_blas_threads_restored_after_an_error(blas, fail_at):
+def test_callers_blas_threads_restored_after_an_error(blas, pin_cpus, fail_at):
     callers = blas()
-    with pytest.raises(ParameterError, match=f"chunk {fail_at} failed"):
-        sharding.run_sharded(_threads_in_chunk, (fail_at,), sharding.split_range(3, 3),
-                             "chunks")
+    pin_cpus(3)
+    with pytest.raises(ParameterError, match=f"item {fail_at} failed"):
+        sharding.run_sharded(_threads_for_item, (fail_at,), range(3), "items")
     assert blas() == callers
 
 
-def test_one_chunk_keeps_the_callers_blas_threads(blas):
+def test_one_chunk_keeps_the_callers_blas_threads(blas, pin_cpus):
     callers = blas()
-    assert sharding.run_sharded(_threads_in_chunk, (None,), [range(1)], "chunks") == [callers]
+    pin_cpus(1)
+    assert sharding.run_sharded(_threads_for_item, (None,), range(3), "items") == [callers] * 3
 
 
 @pytest.mark.parametrize("count, jobs, sizes", [

@@ -59,7 +59,8 @@ def test_format_p_floor_and_star():
 
 
 def test_synth_writes_matrices_and_manifest(tmp_path):
-    manifest_path = _synth_manifest(tmp_path, scenario="null", seed=3)
+    # --out-dir is nested two levels below directories that do not exist yet
+    manifest_path = _synth_manifest(tmp_path / "new", scenario="null", seed=3)
     manifest = load_manifest(manifest_path)
     assert [e.role for e in manifest.entries] == [
         "anchor",
@@ -804,6 +805,24 @@ def test_ingest_out_dir_needs_normalize(tmp_path, capsys):
     assert not (tmp_path / "norm").exists() and not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("roles, message", [
+    (("anchor", "g", "g"), "manifest roles must be unique"),
+    (("na1", "na2", "na3"), "exactly one anchor role, found 0"),
+    (("anchor", "na1"), "at least two non-anchor members"),
+], ids=["repeated", "no-anchor", "one-non-anchor"])
+def test_ingest_refuses_a_bad_role_set_before_any_copy(tmp_path, capsys, roles, message):
+    rng = np.random.default_rng(4)
+    args = []
+    for i, role in enumerate(roles):
+        save_matrix(EmbeddingMatrix(values=rng.normal(size=(12, 3))), tmp_path / f"{i}.csv")
+        args += ["--dataset", f"{tmp_path}/{i}.csv:{role}"]
+    rc = run_cli("ingest", *args, "--normalize", "--out-dir", tmp_path / "norm",
+                 "--out-manifest", tmp_path / "m.json")
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "norm").exists() and not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("command", ["mc", "synth", "battery", "ingest"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)
@@ -941,3 +960,23 @@ def test_ingest_normalize_keeps_the_binary_format(tmp_path):
         copy = load_matrix(entry.path, fmt="binary")
         expected = normalize_rows(load_matrix(tmp_path / f"{role}.bin", fmt="binary"))
         assert copy.values.tobytes() == expected.values.tobytes()
+
+
+@pytest.mark.parametrize("where", ["manifest", "manifest entry", "out", "embed input"])
+def test_a_directory_where_a_file_belongs_is_an_error(tmp_path, capsys, where):
+    manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)
+    if where == "manifest entry":
+        (manifest.parent / "nonanchor_1.csv").unlink()
+        (manifest.parent / "nonanchor_1.csv").mkdir()
+    battery = ("battery", "--manifest", manifest, "--k-grid", 2, "--permutations", 19,
+               "--baselines", "none", "--out", tmp_path / "b.csv")
+    argv = {
+        "manifest": ("battery", "--manifest", tmp_path),
+        "manifest entry": battery,
+        "out": battery[:-1] + (tmp_path,),
+        "embed input": ("embed", "--input", tmp_path, "--out", tmp_path / "e.csv",
+                        "--cache-dir", tmp_path / "cache"),
+    }[where]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "error: [Errno 21] Is a directory" in err and "Traceback" not in err

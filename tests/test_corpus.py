@@ -290,6 +290,17 @@ def test_load_manifest_checks_grid_types(tmp_path, field, value, message):
         load_manifest(tmp_path / "manifest.json")
 
 
+@pytest.mark.parametrize("grid", [[], "x", 3, None])
+def test_load_manifest_refuses_a_grid_that_is_not_an_object(tmp_path, grid):
+    save_manifest(_manifest(tmp_path), tmp_path / "manifest.json")
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["grid"] = grid
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    message = f"manifest grid must be a JSON object, got {grid!r}"
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        load_manifest(tmp_path / "manifest.json")
+
+
 def test_manifest_missing_path(tmp_path):
     manifest = _manifest(tmp_path)
     (tmp_path / "nonanchor_1.csv").unlink()

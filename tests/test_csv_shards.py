@@ -15,23 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anchorstat import corpus
+from anchorstat import corpus, sharding
 from anchorstat.corpus import EmbeddingMatrix, load_matrix, save_matrix
 from anchorstat.errors import CorpusFormatError
 from anchorstat.sharding import run_sharded
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture
-def fork_start():
-    """Workers forked from this process, so they see its monkeypatches."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the fork start method is not available")
-    previous = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("fork", force=True)
-    yield
-    multiprocessing.set_start_method(previous, force=True)
 
 
 def _serial(path):
@@ -40,20 +29,20 @@ def _serial(path):
     return load_matrix(path, fmt="csv").values
 
 
-def _parallel(monkeypatch, path, cpus):
+def _parallel(monkeypatch, pin_cpus, path, cpus):
     """Read ``path`` in ``cpus`` ranges; returns the values and the
     ranges that were handed out."""
     spans, parts = [], []
 
-    def spy(fn, args, chunks, label):
-        spans.extend(chunks)
-        parts.extend(run_sharded(fn, args, chunks, label))
+    def spy(fn, args, items, label):
+        spans.extend(items)
+        parts.extend(run_sharded(fn, args, items, label))
         return parts
 
+    pin_cpus(cpus)
     with monkeypatch.context() as patch:
-        patch.setattr(corpus, "usable_cpus", lambda: cpus)
         patch.setattr(corpus, "_SHARD_BYTES", max(1, path.stat().st_size // cpus))
-        patch.setattr(corpus, "run_sharded", spy)
+        patch.setattr(sharding, "run_sharded", spy)
         values = load_matrix(path, fmt="csv").values
     # the values are the ranges' own rows, not those of a serial re-parse
     _assert_same_bits(np.concatenate([rows for rows in parts if rows is not None]), values)
@@ -72,7 +61,8 @@ def _rows(n, p=3, seed=0):
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("trailing", [True, False])
-def test_ranges_through_blank_runs_give_the_serial_bits(tmp_path, monkeypatch, newline, trailing):
+def test_ranges_through_blank_runs_give_the_serial_bits(tmp_path, monkeypatch, pin_cpus,
+                                                       newline, trailing):
     # runs of blank and whitespace-only lines between the rows; padding
     # the end shifts every range boundary through them
     blank = ["", "   ", "\t", " \t ", ""]
@@ -89,7 +79,7 @@ def test_ranges_through_blank_runs_give_the_serial_bits(tmp_path, monkeypatch, n
         assert serial.shape == (12, 2)
         raw = path.read_bytes()
         for cpus in (2, 3):
-            values, spans = _parallel(monkeypatch, path, cpus)
+            values, spans = _parallel(monkeypatch, pin_cpus, path, cpus)
             assert len(spans) > 1
             _assert_same_bits(values, serial)
             for span in spans[1:]:
@@ -99,28 +89,28 @@ def test_ranges_through_blank_runs_give_the_serial_bits(tmp_path, monkeypatch, n
     assert boundary_in_blank_run
 
 
-def test_crlf_ranges_read_like_lf(tmp_path, monkeypatch):
+def test_crlf_ranges_read_like_lf(tmp_path, monkeypatch, pin_cpus):
     text = "\n".join(_rows(50)) + "\n"
     (tmp_path / "lf.csv").write_bytes(text.encode())
     (tmp_path / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode())
     lf = _serial(tmp_path / "lf.csv")
     for cpus in (2, 3):
-        values, spans = _parallel(monkeypatch, tmp_path / "crlf.csv", cpus)
+        values, spans = _parallel(monkeypatch, pin_cpus, tmp_path / "crlf.csv", cpus)
         assert len(spans) == cpus
         _assert_same_bits(values, lf)
 
 
-def test_range_of_blank_lines_only(tmp_path, monkeypatch):
+def test_range_of_blank_lines_only(tmp_path, monkeypatch, pin_cpus):
     rows = _rows(2)
     path = tmp_path / "m.csv"
     path.write_text(rows[0] + "\n" + "  \n\n\t\n" * 60 + rows[1] + "\n")
-    values, spans = _parallel(monkeypatch, path, 3)
+    values, spans = _parallel(monkeypatch, pin_cpus, path, 3)
     raw = path.read_bytes()
     assert any(not raw[s.start:s.stop].strip() for s in spans)
     _assert_same_bits(values, _serial(path))
 
 
-def test_row_longer_than_a_range(tmp_path, monkeypatch):
+def test_row_longer_than_a_range(tmp_path, monkeypatch, pin_cpus):
     # one row with long cells among short ones: the ranges after it collapse
     short = ",".join(["0"] * 40)
     long = ",".join(f"{v:.17g}" for v in np.random.default_rng(1).normal(size=40))
@@ -128,13 +118,14 @@ def test_row_longer_than_a_range(tmp_path, monkeypatch):
     path.write_text("\n".join([short, long, short, short]) + "\n")
     for cpus in (3, 4):
         assert len(long) > path.stat().st_size // cpus
-        values, spans = _parallel(monkeypatch, path, cpus)
+        values, spans = _parallel(monkeypatch, pin_cpus, path, cpus)
         assert len(spans) < cpus
         _assert_same_bits(values, _serial(path))
 
 
 @pytest.mark.parametrize("bad, match", [("1,2", "ragged rows"), ("1,zap,3", "non-numeric")])
-def test_error_in_a_workers_range_is_the_serial_message(tmp_path, monkeypatch, bad, match):
+def test_error_in_a_workers_range_is_the_serial_message(tmp_path, monkeypatch, pin_cpus,
+                                                        bad, match):
     lines = _rows(30)
     lines[25] = bad
     path = tmp_path / "m.csv"
@@ -146,22 +137,22 @@ def test_error_in_a_workers_range_is_the_serial_message(tmp_path, monkeypatch, b
         # the bad row sits in a worker's range, not this process's
         assert bad_at >= corpus._line_spans(path, path.stat().st_size, cpus)[1].start
         with pytest.raises(CorpusFormatError) as parallel:
-            _parallel(monkeypatch, path, cpus)
+            _parallel(monkeypatch, pin_cpus, path, cpus)
         assert str(parallel.value) == str(serial.value)
 
 
 @pytest.mark.parametrize("text", ["\n" * 64, "  \n\t\n" * 32])
-def test_blank_only_file_raises_no_rows_without_warning(tmp_path, monkeypatch, text):
+def test_blank_only_file_raises_no_rows_without_warning(tmp_path, monkeypatch, pin_cpus, text):
     path = tmp_path / "blank.csv"
     path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for cpus in (2, 3):
             with pytest.raises(CorpusFormatError, match="no rows"):
-                _parallel(monkeypatch, path, cpus)
+                _parallel(monkeypatch, pin_cpus, path, cpus)
 
 
-def test_worker_dying_without_a_result(tmp_path, monkeypatch, fork_start):
+def test_worker_dying_without_a_result(tmp_path, monkeypatch, pin_cpus, fork_start):
     path = tmp_path / "m.csv"
     path.write_text("\n".join(_rows(40)) + "\n")
     parse = corpus._parse_span
@@ -172,8 +163,8 @@ def test_worker_dying_without_a_result(tmp_path, monkeypatch, fork_start):
         return parse(p, span)
 
     monkeypatch.setattr(corpus, "_parse_span", parse_or_exit)
-    with pytest.raises(RuntimeError, match=r"bytes \d+-\d+ exited with code 7 without a result"):
-        _parallel(monkeypatch, path, 2)
+    with pytest.raises(RuntimeError, match="byte ranges 1-1 exited with code 7 without a result"):
+        _parallel(monkeypatch, pin_cpus, path, 2)
     assert multiprocessing.active_children() == []
 
 
@@ -186,10 +177,10 @@ def test_parallel_read_without_fork(tmp_path, method):
     code = (
         "import multiprocessing, sys\n"
         "from pathlib import Path\n"
-        "from anchorstat import corpus\n"
+        "from anchorstat import corpus, sharding\n"
         f"multiprocessing.set_start_method({method!r})\n"
         f"path = Path({str(path)!r})\n"
-        "corpus.usable_cpus = lambda: 2\n"
+        "sharding.usable_cpus = lambda: 2\n"
         "corpus._SHARD_BYTES = path.stat().st_size // 2\n"
         "assert len(corpus._line_spans(path, path.stat().st_size, 2)) == 2\n"
         "sys.stdout.buffer.write(corpus.load_matrix(path).values.tobytes())\n"
@@ -203,13 +194,13 @@ def test_parallel_read_without_fork(tmp_path, method):
     assert out.stdout == _serial(path).tobytes()
 
 
-def test_parallel_read_peak_memory_is_bounded(tmp_path, monkeypatch):
+def test_parallel_read_peak_memory_is_bounded(tmp_path, monkeypatch, pin_cpus):
     m = EmbeddingMatrix(values=np.random.default_rng(5).normal(size=(2000, 64)))
     path = tmp_path / "big.csv"
     save_matrix(m, path, fmt="csv")
-    _parallel(monkeypatch, path, 2)  # warm up: the imports are not data copies
+    _parallel(monkeypatch, pin_cpus, path, 2)  # warm up: the imports are not data copies
     for cpus in (2, 3):
-        monkeypatch.setattr(corpus, "usable_cpus", lambda: cpus)
+        pin_cpus(cpus)
         monkeypatch.setattr(corpus, "_SHARD_BYTES", path.stat().st_size // cpus)
         assert len(corpus._line_spans(path, path.stat().st_size, cpus)) == cpus
         tracemalloc.start()
@@ -241,7 +232,7 @@ def test_small_files_stay_in_this_process(tmp_path, monkeypatch):
     def no_shards(*args):
         raise AssertionError("a small file was sharded")
 
-    monkeypatch.setattr(corpus, "run_sharded", no_shards)
+    monkeypatch.setattr(sharding, "run_sharded", no_shards)
     assert load_matrix(path).n == 40
 
 
@@ -259,34 +250,34 @@ def _edge_matrix(n, p):
 
 
 def _spy(ranges):
-    """``run_sharded``, recording in ``ranges`` the chunks it is handed."""
+    """``run_sharded``, recording in ``ranges`` the row ranges it is handed."""
 
-    def spy(fn, args, chunks, label):
-        ranges.extend(chunks)
-        return run_sharded(fn, args, chunks, label)
+    def spy(fn, args, items, label):
+        ranges.extend(items)
+        return run_sharded(fn, args, items, label)
 
     return spy
 
 
-def _write(monkeypatch, m, path, cpus):
+def _write(monkeypatch, pin_cpus, m, path, cpus):
     """Write ``m`` in ``cpus`` row ranges; returns the ranges handed out."""
     ranges = []
+    pin_cpus(cpus)
     with monkeypatch.context() as patch:
-        patch.setattr(corpus, "usable_cpus", lambda: cpus)
         patch.setattr(corpus, "_SHARD_BYTES", max(1, m.values.nbytes // cpus))
-        patch.setattr(corpus, "run_sharded", _spy(ranges))
+        patch.setattr(sharding, "run_sharded", _spy(ranges))
         save_matrix(m, path, fmt="csv")
     return ranges
 
 
 @pytest.mark.parametrize("p", [1, 4])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_written_ranges_join_into_the_savetxt_bytes(tmp_path, monkeypatch, cpus, p):
+def test_written_ranges_join_into_the_savetxt_bytes(tmp_path, monkeypatch, pin_cpus, cpus, p):
     m = _edge_matrix(7 if p == 4 else 11, p)  # no row count divisible by 2 or 3
     expected = tmp_path / "savetxt.csv"
     np.savetxt(expected, m.values, delimiter=",", fmt="%.17g")
     path = tmp_path / "m.csv"
-    ranges = _write(monkeypatch, m, path, cpus)
+    ranges = _write(monkeypatch, pin_cpus, m, path, cpus)
     assert len(ranges) == cpus and ranges[-1].stop == m.n
     assert path.read_bytes() == expected.read_bytes()
     _assert_same_bits(load_matrix(path).values, m.values)
@@ -304,16 +295,16 @@ def test_parallel_write_without_fork(tmp_path, method):
     code = (
         "import multiprocessing\n"
         "import numpy as np\n"
-        "from anchorstat import corpus\n"
+        "from anchorstat import corpus, sharding\n"
         f"multiprocessing.set_start_method({method!r})\n"
         f"m = corpus.EmbeddingMatrix(values=np.load({str(tmp_path / 'm.npy')!r}))\n"
-        "corpus.usable_cpus = lambda: 2\n"
+        "sharding.usable_cpus = lambda: 2\n"
         "corpus._SHARD_BYTES = m.values.nbytes // 2\n"
-        "run = corpus.run_sharded\n"
-        "def spy(fn, args, chunks, label):\n"
-        "    print(len(chunks))\n"
-        "    return run(fn, args, chunks, label)\n"
-        "corpus.run_sharded = spy\n"
+        "run = sharding.run_sharded\n"
+        "def spy(fn, args, items, label):\n"
+        "    print(len(items))\n"
+        "    return run(fn, args, items, label)\n"
+        "sharding.run_sharded = spy\n"
         f"corpus.save_matrix(m, {str(tmp_path / 'm.csv')!r})\n"
     )
     env = dict(os.environ)
@@ -327,19 +318,19 @@ def test_parallel_write_without_fork(tmp_path, method):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.npy", "savetxt.csv"]
 
 
-def test_a_small_matrix_is_written_in_one_range(tmp_path, monkeypatch):
+def test_a_small_matrix_is_written_in_one_range(tmp_path, monkeypatch, pin_cpus):
     m = _edge_matrix(300, 2)
     ranges = []
-    monkeypatch.setattr(corpus, "usable_cpus", lambda: 4)
-    monkeypatch.setattr(corpus, "run_sharded", _spy(ranges))
+    pin_cpus(4)
+    monkeypatch.setattr(sharding, "run_sharded", _spy(ranges))
     save_matrix(m, tmp_path / "m.csv")
     assert ranges == [range(300)]
     _assert_same_bits(load_matrix(tmp_path / "m.csv").values, m.values)
 
 
 @pytest.mark.parametrize("failing", ["caller", "worker"])
-def test_failed_write_keeps_the_old_file_and_leaves_no_part(tmp_path, monkeypatch, fork_start,
-                                                             failing):
+def test_failed_write_keeps_the_old_file_and_leaves_no_part(tmp_path, monkeypatch, pin_cpus,
+                                                             fork_start, failing):
     path = tmp_path / "m.csv"
     path.write_text("old contents\n")
     write_rows = corpus._write_rows
@@ -351,7 +342,7 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_part(tmp_path, monkeypatc
 
     monkeypatch.setattr(corpus, "_write_rows", write_then_raise)
     with pytest.raises(OSError, match="disk full in rows from"):
-        _write(monkeypatch, _edge_matrix(40, 3), path, 3)
+        _write(monkeypatch, pin_cpus, _edge_matrix(40, 3), path, 3)
     assert path.read_text() == "old contents\n"
     assert list(tmp_path.iterdir()) == [path]
     assert multiprocessing.active_children() == []

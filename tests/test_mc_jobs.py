@@ -1,6 +1,6 @@
 """`mc` sharded over processes: the same report for every process count
-and the serial loop's error. The process count is ``synth.usable_cpus()``,
-which the tests pin with ``pin_cpus``."""
+and the serial loop's error. The process count is
+``sharding.usable_cpus()``, which the tests pin with ``pin_cpus``."""
 
 import json
 import multiprocessing
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from anchorstat import preprocess, synth
+from anchorstat import preprocess, sharding, synth
 from anchorstat.battery import battery_csv, battery_json, run_battery
 from anchorstat.cli import main
 from anchorstat.corpus import load_manifest
@@ -27,33 +27,17 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def pin_cpus(monkeypatch, count):
-    """Run ``monte_carlo`` on ``count`` processes (at most one per replicate)."""
-    monkeypatch.setattr(synth, "usable_cpus", lambda: count)
-
-
-@pytest.fixture
-def fork_start():
-    """Workers forked from this process, so they see its monkeypatches."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the fork start method is not available")
-    previous = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("fork", force=True)
-    yield
-    multiprocessing.set_start_method(previous, force=True)
-
-
 @pytest.mark.parametrize("flags", [
     ("--scenario", "null", "--n", 100),
     ("--scenario", "alt", "--n", 100),
     ("--scenario", "null", "--n", 80, "--separation", 40),  # every replicate vacuous
 ])
-def test_mc_json_identical_across_jobs(tmp_path, monkeypatch, flags):
+def test_mc_json_identical_across_jobs(tmp_path, monkeypatch, pin_cpus, flags):
     # `mc` runs on usable_cpus() processes; pin that count to 1, 2 and 3
     outs = {}
     for jobs in (1, 2, 3, None):
         if jobs is not None:
-            pin_cpus(monkeypatch, jobs)
+            pin_cpus(jobs)
         else:
             monkeypatch.undo()
         out = tmp_path / f"mc-{jobs}.json"
@@ -66,41 +50,44 @@ def test_mc_json_identical_across_jobs(tmp_path, monkeypatch, flags):
         assert json.loads(outs[1])["vacuous"] == 5
 
 
-def test_mc_runs_on_the_usable_cpus(tmp_path, monkeypatch):
+def test_mc_runs_on_the_usable_cpus(tmp_path, monkeypatch, pin_cpus):
+    # the replicates' runs, one per process, as `run_sharded` cuts them
     seen = []
-    run = synth.run_sharded
+    split = sharding.split_range
 
-    def run_sharded_spy(fn, args, chunks, label):
-        seen.append(len(chunks))
-        return run(fn, args, chunks, label)
+    def split_range_spy(count, jobs):
+        runs = split(count, jobs)
+        seen.append([len(run) for run in runs])
+        return runs
 
-    monkeypatch.setattr(synth, "run_sharded", run_sharded_spy)
+    monkeypatch.setattr(sharding, "split_range", split_range_spy)
+    pin_cpus(3)
     for M in (1, 2, 5):
         rc = run_cli("mc", "--scenario", "null", "--n", 60, "--m", M,
                      "--permutations", 19, "--out", tmp_path / "mc.json")
         assert rc == 0
-    assert seen == [min(synth.usable_cpus(), M) for M in (1, 2, 5)]
+    assert seen == [[1], [1, 1], [1, 2, 2]]
 
 
-def test_monte_carlo_jobs_uneven_chunks(monkeypatch):
+def test_monte_carlo_jobs_uneven_chunks(pin_cpus):
     cfg = ScenarioConfig(n=80, seed=9)
-    pin_cpus(monkeypatch, 1)
+    pin_cpus(1)
     serial = monte_carlo("alt", cfg, M=7, R=49)
-    pin_cpus(monkeypatch, 3)
+    pin_cpus(3)
     sharded = monte_carlo("alt", cfg, M=7, R=49)
     assert sharded.to_dict() == serial.to_dict()
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_monte_carlo_jobs_without_fork(monkeypatch, method):
+def test_monte_carlo_jobs_without_fork(pin_cpus, method):
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"the {method} start method is not available")
     code = (
         "import multiprocessing, sys\n"
-        "from anchorstat import synth\n"
+        "from anchorstat import sharding\n"
         "from anchorstat.synth import ScenarioConfig, monte_carlo\n"
         f"multiprocessing.set_start_method({method!r})\n"
-        "synth.usable_cpus = lambda: 2\n"
+        "sharding.usable_cpus = lambda: 2\n"
         "report = monte_carlo('null', ScenarioConfig(n=60, seed=3), M=4, R=49)\n"
         "sys.stdout.write(report.to_json())\n"
     )
@@ -110,13 +97,13 @@ def test_monte_carlo_jobs_without_fork(monkeypatch, method):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    pin_cpus(monkeypatch, 1)
+    pin_cpus(1)
     serial = monte_carlo("null", ScenarioConfig(n=60, seed=3), M=4, R=49)
     assert out.stdout == serial.to_json()
 
 
 @pytest.mark.parametrize("failing", [(5, 6), (2, 5), (7,)])
-def test_sharded_error_is_the_serial_loops(monkeypatch, fork_start, failing):
+def test_sharded_error_is_the_serial_loops(monkeypatch, fork_start, pin_cpus, failing):
     # M=8 on 2 processes: this process runs replicates 0-3 and one worker 4-7
     cfg = ScenarioConfig(n=60, seed=5)
     fail_at = {_child_seed(cfg.seed, m): m for m in failing}
@@ -130,7 +117,7 @@ def test_sharded_error_is_the_serial_loops(monkeypatch, fork_start, failing):
     monkeypatch.setattr(synth, "generate_null_triple", failing_generate)
     raised = []
     for jobs in (1, 2):
-        pin_cpus(monkeypatch, jobs)
+        pin_cpus(jobs)
         with pytest.raises(ParameterError) as exc:
             monte_carlo("null", cfg, M=8, R=19)
         raised.append((type(exc.value), str(exc.value)))
@@ -139,7 +126,7 @@ def test_sharded_error_is_the_serial_loops(monkeypatch, fork_start, failing):
 
 
 @pytest.mark.parametrize("error", [ParameterError, KeyboardInterrupt])
-def test_sharded_error_in_callers_share_ends_workers(monkeypatch, fork_start, error):
+def test_sharded_error_in_callers_share_ends_workers(monkeypatch, fork_start, pin_cpus, error):
     # M=4 on 2 processes: this process runs replicates 0-1, which fail at once,
     # and one worker 2-3, which would take a minute each
     cfg = ScenarioConfig(n=60, seed=5)
@@ -154,7 +141,7 @@ def test_sharded_error_in_callers_share_ends_workers(monkeypatch, fork_start, er
         return generate(c)
 
     monkeypatch.setattr(synth, "generate_null_triple", generate_or_stall)
-    pin_cpus(monkeypatch, 2)
+    pin_cpus(2)
     start = time.perf_counter()
     with pytest.raises(error, match="replicate 0 failed"):
         monte_carlo("null", cfg, M=4, R=19)
@@ -162,7 +149,7 @@ def test_sharded_error_in_callers_share_ends_workers(monkeypatch, fork_start, er
     assert multiprocessing.active_children() == []
 
 
-def test_worker_dying_without_a_result(monkeypatch, fork_start):
+def test_worker_dying_without_a_result(monkeypatch, fork_start, pin_cpus):
     cfg = ScenarioConfig(n=60, seed=5)
     dies = _child_seed(cfg.seed, 3)
     generate = synth.generate_null_triple
@@ -173,13 +160,13 @@ def test_worker_dying_without_a_result(monkeypatch, fork_start):
         return generate(c)
 
     monkeypatch.setattr(synth, "generate_null_triple", generate_or_exit)
-    pin_cpus(monkeypatch, 2)
+    pin_cpus(2)
     with pytest.raises(RuntimeError, match="replicates 2-3 exited with code 7"):
         monte_carlo("null", cfg, M=4, R=19)
     assert multiprocessing.active_children() == []
 
 
-def test_mean_runtime_is_one_replicates(monkeypatch, fork_start):
+def test_mean_runtime_is_one_replicates(monkeypatch, fork_start, pin_cpus):
     # a clock that advances 1 s per reading: each replicate reads it twice
     class Clock:
         t = 0.0
@@ -191,7 +178,7 @@ def test_mean_runtime_is_one_replicates(monkeypatch, fork_start):
     monkeypatch.setattr(synth, "time", Clock())
     cfg = ScenarioConfig(n=60, seed=1)
     for jobs in (1, 2, 3):
-        pin_cpus(monkeypatch, jobs)
+        pin_cpus(jobs)
         assert monte_carlo("null", cfg, M=5, R=19).mean_runtime_s == 1.0
 
 

@@ -23,7 +23,7 @@ def test_battery_cell_seed():
     assert run_cell(quad, "quad", pair, "hotelling", seed=11).seed == 2500991577
 
 
-def test_battery_partition_seeds(monkeypatch):
+def test_battery_partition_seeds(monkeypatch, pin_cpus):
     # one k-means call per (member, K), seeded by (seed, role, K) alone
     calls = []
     kmeans = battery.kmeans
@@ -34,7 +34,7 @@ def test_battery_partition_seeds(monkeypatch):
 
     monkeypatch.setattr(battery, "kmeans", spy)
     # one process, so the spy sees every (member, K) task
-    monkeypatch.setattr(battery, "usable_cpus", lambda: 1)
+    pin_cpus(1)
     quad = generate_battery_quad(ScenarioConfig(n=40, seed=3))
     run_battery(quad, "quad", k_values=(2, 3), R=19, seed=11, baselines=())
     assert sorted(calls) == [
@@ -54,7 +54,7 @@ def test_anchored_test_seeds():
     assert report.seed == 520846937  # the sign-flip seed
 
 
-def test_monte_carlo_replicate_seeds(monkeypatch):
+def test_monte_carlo_replicate_seeds(monkeypatch, pin_cpus):
     data_seeds, test_seeds = [], []
     generate, test = synth.generate_null_triple, synth.run_cell
 
@@ -68,7 +68,7 @@ def test_monte_carlo_replicate_seeds(monkeypatch):
 
     monkeypatch.setattr(synth, "generate_null_triple", generate_spy)
     monkeypatch.setattr(synth, "run_cell", test_spy)
-    monkeypatch.setattr(synth, "usable_cpus", lambda: 1)  # the spies see every replicate
+    pin_cpus(1)  # the spies see every replicate
     monte_carlo("null", ScenarioConfig(n=40, seed=5), M=3, R=19)
     assert data_seeds == [16823399, 3796490668, 3226123765]
     assert test_seeds == [3598628658, 3269189123, 1070606992]

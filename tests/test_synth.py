@@ -257,7 +257,7 @@ def test_rand_index_basics():
         rand_index(np.array([0, 1]), np.array([0, 1, 1]))
 
 
-def _spy_replicates(monkeypatch):
+def _spy_replicates(monkeypatch, pin_cpus):
     """Run `monte_carlo` in this process and record, per replicate, its
     (data seed, test seed, report or "vacuous")."""
     seeds, outcomes = [], []
@@ -278,15 +278,15 @@ def _spy_replicates(monkeypatch):
 
     monkeypatch.setattr(synth, "generate_scenario", generate_spy)
     monkeypatch.setattr(synth, "run_cell", run_cell_spy)
-    monkeypatch.setattr(synth, "usable_cpus", lambda: 1)
+    pin_cpus(1)
     return lambda: [(d, t, r) for d, (t, r) in zip(seeds, outcomes)]
 
 
 @pytest.mark.parametrize("scenario", ["null", "alt"])
-def test_monte_carlo_replicate_is_synth_then_test(scenario, monkeypatch, tmp_path):
+def test_monte_carlo_replicate_is_synth_then_test(scenario, monkeypatch, pin_cpus, tmp_path):
     # replicate m is the anchored cell at K=2 that `synth --seed (s, m, 0)`
     # then `battery --seed (s, m, 1)` give
-    replicates = _spy_replicates(monkeypatch)
+    replicates = _spy_replicates(monkeypatch, pin_cpus)
     monte_carlo(scenario, _cfg(n=60, seed=8), M=3, K=2, R=49)
     outcomes = []
     for m, (data_seed, test_seed, report) in enumerate(replicates()):
@@ -309,9 +309,9 @@ def test_monte_carlo_replicate_is_synth_then_test(scenario, monkeypatch, tmp_pat
     assert outcomes == {"null": [False, True, False], "alt": [False] * 3}[scenario]
 
 
-def test_monte_carlo_study_is_a_prefix_of_a_longer_one(monkeypatch):
+def test_monte_carlo_study_is_a_prefix_of_a_longer_one(monkeypatch, pin_cpus):
     def summary(M):
-        replicates = _spy_replicates(monkeypatch)
+        replicates = _spy_replicates(monkeypatch, pin_cpus)
         monte_carlo("null", _cfg(n=60, seed=2), M=M, R=49)
         return [(d, t, r if r == "vacuous" else r.p_value) for d, t, r in replicates()]
 
