@@ -115,15 +115,22 @@ def cmd_battery(args) -> int:
     manifest, collection = _load_collection(args)
     grid = _grid_from_args(args, manifest.grid)
     baselines = _parse_baselines(args.baselines)
-    anchored_coll, baseline_collection = collection, None
+    baseline_collection = None
     if args.pca_dim is not None:
-        anchored_coll = preprocess.reduce_collection(collection, args.pca_dim)
-        if baselines:
-            # the paired baselines compare members coordinate by coordinate,
-            # so they need one common space: the joint reduction
-            baseline_collection = preprocess.reduce_collection(collection, args.pca_dim, "joint")
+        # the paired baselines compare members coordinate by coordinate,
+        # so they need one common space: the joint reduction, which takes
+        # the full-dimension members over, so that neither its fit nor
+        # the (member, K) workers hold them
+        full = dict(collection.members) if baselines else {}
+        if full:
+            preprocess.joint_width(full)  # refused before any fit
+        collection = preprocess.reduce_collection(collection, args.pca_dim)
+        if full:
+            baseline_collection = preprocess.reduce_jointly(
+                full, args.pca_dim, collection.temperatures
+            )
     result = run_battery(
-        anchored_coll,
+        collection,
         dataset=manifest.label,
         k_values=grid.k_values,
         R=grid.permutations,

@@ -444,12 +444,31 @@ def load_manifest(path) -> DatasetManifest:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    _check_json_type("manifest", doc, dict)
     try:
-        entries = tuple(_manifest_entry(i, d) for i, d in enumerate(doc["datasets"]))
+        datasets = _check_json_type("manifest datasets", doc["datasets"], list)
+        entries = tuple(
+            _manifest_entry(i, _check_json_type(f"manifest datasets[{i}]", d, dict))
+            for i, d in enumerate(datasets)
+        )
         grid = _manifest_grid(doc.get("grid", {}))
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ManifestError(f"manifest missing required field: {exc}") from exc
     return DatasetManifest(entries=entries, grid=grid, label=doc.get("label", path.stem))
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "number", float: "number", type(None): "null"}
+
+
+def _check_json_type(what: str, value, kind: type):
+    """``value``, if json read it as ``kind``; else a ManifestError that
+    names ``what`` and the JSON type it has."""
+    if type(value) is not kind:
+        raise ManifestError(
+            f"{what} must be a JSON {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}"
+        )
+    return value
 
 
 def _manifest_grid(g: dict) -> ExperimentGrid:

@@ -7,6 +7,7 @@ convention so that two fits on identical data agree bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, MutableMapping
 
 import numpy as np
 
@@ -76,6 +77,47 @@ def apply_pca(model: PcaModel, m: EmbeddingMatrix) -> EmbeddingMatrix:
     return EmbeddingMatrix(values=projected, label=m.label)
 
 
+def joint_width(members: Mapping[str, EmbeddingMatrix]) -> int:
+    """The members' common number of columns, which the joint reduction
+    needs; DimensionError if they differ."""
+    dims = {m.p for m in members.values()}
+    if len(dims) != 1:
+        raise DimensionError(f"joint reduction needs equal ambient dims, got {sorted(dims)}")
+    return dims.pop()
+
+
+def reduce_jointly(
+    members: MutableMapping[str, EmbeddingMatrix], p: int,
+    temperatures: Mapping[str, float | None],
+) -> PairedCollection:
+    """Reduce the members to one common p-dimensional space, taking them
+    over: the model is fitted on their rows stacked in role order, and
+    each member leaves ``members`` once its rows are in the stack, so one
+    the caller holds nowhere else is freed before the next is copied.
+
+    The stack is centred in place by the fit, so each member's
+    coordinates are its rows of it times the components: the bits of
+    ``apply_pca`` with the model, whose ``m.values - mean`` is the same
+    subtraction.
+    """
+    ambient = joint_width(members)
+    roles = sorted(members)
+    stack = np.empty((sum(members[role].n for role in roles), ambient))
+    rows, labels, start = {}, {}, 0
+    for role in roles:
+        m = members.pop(role)
+        rows[role], labels[role] = slice(start, start + m.n), m.label
+        stack[rows[role]] = m.values
+        start += m.n
+        del m  # so the last member, too, is freed before the fit
+    model = _fit_in_place(stack, p)
+    reduced = {
+        role: EmbeddingMatrix(values=stack[r] @ model.components.T, label=labels[role])
+        for role, r in rows.items()
+    }
+    return validate_pairing(reduced, temperatures=temperatures)
+
+
 def reduce_collection(
     c: PairedCollection, p: int, mode: str = "per_dataset"
 ) -> PairedCollection:
@@ -84,22 +126,13 @@ def reduce_collection(
     per_dataset: each member is fitted and projected independently (the
     members may end up in unrelated spaces).
     joint: one model is fitted on the row-concatenation of all members
-    and applied to each, giving a single common space.
+    and applied to each, giving a single common space (``reduce_jointly``
+    on the members, which ``c`` keeps).
     """
-    if mode == "per_dataset":
-        models = {role: fit_pca(c.members[role], p) for role in c.roles}
-    elif mode == "joint":
-        dims = {c.members[role].p for role in c.roles}
-        if len(dims) > 1:
-            raise DimensionError(
-                f"joint reduction needs equal ambient dims, got {sorted(dims)}"
-            )
-        # the stacked rows are a fresh array, so the fit centres them in
-        # place, and they are freed before any member is projected
-        stacked = np.vstack([c.members[role].values for role in c.roles])
-        models = dict.fromkeys(c.roles, _fit_in_place(stacked, p))
-        del stacked
-    else:
+    if mode == "joint":
+        return reduce_jointly(dict(c.members), p, c.temperatures)
+    if mode != "per_dataset":
         raise ParameterError(f"unknown reduction mode '{mode}'")
+    models = {role: fit_pca(c.members[role], p) for role in c.roles}
     reduced = {role: apply_pca(models[role], c.members[role]) for role in c.roles}
     return validate_pairing(reduced, temperatures=c.temperatures)

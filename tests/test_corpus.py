@@ -301,6 +301,17 @@ def test_load_manifest_refuses_a_grid_that_is_not_an_object(tmp_path, grid):
         load_manifest(tmp_path / "manifest.json")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([], "manifest must be a JSON object, got array"),
+    ({"datasets": 3}, "manifest datasets must be a JSON array, got number"),
+    ({"datasets": ["x"]}, "manifest datasets[0] must be a JSON object, got string"),
+])
+def test_load_manifest_names_the_part_of_the_wrong_shape(tmp_path, doc, message):
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        load_manifest(tmp_path / "manifest.json")
+
+
 def test_manifest_missing_path(tmp_path):
     manifest = _manifest(tmp_path)
     (tmp_path / "nonanchor_1.csv").unlink()

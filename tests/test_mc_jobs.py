@@ -8,14 +8,16 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from anchorstat import preprocess, sharding, synth
+from anchorstat import cli, corpus, preprocess, sharding, synth
 from anchorstat.battery import battery_csv, battery_json, run_battery
 from anchorstat.cli import main
-from anchorstat.corpus import load_manifest
+from anchorstat.corpus import EmbeddingMatrix, load_manifest, save_matrix
 from anchorstat.errors import ParameterError
 from anchorstat.stattests import _child_seed
 from anchorstat.synth import ScenarioConfig, monte_carlo
@@ -190,36 +192,93 @@ def _synth_manifest(tmp_path, dim=2):
     return out / "manifest.json"
 
 
-@pytest.mark.parametrize("fmt", [
-    pytest.param("csv", id="per_dataset-csv"),
-    pytest.param("json", id="per_dataset-json"),
+@pytest.mark.parametrize("fmt, baselines", [
+    pytest.param("csv", None, id="per_dataset-csv"),
+    pytest.param("json", None, id="per_dataset-json"),
+    pytest.param("csv", "none", id="baselines-none-csv"),
+    pytest.param("json", "none", id="baselines-none-json"),
 ])
-def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt):
+def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt, baselines):
     # each mode is fitted once: the per-dataset reduction for the anchored
     # cells first, then the joint one for the paired baselines
     manifest_path = _synth_manifest(tmp_path, dim=4)
     modes = []
     reduce = preprocess.reduce_collection
+    reduce_jointly = preprocess.reduce_jointly
 
     def reduce_spy(collection, p, mode="per_dataset"):
         modes.append(mode)
         return reduce(collection, p, mode=mode)
 
+    def reduce_jointly_spy(members, p, temperatures):
+        modes.append("joint")
+        return reduce_jointly(members, p, temperatures)
+
     monkeypatch.setattr(preprocess, "reduce_collection", reduce_spy)
+    monkeypatch.setattr(preprocess, "reduce_jointly", reduce_jointly_spy)
     out = tmp_path / f"battery.{fmt}"
+    flags = () if baselines is None else ("--baselines", baselines)
     rc = run_cli("battery", "--manifest", manifest_path, "--k-grid", "2,3",
                  "--permutations", 49, "--seed", 3, "--pca-dim", 2,
-                 "--format", fmt, "--out", out)
+                 "--format", fmt, "--out", out, *flags)
     assert rc == 0
-    assert modes == ["per_dataset", "joint"]
+    assert modes == (["per_dataset", "joint"] if baselines is None else ["per_dataset"])
 
     # the same cells as with a separate joint reduction for the baselines
     manifest = load_manifest(manifest_path)
     collection = manifest.load_collection(manifest_path.parent)
+    kwargs = {"baselines": ()} if baselines == "none" else {
+        "baseline_collection": reduce(collection, 2, mode="joint")}
     result = run_battery(
         reduce(collection, 2), manifest.label, (2, 3), R=49,
-        alpha=manifest.grid.alpha, seed=3,
-        baseline_collection=reduce(collection, 2, mode="joint"),
+        alpha=manifest.grid.alpha, seed=3, **kwargs,
     )
     expected = battery_json(result) if fmt == "json" else battery_csv(result)
     assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("baselines", [None, "none"])
+def test_battery_holds_no_full_dimension_member(tmp_path, monkeypatch, baselines):
+    # with --pca-dim, every loaded full-dimension array is freed before
+    # the battery starts, so its (member, K) workers do not carry them
+    manifest_path = _synth_manifest(tmp_path, dim=4)
+    loaded = []
+    load_matrix = corpus.load_matrix
+
+    def load_spy(*args, **kwargs):
+        m = load_matrix(*args, **kwargs)
+        loaded.append(weakref.ref(m.values))
+        return m
+
+    alive = []
+
+    def run_battery_spy(*args, **kwargs):
+        alive.extend(ref() is not None for ref in loaded)
+        return run_battery(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "load_matrix", load_spy)
+    monkeypatch.setattr(cli, "run_battery", run_battery_spy)
+    flags = () if baselines is None else ("--baselines", baselines)
+    rc = run_cli("battery", "--manifest", manifest_path, "--k-grid", "2",
+                 "--permutations", 9, "--pca-dim", 2, "--out", tmp_path / "b.csv", *flags)
+    assert rc == 0
+    assert alive == [False, False, False]
+
+
+def test_battery_refuses_unequal_widths_before_any_fit(tmp_path, monkeypatch, capsys):
+    # the joint reduction needs one width; a baseline that reads it is
+    # refused before the per-member fits
+    rng = np.random.default_rng(4)
+    datasets = []
+    for role, width in (("anchor", 40), ("nonanchor_1", 40), ("nonanchor_2", 41)):
+        save_matrix(EmbeddingMatrix(rng.normal(size=(30, width))), tmp_path / f"{role}.csv")
+        datasets.append({"path": f"{role}.csv", "role": role})
+    (tmp_path / "manifest.json").write_text(json.dumps({"datasets": datasets}))
+    fits = []
+    fit_pca = preprocess.fit_pca
+    monkeypatch.setattr(preprocess, "fit_pca", lambda *a: fits.append(a) or fit_pca(*a))
+    rc = run_cli("battery", "--manifest", tmp_path / "manifest.json", "--k-grid", "2",
+                 "--pca-dim", 3, "--baselines", "hotelling")
+    assert rc == 1
+    assert "joint reduction needs equal ambient dims, got [40, 41]" in capsys.readouterr().err
+    assert fits == []

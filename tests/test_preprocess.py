@@ -5,7 +5,8 @@ import pytest
 
 from anchorstat.corpus import EmbeddingMatrix, validate_pairing
 from anchorstat.errors import DimensionError
-from anchorstat.preprocess import PcaModel, apply_pca, fit_pca, reduce_collection
+from anchorstat import preprocess
+from anchorstat.preprocess import PcaModel, apply_pca, fit_pca, reduce_collection, reduce_jointly
 
 
 def _line_data():
@@ -201,3 +202,48 @@ def test_joint_fit_holds_one_stacked_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * stacked_bytes
+
+
+def test_joint_reduction_frees_each_member_once_stacked(monkeypatch):
+    # the members are created inside the trace, so their release shows.
+    # numpy counts the stack whole when it is allocated, though its pages
+    # become resident only as the members' rows are copied in, so the
+    # checks are the traced bytes at each hand-over and the peak from the
+    # fit on
+    n, d = 2000, 64
+    member_bytes, stack_bytes = n * d * 8, 3 * n * d * 8
+    slack = member_bytes // 4
+    at_pop, at_fit = [], []
+
+    class Members(dict):
+        def pop(self, key):
+            at_pop.append(tracemalloc.get_traced_memory()[0])
+            return super().pop(key)
+
+    fit = preprocess._fit_in_place
+
+    def fit_spy(x, p):
+        at_fit.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return fit(x, p)
+
+    monkeypatch.setattr(preprocess, "_fit_in_place", fit_spy)
+    rng = np.random.default_rng(14)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        members = Members({
+            role: EmbeddingMatrix(values=rng.normal(size=(n, d)), label=role)
+            for role in ("anchor", "nonanchor_1", "nonanchor_2")
+        })
+        out = reduce_jointly(members, 8, {})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not members and out.roles == ["anchor", "nonanchor_1", "nonanchor_2"]
+    # before the k-th hand-over: the stack and the 3 - k members left
+    assert len(at_pop) == 3
+    for k, used in enumerate(at_pop):
+        assert used - base <= stack_bytes + (3 - k) * member_bytes + slack
+    assert at_fit[0] - base <= stack_bytes + slack
+    assert peak <= stack_bytes + member_bytes + slack
