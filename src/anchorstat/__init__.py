@@ -23,8 +23,8 @@ from .corpus import (
     save_matrix,
     validate_pairing,
 )
-from .divergence import KlEstimate, kl_divergence, wasserstein1
-from .preprocess import PcaModel, apply_pca, fit_pca, reduce_collection
+from .divergence import kl_divergence, wasserstein1
+from .preprocess import PcaModel, apply_pca, fit_pca, reduce_jointly
 from .stattests import (
     TestReport,
     anchored_test,
@@ -68,13 +68,12 @@ __all__ = [
     "save_manifest",
     "save_matrix",
     "validate_pairing",
-    "KlEstimate",
     "kl_divergence",
     "wasserstein1",
     "PcaModel",
     "apply_pca",
     "fit_pca",
-    "reduce_collection",
+    "reduce_jointly",
     "TestReport",
     "anchored_test",
     "energy_statistic",

@@ -25,12 +25,13 @@ import json
 import re
 import zlib
 from dataclasses import asdict, dataclass, field
+from typing import Mapping, MutableMapping
 
-from . import divergence
+from . import divergence, preprocess
 from .anchor import MappedDistanceSet, mapped_distances
 from .cluster import kmeans
-from .corpus import ANCHOR_ROLE, PairedCollection
-from .errors import AnchorstatError, ManifestError, VacuousTestError
+from .corpus import ANCHOR_ROLE, EmbeddingMatrix, PairedCollection, validate_pairing
+from .errors import AnchorstatError, ManifestError, ParameterError, VacuousTestError
 from .sharding import run_sharded
 from .stattests import (
     DEFAULT_ALPHA,
@@ -196,40 +197,67 @@ def _error_cell(exc: Exception) -> BatteryCell:
     return BatteryCell(display=f"ERROR: {exc}", error=str(exc))
 
 
+def reduce_members(
+    members: MutableMapping[str, EmbeddingMatrix], p: int,
+    temperatures: Mapping[str, float | None], baselines: tuple[str, ...],
+) -> tuple[PairedCollection, PairedCollection | None]:
+    """Reduce the members to p dimensions, taking them over (``members``
+    is empty on return). The anchored cells and the curves see a member
+    only through its mapped partition, so each is reduced on its own
+    (``own``); the paired baselines compare coordinates, so when one of
+    ``baselines`` runs the members are also reduced jointly (``joint``,
+    else None). Unequal widths are refused before any fit."""
+    if baselines:
+        preprocess.joint_width(members)
+    models = {role: preprocess.fit_pca(members[role], p) for role in sorted(members)}
+    own = validate_pairing(
+        {role: preprocess.apply_pca(model, members[role]) for role, model in models.items()},
+        temperatures=temperatures,
+    )
+    # freed before the joint stage: live models pin the heap top, so the
+    # freed fit copies stay resident (+35 MB peak on a 3000 x 768 battery)
+    del models
+    joint = preprocess.reduce_jointly(members, p, temperatures) if baselines else None
+    members.clear()
+    return own, joint
+
+
 def run_battery(
-    collection: PairedCollection,
+    collection: PairedCollection | tuple[PairedCollection, PairedCollection | None],
     dataset: str,
     k_values: tuple[int, ...],
     R: int = DEFAULT_PERMUTATIONS,
     alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
     baselines: tuple[str, ...] = BASELINE_NAMES,
-    baseline_collection: PairedCollection | None = None,
 ) -> BatteryResult:
     """Run the anchored test over every non-anchor pair and K, plus each
     enabled baseline once per pair (the baselines do not depend on K).
 
-    ``baseline_collection`` supplies a common-space version of the
-    members for the paired baselines; by default the main collection is
-    used. Failed cells render diagnostics without aborting the battery.
+    ``collection`` is the unreduced members, which every cell uses, or
+    the (own, joint) pair of `reduce_members`: the anchored cells cluster
+    ``own`` and the baselines compare ``joint``. Failed cells render
+    diagnostics without aborting the battery.
     """
+    own, joint = collection if isinstance(collection, tuple) else (collection, collection)
     unknown = set(baselines) - set(BASELINE_NAMES)
     if unknown:
         raise ManifestError(f"unknown baselines: {sorted(unknown)}")
-    pairs = list(itertools.combinations(collection.nonanchor_roles, 2))
+    if baselines and joint is None:
+        raise ParameterError(f"baselines {list(baselines)} need the joint reduction")
+    pairs = list(itertools.combinations(own.nonanchor_roles, 2))
     if not pairs:
         raise ManifestError("battery needs at least two non-anchor members")
     tasks = [(pair, method) for pair in pairs for method in (*k_values, *baselines)]
 
     # one distance set per (member, K), shared by the member's rows; a
     # member that cannot be clustered shows its error in each of its cells
-    member_set = _member_sets(collection, collection.nonanchor_roles, k_values, seed)
-    members = baseline_collection if baseline_collection is not None else collection
+    member_set = _member_sets(own, own.nonanchor_roles, k_values, seed)
 
     def compute(task) -> BatteryCell:
         pair, method = task
         try:
-            report = _run_cell(members, dataset, pair, method, R, alpha, seed, member_set)
+            report = _run_cell(joint, dataset, pair, method, R, alpha, seed, member_set)
         except AnchorstatError as exc:
             return _error_cell(exc)
         return BatteryCell(display=format_p(report.p_value, R, alpha), report=report)
@@ -337,7 +365,7 @@ def run_distance_curves(
                 {
                     "K": K,
                     "rho": temps[role],
-                    "kl": kl.value,
+                    "kl": kl,
                     "wasserstein": w1,
                     "hypothesis_tag": f"H0({ANCHOR_ROLE}; {base_role} vs {role})",
                 }

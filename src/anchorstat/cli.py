@@ -1,8 +1,8 @@
 """Command-line surface: ingest -> embed -> battery/distances/synth/mc,
 emitting p-value tables and divergence curves. PCA reduction
-happens only inside `battery` and `distances` (``--pca-dim``): per member
-for the anchored cells and the curves, jointly for the paired baselines.
-A command declares only the flags that change what it writes.
+happens only inside `battery` and `distances` (``--pca-dim``), through
+`battery.reduce_members`. A command declares only the flags that change
+what it writes, and refuses a bad flag value before it reads a matrix.
 
 Every command but `embed` takes --seed; reruns with identical inputs,
 flags and seed produce byte-identical output files. Status lines go to
@@ -18,12 +18,13 @@ import os
 import sys
 from pathlib import Path
 
-from . import preprocess, synth
+from . import synth
 from .battery import (
     BASELINE_NAMES,
     battery_csv,
     battery_json,
     curves_csv,
+    reduce_members,
     run_battery,
     run_distance_curves,
 )
@@ -31,7 +32,6 @@ from .corpus import (
     DatasetManifest,
     ExperimentGrid,
     ManifestEntry,
-    PairedCollection,
     load_manifest,
     load_matrix,
     normalize_rows,
@@ -40,7 +40,7 @@ from .corpus import (
     validate_pairing,
     write_text,
 )
-from .errors import AnchorstatError, ManifestError
+from .errors import AnchorstatError, DimensionError, ManifestError
 from .llmpipeline import ClientConfig, embed_batch
 from .synth import ScenarioConfig, monte_carlo
 
@@ -64,6 +64,9 @@ def _parse_baselines(text: str | None) -> tuple[str, ...]:
     for name in names:
         if names.count(name) > 1:
             raise ManifestError(f"baseline '{name}' is repeated in '{text}'")
+    unknown = sorted(set(names) - set(BASELINE_NAMES))
+    if unknown:
+        raise ManifestError(f"unknown baselines: {unknown}")
     return names
 
 
@@ -82,11 +85,23 @@ def _grid_from_args(args, base: ExperimentGrid = ExperimentGrid()) -> Experiment
     )
 
 
-def _load_collection(args) -> tuple[DatasetManifest, PairedCollection]:
+def _load_collection(args, baselines=()):
+    """The manifest, the run's grid and the (own, joint) members: the
+    loaded collection twice, or with --pca-dim what `reduce_members`
+    makes of the members it takes over. Every flag is checked before a
+    matrix is read."""
+    if args.pca_dim is not None and args.pca_dim < 1:
+        raise DimensionError(f"target dimension p={args.pca_dim} out of range, expected >= 1")
     manifest = load_manifest(args.manifest)
     base = Path(args.manifest).parent
     manifest.validate_paths(base)
-    return manifest, manifest.load_collection(base)
+    grid = _grid_from_args(args, manifest.grid)
+    collection = manifest.load_collection(base)
+    if args.pca_dim is None:
+        return manifest, grid, (collection, collection)
+    return manifest, grid, reduce_members(
+        collection.members, args.pca_dim, collection.temperatures, baselines
+    )
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -112,32 +127,16 @@ def _scenario_from_args(args, seed: int) -> ScenarioConfig:
 
 
 def cmd_battery(args) -> int:
-    manifest, collection = _load_collection(args)
-    grid = _grid_from_args(args, manifest.grid)
     baselines = _parse_baselines(args.baselines)
-    baseline_collection = None
-    if args.pca_dim is not None:
-        # the paired baselines compare members coordinate by coordinate,
-        # so they need one common space: the joint reduction, which takes
-        # the full-dimension members over, so that neither its fit nor
-        # the (member, K) workers hold them
-        full = dict(collection.members) if baselines else {}
-        if full:
-            preprocess.joint_width(full)  # refused before any fit
-        collection = preprocess.reduce_collection(collection, args.pca_dim)
-        if full:
-            baseline_collection = preprocess.reduce_jointly(
-                full, args.pca_dim, collection.temperatures
-            )
+    manifest, grid, members = _load_collection(args, baselines)
     result = run_battery(
-        collection,
+        members,
         dataset=manifest.label,
         k_values=grid.k_values,
         R=grid.permutations,
         alpha=grid.alpha,
         seed=grid.seed,
         baselines=baselines,
-        baseline_collection=baseline_collection,
     )
     text = battery_json(result) if args.format == "json" else battery_csv(result)
     _write_text(args.out, text)
@@ -145,10 +144,7 @@ def cmd_battery(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    manifest, collection = _load_collection(args)
-    grid = _grid_from_args(args, manifest.grid)
-    if args.pca_dim is not None:
-        collection = preprocess.reduce_collection(collection, args.pca_dim)
+    _, grid, (collection, _) = _load_collection(args)
     rows = run_distance_curves(collection, grid.k_values, seed=grid.seed)
     _write_text(args.out, curves_csv(rows))
     return 0

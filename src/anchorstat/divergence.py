@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .anchor import MappedDistanceSet
@@ -34,29 +32,23 @@ def wasserstein1(a, b) -> float:
     return float(np.mean(np.abs(np.sort(x) - np.sort(y))))
 
 
-class KlEstimate(NamedTuple):
-    value: float
-    degenerate: bool = False
-
-
-def kl_divergence(a, b) -> KlEstimate:
+def kl_divergence(a, b) -> float:
     """Binned Kullback-Leibler divergence KL(a || b).
 
     Both samples are histogrammed on ``BINS`` shared equal-width bins
     spanning their pooled range; ``SMOOTHING`` pseudo-counts per bin keep
     the reference strictly positive. If every value in both samples is
-    identical the range is degenerate and the estimate is 0 with the
-    ``degenerate`` flag set.
+    identical the range is degenerate and the estimate is 0.
     """
     x = _as_sample(a)
     y = _as_sample(b)
     lo = min(x.min(), y.min())
     hi = max(x.max(), y.max())
     if lo == hi:
-        return KlEstimate(value=0.0, degenerate=True)
+        return 0.0
     edges = np.linspace(lo, hi, BINS + 1)
     px, _ = np.histogram(x, bins=edges)
     qy, _ = np.histogram(y, bins=edges)
     p = (px + SMOOTHING) / (px.sum() + SMOOTHING * BINS)
     q = (qy + SMOOTHING) / (qy.sum() + SMOOTHING * BINS)
-    return KlEstimate(value=float(np.sum(p * np.log(p / q))), degenerate=False)
+    return float(np.sum(p * np.log(p / q)))

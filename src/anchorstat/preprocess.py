@@ -1,7 +1,9 @@
 """PCA reduction of embedding matrices to a working dimension.
 
 The reduction is a plain covariance eigendecomposition with a fixed sign
-convention so that two fits on identical data agree bitwise.
+convention so that two fits on identical data agree bitwise. Which
+members a battery reduces on their own and which jointly is decided by
+`battery.reduce_members`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Mapping, MutableMapping
 import numpy as np
 
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -116,23 +118,3 @@ def reduce_jointly(
         for role, r in rows.items()
     }
     return validate_pairing(reduced, temperatures=temperatures)
-
-
-def reduce_collection(
-    c: PairedCollection, p: int, mode: str = "per_dataset"
-) -> PairedCollection:
-    """Reduce every member of ``c`` to p dimensions.
-
-    per_dataset: each member is fitted and projected independently (the
-    members may end up in unrelated spaces).
-    joint: one model is fitted on the row-concatenation of all members
-    and applied to each, giving a single common space (``reduce_jointly``
-    on the members, which ``c`` keeps).
-    """
-    if mode == "joint":
-        return reduce_jointly(dict(c.members), p, c.temperatures)
-    if mode != "per_dataset":
-        raise ParameterError(f"unknown reduction mode '{mode}'")
-    models = {role: fit_pca(c.members[role], p) for role in c.roles}
-    reduced = {role: apply_pca(models[role], c.members[role]) for role in c.roles}
-    return validate_pairing(reduced, temperatures=c.temperatures)

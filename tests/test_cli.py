@@ -33,6 +33,22 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.fixture
+def matrix_loads(monkeypatch):
+    """The paths `corpus.load_matrix` reads from then on."""
+    from anchorstat import corpus
+
+    loads = []
+    load = corpus.load_matrix
+
+    def load_spy(path, *args, **kwargs):
+        loads.append(path)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "load_matrix", load_spy)
+    return loads
+
+
 def _synth_manifest(tmp_path, scenario="alt", seed=0, n=150, sep=8.0):
     out = tmp_path / f"{scenario}{seed}"
     rc = run_cli(
@@ -138,7 +154,7 @@ def test_battery_and_distances_share_one_mapped_set_per_member_and_k(tmp_path, m
     for K, _, kl, w1, tag in rows:
         base, role = tag.removeprefix("H0(anchor; ").removesuffix(")").split(" vs ")
         a, b = sets[base, int(K)], sets[role, int(K)]
-        assert kl == f"{kl_divergence(a, b).value:.12g}"
+        assert kl == f"{kl_divergence(a, b):.12g}"
         assert w1 == f"{wasserstein1(a, b):.12g}"
 
 
@@ -366,13 +382,25 @@ def test_battery_empty_manifest_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
-def test_battery_rejects_repeated_k(tmp_path, capsys):
+def test_battery_rejects_repeated_k(tmp_path, capsys, matrix_loads):
     manifest = _synth_manifest(tmp_path, n=40)
     out = tmp_path / "battery.csv"
     rc = run_cli("battery", "--manifest", manifest, "--k-grid", "2,2", "--out", out)
     assert rc == 1
     assert "grid K values must be distinct, got (2, 2)" in capsys.readouterr().err
     assert not out.exists()
+    assert matrix_loads == []
+
+
+def test_unknown_baseline_is_refused_before_any_matrix_is_read(tmp_path, capsys, matrix_loads):
+    manifest = _synth_manifest(tmp_path, n=40)
+    out = tmp_path / "out"
+    rc = run_cli("battery", "--manifest", manifest, "--pca-dim", 2,
+                 "--baselines", "hotelling,foo", "--out", out)
+    assert rc == 1
+    assert "unknown baselines: ['foo']" in capsys.readouterr().err
+    assert not out.exists()
+    assert matrix_loads == []
 
 
 @pytest.mark.parametrize("command", ["battery"])
@@ -513,7 +541,6 @@ LIBRARY_DEFAULTS = {
     "anchor.mapped_distances(source)": "",
     "battery.run_battery(R)": 999,
     "battery.run_battery(alpha)": 0.05,
-    "battery.run_battery(baseline_collection)": None,
     "battery.run_battery(baselines)": ("hotelling", "nploc", "energy"),
     "battery.run_battery(seed)": 0,
     "battery.run_cell(R)": 999,
@@ -530,7 +557,6 @@ LIBRARY_DEFAULTS = {
     "corpus.load_matrix(label)": None,
     "corpus.save_matrix(fmt)": "csv",
     "corpus.validate_pairing(temperatures)": None,
-    "preprocess.reduce_collection(mode)": "per_dataset",
     "stattests.anchored_test(R)": 999,
     "stattests.anchored_test(alpha)": 0.05,
     "stattests.anchored_test(seed)": 0,
@@ -631,6 +657,47 @@ def test_config_fields_are_pinned():
         k: list(v.items()) for k, v in CONFIG_FIELDS.items()
     }
 
+
+# every public function and class defined in an anchorstat module: a new
+# or removed name needs a deliberate edit here
+PUBLIC_NAMES = {
+    "anchor": "MappedDistanceSet mapped_centers mapped_distances paired_differences",
+    "battery": "BatteryCell BatteryResult BatteryRow battery_csv battery_json curves_csv "
+               "format_p mapped_member reduce_members run_battery run_cell run_distance_curves",
+    "cli": "build_parser cmd_battery cmd_distances cmd_embed cmd_ingest cmd_mc cmd_synth main",
+    "cluster": "Partition kmeans wcss",
+    "corpus": "DatasetManifest EmbeddingMatrix ExperimentGrid ManifestEntry PairedCollection "
+              "load_manifest load_matrix normalize_rows save_manifest save_matrix "
+              "validate_pairing write_text",
+    "divergence": "kl_divergence wasserstein1",
+    "errors": "AnchorstatError CorpusFormatError DegeneracyError DegenerateSampleError "
+              "DimensionError GuardError ManifestError PairingError ParameterError "
+              "TransportError VacuousTestError",
+    "llmpipeline": "ClientConfig embed_batch",
+    "preprocess": "PcaModel apply_pca fit_pca joint_width reduce_jointly",
+    "sharding": "run_sharded split_range usable_cpus",
+    "stattests": "TestReport anchored_test energy_statistic energy_test hotelling_paired "
+                 "johnson_t nploc_mean_test sign_flip_pvalue",
+    "synth": "MonteCarloReport ScenarioConfig battery_pattern_counts generate_alt_triple "
+             "generate_battery_quad generate_drift_family generate_null_triple "
+             "generate_scenario monte_carlo rand_index",
+}
+
+
+def test_public_names_are_pinned():
+    found = {}
+    for info in pkgutil.iter_modules(anchorstat.__path__):
+        module = importlib.import_module(f"anchorstat.{info.name}")
+        found[info.name] = sorted(
+            name for name, obj in vars(module).items()
+            if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+        )
+    assert found == {name: sorted(names.split()) for name, names in PUBLIC_NAMES.items()}
+    missing = [name for name in anchorstat.__all__ if not hasattr(anchorstat, name)]
+    assert missing == []
+
+
 @pytest.mark.parametrize("command, flag, value", [
     pytest.param("mc", "--k-grid", "x", id="mc--k-grid"),
     pytest.param("battery", "--pca-mode", "joint", id="battery--pca-mode"),
@@ -673,13 +740,14 @@ def test_test_is_not_a_command(capsys):
 
 
 @pytest.mark.parametrize("command", ["battery", "distances"])
-def test_pca_dim_zero_is_an_error(tmp_path, capsys, command):
+def test_pca_dim_zero_is_an_error(tmp_path, capsys, matrix_loads, command):
     manifest = _family_manifest(tmp_path)
     out = tmp_path / "out.csv"
     rc = run_cli(command, "--manifest", manifest, "--pca-dim", 0, "--out", out)
     assert rc == 1
     assert "target dimension p=0 out of range" in capsys.readouterr().err
     assert not out.exists()
+    assert matrix_loads == []
 
 
 def test_ingest_builds_manifest(tmp_path):

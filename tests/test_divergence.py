@@ -75,16 +75,14 @@ def test_w1_symmetry_and_triangle(seed):
 def test_kl_identical_samples_zero():
     rng = np.random.default_rng(1)
     a = rng.normal(size=200)
-    est = kl_divergence(a, a.copy())
-    assert est.value == pytest.approx(0.0, abs=1e-12)
-    assert not est.degenerate
+    assert kl_divergence(a, a.copy()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_hand_case_at_module_constants():
     # range [0, 1] in 50 bins; counts P=(3, 0, ..., 0, 1), Q=(1, 0, ..., 0, 3);
     # with 0.5 pseudo-counts every bin but the two ends cancels
     est = kl_divergence([0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 1.0])
-    assert est.value == (2 / 29) * np.log(7 / 3)
+    assert type(est) is float and est == (2 / 29) * np.log(7 / 3)
 
 
 def test_kl_nonnegative_random_pairs():
@@ -92,13 +90,12 @@ def test_kl_nonnegative_random_pairs():
     for _ in range(50):
         a = rng.normal(loc=rng.normal(), size=int(rng.integers(2, 60)))
         b = rng.normal(loc=rng.normal(), size=int(rng.integers(2, 60)))
-        assert kl_divergence(a, b).value >= -1e-12
+        assert kl_divergence(a, b) >= -1e-12
 
 
 def test_kl_degenerate_range_flagged():
     est = kl_divergence([2.0, 2.0], [2.0, 2.0, 2.0])
-    assert est.value == 0.0
-    assert est.degenerate
+    assert type(est) is float and est == 0.0
 
 
 def test_kl_parameter_validation():
@@ -110,6 +107,6 @@ def test_kl_direction_is_asymmetric():
     rng = np.random.default_rng(3)
     a = rng.normal(size=300)
     b = rng.normal(size=300) * 3.0
-    ab = kl_divergence(a, b).value
-    ba = kl_divergence(b, a).value
+    ab = kl_divergence(a, b)
+    ba = kl_divergence(b, a)
     assert ab != pytest.approx(ba, abs=1e-6)

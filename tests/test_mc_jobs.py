@@ -14,8 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anchorstat import cli, corpus, preprocess, sharding, synth
-from anchorstat.battery import battery_csv, battery_json, run_battery
+from anchorstat import battery, cli, corpus, preprocess, sharding, synth
+from anchorstat.battery import (
+    BASELINE_NAMES,
+    battery_csv,
+    battery_json,
+    run_battery,
+    run_distance_curves,
+)
 from anchorstat.cli import main
 from anchorstat.corpus import EmbeddingMatrix, load_manifest, save_matrix
 from anchorstat.errors import ParameterError
@@ -199,22 +205,28 @@ def _synth_manifest(tmp_path, dim=2):
     pytest.param("json", "none", id="baselines-none-json"),
 ])
 def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt, baselines):
-    # each mode is fitted once: the per-dataset reduction for the anchored
-    # cells first, then the joint one for the paired baselines
+    # one `reduce_members` call reduces each member once on its own for the
+    # anchored cells first, then, only when a baseline runs, all of them
+    # jointly for the paired baselines
     manifest_path = _synth_manifest(tmp_path, dim=4)
-    modes = []
-    reduce = preprocess.reduce_collection
-    reduce_jointly = preprocess.reduce_jointly
+    calls, modes = [], []
+    reduce_members = battery.reduce_members
+    apply_pca, reduce_jointly = preprocess.apply_pca, preprocess.reduce_jointly
 
-    def reduce_spy(collection, p, mode="per_dataset"):
-        modes.append(mode)
-        return reduce(collection, p, mode=mode)
+    def reduce_members_spy(members, p, temperatures, baselines):
+        calls.append(baselines)
+        return reduce_members(members, p, temperatures, baselines)
+
+    def apply_pca_spy(model, m):
+        modes.append("per_dataset")
+        return apply_pca(model, m)
 
     def reduce_jointly_spy(members, p, temperatures):
         modes.append("joint")
         return reduce_jointly(members, p, temperatures)
 
-    monkeypatch.setattr(preprocess, "reduce_collection", reduce_spy)
+    monkeypatch.setattr(cli, "reduce_members", reduce_members_spy)
+    monkeypatch.setattr(preprocess, "apply_pca", apply_pca_spy)
     monkeypatch.setattr(preprocess, "reduce_jointly", reduce_jointly_spy)
     out = tmp_path / f"battery.{fmt}"
     flags = () if baselines is None else ("--baselines", baselines)
@@ -222,26 +234,56 @@ def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt, baselines):
                  "--permutations", 49, "--seed", 3, "--pca-dim", 2,
                  "--format", fmt, "--out", out, *flags)
     assert rc == 0
-    assert modes == (["per_dataset", "joint"] if baselines is None else ["per_dataset"])
+    names = BASELINE_NAMES if baselines is None else ()
+    assert calls == [names]
+    assert modes == ["per_dataset"] * 3 + (["joint"] if names else [])
 
-    # the same cells as with a separate joint reduction for the baselines
+    # the same cells as the library path: `run_battery` on what
+    # `reduce_members` returns
     manifest = load_manifest(manifest_path)
     collection = manifest.load_collection(manifest_path.parent)
-    kwargs = {"baselines": ()} if baselines == "none" else {
-        "baseline_collection": reduce(collection, 2, mode="joint")}
-    result = run_battery(
-        reduce(collection, 2), manifest.label, (2, 3), R=49,
-        alpha=manifest.grid.alpha, seed=3, **kwargs,
-    )
+    members = reduce_members(collection.members, 2, collection.temperatures, names)
+    result = run_battery(members, manifest.label, (2, 3), R=49,
+                         alpha=manifest.grid.alpha, seed=3, baselines=names)
     expected = battery_json(result) if fmt == "json" else battery_csv(result)
     assert out.read_text() == expected
 
 
-@pytest.mark.parametrize("baselines", [None, "none"])
-def test_battery_holds_no_full_dimension_member(tmp_path, monkeypatch, baselines):
-    # with --pca-dim, every loaded full-dimension array is freed before
-    # the battery starts, so its (member, K) workers do not carry them
+def test_battery_without_a_joint_half_refuses_baselines_before_kmeans(monkeypatch, pin_cpus):
+    # the (own, None) pair has no common space, so a paired baseline is
+    # refused before the first (member, K) task clusters a member
+    quad = synth.generate_battery_quad(ScenarioConfig(n=60, dim=4, seed=2))
+    own, joint = battery.reduce_members(dict(quad.members), 2, quad.temperatures, ())
+    assert joint is None
+    fits = []
+    pin_cpus(1)
+    monkeypatch.setattr(battery, "kmeans", lambda *a, **k: fits.append(a))
+    with pytest.raises(ParameterError, match=r"baselines \['hotelling'\] need the joint"):
+        run_battery((own, None), "quad", (2,), R=19, baselines=("hotelling",))
+    assert fits == []
+
+
+def _family_manifest(tmp_path):
+    """The synthetic triple with a temperature on each non-anchor."""
     manifest_path = _synth_manifest(tmp_path, dim=4)
+    doc = json.loads(manifest_path.read_text())
+    for i, entry in enumerate(doc["datasets"]):
+        if entry["role"] != "anchor":
+            entry["temperature"] = 0.5 * i
+    manifest_path.write_text(json.dumps(doc))
+    return manifest_path
+
+
+@pytest.mark.parametrize("command, baselines", [
+    pytest.param("battery", None, id="None"),
+    pytest.param("battery", "none", id="none"),
+    pytest.param("distances", None, id="distances"),
+])
+def test_battery_holds_no_full_dimension_member(tmp_path, monkeypatch, command, baselines):
+    # with --pca-dim, every loaded full-dimension array is freed before
+    # the battery or the curves start, so their (member, K) workers do
+    # not carry them
+    manifest_path = _family_manifest(tmp_path)
     loaded = []
     load_matrix = corpus.load_matrix
 
@@ -251,16 +293,19 @@ def test_battery_holds_no_full_dimension_member(tmp_path, monkeypatch, baselines
         return m
 
     alive = []
+    run = {"battery": run_battery, "distances": run_distance_curves}[command]
 
-    def run_battery_spy(*args, **kwargs):
+    def run_spy(*args, **kwargs):
         alive.extend(ref() is not None for ref in loaded)
-        return run_battery(*args, **kwargs)
+        return run(*args, **kwargs)
 
     monkeypatch.setattr(corpus, "load_matrix", load_spy)
-    monkeypatch.setattr(cli, "run_battery", run_battery_spy)
+    monkeypatch.setattr(cli, run.__name__, run_spy)
     flags = () if baselines is None else ("--baselines", baselines)
-    rc = run_cli("battery", "--manifest", manifest_path, "--k-grid", "2",
-                 "--permutations", 9, "--pca-dim", 2, "--out", tmp_path / "b.csv", *flags)
+    if command == "battery":
+        flags += ("--permutations", 9)
+    rc = run_cli(command, "--manifest", manifest_path, "--k-grid", "2",
+                 "--pca-dim", 2, "--out", tmp_path / "out.csv", *flags)
     assert rc == 0
     assert alive == [False, False, False]
 

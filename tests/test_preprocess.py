@@ -6,7 +6,8 @@ import pytest
 from anchorstat.corpus import EmbeddingMatrix, validate_pairing
 from anchorstat.errors import DimensionError
 from anchorstat import preprocess
-from anchorstat.preprocess import PcaModel, apply_pca, fit_pca, reduce_collection, reduce_jointly
+from anchorstat.battery import reduce_members
+from anchorstat.preprocess import PcaModel, apply_pca, fit_pca, reduce_jointly
 
 
 def _line_data():
@@ -127,7 +128,9 @@ def _collection(seed=8, shapes=((20, 6), (20, 6), (20, 6))):
 
 
 def test_reduce_per_dataset_shapes():
-    out = reduce_collection(_collection(), 3, mode="per_dataset")
+    members = dict(_collection().members)
+    out, joint = reduce_members(members, 3, {}, baselines=())
+    assert joint is None and not members
     assert all(out.member(r).p == 3 for r in out.roles)
     assert all(out.member(r).n == 20 for r in out.roles)
 
@@ -142,7 +145,7 @@ def test_reduce_joint_on_identical_copies():
             "nonanchor_2": EmbeddingMatrix(values=X, label="nonanchor_2"),
         }
     )
-    out = reduce_collection(coll, 2, mode="joint")
+    out = reduce_jointly(dict(coll.members), 2, coll.temperatures)
     np.testing.assert_array_equal(
         out.member("anchor").values, out.member("nonanchor_1").values
     )
@@ -153,8 +156,7 @@ def test_reduce_joint_on_identical_copies():
 
 def test_per_dataset_and_joint_generally_differ():
     coll = _collection(seed=10)
-    per = reduce_collection(coll, 3, mode="per_dataset")
-    joint = reduce_collection(coll, 3, mode="joint")
+    per, joint = reduce_members(dict(coll.members), 3, {}, baselines=("hotelling",))
     gaps = [
         np.max(np.abs(per.member(r).values - joint.member(r).values))
         for r in coll.roles
@@ -165,18 +167,18 @@ def test_per_dataset_and_joint_generally_differ():
 def test_joint_requires_equal_ambient_dims():
     coll = _collection(shapes=((10, 4), (10, 5), (10, 4)))
     with pytest.raises(DimensionError):
-        reduce_collection(coll, 2, mode="joint")
+        reduce_jointly(dict(coll.members), 2, {})
 
 
 def test_per_dataset_handles_unequal_dims():
     coll = _collection(shapes=((10, 4), (10, 5), (10, 6)))
-    out = reduce_collection(coll, 2, mode="per_dataset")
+    out, _ = reduce_members(dict(coll.members), 2, {}, baselines=())
     assert all(out.member(r).p == 2 for r in out.roles)
 
 
 def test_joint_model_equals_fit_pca_on_stacked_members():
     coll = _collection(seed=12, shapes=((40, 7), (40, 7), (40, 7)))
-    out = reduce_collection(coll, 4, "joint")
+    out = reduce_jointly(dict(coll.members), 4, {})
     stacked = np.vstack([coll.member(r).values for r in coll.roles])
     ref = fit_pca(EmbeddingMatrix(values=stacked), 4)
     for role in coll.roles:
@@ -187,9 +189,9 @@ def test_joint_model_equals_fit_pca_on_stacked_members():
 
 def test_joint_p_range_is_checked_on_stacked_rows():
     coll = _collection(shapes=((3, 8), (3, 8), (3, 8)))
-    assert reduce_collection(coll, 8, "joint").member("anchor").p == 8
+    assert reduce_jointly(dict(coll.members), 8, {}).member("anchor").p == 8
     with pytest.raises(DimensionError, match=r"n-1=8"):
-        reduce_collection(coll, 9, "joint")
+        reduce_jointly(dict(coll.members), 9, {})
 
 
 def test_joint_fit_holds_one_stacked_copy():
@@ -197,7 +199,7 @@ def test_joint_fit_holds_one_stacked_copy():
     stacked_bytes = 3 * 2000 * 64 * 8
     tracemalloc.start()
     try:
-        reduce_collection(coll, 8, "joint")
+        reduce_jointly(dict(coll.members), 8, {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
