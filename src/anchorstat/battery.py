@@ -24,7 +24,7 @@ import itertools
 import json
 import re
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, MutableMapping
 
 from . import divergence, preprocess
@@ -82,8 +82,9 @@ class BatteryCell:
         return self.report.reject
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "p_value": self.p_value, "reject": self.reject,
-                "statistic": self.statistic, "vacuous": self.vacuous}
+        return {"display": self.display, "error": self.error,
+                "report": self.report and self.report.to_dict(), "p_value": self.p_value,
+                "reject": self.reject, "statistic": self.statistic, "vacuous": self.vacuous}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import shutil
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -235,44 +235,43 @@ def _line_spans(path: Path, size: int, jobs: int) -> list[range]:
 
 
 def _read_csv(path: Path) -> np.ndarray:
+    """The file's rows, parsed by ``run_sharded`` in the byte ranges that
+    ``_line_spans`` cuts (a small file is one range, parsed in this
+    process), so every value has the bits of one whole-file parse."""
     size = path.stat().st_size
-    jobs = min(sharding.usable_cpus(), size // _SHARD_BYTES)
-    if jobs > 1:
-        # each range parses its own lines, so every value has the bits of
-        # the serial parse; a bad cell or ranges of different widths raise
-        # ValueError, and the serial parse below then names the fault
-        try:
-            spans = _line_spans(path, size, jobs)
-            parts = sharding.run_sharded(_parse_span, (path,), spans, f"{path} byte ranges")
-            parts = [rows for rows in parts if rows is not None]
-            if parts:
-                return np.concatenate(parts)
-        except ValueError:
-            pass
+    spans = _line_spans(path, size, min(sharding.usable_cpus(), size // _SHARD_BYTES))
     try:
-        values = _parse_span(path, range(size))
-    except ValueError as exc:
-        error = exc
-    else:
-        if values is None:
-            raise CorpusFormatError(f"no rows in {path}")
-        return values
-    # slow diagnostic pass to say what failed; reads the file again
-    with open(path) as fh:
-        rows = [ln.split(",") for ln in _nonblank_lines(fh)]
-    widths = sorted({len(cells) for cells in rows})
+        parts = sharding.run_sharded(_parse_span, (path,), spans, f"{path} byte ranges")
+        parts = [rows for rows in parts if rows is not None]
+        if len(parts) > 1:
+            return np.concatenate(parts)
+    except ValueError as exc:  # a bad cell, undecodable bytes or ranges of different widths
+        _raise_fault(path, exc.with_traceback(None))  # its frames hold the ranges' rows
+    if not parts:
+        raise CorpusFormatError(f"no rows in {path}")
+    return parts[0]  # one range's rows, not a copy
+
+
+def _raise_fault(path: Path, error: ValueError) -> NoReturn:
+    """Raise the CorpusFormatError that names ragged rows in ``path``, else
+    its first non-numeric cell in row-major order, else ``error``. The
+    file is read line by line, keeping only the row widths and the first
+    non-numeric cell; undecodable bytes read as U+FFFD."""
+    widths, bad = set(), None
+    with open(path, errors="replace") as fh:
+        for i, line in enumerate(_nonblank_lines(fh)):
+            cells = line.split(",")
+            widths.add(len(cells))
+            for j, cell in enumerate(cells if bad is None else ()):
+                try:
+                    float(cell)
+                except ValueError:
+                    bad = f"non-numeric cell {cell.strip()!r} at row {i}, col {j} in {path}"
+                    break
     if len(widths) > 1:
-        raise CorpusFormatError(
-            f"ragged rows in {path}: row lengths {widths[0]} and {widths[-1]} both present"
-        )
-    for i, cells in enumerate(rows):
-        for j, cell in enumerate(cells):
-            try:
-                float(cell)
-            except ValueError:
-                raise CorpusFormatError(
-                    f"non-numeric cell {cell.strip()!r} at row {i}, col {j} in {path}"
-                ) from None
+        bad = f"ragged rows in {path}: row lengths {min(widths)} and {max(widths)} both present"
+    if bad is not None:
+        raise CorpusFormatError(bad) from None
     raise CorpusFormatError(f"cannot parse {path}: {error}") from error
 
 
@@ -454,7 +453,8 @@ def load_manifest(path) -> DatasetManifest:
         grid = _manifest_grid(doc.get("grid", {}))
     except KeyError as exc:
         raise ManifestError(f"manifest missing required field: {exc}") from exc
-    return DatasetManifest(entries=entries, grid=grid, label=doc.get("label", path.stem))
+    label = _check_json_type("manifest label", doc.get("label", path.stem), str)
+    return DatasetManifest(entries=entries, grid=grid, label=label)
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
@@ -505,6 +505,8 @@ def _manifest_entry(i: int, d: dict) -> ManifestEntry:
     for name, value in fields.items():
         if not isinstance(value, str):
             raise ManifestError(f"manifest datasets[{i}]: '{name}' must be a string, got {value!r}")
+    if fields["format"] not in ("csv", "binary"):
+        raise ManifestError(f"manifest datasets[{i}]: unknown matrix format {fields['format']!r}")
     t = d.get("temperature")
     # the type test turns away bools, and isfinite the NaN and Infinity json reads
     if t is not None and (type(t) not in (int, float) or not math.isfinite(t)):

@@ -50,7 +50,6 @@ class TestReport:
     replicates: int
     seed: int
     alpha: float
-    reject: bool
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -58,11 +57,13 @@ class TestReport:
             raise ParameterError(f"unknown method tag '{self.method}'")
         if not 0.0 < self.p_value <= 1.0:
             raise ParameterError(f"p-value out of (0, 1]: {self.p_value}")
-        if self.reject != (self.p_value < self.alpha):
-            raise ParameterError("reject flag inconsistent with p-value and alpha")
+
+    @property
+    def reject(self) -> bool:
+        return self.p_value < self.alpha
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "reject": self.reject}
 
 
 def _modified_t(mean, var, mu3, n: int):
@@ -180,7 +181,6 @@ def sign_flip_pvalue(
         replicates=R,
         seed=seed,
         alpha=alpha,
-        reject=p < alpha,
         metadata=meta,
     )
 
@@ -350,7 +350,6 @@ def hotelling_paired(x, y, alpha: float = DEFAULT_ALPHA, seed: int = 0) -> TestR
         replicates=0,
         seed=seed,
         alpha=alpha,
-        reject=p_value < alpha,
         metadata={"f_statistic": f_stat, "df": [p, n - p]},
     )
 
@@ -389,7 +388,6 @@ def nploc_mean_test(
         replicates=R,
         seed=seed,
         alpha=alpha,
-        reject=p_value < alpha,
     )
 
 
@@ -498,5 +496,4 @@ def energy_test(
         replicates=R,
         seed=seed,
         alpha=alpha,
-        reject=p_value < alpha,
     )

@@ -629,7 +629,7 @@ CONFIG_FIELDS = {
                             "explained_variance": REQUIRED},
     "stattests.TestReport": {"method": REQUIRED, "statistic": REQUIRED, "p_value": REQUIRED,
                              "replicates": REQUIRED, "seed": REQUIRED, "alpha": REQUIRED,
-                             "reject": REQUIRED, "metadata": dict},
+                             "metadata": dict},
     "synth.MonteCarloReport": {name: REQUIRED for name in (
         "scenario", "M", "rejections", "vacuous", "rate", "ci_low", "ci_high",
         "degenerate_ci", "mean_runtime_s", "alpha", "K", "replicates", "seed")},
@@ -802,6 +802,36 @@ def test_ingest_mismatched_rows_fails(tmp_path, capsys):
     )
     assert rc != 0
     assert "row counts" in capsys.readouterr().err
+
+
+def test_ingest_names_a_member_that_is_not_utf8(tmp_path, capsys):
+    for role in ("anchor", "na1", "na2"):
+        (tmp_path / f"{role}.csv").write_bytes(b"1,2\n3,4\n5,6\n")
+    bad = tmp_path / "na1.csv"
+    bad.write_bytes(b"1,2\n3,\xff4\n5,6\n")
+    rc = run_cli(
+        "ingest",
+        "--dataset", f"{tmp_path}/anchor.csv:anchor",
+        "--dataset", f"{bad}:na1",
+        "--dataset", f"{tmp_path}/na2.csv:na2",
+        "--out-manifest", tmp_path / "m.json",
+    )
+    assert rc == 1
+    # the undecodable byte reads as U+FFFD
+    assert f"error: non-numeric cell '\ufffd4' at row 1, col 1 in {bad}\n" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_unknown_manifest_format_is_refused_before_any_matrix_is_read(tmp_path, capsys,
+                                                                       matrix_loads):
+    manifest = _synth_manifest(tmp_path, n=40)
+    doc = json.loads(manifest.read_text())
+    doc["datasets"][2]["format"] = "bin"
+    manifest.write_text(json.dumps(doc))
+    rc = run_cli("battery", "--manifest", manifest, "--out", tmp_path / "out.csv")
+    assert rc == 1
+    assert "manifest datasets[2]: unknown matrix format 'bin'" in capsys.readouterr().err
+    assert matrix_loads == []
 
 
 def test_every_command_prints_seed(tmp_path, capsys):

@@ -221,6 +221,10 @@ def test_manifest_round_trip(tmp_path):
     coll = back.load_collection(tmp_path)
     assert coll.n == 8
     assert coll.temperatures["nonanchor_2"] == 0.7
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    del doc["label"]
+    (tmp_path / "study.json").write_text(json.dumps(doc))
+    assert load_manifest(tmp_path / "study.json").label == "study"
 
 
 def test_manifest_requires_one_anchor():
@@ -264,6 +268,7 @@ def test_manifest_rejects_empty_k_grid():
     ("path", 5, "'path' must be a string, got 5"),
     ("role", ["x"], "'role' must be a string"),
     ("format", None, "'format' must be a string, got None"),
+    ("format", "bin", "unknown matrix format 'bin'"),
 ])
 def test_load_manifest_checks_field_types(tmp_path, field, value, message):
     save_manifest(_manifest(tmp_path), tmp_path / "manifest.json")
@@ -305,6 +310,9 @@ def test_load_manifest_refuses_a_grid_that_is_not_an_object(tmp_path, grid):
     ([], "manifest must be a JSON object, got array"),
     ({"datasets": 3}, "manifest datasets must be a JSON array, got number"),
     ({"datasets": ["x"]}, "manifest datasets[0] must be a JSON object, got string"),
+    ({"datasets": [], "label": None}, "manifest label must be a JSON string, got null"),
+    ({"datasets": [], "label": ["a", "b"]}, "manifest label must be a JSON string, got array"),
+    ({"datasets": [], "label": 7}, "manifest label must be a JSON string, got number"),
 ])
 def test_load_manifest_names_the_part_of_the_wrong_shape(tmp_path, doc, message):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))

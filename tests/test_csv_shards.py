@@ -1,8 +1,10 @@
-"""The CSV reader's and writer's parallel paths. The reader cuts a file
-into byte ranges that end at line ends, parses each range on its own,
-and gives back the rows with the bits, errors and warnings of the serial
-parse. The writer cuts a matrix into row ranges, formats each into its
-own part file, and joins the parts into the bytes of ``np.savetxt``."""
+"""The CSV reader's and writer's ranges. The reader cuts every file
+into byte ranges that end at line ends, one range for a small file,
+parses each range on its own, and gives back the rows with the bits,
+errors and warnings of one whole-file parse; a file that does not parse
+is read once more, line by line, to name the fault. The writer cuts a
+matrix into row ranges, formats each into its own part file, and joins
+the parts into the bytes of ``np.savetxt``."""
 
 import multiprocessing
 import os
@@ -24,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _serial(path):
-    """The serial parse: these files are far below the default threshold."""
+    """The parse in one range: these files are far below the default threshold."""
     assert path.stat().st_size < 2 * corpus._SHARD_BYTES
     return load_matrix(path, fmt="csv").values
 
@@ -225,15 +227,70 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_small_files_stay_in_this_process(tmp_path, monkeypatch):
+def _parse_spy(monkeypatch):
+    """The byte ranges that `_parse_span` parses in this process from then on."""
+    parsed = []
+    parse = corpus._parse_span
+
+    def spy(path, span):
+        parsed.append(span)
+        return parse(path, span)
+
+    monkeypatch.setattr(corpus, "_parse_span", spy)
+    return parsed
+
+
+def test_small_files_stay_in_this_process(tmp_path, monkeypatch, pin_cpus):
     path = tmp_path / "m.csv"
     path.write_text("\n".join(_rows(40)) + "\n")
-
-    def no_shards(*args):
-        raise AssertionError("a small file was sharded")
-
-    monkeypatch.setattr(sharding, "run_sharded", no_shards)
+    ranges = []
+    pin_cpus(4)
+    monkeypatch.setattr(sharding, "run_sharded", _spy(ranges))
+    parsed = _parse_spy(monkeypatch)
     assert load_matrix(path).n == 40
+    # one range, and the spy saw it parsed: a worker's calls stay in the worker
+    assert ranges == parsed == [range(path.stat().st_size)]
+
+
+@pytest.mark.parametrize("bad_row", [3, 25])
+def test_a_malformed_file_is_parsed_once_per_range_and_never_whole(tmp_path, monkeypatch,
+                                                                    pin_cpus, bad_row):
+    lines = _rows(30)
+    lines[bad_row] = "1,zap,3"
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    size = path.stat().st_size
+    spans = corpus._line_spans(path, size, 2)
+    bad_at = path.read_bytes().index(b"zap")
+    pin_cpus(2)
+    monkeypatch.setattr(corpus, "_SHARD_BYTES", size // 2)
+    # every range in this process, so the spy sees each parse
+    monkeypatch.setattr(sharding, "run_sharded",
+                        lambda fn, args, items, label: [fn(*args, item) for item in items])
+    parsed = _parse_spy(monkeypatch)
+    with pytest.raises(CorpusFormatError, match=f"non-numeric cell 'zap' at row {bad_row}, col 1"):
+        load_matrix(path)
+    # the ranges up to the one that holds the bad cell, each once
+    assert parsed == [span for span in spans if span.start <= bad_at]
+
+
+def test_a_malformed_file_is_named_within_the_parse_bound(tmp_path):
+    m = EmbeddingMatrix(values=np.random.default_rng(6).normal(size=(2000, 64)))
+    path = tmp_path / "bad.csv"
+    save_matrix(m, path, fmt="csv")
+    text = path.read_text()
+    path.write_text(text[: text.rstrip("\n").rindex(",") + 1] + "zap\n")
+    with pytest.raises(CorpusFormatError):  # warm up: the imports are not data copies
+        load_matrix(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorpusFormatError, match="non-numeric cell 'zap' at row 1999, col 63"):
+            load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the bound of a good file's parse: the diagnostic holds one line at a time
+    assert peak <= 2.5 * m.values.nbytes
 
 
 # the writer

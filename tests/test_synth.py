@@ -210,7 +210,7 @@ def test_battery_quad_roles_and_alignment():
 
 def test_battery_pattern_counts_do_not_count_error_cells_as_acceptances():
     def report(p):
-        return stattests.TestReport("anchored_johnson", 1.0, p, 99, 0, 0.05, p < 0.05)
+        return stattests.TestReport("anchored_johnson", 1.0, p, 99, 0, 0.05)
 
     ok = BatteryCell(display="0.500", report=report(0.5))
     identical = BatteryCell(display="identical")
