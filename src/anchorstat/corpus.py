@@ -16,7 +16,7 @@ import shutil
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NoReturn, Sequence
+from typing import Mapping, NoReturn
 
 import numpy as np
 
@@ -344,15 +344,13 @@ class PairedCollection:
 
 
 def validate_pairing(
-    members: Mapping[str, EmbeddingMatrix] | Sequence[tuple[str, EmbeddingMatrix]],
+    members: Mapping[str, EmbeddingMatrix],
     temperatures: Mapping[str, float | None] | None = None,
 ) -> PairedCollection:
     """Check the pairing contract and assemble a PairedCollection.
 
     All members must have the same row count; rows are never reordered.
     """
-    if not isinstance(members, Mapping):
-        members = dict(members)
     if len(members) < 2:
         raise PairingError(f"pairing needs at least 2 members, got {len(members)}")
     counts = {role: m.n for role, m in members.items()}
@@ -476,8 +474,10 @@ def _manifest_grid(g: dict) -> ExperimentGrid:
     if type(g) is not dict:
         raise ManifestError(f"manifest grid must be a JSON object, got {g!r}")
 
-    def field(name, default, ok, kind):
-        value = g.get(name, default)
+    def field(name, ok, kind):
+        if name not in g:
+            return getattr(ExperimentGrid, name)  # the dataclass default
+        value = g[name]
         if not ok(value):
             raise ManifestError(f"manifest grid.{name} must be {kind}, got {value!r}")
         return value
@@ -487,15 +487,13 @@ def _manifest_grid(g: dict) -> ExperimentGrid:
 
     return ExperimentGrid(
         k_values=tuple(field(
-            "k_values", [2, 3, 4, 5],
-            lambda v: type(v) is list and all(map(is_int, v)), "a list of integers",
+            "k_values", lambda v: type(v) is list and all(map(is_int, v)), "a list of integers",
         )),
         alpha=field(
-            "alpha", 0.05,
-            lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number",
+            "alpha", lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number",
         ),
-        permutations=field("permutations", 999, is_int, "an integer"),
-        seed=field("seed", 0, is_int, "an integer"),
+        permutations=field("permutations", is_int, "an integer"),
+        seed=field("seed", is_int, "an integer"),
     )
 
 

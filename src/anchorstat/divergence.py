@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anchor import MappedDistanceSet
 from .errors import ParameterError
 
 BINS = 50  # shared equal-width bins over the pooled range
@@ -12,8 +11,6 @@ SMOOTHING = 0.5  # pseudo-count added to every bin of both histograms
 
 
 def _as_sample(a) -> np.ndarray:
-    if isinstance(a, MappedDistanceSet):
-        return a.distances
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0:
         raise ParameterError("sample must be non-empty")

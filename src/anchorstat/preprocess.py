@@ -1,9 +1,9 @@
 """PCA reduction of embedding matrices to a working dimension.
 
 The reduction is a plain covariance eigendecomposition with a fixed sign
-convention so that two fits on identical data agree bitwise. Which
-members a battery reduces on their own and which jointly is decided by
-`battery.reduce_members`.
+convention, its `eigh` on one BLAS thread, so that two fits on identical
+data agree bitwise on any machine. Which members a battery reduces on
+their own and which jointly is decided by `battery.reduce_members`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
 from .errors import DimensionError
+from .sharding import _one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -25,10 +26,6 @@ class PcaModel:
     mean: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.components.shape[0]
 
     @property
     def p_ambient(self) -> int:
@@ -57,7 +54,8 @@ def _fit_in_place(x: np.ndarray, p: int) -> PcaModel:
     mean = x.mean(axis=0)
     x -= mean
     cov = x.T @ x / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    with _one_blas_thread():  # its bits follow the thread count; the product's do not
+        eigvals, eigvecs = np.linalg.eigh(cov)
     # eigh returns ascending; stable sort keeps tied eigenvalues in input order
     order = np.argsort(-eigvals, kind="stable")[:p]
     components = eigvecs[:, order].T.copy()

@@ -9,20 +9,22 @@ ranges and the CSV writer its row ranges. ``multiprocessing`` is
 imported only when a worker is needed, so a run that never shards does
 not load it.
 
-While sharded work runs, every process uses one BLAS thread, this one
-included: the caller sets the OpenBLAS that numpy loaded to one thread
-before it starts the workers and restores its count afterwards, also on
-error, and each worker sets one thread itself, whatever the start
-method. Two processes on two cores with OpenBLAS's default two threads
-each oversubscribe the cores and gain nothing over one process. Where
-no such library is found the thread counts are left as they are. The
-platform's default start method is kept; on Python 3.12 and later a
-``fork`` while OpenBLAS threads are alive may emit a
+``_one_blas_thread()`` is the one place that sets numpy's BLAS threads:
+``run_sharded`` enters it before it starts the workers and each worker
+enters it too, whatever the start method, so sharded work runs on one
+thread per process and two processes on two cores do not oversubscribe
+them; the PCA fit runs its eigendecomposition in it. So no output
+depends on the CPU count, which sets OpenBLAS's default thread count.
+Thread-invariant work outside, such as serial k-means, keeps the
+caller's count. Where no OpenBLAS is found the counts are left as they
+are. The platform's default start method is kept; on Python 3.12 and
+later a ``fork`` while OpenBLAS threads are alive may emit a
 ``DeprecationWarning`` (not verified: only 3.11 was tried).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -69,24 +71,30 @@ def _openblas():
     return None
 
 
-def _set_blas_threads(count: int) -> int | None:
-    """Give numpy's OpenBLAS ``count`` threads and return the count it
-    had; None, changing nothing, where no OpenBLAS is found."""
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then give it
+    back the count it had, also on error; where no OpenBLAS is found,
+    change nothing."""
     blas = _openblas()
     if blas is None:
-        return None
+        yield
+        return
     get, set_ = blas
     before = get()
-    set_(count)
-    return before
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _send_results(conn, fn: Callable, args: tuple, items: Sequence) -> None:
     """Worker process body: send back ``[fn(*args, item) for item in
     items]``, run on one BLAS thread, or the error that ended it."""
     try:
-        _set_blas_threads(1)
-        conn.send([fn(*args, item) for item in items])
+        with _one_blas_thread():
+            conn.send([fn(*args, item) for item in items])
     except Exception as exc:
         conn.send(exc)
 
@@ -112,39 +120,37 @@ def run_sharded(fn: Callable, args: tuple, items: Sequence, label: str) -> list:
         return [fn(*args, item) for item in items]
     import multiprocessing
 
-    threads = _set_blas_threads(1)  # before the fork, which copies the count
     workers = []
-    try:
-        for run in runs[1:]:
-            receive, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
-                target=_send_results, args=(send, fn, args, items[run.start : run.stop]),
-                daemon=True,
-            )
-            proc.start()
-            send.close()  # so a worker that dies unheard reads as EOF here
-            workers.append((proc, receive, run))
-        results = [fn(*args, item) for item in items[: runs[0].stop]]
-        for proc, receive, run in workers:
-            try:
-                got = receive.recv()
-            except EOFError:
+    with _one_blas_thread():  # before the fork, which copies the count
+        try:
+            for run in runs[1:]:
+                receive, send = multiprocessing.Pipe(duplex=False)
+                proc = multiprocessing.Process(
+                    target=_send_results, args=(send, fn, args, items[run.start : run.stop]),
+                    daemon=True,
+                )
+                proc.start()
+                send.close()  # so a worker that dies unheard reads as EOF here
+                workers.append((proc, receive, run))
+            results = [fn(*args, item) for item in items[: runs[0].stop]]
+            for proc, receive, run in workers:
+                try:
+                    got = receive.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"the worker running {label} {run.start}-{run.stop - 1} "
+                        f"exited with code {proc.exitcode} without a result"
+                    ) from None
+                if isinstance(got, Exception):
+                    raise got
+                results.extend(got)
+        except BaseException:
+            for proc, _, _ in workers:
+                proc.terminate()
+            raise
+        finally:
+            for proc, receive, _ in workers:
                 proc.join()
-                raise RuntimeError(
-                    f"the worker running {label} {run.start}-{run.stop - 1} "
-                    f"exited with code {proc.exitcode} without a result"
-                ) from None
-            if isinstance(got, Exception):
-                raise got
-            results.extend(got)
-    except BaseException:
-        for proc, _, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for proc, receive, _ in workers:
-            proc.join()
-            receive.close()
-        if threads is not None:
-            _set_blas_threads(threads)
+                receive.close()
     return results

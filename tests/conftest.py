@@ -1,4 +1,5 @@
-"""Fixtures shared by the tests of the sharded paths."""
+"""Fixtures shared by the tests of the sharded paths and of the BLAS
+thread count."""
 
 import multiprocessing
 
@@ -28,3 +29,17 @@ def pin_cpus(monkeypatch):
         monkeypatch.setattr(sharding, "usable_cpus", lambda: count)
 
     return pin
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS set to two threads for the test, then reset; the
+    fixture's value reads the current count."""
+    found = sharding._openblas()
+    if found is None:
+        pytest.skip("no OpenBLAS thread functions found in numpy")
+    get, set_ = found
+    before = get()
+    set_(2)
+    yield get
+    set_(before)

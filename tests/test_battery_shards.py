@@ -1,6 +1,7 @@
 """The battery's and the distance curves' (member, K) partitions, computed
-over several processes: the same bytes for every process count, and one
-BLAS thread in every process while sharded work runs."""
+over several processes: the same bytes for every process count and BLAS
+thread count, and one BLAS thread in every process while sharded work
+runs."""
 
 import multiprocessing
 import pickle
@@ -83,6 +84,29 @@ def test_distances_identical_across_process_counts(tmp_path, pin_cpus):
     assert len(outs[1].splitlines()) == 1 + 3 * 3
 
 
+def test_pca_outputs_identical_across_blas_threads(tmp_path, blas):
+    cfg = ScenarioConfig(n=400, dim=256, seed=3)
+    manifest = _write_manifest(tmp_path, generate_drift_family(cfg, [(0.7, 0.3)]), "family")
+    flags = {
+        "battery": ("--k-grid", "2,3", "--permutations", 49, "--format", "json",
+                    "--baselines", "hotelling,nploc"),
+        "distances": ("--k-grid", "2,3"),
+    }
+
+    def outputs(threads):
+        assert blas() == threads
+        for command, extra in flags.items():
+            rc = run_cli(command, "--manifest", manifest, "--pca-dim", 16,
+                         *extra, "--out", tmp_path / f"{command}-{threads}")
+            assert rc == 0
+        return [(tmp_path / f"{command}-{threads}").read_bytes() for command in flags]
+
+    two = outputs(2)
+    _, set_ = sharding._openblas()
+    set_(1)
+    assert outputs(1) == two
+
+
 def test_member_set_from_a_worker_is_read_only():
     # sets come back from worker processes pickled
     sent = MappedDistanceSet(distances=np.array([0.5, 1.0]), source="m", anchor="a", K=2)
@@ -98,19 +122,6 @@ def _threads_for_item(fail_at, item):
         raise ParameterError(f"item {fail_at} failed")
     get, _ = sharding._openblas()
     return get()
-
-
-@pytest.fixture
-def blas():
-    """numpy's OpenBLAS set to two threads for the test, then reset."""
-    found = sharding._openblas()
-    if found is None:
-        pytest.skip("no OpenBLAS thread functions found in numpy")
-    get, set_ = found
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
 
 
 @pytest.fixture(params=["fork", "spawn", "forkserver"])

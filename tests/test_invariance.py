@@ -1,6 +1,6 @@
 """Invariances the anchored test relies on, as properties, and the
-independence of the permutation p-values and the k-means partitions from
-the BLAS thread count."""
+independence of the permutation p-values, the k-means partitions and the
+PCA components from the BLAS thread count."""
 
 import json
 import os
@@ -102,6 +102,16 @@ print(json.dumps([
 ]))
 """
 
+_PCA = """
+import hashlib, json
+import numpy as np
+from anchorstat.corpus import EmbeddingMatrix
+from anchorstat.preprocess import fit_pca
+x = np.random.default_rng(7).normal(size=(400, 256))
+model = fit_pca(EmbeddingMatrix(values=x), 16)
+print(json.dumps(hashlib.sha256(model.components.tobytes()).hexdigest()))
+"""
+
 
 def _run_in_subprocess(code, threads):
     env = dict(os.environ)
@@ -125,3 +135,7 @@ def test_kmeans_partitions_independent_of_blas_thread_count():
     one, default = _run_in_subprocess(_PARTITIONS, 1), _run_in_subprocess(_PARTITIONS, None)
     assert [part["K"] for part in one] == [2, 5]
     assert one == default
+
+
+def test_pca_components_independent_of_blas_thread_count():
+    assert _run_in_subprocess(_PCA, 1) == _run_in_subprocess(_PCA, 2)
