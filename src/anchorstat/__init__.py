@@ -9,7 +9,7 @@ from .anchor import (
     mapped_distances,
     paired_differences,
 )
-from .cluster import Partition, kmeans, wcss
+from .cluster import Partition, kmeans
 from .corpus import (
     DatasetManifest,
     EmbeddingMatrix,
@@ -56,7 +56,6 @@ __all__ = [
     "paired_differences",
     "Partition",
     "kmeans",
-    "wcss",
     "DatasetManifest",
     "EmbeddingMatrix",
     "ExperimentGrid",

@@ -6,19 +6,18 @@ A member has one partition at each K: `mapped_member` clusters it with
 a seed derived from (seed, role, K) and maps the partition onto the
 anchor. `run_battery` and the divergence curves compute every
 (member, K) set up front, spread over worker processes, and the battery
-shares each set across every pair the member is in; each Monte Carlo
-replicate calls `run_cell`, which takes its sets from the same function.
-Each cell then runs in this process through `run_cell` with a seed
-derived from (seed, dataset, pair, K or baseline name) for the sign
-flips or the baseline, so a battery cell and an `mc` replicate agree on
-the same inputs and results do not depend on scheduling. A cell keeps
-its test's whole `TestReport`, which the JSON table writes out.
+shares each set across every pair the member is in. Each cell then runs
+in this process with a seed derived from (seed, dataset, pair, K or
+baseline name) for the sign flips or the baseline, so results do not
+depend on scheduling. A Monte Carlo replicate is a one-cell battery:
+`run_battery` on the generated triple at one K without baselines. A
+cell keeps its test's whole `TestReport`, which the JSON table writes
+out.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -160,38 +159,6 @@ def _member_sets(collection: PairedCollection, roles: list, k_values, seed: int)
     return member_set
 
 
-def run_cell(
-    collection: PairedCollection,
-    dataset: str,
-    pair: tuple[str, str],
-    method: int | str,
-    R: int = DEFAULT_PERMUTATIONS,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-) -> TestReport:
-    """One battery cell: the anchored test at K = ``method`` on the pair,
-    or the baseline named ``method``. Errors propagate; `run_battery`
-    turns them into cells."""
-    return _run_cell(
-        collection, dataset, pair, method, R, alpha, seed,
-        functools.partial(mapped_member, collection, seed=seed),
-    )
-
-
-def _run_cell(members, dataset, pair, method, R, alpha, seed, member_set) -> TestReport:
-    """`run_cell` with the anchored cell's distance sets taken from
-    ``member_set(role, K)`` and the baselines' members from ``members``."""
-    r1, r2 = pair
-    cell_seed = _cell_seed(seed, dataset, r1, r2, method)
-    if not isinstance(method, str):
-        return anchored_test(
-            member_set(r1, method), member_set(r2, method), R=R, seed=cell_seed, alpha=alpha
-        )
-    if method not in BASELINES:
-        raise ManifestError(f"unknown baseline '{method}'")
-    return BASELINES[method](members.member(r1), members.member(r2), R, cell_seed, alpha)
-
-
 def _error_cell(exc: Exception) -> BatteryCell:
     if isinstance(exc, VacuousTestError):
         return BatteryCell(display="identical")
@@ -256,9 +223,14 @@ def run_battery(
     member_set = _member_sets(own, own.nonanchor_roles, k_values, seed)
 
     def compute(task) -> BatteryCell:
-        pair, method = task
+        (r1, r2), method = task
+        cell_seed = _cell_seed(seed, dataset, r1, r2, method)
         try:
-            report = _run_cell(joint, dataset, pair, method, R, alpha, seed, member_set)
+            if isinstance(method, str):
+                report = BASELINES[method](joint.member(r1), joint.member(r2), R, cell_seed, alpha)
+            else:
+                report = anchored_test(member_set(r1, method), member_set(r2, method),
+                                       R=R, seed=cell_seed, alpha=alpha)
         except AnchorstatError as exc:
             return _error_cell(exc)
         return BatteryCell(display=format_p(report.p_value, R, alpha), report=report)

@@ -53,16 +53,6 @@ def _values(m) -> np.ndarray:
     return m.values if isinstance(m, EmbeddingMatrix) else np.asarray(m, dtype=float)
 
 
-def wcss(m, part: Partition) -> float:
-    """Within-cluster sum of squares of ``part`` on the data ``m``."""
-    X = _values(m)
-    if part.n != X.shape[0]:
-        raise ParameterError(
-            f"assignment length {part.n} does not match data rows {X.shape[0]}"
-        )
-    return _wcss(X, part.assignment, part.K)
-
-
 def _wcss(X: np.ndarray, assignment: np.ndarray, K: int) -> float:
     total = 0.0
     for k in range(K):

@@ -5,9 +5,12 @@ in items]``, and it is the one place where the package starts worker
 processes and the one owner of their count: one process per usable CPU,
 at most one per item. ``mc`` hands it its replicates, the battery and
 distance curves their (member, K) partitions, the CSV reader its byte
-ranges and the CSV writer its row ranges. ``multiprocessing`` is
-imported only when a worker is needed, so a run that never shards does
-not load it.
+ranges and the CSV writer its row ranges. A call made while another
+call's workers run, in that caller's own share or inside a worker (an
+``mc`` replicate's battery), runs its items in its own process: it
+starts no process and leaves the BLAS count alone, so the CPUs stay one
+process each. ``multiprocessing`` is imported only when a worker is
+needed, so a run that never shards does not load it.
 
 ``_one_blas_thread()`` is the one place that sets numpy's BLAS threads:
 ``run_sharded`` enters it before it starts the workers and each worker
@@ -29,6 +32,10 @@ import ctypes
 import functools
 import os
 from typing import Callable, Sequence
+
+# True while this process runs one share of a sharded call, as its
+# caller or as a worker: a nested call then runs serially
+_in_shard = False
 
 
 def usable_cpus() -> int:
@@ -92,6 +99,8 @@ def _one_blas_thread():
 def _send_results(conn, fn: Callable, args: tuple, items: Sequence) -> None:
     """Worker process body: send back ``[fn(*args, item) for item in
     items]``, run on one BLAS thread, or the error that ended it."""
+    global _in_shard
+    _in_shard = True  # a spawned worker does not inherit the caller's flag
     try:
         with _one_blas_thread():
             conn.send([fn(*args, item) for item in items])
@@ -113,15 +122,18 @@ def run_sharded(fn: Callable, args: tuple, items: Sequence, label: str) -> list:
     lowest-index one, as in the serial loop; on any error the remaining
     workers are terminated rather than awaited. A worker that exits
     without a result raises ``RuntimeError`` naming the indices of its
-    items as ``label first-last``.
+    items as ``label first-last``. A call nested in a share of another
+    runs serially, as the module docstring says.
     """
-    runs = split_range(len(items), usable_cpus())
+    global _in_shard
+    runs = [] if _in_shard else split_range(len(items), usable_cpus())
     if len(runs) < 2:
         return [fn(*args, item) for item in items]
     import multiprocessing
 
     workers = []
     with _one_blas_thread():  # before the fork, which copies the count
+        _in_shard = True  # and the flag
         try:
             for run in runs[1:]:
                 receive, send = multiprocessing.Pipe(duplex=False)
@@ -150,6 +162,7 @@ def run_sharded(fn: Callable, args: tuple, items: Sequence, label: str) -> list:
                 proc.terminate()
             raise
         finally:
+            _in_shard = False
             for proc, receive, _ in workers:
                 proc.join()
                 receive.close()

@@ -9,9 +9,10 @@ for the second non-anchor.
 
 `monte_carlo` tests replicate m of a study with seed s as the anchored
 cell at K of `anchorstat battery --seed (s, m, 1)` tests the triple
-`anchorstat synth --seed (s, m, 0)` writes, through the same
-`battery.run_cell`; (s, m, i) is `stattests._child_seed(s, m, i)`. So a
-study is a prefix of any longer one with the same seed.
+`anchorstat synth --seed (s, m, 0)` writes: the replicate is that
+one-cell `battery.run_battery`; (s, m, i) is
+`stattests._child_seed(s, m, i)`. So a study is a prefix of any longer
+one with the same seed.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .battery import run_cell
+from .battery import run_battery
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
-from .errors import GuardError, ParameterError, VacuousTestError
+from .errors import AnchorstatError, GuardError, ParameterError
 from .sharding import run_sharded
 from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, _child_seed
 
@@ -279,17 +280,16 @@ def _replicate(
 ) -> tuple[str, float]:
     """Replicate m's outcome ("reject", "accept" or "vacuous") and wall
     time in seconds; it depends on (seed, m) alone, not on M, the process
-    or the order."""
+    or the order. A failed cell raises its error's message."""
     start = time.perf_counter()
     triple = generate_scenario(scenario, replace(cfg, seed=_child_seed(cfg.seed, m, 0)))
-    try:
-        report = run_cell(
-            triple, f"synth-{scenario}", ("nonanchor_1", "nonanchor_2"), K,
-            R=R, alpha=alpha, seed=_child_seed(cfg.seed, m, 1),
-        )
-        outcome = "reject" if report.reject else "accept"
-    except VacuousTestError:
-        outcome = "vacuous"
+    result = run_battery(triple, f"synth-{scenario}", (K,), R=R, alpha=alpha,
+                         seed=_child_seed(cfg.seed, m, 1), baselines=())
+    (row,) = result.rows
+    cell = row.anchored[K]
+    if cell.error is not None:
+        raise AnchorstatError(cell.error)
+    outcome = "vacuous" if cell.vacuous else "reject" if cell.reject else "accept"
     return outcome, time.perf_counter() - start
 
 
@@ -321,6 +321,8 @@ def monte_carlo(
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0,1), got {alpha}")
     K_test = K if K is not None else cfg.K_true
+    if not 2 <= K_test <= cfg.n:  # kmeans's own check, before any replicate runs
+        raise ParameterError(f"K={K_test} out of range [2, n={cfg.n}]")
     results = run_sharded(_replicate, (scenario, cfg, K_test, R, alpha), range(M), "replicates")
     outcomes = [outcome for outcome, _ in results]
     rejections = outcomes.count("reject")

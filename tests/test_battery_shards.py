@@ -4,6 +4,7 @@ thread count, and one BLAS thread in every process while sharded work
 runs."""
 
 import multiprocessing
+import os
 import pickle
 
 import numpy as np
@@ -155,6 +156,28 @@ def test_one_chunk_keeps_the_callers_blas_threads(blas, pin_cpus):
     callers = blas()
     pin_cpus(1)
     assert sharding.run_sharded(_threads_for_item, (None,), range(3), "items") == [callers] * 3
+
+
+def _pid(item):
+    return os.getpid()
+
+
+def _pids_of_a_nested_call(item):
+    """This process's id and the ids a nested sharded call ran its items in."""
+    return os.getpid(), sharding.run_sharded(_pid, (), range(3), "inner items")
+
+
+def test_nested_sharded_call_stays_in_its_process(start_method, pin_cpus):
+    # the caller's share and the worker's each run the nested call's items
+    # serially: a daemonic worker cannot start processes of its own
+    pin_cpus(2)
+    got = sharding.run_sharded(_pids_of_a_nested_call, (), range(4), "outer items")
+    assert [inner for _, inner in got] == [[pid] * 3 for pid, _ in got]
+    pids = [pid for pid, _ in got]
+    assert pids[:2] == [os.getpid()] * 2 and pids[2] == pids[3] != os.getpid()
+    assert multiprocessing.active_children() == []
+    # a later call that is not nested shards again
+    assert sharding.run_sharded(_pid, (), range(2), "items")[1] != os.getpid()
 
 
 @pytest.mark.parametrize("count, jobs, sizes", [

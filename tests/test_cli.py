@@ -16,7 +16,15 @@ import pytest
 
 import anchorstat
 from anchorstat import llmpipeline
-from anchorstat.battery import battery_csv, curves_csv, format_p, run_battery, run_cell
+from anchorstat.battery import (
+    BASELINES,
+    _cell_seed,
+    battery_csv,
+    curves_csv,
+    format_p,
+    mapped_member,
+    run_battery,
+)
 from anchorstat.cli import build_parser, main
 from anchorstat.corpus import (
     EmbeddingMatrix,
@@ -27,6 +35,7 @@ from anchorstat.corpus import (
     validate_pairing,
 )
 from anchorstat.errors import AnchorstatError
+from anchorstat.stattests import anchored_test
 
 
 def run_cli(*argv):
@@ -95,7 +104,7 @@ def test_synth_reproducible_files(tmp_path, capsys):
     assert "seed: 9" in capsys.readouterr().err
 
 
-def test_battery_cell_reports_are_run_cell_reports(tmp_path):
+def test_battery_cell_reports_are_direct_test_reports(tmp_path):
     # n=20 rows in p=30: the anchored cell at K=2 is vacuous and the paired
     # baselines cannot run, so this one table holds reports and both nulls
     out = tmp_path / "wide"
@@ -108,9 +117,16 @@ def test_battery_cell_reports_are_run_cell_reports(tmp_path):
     (row,) = json.loads(table.read_text())["rows"]
     coll = load_manifest(out / "manifest.json").load_collection(out)
     cells = {int(k): c for k, c in row["anchored"].items()} | row["baselines"]
+    r1, r2 = row["pair"]
     for method, cell in cells.items():
+        seed = _cell_seed(1, "synth-null", r1, r2, method)
         try:
-            report = run_cell(coll, "synth-null", tuple(row["pair"]), method, 49, 0.05, 1)
+            if isinstance(method, str):
+                report = BASELINES[method](coll.member(r1), coll.member(r2), 49, seed, 0.05)
+            else:
+                report = anchored_test(mapped_member(coll, r1, method, 1),
+                                       mapped_member(coll, r2, method, 1),
+                                       R=49, seed=seed, alpha=0.05)
         except AnchorstatError:
             assert cell["report"] is None
             continue
@@ -543,9 +559,6 @@ LIBRARY_DEFAULTS = {
     "battery.run_battery(alpha)": 0.05,
     "battery.run_battery(baselines)": ("hotelling", "nploc", "energy"),
     "battery.run_battery(seed)": 0,
-    "battery.run_cell(R)": 999,
-    "battery.run_cell(alpha)": 0.05,
-    "battery.run_cell(seed)": 0,
     "battery.run_distance_curves(seed)": 0,
     "cli.main(argv)": None,
     "cluster.kmeans(debug)": False,
@@ -663,9 +676,9 @@ def test_config_fields_are_pinned():
 PUBLIC_NAMES = {
     "anchor": "MappedDistanceSet mapped_centers mapped_distances paired_differences",
     "battery": "BatteryCell BatteryResult BatteryRow battery_csv battery_json curves_csv "
-               "format_p mapped_member reduce_members run_battery run_cell run_distance_curves",
+               "format_p mapped_member reduce_members run_battery run_distance_curves",
     "cli": "build_parser cmd_battery cmd_distances cmd_embed cmd_ingest cmd_mc cmd_synth main",
-    "cluster": "Partition kmeans wcss",
+    "cluster": "Partition kmeans",
     "corpus": "DatasetManifest EmbeddingMatrix ExperimentGrid ManifestEntry PairedCollection "
               "load_manifest load_matrix normalize_rows save_manifest save_matrix "
               "validate_pairing write_text",

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from anchorstat.cluster import (
     Partition,
+    _wcss,
     kmeans,
-    wcss,
 )
 from anchorstat.corpus import EmbeddingMatrix
 from anchorstat.errors import DegeneracyError, GuardError, ParameterError
@@ -59,27 +59,17 @@ def test_restarts_must_be_positive():
 
 def test_wcss_singletons_zero():
     m = _mat([0.0, 1.0], [2.0, 3.0], [4.0, 5.0])
-    part = Partition(assignment=np.array([0, 1, 2]), K=3, wcss=0.0)
-    assert wcss(m, part) == 0.0
+    assert _wcss(m.values, np.array([0, 1, 2]), 3) == 0.0
 
 
 def test_wcss_hand_sum():
     m = _mat([0.0], [1.0], [9.0], [10.0])
-    part = Partition(assignment=np.array([0, 0, 1, 1]), K=2, wcss=1.0)
-    assert wcss(m, part) == pytest.approx(1.0, abs=1e-12)  # 0.5 + 0.5
+    assert _wcss(m.values, np.array([0, 0, 1, 1]), 2) == pytest.approx(1.0, abs=1e-12)  # 0.5+0.5
 
 
 def test_wcss_all_points_equal():
     m = _mat([3.0, 3.0], [3.0, 3.0], [3.0, 3.0], [3.0, 3.0])
-    part = Partition(assignment=np.array([0, 1, 0, 1]), K=2, wcss=0.0)
-    assert wcss(m, part) == 0.0
-
-
-def test_wcss_length_mismatch():
-    m = _mat([0.0], [1.0], [2.0])
-    part = Partition(assignment=np.array([0, 1]), K=2, wcss=0.0)
-    with pytest.raises(ParameterError, match="length"):
-        wcss(m, part)
+    assert _wcss(m.values, np.array([0, 1, 0, 1]), 2) == 0.0
 
 
 def test_partition_rejects_out_of_range_ids():
@@ -133,7 +123,7 @@ def test_kmeans_reported_wcss_matches_recomputed():
     rng = np.random.default_rng(2)
     m = EmbeddingMatrix(values=rng.normal(size=(50, 4)))
     part = kmeans(m, 4, seed=3)
-    assert part.wcss == pytest.approx(wcss(m, part), abs=1e-9)
+    assert part.wcss == pytest.approx(_wcss(m.values, part.assignment, 4), abs=1e-9)
 
 
 def test_kmeans_never_returns_empty_cluster():
@@ -160,7 +150,9 @@ def test_relabeling_preserves_wcss(seed):
     part = kmeans(m, K, seed=seed, restarts=3)
     perm = rng.permutation(K)
     relabeled = Partition(assignment=perm[part.assignment], K=K, wcss=part.wcss)
-    assert wcss(m, relabeled) == pytest.approx(wcss(m, part), abs=1e-12)
+    assert _wcss(m.values, relabeled.assignment, K) == pytest.approx(
+        _wcss(m.values, part.assignment, K), abs=1e-12
+    )
 
 
 def test_kmeans_peak_memory_does_not_grow_with_restarts():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from anchorstat import cluster
-from anchorstat.cluster import Partition, _values, kmeans, wcss
+from anchorstat.cluster import Partition, _values, _wcss, kmeans
 from anchorstat.errors import DegeneracyError, ParameterError
 from anchorstat.synth import ScenarioConfig, generate_battery_quad, generate_null_triple
 
@@ -52,7 +52,7 @@ def oracle_kmeans(
     assignment = best[1]
     # report the recomputed objective of the final assignment
     part = Partition(assignment=assignment, K=K, wcss=0.0)
-    return Partition(assignment=assignment, K=K, wcss=wcss(X, part))
+    return Partition(assignment=assignment, K=K, wcss=_wcss(X, part.assignment, K))
 
 
 def _kpp_init(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,7 +24,7 @@ from anchorstat.battery import (
 )
 from anchorstat.cli import main
 from anchorstat.corpus import EmbeddingMatrix, load_manifest, save_matrix
-from anchorstat.errors import ParameterError
+from anchorstat.errors import AnchorstatError, DegeneracyError, ParameterError
 from anchorstat.stattests import _child_seed
 from anchorstat.synth import ScenarioConfig, monte_carlo
 
@@ -59,16 +59,24 @@ def test_mc_json_identical_across_jobs(tmp_path, monkeypatch, pin_cpus, flags):
 
 
 def test_mc_runs_on_the_usable_cpus(tmp_path, monkeypatch, pin_cpus):
-    # the replicates' runs, one per process, as `run_sharded` cuts them
-    seen = []
-    split = sharding.split_range
+    # the replicates' runs, one per process, as `run_sharded` cuts them; the
+    # split of a replicate's own (member, K) tasks is not counted
+    seen, replicates = [], []
+    split, run_sharded = sharding.split_range, synth.run_sharded
 
     def split_range_spy(count, jobs):
         runs = split(count, jobs)
-        seen.append([len(run) for run in runs])
+        if replicates:
+            seen.append([len(run) for run in runs])
+            replicates.clear()
         return runs
 
+    def run_sharded_spy(*args):
+        replicates.append(True)
+        return run_sharded(*args)
+
     monkeypatch.setattr(sharding, "split_range", split_range_spy)
+    monkeypatch.setattr(synth, "run_sharded", run_sharded_spy)
     pin_cpus(3)
     for M in (1, 2, 5):
         rc = run_cli("mc", "--scenario", "null", "--n", 60, "--m", M,
@@ -131,6 +139,32 @@ def test_sharded_error_is_the_serial_loops(monkeypatch, fork_start, pin_cpus, fa
         raised.append((type(exc.value), str(exc.value)))
     assert raised[0] == raised[1] == (ParameterError, f"replicate {failing[0]} failed")
     assert multiprocessing.active_children() == []  # the pool is shut down
+
+
+@pytest.mark.parametrize("failing", [(5, 6), (2, 5), (7,)])
+def test_error_in_a_replicates_cell_is_the_serial_loops(monkeypatch, fork_start, pin_cpus,
+                                                        failing):
+    # a replicate's battery turns a k-means error into an ERROR cell, which
+    # ends the study with its message, the lowest failing replicate's
+    cfg = ScenarioConfig(n=60, seed=5)
+    fail_at = {battery._cell_seed(_child_seed(cfg.seed, m, 1), "nonanchor_2", 2): m
+               for m in failing}
+    kmeans = battery.kmeans
+
+    def failing_kmeans(m, K, seed):
+        if seed in fail_at:
+            raise DegeneracyError(f"replicate {fail_at[seed]} failed")
+        return kmeans(m, K, seed=seed)
+
+    monkeypatch.setattr(battery, "kmeans", failing_kmeans)
+    raised = []
+    for jobs in (1, 2):
+        pin_cpus(jobs)
+        with pytest.raises(AnchorstatError) as exc:
+            monte_carlo("null", cfg, M=8, R=19)
+        raised.append(str(exc.value))
+    assert raised == [f"replicate {failing[0]} failed"] * 2
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("error", [ParameterError, KeyboardInterrupt])

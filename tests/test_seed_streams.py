@@ -6,7 +6,7 @@ it, fails here. A deliberate change of a stream updates these literals.
 """
 
 from anchorstat import battery, synth
-from anchorstat.battery import run_battery, run_cell
+from anchorstat.battery import run_battery
 from anchorstat.stattests import anchored_test
 from anchorstat.synth import (
     ScenarioConfig,
@@ -18,9 +18,11 @@ from anchorstat.synth import (
 
 def test_battery_cell_seed():
     quad = generate_battery_quad(ScenarioConfig(n=40, seed=3))
-    pair = ("nonanchor_aligned_1", "nonanchor_drifted")
+    result = run_battery(quad, "quad", (2,), seed=11, baselines=("hotelling",))
+    rows = {row.pair: row for row in result.rows}
     # a baseline cell reports the cell seed itself
-    assert run_cell(quad, "quad", pair, "hotelling", seed=11).seed == 2500991577
+    cell = rows[("nonanchor_aligned_1", "nonanchor_drifted")].baselines["hotelling"]
+    assert cell.report.seed == 2500991577
 
 
 def test_battery_partition_seeds(monkeypatch, pin_cpus):
@@ -56,7 +58,7 @@ def test_anchored_test_seeds():
 
 def test_monte_carlo_replicate_seeds(monkeypatch, pin_cpus):
     data_seeds, test_seeds = [], []
-    generate, test = synth.generate_null_triple, synth.run_cell
+    generate, test = synth.generate_null_triple, synth.run_battery
 
     def generate_spy(cfg):
         data_seeds.append(cfg.seed)
@@ -67,7 +69,7 @@ def test_monte_carlo_replicate_seeds(monkeypatch, pin_cpus):
         return test(*args, seed=seed, **kwargs)
 
     monkeypatch.setattr(synth, "generate_null_triple", generate_spy)
-    monkeypatch.setattr(synth, "run_cell", test_spy)
+    monkeypatch.setattr(synth, "run_battery", test_spy)
     pin_cpus(1)  # the spies see every replicate
     monte_carlo("null", ScenarioConfig(n=40, seed=5), M=3, R=19)
     assert data_seeds == [16823399, 3796490668, 3226123765]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from anchorstat import cli, stattests, synth
 from anchorstat.battery import BatteryCell, BatteryResult, BatteryRow
 from anchorstat.cluster import kmeans
-from anchorstat.errors import GuardError, ParameterError, VacuousTestError
+from anchorstat.errors import GuardError, ParameterError
 from anchorstat.stattests import _child_seed
 from anchorstat.synth import (
     ScenarioConfig,
@@ -160,6 +161,17 @@ def test_monte_carlo_grid_validated_before_replicates(grid, monkeypatch):
         monte_carlo("null", _cfg(), M=1, **grid)
 
 
+@pytest.mark.parametrize("K, n", [(1, 300), (11, 10)])
+def test_monte_carlo_refuses_k_before_any_replicate(K, n, monkeypatch, pin_cpus):
+    # kmeans's own message, before replicate 0 is generated
+    calls = []
+    monkeypatch.setattr(synth, "generate_scenario", lambda *args: calls.append(args))
+    pin_cpus(1)
+    with pytest.raises(ParameterError, match=re.escape(f"K={K} out of range [2, n={n}]")):
+        monte_carlo("null", _cfg(n=n), M=2, K=K)
+    assert calls == []
+
+
 def _pairwise_rand_index(a, b):
     """The former definition, on two n x n co-membership matrices."""
     same_a = a[:, None] == a[None, :]
@@ -261,23 +273,20 @@ def _spy_replicates(monkeypatch, pin_cpus):
     """Run `monte_carlo` in this process and record, per replicate, its
     (data seed, test seed, report or "vacuous")."""
     seeds, outcomes = [], []
-    generate, run_cell = synth.generate_scenario, synth.run_cell
+    generate, run_battery = synth.generate_scenario, synth.run_battery
 
     def generate_spy(scenario, cfg):
         seeds.append(cfg.seed)
         return generate(scenario, cfg)
 
-    def run_cell_spy(*args, seed, **kwargs):
-        try:
-            report = run_cell(*args, seed=seed, **kwargs)
-        except VacuousTestError:
-            outcomes.append((seed, "vacuous"))
-            raise
-        outcomes.append((seed, report))
-        return report
+    def run_battery_spy(*args, seed, **kwargs):
+        result = run_battery(*args, seed=seed, **kwargs)
+        (cell,) = result.rows[0].anchored.values()
+        outcomes.append((seed, "vacuous" if cell.vacuous else cell.report))
+        return result
 
     monkeypatch.setattr(synth, "generate_scenario", generate_spy)
-    monkeypatch.setattr(synth, "run_cell", run_cell_spy)
+    monkeypatch.setattr(synth, "run_battery", run_battery_spy)
     pin_cpus(1)
     return lambda: [(d, t, r) for d, (t, r) in zip(seeds, outcomes)]
 
