@@ -11,14 +11,14 @@ import json
 
 from anchorstat import cli
 from anchorstat.corpus import write_text
-from anchorstat.synth import monte_carlo
+from anchorstat.synth import SCENARIOS, monte_carlo
 
 
 def study(args) -> int:
     grid = cli._grid_from_args(args)
     cfg = cli._scenario_from_args(args, grid.seed)
     reports = {}
-    for scenario in ("null", "alt"):
+    for scenario in SCENARIOS:
         rep = monte_carlo(scenario, cfg, M=args.m, K=args.k, R=grid.permutations, alpha=grid.alpha)
         # the wall-clock field is printed, not written, so reruns are byte-identical
         reports[scenario] = rep.to_dict()

@@ -117,6 +117,14 @@ def format_p(p: float, R: int, alpha: float) -> str:
     return f"{p:.3f}{star}"
 
 
+def _check_test_settings(R: int, alpha: float) -> None:
+    """Refuse a permutation count or test level that no cell could use."""
+    if R < 1:
+        raise ParameterError(f"permutation count must be >= 1, got {R}")
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be in (0,1), got {alpha}")
+
+
 def _cell_seed(seed: int, *names) -> int:
     return _child_seed(seed, *(zlib.crc32(str(n).encode()) for n in names))
 
@@ -204,9 +212,12 @@ def run_battery(
 
     ``collection`` is the unreduced members, which every cell uses, or
     the (own, joint) pair of `reduce_members`: the anchored cells cluster
-    ``own`` and the baselines compare ``joint``. Failed cells render
-    diagnostics without aborting the battery.
+    ``own`` and the baselines compare ``joint``. A permutation count
+    below 1 or an ``alpha`` outside (0, 1) is refused before any member
+    is clustered; failed cells render diagnostics without aborting the
+    battery.
     """
+    _check_test_settings(R, alpha)
     own, joint = collection if isinstance(collection, tuple) else (collection, collection)
     unknown = set(baselines) - set(BASELINE_NAMES)
     if unknown:

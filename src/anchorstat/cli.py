@@ -280,12 +280,13 @@ _PCA_DIM_HELP = "PCA-reduce every member to this dimension first"
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    """The five geometry flags of a synthetic scenario."""
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--k-true", type=int, default=2)
-    p.add_argument("--separation", type=float, default=8.0)
-    p.add_argument("--noise", type=float, default=1.0)
+    """The five geometry flags of a synthetic scenario, defaulting to
+    `ScenarioConfig`'s fields."""
+    p.add_argument("--n", type=int, default=ScenarioConfig.n)
+    p.add_argument("--dim", type=int, default=ScenarioConfig.dim)
+    p.add_argument("--k-true", type=int, default=ScenarioConfig.K_true)
+    p.add_argument("--separation", type=float, default=ScenarioConfig.community_separation)
+    p.add_argument("--noise", type=float, default=ScenarioConfig.noise_sd)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distances)
 
     p = sub.add_parser("synth", help="write a synthetic triple and manifest")
-    p.add_argument("--scenario", choices=("null", "alt"), required=True)
+    p.add_argument("--scenario", choices=tuple(synth.SCENARIOS), required=True)
     _add_scenario_flags(p)
     _add_grid_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("mc", help="Monte Carlo rejection-rate study")
-    p.add_argument("--scenario", choices=("null", "alt"), required=True)
+    p.add_argument("--scenario", choices=tuple(synth.SCENARIOS), required=True)
     _add_scenario_flags(p)
     _add_grid_flags(p, k_grid=False)  # `mc` tests one K, set by --k
     p.add_argument("--m", type=int, default=200, help="number of replicates")
@@ -349,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="text file, one text per line")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "binary"), default="csv")
-    p.add_argument("--base-url", default="http://localhost:8000/v1")
-    p.add_argument("--embed-model", default="embedding-model")
-    p.add_argument("--api-key-env", default="LLM_API_KEY")
-    p.add_argument("--cache-dir", default=".anchorstat-cache")
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--base-url", default=ClientConfig.base_url)
+    p.add_argument("--embed-model", default=ClientConfig.embed_model)
+    p.add_argument("--api-key-env", default=ClientConfig.api_key_env)
+    p.add_argument("--cache-dir", default=ClientConfig.cache_dir)
+    p.add_argument("--batch-size", type=int, default=ClientConfig.embed_batch_size)
     p.set_defaults(func=cmd_embed)
 
     return parser

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EmbeddingMatrix
+from .corpus import _sample_rows
 from .errors import DegeneracyError, ParameterError
 
-RESTARTS = 10  # k-means++ restarts per clustering; the lowest WCSS wins
+RESTARTS = 10  # k-means++ restarts per clustering, read at call time; the lowest WCSS wins
 MAX_ITER = 300  # Lloyd passes per restart at most
 TOL = 1e-8  # a restart stops once a pass lowers its WCSS by at most this fraction
 # entries per block of temporaries that grow with a repeat count (k-means
@@ -49,10 +49,6 @@ class Partition:
         return self.assignment.shape[0]
 
 
-def _values(m) -> np.ndarray:
-    return m.values if isinstance(m, EmbeddingMatrix) else np.asarray(m, dtype=float)
-
-
 def _wcss(X: np.ndarray, assignment: np.ndarray, K: int) -> float:
     total = 0.0
     for k in range(K):
@@ -67,27 +63,26 @@ def kmeans(
     m,
     K: int,
     seed: int = 0,
-    restarts: int = RESTARTS,
     debug: bool = False,
 ) -> Partition:
-    """Best-of-restarts Lloyd clustering with k-means++ seeding.
+    """Best-of-restarts Lloyd clustering with k-means++ seeding, on the
+    rows of ``m`` as `corpus._sample_rows` reads them.
 
-    Deterministic given (data, K, seed, restarts): restart r draws from
-    its own stream keyed by (seed, r), so results do not depend on
-    execution order. Ties in point assignment go to the lowest cluster
-    id; restart ties go to the lowest restart index.
+    Runs ``RESTARTS`` restarts, read at call time. Deterministic given
+    (data, K, seed, RESTARTS): restart r draws from its own stream keyed
+    by (seed, r), so results do not depend on execution order. Ties in
+    point assignment go to the lowest cluster id; restart ties go to the
+    lowest restart index.
 
     All restarts run through one batched Lloyd loop. Everything after a
     restart's first Lloyd pass (exchange rounds, further Lloyd passes and
     the WCSS) depends only on that pass's assignment, so it runs once per
     distinct assignment.
     """
-    X = _values(m)
+    X = _sample_rows(m)
     n = X.shape[0]
     if not 2 <= K <= n:
         raise ParameterError(f"K={K} out of range [2, n={n}]")
-    if restarts < 1:
-        raise ParameterError(f"restarts must be >= 1, got {restarts}")
     # K distinct first coordinates already give K distinct rows
     if np.unique(X[:, :1]).shape[0] < K and np.unique(X, axis=0).shape[0] < K:
         raise DegeneracyError(
@@ -97,7 +92,7 @@ def kmeans(
     # avoids cancellation on offset data and keeps integer data (and its ties) exact
     Xs = X - X[0]
     XT, xx = np.ascontiguousarray(Xs.T), np.einsum("ij,ij->i", Xs, Xs)
-    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+    rngs = [np.random.default_rng([seed, r]) for r in range(RESTARTS)]
     seeds = _kpp_centers(X, K, rngs) - X[0]
     refined: dict[bytes, tuple[float, np.ndarray]] = {}
     best: tuple[float, np.ndarray] | None = None
@@ -127,7 +122,8 @@ def _kpp_centers(X: np.ndarray, K: int, rngs: list[np.random.Generator]) -> np.n
         for k in range(1, K):
             total = closest.sum()
             if total <= 0.0:
-                # all remaining mass on chosen centers; pick any unchosen distinct row
+                # reached only when the squared distances underflow to 0 (K
+                # distinct rows exist): pick any row
                 centers[r, k] = X[rng.integers(n)]
             else:
                 centers[r, k] = X[rng.choice(n, p=closest / total)]

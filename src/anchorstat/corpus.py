@@ -32,7 +32,6 @@ from . import sharding
 ANCHOR_ROLE = "anchor"
 
 _BINARY_MAGIC = b"EMBMAT01"
-_UNIT_NORM_TOL = 1e-6
 # CSV files of at least twice this many bytes are parsed, and matrices of
 # at least twice this many bytes of values written, in ranges of at least
 # this size, at most one per `sharding.usable_cpus()`, so `run_sharded`
@@ -66,13 +65,11 @@ def _as_readonly(values) -> np.ndarray:
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """n x p real matrix of embedding coordinates, immutable once built.
-
-    ``unit_norm`` asserts that every row has unit l2 norm (within 1e-6).
-    """
+    Whether its rows have unit norm is not recorded: ``normalize_rows``
+    makes them so each time it is called."""
 
     values: np.ndarray
     label: str = ""
-    unit_norm: bool = False
 
     def __post_init__(self):
         arr = _as_readonly(self.values)
@@ -83,19 +80,7 @@ class EmbeddingMatrix:
             raise DimensionError(f"embedding matrix needs at least 2 rows, got {n}")
         if p < 1:
             raise DimensionError(f"embedding matrix needs at least 1 column, got {p}")
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise CorpusFormatError(
-                f"non-finite entry at row {bad[0]}, col {bad[1]} in '{self.label}'"
-            )
-        if self.unit_norm:
-            norms = np.linalg.norm(arr, axis=1)
-            off = np.abs(norms - 1.0)
-            if np.any(off > _UNIT_NORM_TOL):
-                i = int(np.argmax(off))
-                raise CorpusFormatError(
-                    f"unit_norm flagged but row {i} has norm {norms[i]:.8f}"
-                )
+        _check_finite(arr, self.label)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -105,6 +90,28 @@ class EmbeddingMatrix:
     @property
     def p(self) -> int:
         return self.values.shape[1]
+
+
+def _check_finite(arr: np.ndarray, label: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        bad = np.argwhere(~np.isfinite(arr))[0]
+        raise CorpusFormatError(f"non-finite entry at row {bad[0]}, col {bad[1]} in '{label}'")
+
+
+def _sample_rows(x) -> np.ndarray:
+    """A sample as an (n, p) array: an `EmbeddingMatrix`'s values, or an
+    array whose flat form is n 1-D points. The one rule by which
+    ``kmeans`` and the baselines read their input; an array entry that
+    is not finite is refused."""
+    if isinstance(x, EmbeddingMatrix):
+        return x.values
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise DimensionError(f"sample must be 1-D or 2-D, got ndim={arr.ndim}")
+    _check_finite(arr, "sample")
+    return arr
 
 
 def load_matrix(path, fmt: str = "csv", label: str | None = None) -> EmbeddingMatrix:
@@ -298,20 +305,13 @@ def _read_binary(path: Path) -> np.ndarray:
 
 
 def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale every row to unit l2 norm and set the ``unit_norm`` flag.
-
-    A matrix already flagged ``unit_norm`` is returned unchanged, which
-    makes the operation exactly idempotent.
-    """
-    if m.unit_norm:
-        return m
+    """Scale every row to unit l2 norm. Rows that already have unit norm
+    are divided too, so a second call may move their last bits."""
     norms = np.linalg.norm(m.values, axis=1)
     if np.any(norms == 0.0):
         i = int(np.argmin(norms))
         raise DegeneracyError(f"row {i} of '{m.label}' is all zeros; cannot normalize")
-    return EmbeddingMatrix(
-        values=_Fresh(m.values / norms[:, None]), label=m.label, unit_norm=True
-    )
+    return EmbeddingMatrix(values=_Fresh(m.values / norms[:, None]), label=m.label)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ from .sharding import _one_blas_thread
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Fitted projection: ``mean`` (ambient), ``components`` (p x ambient,
-    orthonormal rows), ``explained_variance`` (non-increasing, >= 0)."""
+    """Fitted projection: ``mean`` (ambient) and ``components`` (p x
+    ambient, orthonormal rows, in order of non-increasing variance)."""
 
     mean: np.ndarray
     components: np.ndarray
-    explained_variance: np.ndarray
 
     @property
     def p_ambient(self) -> int:
@@ -59,12 +58,11 @@ def _fit_in_place(x: np.ndarray, p: int) -> PcaModel:
     # eigh returns ascending; stable sort keeps tied eigenvalues in input order
     order = np.argsort(-eigvals, kind="stable")[:p]
     components = eigvecs[:, order].T.copy()
-    explained = np.maximum(eigvals[order], 0.0)
     for row in components:
         j = int(np.argmax(np.abs(row)))
         if row[j] < 0:
             row *= -1.0
-    return PcaModel(mean=mean, components=components, explained_variance=explained)
+    return PcaModel(mean=mean, components=components)
 
 
 def apply_pca(model: PcaModel, m: EmbeddingMatrix) -> EmbeddingMatrix:

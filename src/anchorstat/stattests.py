@@ -24,8 +24,9 @@ from typing import Mapping
 import numpy as np
 
 from .anchor import MappedDistanceSet, paired_differences
-from .cluster import _BLOCK_ENTRIES, RESTARTS
-from .corpus import EmbeddingMatrix
+from . import cluster
+from .cluster import _BLOCK_ENTRIES
+from .corpus import _sample_rows
 from .errors import (
     DegeneracyError,
     DegenerateSampleError,
@@ -223,23 +224,11 @@ def anchored_test(
         "anchor_label": set1.anchor,
         "d1_label": set1.source,
         "d2_label": set2.source,
-        "kmeans_restarts": RESTARTS,
+        "kmeans_restarts": cluster.RESTARTS,  # read at call time, as kmeans reads it
     }
     return sign_flip_pvalue(
         diff, R=R, seed=_child_seed(seed, 3), alpha=alpha, metadata=meta
     )
-
-
-def _sample_rows(x) -> np.ndarray:
-    """Coerce a sample to an (n, p) array; a flat vector is n 1-D points."""
-    if isinstance(x, EmbeddingMatrix):
-        return x.values
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr[:, None]
-    if arr.ndim != 2:
-        raise DimensionError(f"sample must be 1-D or 2-D, got ndim={arr.ndim}")
-    return arr
 
 
 def _paired_diff_rows(x, y) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .battery import run_battery
+from .battery import _check_test_settings, run_battery
 from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
 from .errors import AnchorstatError, GuardError, ParameterError
 from .sharding import run_sharded
@@ -97,16 +97,19 @@ def _mixture(
     return EmbeddingMatrix(values=values, label=label)
 
 
+def _collection(
+    cfg: ScenarioConfig, rng: np.random.Generator, labels: dict[str, np.ndarray]
+) -> PairedCollection:
+    """One mixture member per role of ``labels`` on that role's label
+    vector, drawn from ``rng`` in the mapping's order."""
+    return validate_pairing({role: _mixture(z, cfg, rng, role) for role, z in labels.items()})
+
+
 def generate_null_triple(cfg: ScenarioConfig) -> PairedCollection:
     """Anchor and two non-anchors built on one shared label vector."""
     rng = np.random.default_rng(cfg.seed)
     z = rng.integers(0, cfg.K_true, cfg.n)
-    members = {
-        "anchor": _mixture(z, cfg, rng, "anchor"),
-        "nonanchor_1": _mixture(z, cfg, rng, "nonanchor_1"),
-        "nonanchor_2": _mixture(z, cfg, rng, "nonanchor_2"),
-    }
-    return validate_pairing(members)
+    return _collection(cfg, rng, {"anchor": z, "nonanchor_1": z, "nonanchor_2": z})
 
 
 def generate_alt_triple(cfg: ScenarioConfig) -> PairedCollection:
@@ -124,22 +127,24 @@ def generate_alt_triple(cfg: ScenarioConfig) -> PairedCollection:
         raise GuardError(
             "independent label redraw kept colliding with the shared labels"
         )
-    members = {
-        "anchor": _mixture(z, cfg, rng, "anchor"),
-        "nonanchor_1": _mixture(z, cfg, rng, "nonanchor_1"),
-        "nonanchor_2": _mixture(z2, cfg, rng, "nonanchor_2"),
-    }
-    return validate_pairing(members)
+    return _collection(cfg, rng, {"anchor": z, "nonanchor_1": z, "nonanchor_2": z2})
+
+
+# scenario name -> its triple. Each entry calls its generator by the
+# module-level name, so a replaced generator (a test's patch, a tracer's
+# wrapper) is the one that runs.
+SCENARIOS = {
+    "null": lambda cfg: generate_null_triple(cfg),
+    "alt": lambda cfg: generate_alt_triple(cfg),
+}
 
 
 def generate_scenario(scenario: str, cfg: ScenarioConfig) -> PairedCollection:
-    """The triple of ``scenario``: "null" (shared labels) or "alt"
-    (independent labels for the second non-anchor)."""
-    if scenario == "null":
-        return generate_null_triple(cfg)
-    if scenario == "alt":
-        return generate_alt_triple(cfg)
-    raise ParameterError(f"unknown scenario '{scenario}'")
+    """The triple of ``scenario``, a name in `SCENARIOS`: "null" (shared
+    labels) or "alt" (independent labels for the second non-anchor)."""
+    if scenario not in SCENARIOS:
+        raise ParameterError(f"unknown scenario '{scenario}'")
+    return SCENARIOS[scenario](cfg)
 
 
 def generate_battery_quad(cfg: ScenarioConfig) -> PairedCollection:
@@ -153,13 +158,10 @@ def generate_battery_quad(cfg: ScenarioConfig) -> PairedCollection:
     rng = np.random.default_rng(cfg.seed)
     z = rng.integers(0, cfg.K_true, cfg.n)
     z_drift = rng.integers(0, cfg.K_true, cfg.n)
-    members = {
-        "anchor": _mixture(z, cfg, rng, "anchor"),
-        "nonanchor_aligned_1": _mixture(z, cfg, rng, "nonanchor_aligned_1"),
-        "nonanchor_aligned_2": _mixture(z, cfg, rng, "nonanchor_aligned_2"),
-        "nonanchor_drifted": _mixture(z_drift, cfg, rng, "nonanchor_drifted"),
-    }
-    return validate_pairing(members)
+    return _collection(cfg, rng, {
+        "anchor": z, "nonanchor_aligned_1": z, "nonanchor_aligned_2": z,
+        "nonanchor_drifted": z_drift,
+    })
 
 
 def battery_pattern_counts(result) -> tuple[int, int, int, int]:
@@ -316,10 +318,7 @@ def monte_carlo(
     """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
-    if R < 1:
-        raise ParameterError(f"permutation count must be >= 1, got {R}")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0,1), got {alpha}")
+    _check_test_settings(R, alpha)
     K_test = K if K is not None else cfg.K_true
     if not 2 <= K_test <= cfg.n:  # kmeans's own check, before any replicate runs
         raise ParameterError(f"K={K_test} out of range [2, n={cfg.n}]")

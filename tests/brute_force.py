@@ -5,7 +5,8 @@ from typing import Iterator
 
 import numpy as np
 
-from anchorstat.cluster import Partition, _values
+from anchorstat.cluster import Partition
+from anchorstat.corpus import _sample_rows as _values
 from anchorstat.errors import GuardError, ParameterError
 
 BRUTE_FORCE_MAX_N = 12

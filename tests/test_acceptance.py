@@ -9,7 +9,6 @@ from scipy.optimize import linprog
 
 from anchorstat.battery import run_battery
 from anchorstat.cli import main
-from anchorstat.cluster import kmeans
 from anchorstat.corpus import EmbeddingMatrix
 from anchorstat.divergence import kl_divergence, wasserstein1
 from anchorstat.errors import DegenerateSampleError
@@ -26,6 +25,7 @@ from anchorstat.synth import (
     monte_carlo,
 )
 from brute_force import brute_force_partition
+from kmeans_restarts import kmeans_with_restarts
 
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):
@@ -73,7 +73,7 @@ def test_criterion_03_clustering_oracle():
         n = int(rng.integers(4, 11))
         dim = int(rng.integers(1, 4))
         m = EmbeddingMatrix(values=rng.normal(size=(n, dim)))
-        got = kmeans(m, 2, seed=trial, restarts=20)
+        got = kmeans_with_restarts(20, m, 2, seed=trial)
         want = brute_force_partition(m, 2)
         worst = max(worst, abs(got.wcss - want.wcss))
     ok = worst < 1e-9

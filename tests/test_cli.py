@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -192,6 +193,22 @@ def test_battery_member_with_too_few_rows_errors_in_each_of_its_rows():
             assert row.anchored[3].display == message
         else:
             assert row.anchored[3].error is None
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(alpha=1.5), "alpha must be in (0,1), got 1.5"),
+    (dict(alpha=0.0), "alpha must be in (0,1), got 0.0"),
+    (dict(R=0), "permutation count must be >= 1, got 0"),
+])
+def test_run_battery_refuses_a_bad_test_setting_before_clustering(monkeypatch, setting, message):
+    from anchorstat import battery
+    from anchorstat.errors import ParameterError
+    from anchorstat.synth import ScenarioConfig, generate_null_triple
+
+    triple = generate_null_triple(ScenarioConfig(n=40, seed=2))
+    monkeypatch.setattr(battery, "_member_sets", lambda *args: pytest.fail("clustered"))
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        run_battery(triple, "x", (2,), **{"R": 19, "baselines": ("nploc",), **setting})
 
 
 def test_cli_import_loads_no_http_client():
@@ -562,7 +579,6 @@ LIBRARY_DEFAULTS = {
     "battery.run_distance_curves(seed)": 0,
     "cli.main(argv)": None,
     "cluster.kmeans(debug)": False,
-    "cluster.kmeans(restarts)": 10,
     "cluster.kmeans(seed)": 0,
     "corpus.DatasetManifest.load_collection(base)": None,
     "corpus.DatasetManifest.validate_paths(base)": None,
@@ -627,7 +643,7 @@ CONFIG_FIELDS = {
                            "baselines": REQUIRED},
     "cluster.Partition": {"assignment": REQUIRED, "K": REQUIRED, "wcss": REQUIRED},
     "corpus.DatasetManifest": {"entries": REQUIRED, "grid": REQUIRED, "label": ""},
-    "corpus.EmbeddingMatrix": {"values": REQUIRED, "label": "", "unit_norm": False},
+    "corpus.EmbeddingMatrix": {"values": REQUIRED, "label": ""},
     "corpus.ExperimentGrid": {"k_values": (2, 3, 4, 5), "alpha": 0.05, "permutations": 999,
                               "seed": 0},
     "corpus.ManifestEntry": {"path": REQUIRED, "role": REQUIRED, "temperature": None,
@@ -638,8 +654,7 @@ CONFIG_FIELDS = {
                                  "api_key_env": "LLM_API_KEY",
                                  "cache_dir": ".anchorstat-cache", "embed_batch_size": 128,
                                  "transport": llmpipeline._urllib_transport},
-    "preprocess.PcaModel": {"mean": REQUIRED, "components": REQUIRED,
-                            "explained_variance": REQUIRED},
+    "preprocess.PcaModel": {"mean": REQUIRED, "components": REQUIRED},
     "stattests.TestReport": {"method": REQUIRED, "statistic": REQUIRED, "p_value": REQUIRED,
                              "replicates": REQUIRED, "seed": REQUIRED, "alpha": REQUIRED,
                              "metadata": dict},

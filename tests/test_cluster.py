@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorstat import cluster
 from anchorstat.cluster import (
     Partition,
     _wcss,
     kmeans,
 )
 from anchorstat.corpus import EmbeddingMatrix
-from anchorstat.errors import DegeneracyError, GuardError, ParameterError
+from anchorstat.errors import AnchorstatError, DegeneracyError, GuardError, ParameterError
 from brute_force import brute_force_partition
+from kmeans_restarts import kmeans_with_restarts
 
 
 def _mat(*rows):
@@ -25,7 +27,7 @@ def test_separable_pair():
 
 def test_two_tight_groups():
     # brute force over all 2-partitions gives minimum WCSS 1.0
-    part = kmeans(_mat([0.0], [1.0], [9.0], [10.0]), 2, seed=0, restarts=5)
+    part = kmeans_with_restarts(5, _mat([0.0], [1.0], [9.0], [10.0]), 2, seed=0)
     assert part.wcss == pytest.approx(1.0, abs=1e-9)
     assert part.assignment[0] == part.assignment[1]
     assert part.assignment[2] == part.assignment[3]
@@ -52,9 +54,19 @@ def test_k_out_of_range():
         kmeans(m, 4, seed=0)
 
 
-def test_restarts_must_be_positive():
-    with pytest.raises(ParameterError):
-        kmeans(_mat([0.0], [1.0]), 2, seed=0, restarts=0)
+def test_kmeans_takes_a_flat_array_as_one_dimensional_points():
+    x = np.array([1.0, 2.0, 3.0, 10.0, 11.0])
+    part = kmeans(x, 2)
+    want = kmeans(EmbeddingMatrix(values=x[:, None]), 2)
+    np.testing.assert_array_equal(part.assignment, want.assignment)
+    assert part.wcss == want.wcss == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_refuses_a_non_finite_entry_before_any_draw(monkeypatch, bad):
+    monkeypatch.setattr(cluster, "_kpp_centers", lambda *args: pytest.fail("drew seeds"))
+    with pytest.raises(AnchorstatError, match="non-finite entry at row 2, col 1"):
+        kmeans(np.array([[0.0, 0.0], [1.0, 1.0], [9.0, bad], [10.0, 10.0]]), 2)
 
 
 def test_wcss_singletons_zero():
@@ -105,7 +117,7 @@ def test_kmeans_matches_brute_force_on_random_instances():
     for trial in range(20):
         n = int(rng.integers(4, 11))
         m = EmbeddingMatrix(values=rng.normal(size=(n, 2)))
-        got = kmeans(m, 2, seed=trial, restarts=20)
+        got = kmeans_with_restarts(20, m, 2, seed=trial)
         want = brute_force_partition(m, 2)
         assert got.wcss == pytest.approx(want.wcss, abs=1e-9)
 
@@ -113,8 +125,8 @@ def test_kmeans_matches_brute_force_on_random_instances():
 def test_kmeans_deterministic_given_seed():
     rng = np.random.default_rng(1)
     m = EmbeddingMatrix(values=rng.normal(size=(40, 3)))
-    a = kmeans(m, 3, seed=7, restarts=4)
-    b = kmeans(m, 3, seed=7, restarts=4)
+    a = kmeans_with_restarts(4, m, 3, seed=7)
+    b = kmeans_with_restarts(4, m, 3, seed=7)
     np.testing.assert_array_equal(a.assignment, b.assignment)
     assert a.wcss == b.wcss
 
@@ -147,7 +159,7 @@ def test_relabeling_preserves_wcss(seed):
     rng = np.random.default_rng(seed)
     n, K = 8, 3
     m = EmbeddingMatrix(values=rng.normal(size=(n, 2)))
-    part = kmeans(m, K, seed=seed, restarts=3)
+    part = kmeans_with_restarts(3, m, K, seed=seed)
     perm = rng.permutation(K)
     relabeled = Partition(assignment=perm[part.assignment], K=K, wcss=part.wcss)
     assert _wcss(m.values, relabeled.assignment, K) == pytest.approx(
@@ -166,7 +178,7 @@ def test_kmeans_peak_memory_does_not_grow_with_restarts():
     for restarts in (1, 10):
         tracemalloc.start()
         try:
-            kmeans(X, 2, seed=0, restarts=restarts)
+            kmeans_with_restarts(restarts, X, 2, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

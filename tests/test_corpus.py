@@ -126,27 +126,12 @@ def test_normalize_three_four_five():
     out = normalize_rows(m)
     np.testing.assert_allclose(out.values[0], [0.6, 0.8])
     np.testing.assert_array_equal(out.values[1], [1.0, 0.0])
-    assert out.unit_norm
-
-
-def test_normalize_idempotent_exactly():
-    rng = np.random.default_rng(1)
-    m = EmbeddingMatrix(values=rng.normal(size=(5, 3)))
-    once = normalize_rows(m)
-    twice = normalize_rows(once)
-    assert twice is once
-    np.testing.assert_array_equal(twice.values, once.values)
 
 
 def test_normalize_zero_row_names_index():
     m = EmbeddingMatrix(values=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(DegeneracyError, match="row 1"):
         normalize_rows(m)
-
-
-def test_unit_norm_flag_validated():
-    with pytest.raises(CorpusFormatError, match="unit_norm"):
-        EmbeddingMatrix(values=np.array([[3.0, 4.0], [1.0, 0.0]]), unit_norm=True)
 
 
 def _members(*counts):

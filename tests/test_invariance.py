@@ -91,11 +91,12 @@ print(json.dumps([r.to_dict() for r in reports]))
 _PARTITIONS = """
 import json
 import numpy as np
-from anchorstat.cluster import kmeans
+from anchorstat import cluster
+cluster.RESTARTS = 2
 rng = np.random.default_rng(6)
 x = rng.normal(size=(3000, 32)) + 2.0 * rng.normal(size=(3, 32))[rng.integers(0, 3, 3000)]
 x /= np.linalg.norm(x, axis=1, keepdims=True)
-parts = [kmeans(x, K, seed=K, restarts=2) for K in (2, 5)]
+parts = [cluster.kmeans(x, K, seed=K) for K in (2, 5)]
 print(json.dumps([
     {"K": part.K, "assignment": part.assignment.tolist(), "wcss": part.wcss}
     for part in parts

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from anchorstat import cluster
-from anchorstat.cluster import Partition, _values, _wcss, kmeans
+from anchorstat.cluster import Partition, _wcss
+from anchorstat.corpus import _sample_rows as _values
 from anchorstat.errors import DegeneracyError, ParameterError
 from anchorstat.synth import ScenarioConfig, generate_battery_quad, generate_null_triple
+from kmeans_restarts import kmeans_with_restarts
 
 
 def oracle_kmeans(
@@ -156,9 +158,9 @@ def _lloyd(
     return assignment, value
 
 
-def _assert_same(X, K, **kw):
-    want = oracle_kmeans(X, K, **kw)
-    got = kmeans(X, K, **kw)
+def _assert_same(X, K, restarts, **kw):
+    want = oracle_kmeans(X, K, restarts=restarts, **kw)
+    got = kmeans_with_restarts(restarts, X, K, **kw)
     np.testing.assert_array_equal(got.assignment, want.assignment)
     assert got.wcss == want.wcss
 
@@ -198,7 +200,7 @@ def test_offset_grid_matches_oracle(block):
         if K < 2:
             continue
         _assert_same(X + 1e6, K, seed=seed, restarts=restarts)
-        got = kmeans(X + 1e6, K, seed=seed, restarts=restarts)
+        got = kmeans_with_restarts(restarts, X + 1e6, K, seed=seed)
         want = oracle_kmeans(X, K, seed=seed, restarts=restarts)
         np.testing.assert_array_equal(got.assignment, want.assignment)
 
@@ -335,7 +337,7 @@ def test_max_iter_stop_matches_oracle(monkeypatch):
     for max_iter in (1, 2, 3):
         monkeypatch.setattr(cluster, "MAX_ITER", max_iter)
         want = oracle_kmeans(X, 4, seed=2, restarts=5, max_iter=max_iter)
-        got = kmeans(X, 4, seed=2, restarts=5)
+        got = kmeans_with_restarts(5, X, 4, seed=2)
         np.testing.assert_array_equal(got.assignment, want.assignment)
         assert got.wcss == want.wcss
         got, want = _first_pass(X, 4, seed=2, restarts=5, max_iter=max_iter)

@@ -20,7 +20,8 @@ def test_collinear_first_component():
     model = fit_pca(_line_data(), 2)
     expected = np.array([1.0, 2.0]) / np.sqrt(5.0)
     np.testing.assert_allclose(model.components[0], expected, atol=1e-12)
-    assert model.explained_variance[1] == pytest.approx(0.0, abs=1e-12)
+    # the points have no spread off the line
+    np.testing.assert_allclose(apply_pca(model, _line_data()).values[:, 1], 0.0, atol=1e-12)
 
 
 def test_p_equal_n_is_dimension_error():
@@ -58,11 +59,7 @@ def test_transform_of_mean_row_is_origin():
 def test_identity_model_passthrough():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(5, 3))
-    model = PcaModel(
-        mean=np.zeros(3),
-        components=np.eye(3),
-        explained_variance=np.array([3.0, 2.0, 1.0]),
-    )
+    model = PcaModel(mean=np.zeros(3), components=np.eye(3))
     out = apply_pca(model, EmbeddingMatrix(values=X))
     np.testing.assert_allclose(out.values, X, atol=1e-12)
 
@@ -115,7 +112,6 @@ def test_fit_is_deterministic_bitwise():
     m2 = fit_pca(EmbeddingMatrix(values=X.copy()), 3)
     np.testing.assert_array_equal(m1.components, m2.components)
     np.testing.assert_array_equal(m1.mean, m2.mean)
-    np.testing.assert_array_equal(m1.explained_variance, m2.explained_variance)
 
 
 def _collection(seed=8, shapes=((20, 6), (20, 6), (20, 6))):

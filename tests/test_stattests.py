@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anchorstat.errors import (
+    CorpusFormatError,
     DegeneracyError,
     DegenerateSampleError,
     DimensionError,
     ParameterError,
     VacuousTestError,
 )
+from anchorstat import cluster
 from anchorstat.battery import mapped_member
 from anchorstat.stattests import (
     _block_rows,
@@ -169,6 +171,12 @@ def test_anchored_test_composes_and_reports_metadata():
     assert report.metadata["K"] == 2
     assert report.metadata["d1_label"] == "nonanchor_1"
     assert 1.0 / 200.0 <= report.p_value <= 1.0
+
+
+def test_anchored_test_records_the_restart_count_kmeans_read(monkeypatch):
+    monkeypatch.setattr(cluster, "RESTARTS", 3)
+    sets = _sets(_triple(seed=5), ["nonanchor_1", "nonanchor_2"], 2, 3)
+    assert anchored_test(*sets, R=19, seed=3).metadata["kmeans_restarts"] == 3
 
 
 def test_anchored_test_handles_unequal_member_dimensions():
@@ -465,3 +473,12 @@ def test_report_json_round_trips():
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["method"] == "anchored_johnson"
     assert doc["p_value"] == report.p_value
+
+
+@pytest.mark.parametrize("test", [hotelling_paired, nploc_mean_test, energy_test])
+def test_baselines_refuse_a_non_finite_entry(test):
+    x = np.arange(20.0).reshape(10, 2)
+    y = x[::-1].copy()
+    y[3, 1] = np.nan
+    with pytest.raises(CorpusFormatError, match="non-finite entry at row 3, col 1"):
+        test(x, y)

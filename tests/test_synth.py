@@ -6,7 +6,6 @@ import pytest
 
 from anchorstat import cli, stattests, synth
 from anchorstat.battery import BatteryCell, BatteryResult, BatteryRow
-from anchorstat.cluster import kmeans
 from anchorstat.errors import GuardError, ParameterError
 from anchorstat.stattests import _child_seed
 from anchorstat.synth import (
@@ -18,6 +17,7 @@ from anchorstat.synth import (
     monte_carlo,
     rand_index,
 )
+from kmeans_restarts import kmeans_with_restarts
 
 
 def _cfg(**overrides):
@@ -54,8 +54,8 @@ def test_null_noiseless_limit_recovers_identical_partitions():
     # clusterings recover the shared labels exactly
     cfg = _cfg(community_separation=40.0, seed=3)
     triple = generate_null_triple(cfg)
-    p1 = kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5)
-    p2 = kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5)
+    p1 = kmeans_with_restarts(5, triple.member("nonanchor_1"), 2, seed=0)
+    p2 = kmeans_with_restarts(5, triple.member("nonanchor_2"), 2, seed=1)
     assert rand_index(p1.assignment, p2.assignment) == 1.0
 
 
@@ -64,8 +64,8 @@ def test_alt_noiseless_limit_rand_near_independence():
     # 1/K^2 + (1 - 1/K)^2 = 0.5
     cfg = _cfg(n=400, community_separation=40.0, seed=4)
     triple = generate_alt_triple(cfg)
-    p1 = kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5)
-    p2 = kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5)
+    p1 = kmeans_with_restarts(5, triple.member("nonanchor_1"), 2, seed=0)
+    p2 = kmeans_with_restarts(5, triple.member("nonanchor_2"), 2, seed=1)
     ri = rand_index(p1.assignment, p2.assignment)
     assert abs(ri - 0.5) < 0.06
     assert ri < 0.9  # bounded away from 1
@@ -81,8 +81,8 @@ def test_null_rand_index_high_at_default_separation():
     scores = []
     for seed in range(20):
         triple = generate_null_triple(_cfg(n=300, seed=seed))
-        p1 = kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5)
-        p2 = kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5)
+        p1 = kmeans_with_restarts(5, triple.member("nonanchor_1"), 2, seed=0)
+        p2 = kmeans_with_restarts(5, triple.member("nonanchor_2"), 2, seed=1)
         scores.append(rand_index(p1.assignment, p2.assignment))
     assert np.mean(scores) >= 0.95
 
@@ -94,8 +94,9 @@ def test_null_mapped_distances_similar():
     for seed in range(20):
         triple = generate_null_triple(_cfg(n=300, seed=seed))
         anchor = triple.member("anchor")
-        d1 = mapped_distances(anchor, kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5))
-        d2 = mapped_distances(anchor, kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5))
+        p1 = kmeans_with_restarts(5, triple.member("nonanchor_1"), 2, seed=0)
+        p2 = kmeans_with_restarts(5, triple.member("nonanchor_2"), 2, seed=1)
+        d1, d2 = mapped_distances(anchor, p1), mapped_distances(anchor, p2)
         gap = np.mean(np.abs(d1.distances - d2.distances))
         if gap < 0.2 * np.mean(d1.distances):
             hits += 1
@@ -110,8 +111,9 @@ def test_null_diff_mean_within_noise_band():
     for seed in seeds:
         triple = generate_null_triple(_cfg(n=300, seed=seed))
         anchor = triple.member("anchor")
-        d1 = mapped_distances(anchor, kmeans(triple.member("nonanchor_1"), 2, seed=0, restarts=5))
-        d2 = mapped_distances(anchor, kmeans(triple.member("nonanchor_2"), 2, seed=1, restarts=5))
+        p1 = kmeans_with_restarts(5, triple.member("nonanchor_1"), 2, seed=0)
+        p2 = kmeans_with_restarts(5, triple.member("nonanchor_2"), 2, seed=1)
+        d1, d2 = mapped_distances(anchor, p1), mapped_distances(anchor, p2)
         diff = paired_differences(d1, d2)
         sd = diff.std(ddof=1) if diff.size > 1 else 0.0
         if abs(diff.mean()) <= 3.0 * sd / np.sqrt(diff.size):
@@ -213,9 +215,9 @@ def test_battery_quad_roles_and_alignment():
         "nonanchor_aligned_2",
         "nonanchor_drifted",
     }
-    p1 = kmeans(quad.member("nonanchor_aligned_1"), 2, seed=0, restarts=5)
-    p2 = kmeans(quad.member("nonanchor_aligned_2"), 2, seed=1, restarts=5)
-    pd = kmeans(quad.member("nonanchor_drifted"), 2, seed=2, restarts=5)
+    p1 = kmeans_with_restarts(5, quad.member("nonanchor_aligned_1"), 2, seed=0)
+    p2 = kmeans_with_restarts(5, quad.member("nonanchor_aligned_2"), 2, seed=1)
+    pd = kmeans_with_restarts(5, quad.member("nonanchor_drifted"), 2, seed=2)
     assert rand_index(p1.assignment, p2.assignment) > 0.9
     assert rand_index(p1.assignment, pd.assignment) < 0.75
 
@@ -243,10 +245,10 @@ def test_drift_family_temperatures_and_monotone_drift():
     fam = generate_drift_family(cfg, [(0.1, 0.05), (0.7, 0.35), (1.5, 0.75)])
     assert fam.temperatures["nonanchor_rho_0.1"] == 0.1
     assert fam.temperatures["nonanchor_base"] is None
-    base = kmeans(fam.member("nonanchor_base"), 2, seed=0, restarts=5)
+    base = kmeans_with_restarts(5, fam.member("nonanchor_base"), 2, seed=0)
     agreements = []
     for rho in ("0.1", "0.7", "1.5"):
-        part = kmeans(fam.member(f"nonanchor_rho_{rho}"), 2, seed=1, restarts=5)
+        part = kmeans_with_restarts(5, fam.member(f"nonanchor_rho_{rho}"), 2, seed=1)
         agreements.append(rand_index(base.assignment, part.assignment))
     assert agreements[0] > agreements[-1]
 
