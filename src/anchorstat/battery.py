@@ -191,7 +191,7 @@ def reduce_members(
         temperatures=temperatures,
     )
     # freed before the joint stage: live models pin the heap top, so the
-    # freed fit copies stay resident (+35 MB peak on a 3000 x 768 battery)
+    # freed fit copies stay resident (+2.5 MB peak on a 3000 x 768 battery)
     del models
     joint = preprocess.reduce_jointly(members, p, temperatures) if baselines else None
     members.clear()

@@ -187,16 +187,19 @@ def _lloyd(
         d2 = _sq_dists(XT, xx, centers.reshape(live * K, p)).reshape(n, live, K)
         # argmin takes the lowest id on ties
         assignment = np.ascontiguousarray(np.argmin(d2, axis=2).T)
-        flat = assignment + K * np.arange(live)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=live * K).reshape(live, K)
+        # restart r's cluster k is row r*K + k of the stacked centers
+        offsets = K * np.arange(live)[:, None]
+        counts = np.bincount((assignment + offsets).ravel(), minlength=live * K).reshape(live, K)
         for j in np.flatnonzero((counts == 0).any(axis=1)):
             _repair_empty(assignment[j], d2[:, j], K)
-            flat[j] = assignment[j] + K * j
+        del d2  # freed before the indicator products of _centers
         centers = _centers(XT, assignment, K)
         current = np.empty(live)
         for s in range(0, live, step):
             res = residuals[: min(step, live - s)]
-            np.take(centers.reshape(live * K, p), flat[s : s + step], axis=0, out=res)
+            # the ids are in range by construction; mode="raise" would buffer out
+            np.take(centers.reshape(live * K, p), assignment[s : s + step] + offsets[s : s + step],
+                    axis=0, out=res, mode="clip")
             np.subtract(Xs, res, out=res)
             current[s : s + step] = np.einsum("rij,rij->r", res, res)
         if debug and np.any(current > prev + 1e-9):
@@ -210,6 +213,7 @@ def _lloyd(
         final[active[done]] = assignment[done]
         keep = ~done
         active, prev, centers = active[keep], current[keep], centers[keep]
+        del assignment  # freed before the next pass's argmin and its copy
         if active.shape[0] == 0:
             break
     return final

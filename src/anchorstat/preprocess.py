@@ -1,9 +1,11 @@
 """PCA reduction of embedding matrices to a working dimension.
 
-The reduction is a plain covariance eigendecomposition with a fixed sign
-convention, its `eigh` on one BLAS thread, so that two fits on identical
-data agree bitwise on any machine. Which members a battery reduces on
-their own and which jointly is decided by `battery.reduce_members`.
+One rule builds a model from the rows' count, mean and centred scatter:
+a covariance eigendecomposition with a fixed sign convention, its `eigh`
+on one BLAS thread, so two fits on identical data agree bitwise on any
+machine. The joint model of several members is built from theirs, and
+every member is projected by `apply_pca`. Which members a battery
+reduces on their own and which jointly is decided by `battery.reduce_members`.
 """
 
 from __future__ import annotations
@@ -38,23 +40,27 @@ def fit_pca(m: EmbeddingMatrix, p: int) -> PcaModel:
     making the largest-magnitude coordinate of each component positive,
     so the fit is deterministic.
     """
-    return _fit_in_place(m.values.copy(order="K"), p)
+    return _model(m.n, *_moments(m.values), p)
 
 
-def _fit_in_place(x: np.ndarray, p: int) -> PcaModel:
-    """Fit the model of ``fit_pca`` on the rows of ``x``, centring ``x``
-    in place: the caller hands over an array it no longer needs, so the
-    fit holds no second copy of the data."""
-    n, ambient = x.shape
+def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean of the rows of ``values`` and their scatter about it,
+    from one centred copy."""
+    x = values.copy(order="K")
+    mean = x.mean(axis=0)
+    x -= mean
+    return mean, x.T @ x
+
+
+def _model(n: int, mean: np.ndarray, scatter: np.ndarray, p: int) -> PcaModel:
+    """The p-dimensional model of n rows with this mean and centred scatter."""
+    ambient = scatter.shape[0]
     if not 1 <= p <= min(n - 1, ambient):
         raise DimensionError(
             f"target dimension p={p} out of range [1, min(n-1={n - 1}, ambient={ambient})]"
         )
-    mean = x.mean(axis=0)
-    x -= mean
-    cov = x.T @ x / (n - 1)
     with _one_blas_thread():  # its bits follow the thread count; the product's do not
-        eigvals, eigvecs = np.linalg.eigh(cov)
+        eigvals, eigvecs = np.linalg.eigh(scatter / (n - 1))
     # eigh returns ascending; stable sort keeps tied eigenvalues in input order
     order = np.argsort(-eigvals, kind="stable")[:p]
     components = eigvecs[:, order].T.copy()
@@ -89,28 +95,21 @@ def reduce_jointly(
     temperatures: Mapping[str, float | None],
 ) -> PairedCollection:
     """Reduce the members to one common p-dimensional space, taking them
-    over: the model is fitted on their rows stacked in role order, and
-    each member leaves ``members`` once its rows are in the stack, so one
-    the caller holds nowhere else is freed before the next is copied.
-
-    The stack is centred in place by the fit, so each member's
-    coordinates are its rows of it times the components: the bits of
-    ``apply_pca`` with the model, whose ``m.values - mean`` is the same
-    subtraction.
-    """
+    over (``members`` is empty on return). The model is that of their rows
+    stacked, with no stacked copy: its scatter is the sum of the members'
+    plus sum_m n_m (mean_m - mean)(mean_m - mean)^T (Chan, Golub &
+    LeVeque, 1979)."""
     ambient = joint_width(members)
     roles = sorted(members)
-    stack = np.empty((sum(members[role].n for role in roles), ambient))
-    rows, labels, start = {}, {}, 0
-    for role in roles:
-        m = members.pop(role)
-        rows[role], labels[role] = slice(start, start + m.n), m.label
-        stack[rows[role]] = m.values
-        start += m.n
-        del m  # so the last member, too, is freed before the fit
-    model = _fit_in_place(stack, p)
-    reduced = {
-        role: EmbeddingMatrix(values=stack[r] @ model.components.T, label=labels[role])
-        for role, r in rows.items()
-    }
+    counts = np.array([members[role].n for role in roles])
+    means, scatter = np.empty((len(roles), ambient)), np.zeros((ambient, ambient))
+    for i, role in enumerate(roles):
+        means[i], member_scatter = _moments(members[role].values)
+        scatter += member_scatter
+    n = int(counts.sum())
+    mean = counts @ means / n
+    dev = means - mean
+    scatter += (dev.T * counts) @ dev
+    model = _model(n, mean, scatter, p)
+    reduced = {role: apply_pca(model, members.pop(role)) for role in roles}
     return validate_pairing(reduced, temperatures=temperatures)

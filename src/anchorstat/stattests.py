@@ -26,7 +26,7 @@ import numpy as np
 from .anchor import MappedDistanceSet, paired_differences
 from . import cluster
 from .cluster import _BLOCK_ENTRIES
-from .corpus import _sample_rows
+from .corpus import _check_finite, _sample_rows
 from .errors import (
     DegeneracyError,
     DegenerateSampleError,
@@ -77,10 +77,12 @@ def _modified_t(mean, var, mu3, n: int):
 
 
 def johnson_t(d) -> float:
-    """Modified paired t-statistic of a difference sample."""
+    """Modified paired t-statistic of a difference sample; a non-finite
+    difference is refused, as the baselines refuse one."""
     arr = np.asarray(d, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 2:
         raise ParameterError(f"need a flat sample with n >= 2, got shape {arr.shape}")
+    _check_finite(arr[:, None], "sample")
     if np.ptp(arr) == 0.0:
         raise DegenerateSampleError(
             "sample variance is zero; the modified t-statistic is undefined"

@@ -1,5 +1,7 @@
-"""Exhaustive-search k-means oracle for small instances: the globally
-WCSS-optimal partition, against which the tests check `kmeans`."""
+"""Reference computations the tests check the package against: the
+exhaustive-search k-means oracle for small instances (the globally
+WCSS-optimal partition), and the direct PCA fit on one matrix and on
+the members' rows stacked."""
 
 from typing import Iterator
 
@@ -8,6 +10,7 @@ import numpy as np
 from anchorstat.cluster import Partition
 from anchorstat.corpus import _sample_rows as _values
 from anchorstat.errors import GuardError, ParameterError
+from anchorstat.sharding import _one_blas_thread
 
 BRUTE_FORCE_MAX_N = 12
 
@@ -60,3 +63,27 @@ def brute_force_partition(m, K: int) -> Partition:
             best_val = total
             best_assign = assign
     return Partition(assignment=best_assign, K=K, wcss=best_val)
+
+
+def direct_pca(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (mean, components) of a p-dimensional PCA fit the direct way:
+    copy, centre, ``x.T @ x / (n-1)``, `eigh` on one BLAS thread, stable
+    descending order, largest-magnitude coordinate of each component
+    positive."""
+    x = values.copy()
+    mean = x.mean(axis=0)
+    x -= mean
+    with _one_blas_thread():
+        eigvals, eigvecs = np.linalg.eigh(x.T @ x / (x.shape[0] - 1))
+    components = eigvecs[:, np.argsort(-eigvals, kind="stable")[:p]].T.copy()
+    rows = np.arange(p)
+    components *= np.sign(components[rows, np.argmax(np.abs(components), axis=1)])[:, None]
+    return mean, components
+
+
+def stacked_reduction(members, p: int) -> dict:
+    """Each member's coordinates under the direct PCA fit on every
+    member's rows stacked in role order."""
+    roles = sorted(members)
+    mean, components = direct_pca(np.vstack([members[r].values for r in roles]), p)
+    return {r: (members[r].values - mean) @ components.T for r in roles}

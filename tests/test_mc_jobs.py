@@ -241,9 +241,9 @@ def _synth_manifest(tmp_path, dim=2):
 def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt, baselines):
     # one `reduce_members` call reduces each member once on its own for the
     # anchored cells first, then, only when a baseline runs, all of them
-    # jointly for the paired baselines
+    # jointly for the paired baselines; every projection is `apply_pca`
     manifest_path = _synth_manifest(tmp_path, dim=4)
-    calls, modes = [], []
+    calls, modes, stage = [], [], ["per_dataset"]
     reduce_members = battery.reduce_members
     apply_pca, reduce_jointly = preprocess.apply_pca, preprocess.reduce_jointly
 
@@ -252,11 +252,11 @@ def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt, baselines):
         return reduce_members(members, p, temperatures, baselines)
 
     def apply_pca_spy(model, m):
-        modes.append("per_dataset")
+        modes.append(stage[0])
         return apply_pca(model, m)
 
     def reduce_jointly_spy(members, p, temperatures):
-        modes.append("joint")
+        stage[0] = "joint"
         return reduce_jointly(members, p, temperatures)
 
     monkeypatch.setattr(cli, "reduce_members", reduce_members_spy)
@@ -270,7 +270,7 @@ def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt, baselines):
     assert rc == 0
     names = BASELINE_NAMES if baselines is None else ()
     assert calls == [names]
-    assert modes == ["per_dataset"] * 3 + (["joint"] if names else [])
+    assert modes == ["per_dataset"] * 3 + (["joint"] * 3 if names else [])
 
     # the same cells as the library path: `run_battery` on what
     # `reduce_members` returns

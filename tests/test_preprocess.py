@@ -5,9 +5,10 @@ import pytest
 
 from anchorstat.corpus import EmbeddingMatrix, validate_pairing
 from anchorstat.errors import DimensionError
-from anchorstat import preprocess
 from anchorstat.battery import reduce_members
 from anchorstat.preprocess import PcaModel, apply_pca, fit_pca, reduce_jointly
+
+from brute_force import direct_pca, stacked_reduction
 
 
 def _line_data():
@@ -172,14 +173,40 @@ def test_per_dataset_handles_unequal_dims():
     assert all(out.member(r).p == 2 for r in out.roles)
 
 
+def _separated_members(seed, n, d, offsets=(0.0, 1.0, -2.0)):
+    # column scales halve, so every eigenvalue of the stacked rows stands
+    # well apart from the next; the offsets give the members unequal means
+    rng = np.random.default_rng(seed)
+    scales = 2.0 ** -np.arange(d / 2, step=0.5)
+    return {
+        role: EmbeddingMatrix(values=rng.normal(size=(n, d)) * scales + shift, label=role)
+        for role, shift in zip(("anchor", "nonanchor_1", "nonanchor_2"), offsets)
+    }
+
+
 def test_joint_model_equals_fit_pca_on_stacked_members():
-    coll = _collection(seed=12, shapes=((40, 7), (40, 7), (40, 7)))
-    out = reduce_jointly(dict(coll.members), 4, {})
-    stacked = np.vstack([coll.member(r).values for r in coll.roles])
-    ref = fit_pca(EmbeddingMatrix(values=stacked), 4)
-    for role in coll.roles:
+    # the joint model comes from the members' means and scatters, the
+    # reference from their rows stacked; the coordinates agree, signs
+    # included, to a bound of 1e4 float64 eps of their largest magnitude
+    for seed, n, d, p in [(12, 40, 7, 4), (13, 500, 24, 8), (14, 2000, 64, 8)]:
+        members = _separated_members(seed, n, d)
+        ref = stacked_reduction(members, p)
+        out = reduce_jointly(dict(members), p, {})
+        for role, coords in ref.items():
+            bound = 1e4 * np.finfo(float).eps * np.max(np.abs(coords))
+            assert np.max(np.abs(out.member(role).values - coords)) <= bound
+
+
+def test_fit_pca_is_bitwise_the_direct_fit():
+    # one member's model: copy, centre, x.T @ x, eigh, with no bit moved
+    members = _separated_members(15, 300, 32)
+    for m in members.values():
+        mean, components = direct_pca(m.values, 6)
+        model = fit_pca(m, 6)
+        np.testing.assert_array_equal(model.mean, mean)
+        np.testing.assert_array_equal(model.components, components)
         np.testing.assert_array_equal(
-            out.member(role).values, apply_pca(ref, coll.member(role)).values
+            apply_pca(model, m).values, (m.values - mean) @ components.T
         )
 
 
@@ -190,58 +217,24 @@ def test_joint_p_range_is_checked_on_stacked_rows():
         reduce_jointly(dict(coll.members), 9, {})
 
 
-def test_joint_fit_holds_one_stacked_copy():
-    coll = _collection(seed=13, shapes=((2000, 64), (2000, 64), (2000, 64)))
-    stacked_bytes = 3 * 2000 * 64 * 8
-    tracemalloc.start()
-    try:
-        reduce_jointly(dict(coll.members), 8, {})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * stacked_bytes
-
-
-def test_joint_reduction_frees_each_member_once_stacked(monkeypatch):
-    # the members are created inside the trace, so their release shows.
-    # numpy counts the stack whole when it is allocated, though its pages
-    # become resident only as the members' rows are copied in, so the
-    # checks are the traced bytes at each hand-over and the peak from the
-    # fit on
+def test_joint_reduction_holds_no_stacked_copy():
+    # the members are created inside the trace and held only by the
+    # mapping, so each one's release shows: above them, the joint stage
+    # holds one member-sized copy at a time, where a stack would be 3
     n, d = 2000, 64
-    member_bytes, stack_bytes = n * d * 8, 3 * n * d * 8
-    slack = member_bytes // 4
-    at_pop, at_fit = [], []
-
-    class Members(dict):
-        def pop(self, key):
-            at_pop.append(tracemalloc.get_traced_memory()[0])
-            return super().pop(key)
-
-    fit = preprocess._fit_in_place
-
-    def fit_spy(x, p):
-        at_fit.append(tracemalloc.get_traced_memory()[0])
-        tracemalloc.reset_peak()
-        return fit(x, p)
-
-    monkeypatch.setattr(preprocess, "_fit_in_place", fit_spy)
+    member_bytes = n * d * 8
     rng = np.random.default_rng(14)
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        members = Members({
+        members = {
             role: EmbeddingMatrix(values=rng.normal(size=(n, d)), label=role)
             for role in ("anchor", "nonanchor_1", "nonanchor_2")
-        })
+        }
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         out = reduce_jointly(members, 8, {})
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert not members and out.roles == ["anchor", "nonanchor_1", "nonanchor_2"]
-    # before the k-th hand-over: the stack and the 3 - k members left
-    assert len(at_pop) == 3
-    for k, used in enumerate(at_pop):
-        assert used - base <= stack_bytes + (3 - k) * member_bytes + slack
-    assert at_fit[0] - base <= stack_bytes + slack
-    assert peak <= stack_bytes + member_bytes + slack
+    assert peak <= 1.25 * member_bytes

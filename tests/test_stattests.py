@@ -58,6 +58,16 @@ def test_johnson_arity():
         johnson_t([5.0])
 
 
+def test_johnson_refuses_a_non_finite_difference():
+    with pytest.raises(CorpusFormatError, match="non-finite entry at row 2, col 0"):
+        johnson_t([1.0, 2.0, np.nan, 4.0])
+
+
+def test_sign_flip_refuses_a_non_finite_difference():
+    with pytest.raises(CorpusFormatError, match="non-finite entry at row 2, col 0"):
+        sign_flip_pvalue([1.0, 2.0, np.nan, 4.0, -1.0], R=99)
+
+
 def test_johnson_reduces_to_classical_t_when_mu3_zero():
     d = np.array([0.0, 1.0, 2.0])  # deviations -1, 0, 1 -> mu3 = 0
     classical = d.mean() / np.sqrt(d.var(ddof=1) / d.size)
