@@ -217,6 +217,52 @@ def test_joint_p_range_is_checked_on_stacked_rows():
         reduce_jointly(dict(coll.members), 9, {})
 
 
+def test_joint_fit_holds_one_stacked_copy():
+    coll = _collection(seed=13, shapes=((2000, 64), (2000, 64), (2000, 64)))
+    stacked_bytes = 3 * 2000 * 64 * 8
+    tracemalloc.start()
+    try:
+        reduce_jointly(dict(coll.members), 8, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * stacked_bytes
+
+
+def test_joint_reduction_frees_each_member_once_stacked():
+    # the members are created inside the trace, so their release shows.
+    # Each member is handed over once its rows are in the joint scatter:
+    # before the k-th hand-over the 3 - k members left and the k reduced
+    # ones are held, and the peak is the members and one member-sized copy
+    n, d, p = 2000, 64, 8
+    member_bytes, reduced_bytes = n * d * 8, n * p * 8
+    slack = member_bytes // 4
+    at_pop = []
+
+    class Members(dict):
+        def pop(self, key):
+            at_pop.append(tracemalloc.get_traced_memory()[0])
+            return super().pop(key)
+
+    rng = np.random.default_rng(14)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        members = Members({
+            role: EmbeddingMatrix(values=rng.normal(size=(n, d)), label=role)
+            for role in ("anchor", "nonanchor_1", "nonanchor_2")
+        })
+        out = reduce_jointly(members, p, {})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not members and out.roles == ["anchor", "nonanchor_1", "nonanchor_2"]
+    assert len(at_pop) == 3
+    for k, used in enumerate(at_pop):
+        assert used - base <= (3 - k) * member_bytes + k * reduced_bytes + slack
+    assert peak <= 4 * member_bytes + slack
+
+
 def test_joint_reduction_holds_no_stacked_copy():
     # the members are created inside the trace and held only by the
     # mapping, so each one's release shows: above them, the joint stage
