@@ -12,6 +12,7 @@ members live in unrelated frames.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from anchorstat import cli
@@ -35,8 +36,7 @@ def study(args) -> int:
     for seed in range(args.seeds):
         print(f"seed: {seed}", file=sys.stderr)
         quad = generate_battery_quad(cli._scenario_from_args(args, seed))
-        result = run_battery(quad, dataset=f"synthetic-{seed}", k_values=grid.k_values,
-                             R=grid.permutations, alpha=grid.alpha, seed=seed)
+        result = run_battery(quad, f"synthetic-{seed}", replace(grid, seed=seed))
         (out_dir / f"battery-{seed}.csv").write_text(battery_csv(result))
         tallies.append(battery_pattern_counts(result))
     drift_rejects, drift_total, aligned_accepts, aligned_total = map(sum, zip(*tallies))

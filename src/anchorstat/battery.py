@@ -29,12 +29,12 @@ from typing import Mapping, MutableMapping
 from . import divergence, preprocess
 from .anchor import MappedDistanceSet, mapped_distances
 from .cluster import kmeans
-from .corpus import ANCHOR_ROLE, EmbeddingMatrix, PairedCollection, validate_pairing
+from .corpus import (
+    ANCHOR_ROLE, EmbeddingMatrix, ExperimentGrid, PairedCollection, validate_pairing,
+)
 from .errors import AnchorstatError, ManifestError, ParameterError, VacuousTestError
 from .sharding import run_sharded
 from .stattests import (
-    DEFAULT_ALPHA,
-    DEFAULT_PERMUTATIONS,
     TestReport,
     _child_seed,
     anchored_test,
@@ -88,19 +88,19 @@ class BatteryCell:
 
 @dataclass(frozen=True)
 class BatteryRow:
-    hypothesis: str
     pair: tuple[str, str]
     anchored: dict[int, BatteryCell]
     baselines: dict[str, BatteryCell]
+
+    @property
+    def hypothesis(self) -> str:
+        return f"H0({ANCHOR_ROLE}; {self.pair[0]} vs {self.pair[1]})"
 
 
 @dataclass(frozen=True)
 class BatteryResult:
     dataset: str
-    k_values: tuple[int, ...]
-    alpha: float
-    permutations: int
-    seed: int
+    grid: ExperimentGrid
     baselines: tuple[str, ...]
     rows: tuple[BatteryRow, ...] = field(default_factory=tuple)
 
@@ -115,14 +115,6 @@ def format_p(p: float, R: int, alpha: float) -> str:
         short = re.sub(r"e([+-])0*(\d)", r"e\1\2", f"{floor:.0e}")
         return f"< {short}{star}"
     return f"{p:.3f}{star}"
-
-
-def _check_test_settings(R: int, alpha: float) -> None:
-    """Refuse a permutation count or test level that no cell could use."""
-    if R < 1:
-        raise ParameterError(f"permutation count must be >= 1, got {R}")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0,1), got {alpha}")
 
 
 def _cell_seed(seed: int, *names) -> int:
@@ -185,14 +177,11 @@ def reduce_members(
     else None). Unequal widths are refused before any fit."""
     if baselines:
         preprocess.joint_width(members)
-    models = {role: preprocess.fit_pca(members[role], p) for role in sorted(members)}
     own = validate_pairing(
-        {role: preprocess.apply_pca(model, members[role]) for role, model in models.items()},
+        {role: preprocess.apply_pca(preprocess.fit_pca(m, p), m)
+         for role, m in sorted(members.items())},
         temperatures=temperatures,
     )
-    # freed before the joint stage: live models pin the heap top, so the
-    # freed fit copies stay resident (+2.5 MB peak on a 3000 x 768 battery)
-    del models
     joint = preprocess.reduce_jointly(members, p, temperatures) if baselines else None
     members.clear()
     return own, joint
@@ -201,23 +190,19 @@ def reduce_members(
 def run_battery(
     collection: PairedCollection | tuple[PairedCollection, PairedCollection | None],
     dataset: str,
-    k_values: tuple[int, ...],
-    R: int = DEFAULT_PERMUTATIONS,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
+    grid: ExperimentGrid,
     baselines: tuple[str, ...] = BASELINE_NAMES,
 ) -> BatteryResult:
-    """Run the anchored test over every non-anchor pair and K, plus each
-    enabled baseline once per pair (the baselines do not depend on K).
+    """Run the anchored test over every non-anchor pair and K of
+    ``grid``, plus each enabled baseline once per pair (the baselines do
+    not depend on K), at the grid's level, permutation count and seed.
 
     ``collection`` is the unreduced members, which every cell uses, or
     the (own, joint) pair of `reduce_members`: the anchored cells cluster
-    ``own`` and the baselines compare ``joint``. A permutation count
-    below 1 or an ``alpha`` outside (0, 1) is refused before any member
-    is clustered; failed cells render diagnostics without aborting the
-    battery.
+    ``own`` and the baselines compare ``joint``. The grid has checked its
+    settings when it was built; failed cells render diagnostics without
+    aborting the battery.
     """
-    _check_test_settings(R, alpha)
     own, joint = collection if isinstance(collection, tuple) else (collection, collection)
     unknown = set(baselines) - set(BASELINE_NAMES)
     if unknown:
@@ -227,11 +212,12 @@ def run_battery(
     pairs = list(itertools.combinations(own.nonanchor_roles, 2))
     if not pairs:
         raise ManifestError("battery needs at least two non-anchor members")
-    tasks = [(pair, method) for pair in pairs for method in (*k_values, *baselines)]
+    R, alpha, seed = grid.permutations, grid.alpha, grid.seed
+    tasks = [(pair, method) for pair in pairs for method in (*grid.k_values, *baselines)]
 
     # one distance set per (member, K), shared by the member's rows; a
     # member that cannot be clustered shows its error in each of its cells
-    member_set = _member_sets(own, own.nonanchor_roles, k_values, seed)
+    member_set = _member_sets(own, own.nonanchor_roles, grid.k_values, seed)
 
     def compute(task) -> BatteryCell:
         (r1, r2), method = task
@@ -247,25 +233,15 @@ def run_battery(
         return BatteryCell(display=format_p(report.p_value, R, alpha), report=report)
 
     cells = {task: compute(task) for task in tasks}
-
     rows = tuple(
         BatteryRow(
-            hypothesis=f"H0({ANCHOR_ROLE}; {pair[0]} vs {pair[1]})",
             pair=pair,
-            anchored={K: cells[(pair, K)] for K in k_values},
+            anchored={K: cells[(pair, K)] for K in grid.k_values},
             baselines={b: cells[(pair, b)] for b in baselines},
         )
         for pair in pairs
     )
-    return BatteryResult(
-        dataset=dataset,
-        k_values=tuple(k_values),
-        alpha=alpha,
-        permutations=R,
-        seed=seed,
-        baselines=tuple(baselines),
-        rows=rows,
-    )
+    return BatteryResult(dataset=dataset, grid=grid, baselines=tuple(baselines), rows=rows)
 
 
 def _csv(rows) -> str:
@@ -278,11 +254,12 @@ def _csv(rows) -> str:
 
 def battery_csv(result: BatteryResult) -> str:
     header = ["dataset", "hypothesis"]
-    header += [f"anchored_K{k}" for k in result.k_values]
+    header += [f"anchored_K{k}" for k in result.grid.k_values]
     header += list(result.baselines)
     header += ["ball_external"]  # reserved for externally computed results
     return _csv([header] + [
-        [result.dataset, row.hypothesis, *(row.anchored[k].display for k in result.k_values),
+        [result.dataset, row.hypothesis,
+         *(row.anchored[k].display for k in result.grid.k_values),
          *(row.baselines[b].display for b in result.baselines), ""]
         for row in result.rows
     ])
@@ -291,10 +268,10 @@ def battery_csv(result: BatteryResult) -> str:
 def battery_json(result: BatteryResult) -> str:
     doc = {
         "dataset": result.dataset,
-        "k_values": list(result.k_values),
-        "alpha": result.alpha,
-        "permutations": result.permutations,
-        "seed": result.seed,
+        "k_values": list(result.grid.k_values),
+        "alpha": result.grid.alpha,
+        "permutations": result.grid.permutations,
+        "seed": result.grid.seed,
         "rows": [
             {
                 "hypothesis": row.hypothesis,

@@ -129,15 +129,7 @@ def _scenario_from_args(args, seed: int) -> ScenarioConfig:
 def cmd_battery(args) -> int:
     baselines = _parse_baselines(args.baselines)
     manifest, grid, members = _load_collection(args, baselines)
-    result = run_battery(
-        members,
-        dataset=manifest.label,
-        k_values=grid.k_values,
-        R=grid.permutations,
-        alpha=grid.alpha,
-        seed=grid.seed,
-        baselines=baselines,
-    )
+    result = run_battery(members, manifest.label, grid, baselines)
     text = battery_json(result) if args.format == "json" else battery_csv(result)
     _write_text(args.out, text)
     return 0

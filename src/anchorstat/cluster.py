@@ -75,9 +75,9 @@ def kmeans(
     lowest restart index.
 
     All restarts run through one batched Lloyd loop. Everything after a
-    restart's first Lloyd pass (exchange rounds, further Lloyd passes and
-    the WCSS) depends only on that pass's assignment, so it runs once per
-    distinct assignment.
+    restart leaves that loop (exchange rounds, further Lloyd passes and
+    the WCSS) depends only on the assignment at which the loop stopped
+    it, so it runs once per distinct stopping assignment.
     """
     X = _sample_rows(m)
     n = X.shape[0]

@@ -26,6 +26,7 @@ from .errors import (
     DimensionError,
     ManifestError,
     PairingError,
+    ParameterError,
 )
 from . import sharding
 
@@ -372,6 +373,10 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class ExperimentGrid:
+    """The test settings of one experiment: every K of the battery, the
+    level, the permutation count and the root seed. A value out of range
+    is a ParameterError, raised when the grid is built."""
+
     k_values: tuple[int, ...] = (2, 3, 4, 5)
     alpha: float = 0.05
     permutations: int = 999
@@ -379,17 +384,17 @@ class ExperimentGrid:
 
     def __post_init__(self):
         if not self.k_values:
-            raise ManifestError("grid K values must not be empty")
+            raise ParameterError("grid K values must not be empty")
         if any(k < 2 for k in self.k_values):
-            raise ManifestError(f"grid K values must be >= 2, got {self.k_values}")
+            raise ParameterError(f"grid K values must be >= 2, got {self.k_values}")
         if len(set(self.k_values)) != len(self.k_values):
-            raise ManifestError(f"grid K values must be distinct, got {self.k_values}")
+            raise ParameterError(f"grid K values must be distinct, got {self.k_values}")
         if not 0 < self.alpha < 1:
-            raise ManifestError(f"alpha must be in (0,1), got {self.alpha}")
+            raise ParameterError(f"alpha must be in (0,1), got {self.alpha}")
         if self.permutations < 1:
-            raise ManifestError(f"permutation count must be >= 1, got {self.permutations}")
+            raise ParameterError(f"permutation count must be >= 1, got {self.permutations}")
         if self.seed < 0:
-            raise ManifestError(f"seed must be >= 0, got {self.seed}")
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

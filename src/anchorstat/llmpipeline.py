@@ -103,8 +103,9 @@ def _call_with_retries(config: ClientConfig, url: str, payload: dict) -> list[li
 
 
 def _embedding_rows(doc: dict) -> list[list[float]]:
-    """The rows of a response in index order; indices other than 0..len-1
-    or rows of unequal widths make a bad body, retried and never cached."""
+    """The rows of a response in index order; indices other than 0..len-1,
+    rows of unequal widths, empty rows or a NaN or infinite entry make a
+    bad body, retried and never cached."""
     items = sorted(doc["data"], key=lambda d: d["index"])
     if [item["index"] for item in items] != list(range(len(items))):
         raise TransportError(f"embedding indices are not 0..{len(items) - 1}")
@@ -112,6 +113,10 @@ def _embedding_rows(doc: dict) -> list[list[float]]:
     widths = {len(row) for row in rows}
     if len(widths) > 1:
         raise TransportError(f"embedding rows differ in width: {sorted(widths)}")
+    if widths == {0}:
+        raise TransportError("embedding rows are empty")
+    if not np.isfinite(rows).all():
+        raise TransportError("embedding rows hold a NaN or infinite value")
     return rows
 
 

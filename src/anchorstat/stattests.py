@@ -18,7 +18,7 @@ the partitions behind those sets are chosen and clustered elsewhere
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -146,7 +146,6 @@ def sign_flip_pvalue(
     R: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
     alpha: float = DEFAULT_ALPHA,
-    metadata: Mapping[str, object] | None = None,
 ) -> TestReport:
     """Two-sided sign-flip permutation test of zero mean difference.
 
@@ -175,8 +174,6 @@ def sign_flip_pvalue(
         return np.abs(_modified_t(mean, var, mu3, n))
 
     p, strict = _permutation_pvalue(abs_t, *_sign_flips(n), R, seed, support)
-    meta = dict(metadata or {})
-    meta["strict_exceedance_proportion"] = strict
     return TestReport(
         method="anchored_johnson",
         statistic=t_obs,
@@ -184,7 +181,7 @@ def sign_flip_pvalue(
         replicates=R,
         seed=seed,
         alpha=alpha,
-        metadata=meta,
+        metadata={"strict_exceedance_proportion": strict},
     )
 
 
@@ -221,16 +218,15 @@ def anchored_test(
         raise VacuousTestError(
             "mapped community structures are identical; the paired test is vacuous"
         )
-    meta = {
+    report = sign_flip_pvalue(diff, R=R, seed=_child_seed(seed, 3), alpha=alpha)
+    return replace(report, metadata={
+        **report.metadata,
         "K": set1.K,
         "anchor_label": set1.anchor,
         "d1_label": set1.source,
         "d2_label": set2.source,
         "kmeans_restarts": cluster.RESTARTS,  # read at call time, as kmeans reads it
-    }
-    return sign_flip_pvalue(
-        diff, R=R, seed=_child_seed(seed, 3), alpha=alpha, metadata=meta
-    )
+    })
 
 
 def _paired_diff_rows(x, y) -> np.ndarray:

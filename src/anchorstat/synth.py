@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .battery import _check_test_settings, run_battery
-from .corpus import EmbeddingMatrix, PairedCollection, validate_pairing
+from .battery import run_battery
+from .corpus import EmbeddingMatrix, ExperimentGrid, PairedCollection, validate_pairing
 from .errors import AnchorstatError, GuardError, ParameterError
 from .sharding import run_sharded
 from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, _child_seed
@@ -175,9 +175,9 @@ def battery_pattern_counts(result) -> tuple[int, int, int, int]:
     rows = {row.pair: row for row in result.rows}
     drift = rows[("nonanchor_aligned_1", "nonanchor_drifted")]
     aligned = rows[("nonanchor_aligned_1", "nonanchor_aligned_2")]
-    drift_cells = [drift.anchored[K] for K in result.k_values]
+    drift_cells = [drift.anchored[K] for K in result.grid.k_values]
     drift_cells += [drift.baselines[b] for b in result.baselines]
-    aligned_cells = [aligned.anchored[K] for K in result.k_values]
+    aligned_cells = [aligned.anchored[K] for K in result.grid.k_values]
     return (
         sum(bool(c.reject) for c in drift_cells),
         len(drift_cells),
@@ -278,17 +278,18 @@ def _wilson_ci(successes: int, total: int, z: float = 1.959963984540054) -> tupl
 
 
 def _replicate(
-    scenario: str, cfg: ScenarioConfig, K: int, R: int, alpha: float, m: int
+    scenario: str, cfg: ScenarioConfig, grid: ExperimentGrid, m: int
 ) -> tuple[str, float]:
     """Replicate m's outcome ("reject", "accept" or "vacuous") and wall
-    time in seconds; it depends on (seed, m) alone, not on M, the process
-    or the order. A failed cell raises its error's message."""
+    time in seconds, from the battery of the one-K ``grid``; it depends
+    on (seed, m) alone, not on M, the process or the order. A failed cell
+    raises its error's message."""
     start = time.perf_counter()
     triple = generate_scenario(scenario, replace(cfg, seed=_child_seed(cfg.seed, m, 0)))
-    result = run_battery(triple, f"synth-{scenario}", (K,), R=R, alpha=alpha,
-                         seed=_child_seed(cfg.seed, m, 1), baselines=())
+    result = run_battery(triple, f"synth-{scenario}",
+                         replace(grid, seed=_child_seed(cfg.seed, m, 1)), baselines=())
     (row,) = result.rows
-    cell = row.anchored[K]
+    (cell,) = row.anchored.values()
     if cell.error is not None:
         raise AnchorstatError(cell.error)
     outcome = "vacuous" if cell.vacuous else "reject" if cell.reject else "accept"
@@ -318,11 +319,11 @@ def monte_carlo(
     """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
-    _check_test_settings(R, alpha)
     K_test = K if K is not None else cfg.K_true
     if not 2 <= K_test <= cfg.n:  # kmeans's own check, before any replicate runs
         raise ParameterError(f"K={K_test} out of range [2, n={cfg.n}]")
-    results = run_sharded(_replicate, (scenario, cfg, K_test, R, alpha), range(M), "replicates")
+    grid = ExperimentGrid((K_test,), alpha, R)  # refuses a bad alpha or R
+    results = run_sharded(_replicate, (scenario, cfg, grid), range(M), "replicates")
     outcomes = [outcome for outcome, _ in results]
     rejections = outcomes.count("reject")
     rate = rejections / M

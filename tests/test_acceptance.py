@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 
 from anchorstat.battery import run_battery
 from anchorstat.cli import main
-from anchorstat.corpus import EmbeddingMatrix
+from anchorstat.corpus import EmbeddingMatrix, ExperimentGrid
 from anchorstat.divergence import kl_divergence, wasserstein1
 from anchorstat.errors import DegenerateSampleError
 from anchorstat.stattests import (
@@ -182,10 +182,7 @@ def test_criterion_09_battery_patterns():
         result = run_battery(
             quad,
             dataset=f"synthetic-{seed}",
-            k_values=k_values,
-            R=999,
-            alpha=0.05,
-            seed=seed,
+            grid=ExperimentGrid(k_values=k_values, alpha=0.05, permutations=999, seed=seed),
         )
         tallies.append(battery_pattern_counts(result))
     reject_cells, reject_total, accept_cells, accept_total = map(sum, zip(*tallies))

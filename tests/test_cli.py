@@ -29,6 +29,7 @@ from anchorstat.battery import (
 from anchorstat.cli import build_parser, main
 from anchorstat.corpus import (
     EmbeddingMatrix,
+    ExperimentGrid,
     load_manifest,
     load_matrix,
     normalize_rows,
@@ -184,8 +185,8 @@ def test_battery_member_with_too_few_rows_errors_in_each_of_its_rows():
     members = dict(quad.members)
     two_rows = np.repeat([[0.0, 1.0], [2.0, 3.0]], 20, axis=0)
     members["nonanchor_drifted"] = EmbeddingMatrix(two_rows, label="nonanchor_drifted")
-    result = run_battery(validate_pairing(members), "quad", k_values=(2, 3), R=19,
-                         baselines=())
+    result = run_battery(validate_pairing(members), "quad",
+                         ExperimentGrid((2, 3), permutations=19), baselines=())
     message = "ERROR: fewer than K=3 distinct rows; cannot form K non-empty clusters"
     for row in result.rows:
         assert row.anchored[2].error is None
@@ -198,9 +199,12 @@ def test_battery_member_with_too_few_rows_errors_in_each_of_its_rows():
 @pytest.mark.parametrize("setting, message", [
     (dict(alpha=1.5), "alpha must be in (0,1), got 1.5"),
     (dict(alpha=0.0), "alpha must be in (0,1), got 0.0"),
-    (dict(R=0), "permutation count must be >= 1, got 0"),
+    (dict(permutations=0), "permutation count must be >= 1, got 0"),
+    (dict(k_values=(1, 2)), "grid K values must be >= 2, got (1, 2)"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
 ])
 def test_run_battery_refuses_a_bad_test_setting_before_clustering(monkeypatch, setting, message):
+    # the grid refuses it as it is built, so no battery starts
     from anchorstat import battery
     from anchorstat.errors import ParameterError
     from anchorstat.synth import ScenarioConfig, generate_null_triple
@@ -208,7 +212,8 @@ def test_run_battery_refuses_a_bad_test_setting_before_clustering(monkeypatch, s
     triple = generate_null_triple(ScenarioConfig(n=40, seed=2))
     monkeypatch.setattr(battery, "_member_sets", lambda *args: pytest.fail("clustered"))
     with pytest.raises(ParameterError, match=re.escape(message)):
-        run_battery(triple, "x", (2,), **{"R": 19, "baselines": ("nploc",), **setting})
+        run_battery(triple, "x", ExperimentGrid(**{"k_values": (2,), "permutations": 19,
+                                                   **setting}), baselines=("nploc",))
 
 
 def test_cli_import_loads_no_http_client():
@@ -281,7 +286,7 @@ def test_battery_csv_rows_keep_the_header_width():
     rng = np.random.default_rng(0)
     coll = validate_pairing({role: EmbeddingMatrix(values=rng.normal(size=(20, 30)))
                              for role in ("anchor", "na1", "na2")})
-    result = run_battery(coll, dataset="wide, real", k_values=(2,), R=19, alpha=0.05, seed=0)
+    result = run_battery(coll, "wide, real", ExperimentGrid((2,), alpha=0.05, permutations=19))
     assert result.rows[0].baselines["hotelling"].display.startswith("ERROR: need n > p, ")
     curves = [{"K": 2, "rho": 0.5, "kl": 0.1, "wasserstein": 0.2, "hypothesis_tag": "p1,p2"}]
     for text in (battery_csv(result), curves_csv(curves)):
@@ -572,10 +577,7 @@ def test_optional_flags_are_pinned():
 # a public class, defined in an anchorstat module, with its default
 LIBRARY_DEFAULTS = {
     "anchor.mapped_distances(source)": "",
-    "battery.run_battery(R)": 999,
-    "battery.run_battery(alpha)": 0.05,
     "battery.run_battery(baselines)": ("hotelling", "nploc", "energy"),
-    "battery.run_battery(seed)": 0,
     "battery.run_distance_curves(seed)": 0,
     "cli.main(argv)": None,
     "cluster.kmeans(debug)": False,
@@ -599,7 +601,6 @@ LIBRARY_DEFAULTS = {
     "stattests.nploc_mean_test(seed)": 0,
     "stattests.sign_flip_pvalue(R)": 999,
     "stattests.sign_flip_pvalue(alpha)": 0.05,
-    "stattests.sign_flip_pvalue(metadata)": None,
     "stattests.sign_flip_pvalue(seed)": 0,
     "synth.monte_carlo(K)": None,
     "synth.monte_carlo(R)": 999,
@@ -636,11 +637,9 @@ CONFIG_FIELDS = {
     "anchor.MappedDistanceSet": {"distances": REQUIRED, "source": REQUIRED,
                                  "anchor": REQUIRED, "K": REQUIRED},
     "battery.BatteryCell": {"display": REQUIRED, "report": None, "error": None},
-    "battery.BatteryResult": {"dataset": REQUIRED, "k_values": REQUIRED, "alpha": REQUIRED,
-                              "permutations": REQUIRED, "seed": REQUIRED,
-                              "baselines": REQUIRED, "rows": tuple},
-    "battery.BatteryRow": {"hypothesis": REQUIRED, "pair": REQUIRED, "anchored": REQUIRED,
-                           "baselines": REQUIRED},
+    "battery.BatteryResult": {"dataset": REQUIRED, "grid": REQUIRED, "baselines": REQUIRED,
+                              "rows": tuple},
+    "battery.BatteryRow": {"pair": REQUIRED, "anchored": REQUIRED, "baselines": REQUIRED},
     "cluster.Partition": {"assignment": REQUIRED, "K": REQUIRED, "wcss": REQUIRED},
     "corpus.DatasetManifest": {"entries": REQUIRED, "grid": REQUIRED, "label": ""},
     "corpus.EmbeddingMatrix": {"values": REQUIRED, "label": ""},

@@ -28,6 +28,7 @@ from anchorstat.errors import (
     DimensionError,
     ManifestError,
     PairingError,
+    ParameterError,
 )
 
 
@@ -236,12 +237,12 @@ def test_manifest_requires_two_nonanchors():
 
 
 def test_manifest_rejects_small_k():
-    with pytest.raises(ManifestError, match=">= 2"):
+    with pytest.raises(ParameterError, match=">= 2"):
         ExperimentGrid(k_values=(1, 2))
 
 
 def test_manifest_rejects_empty_k_grid():
-    with pytest.raises(ManifestError, match="grid K values must not be empty"):
+    with pytest.raises(ParameterError, match="grid K values must not be empty"):
         ExperimentGrid(k_values=())
 
 

@@ -160,6 +160,30 @@ def test_embed_rows_of_unequal_widths_are_a_transport_error(tmp_path):
     assert len(list((tmp_path / "cache").rglob("*.json"))) == 2
 
 
+@pytest.mark.parametrize("embedding, message", [
+    pytest.param([], "embedding rows are empty", id="empty"),
+    pytest.param([1.0, float("nan")], "embedding rows hold a NaN or infinite value", id="nan"),
+    pytest.param([float("inf"), 0.0], "embedding rows hold a NaN or infinite value", id="inf"),
+])
+def test_embed_bad_rows_are_retried_and_never_cached(tmp_path, embedding, message):
+    calls = []
+
+    def bad(url, headers, payload, timeout_s):
+        calls.append(payload["input"])
+        return {"data": [{"index": i, "embedding": embedding}
+                         for i in range(len(payload["input"]))]}
+
+    with pytest.raises(TransportError, match=message):
+        embed_batch(["a", "b"], _config(tmp_path, bad))
+    assert len(calls) == llmpipeline.MAX_RETRIES
+    assert not list((tmp_path / "cache").rglob("*.json"))
+    # nothing of the bad body is read back: a good endpoint gets both texts
+    fake = FakeEmbed()
+    m = embed_batch(["a", "b"], _config(tmp_path, fake))
+    assert fake.seen == ["a", "b"]
+    np.testing.assert_array_equal(m.values, [[1.0, 0.0, 0.0, 0.0]] * 2)
+
+
 def test_truncated_cache_entry_is_a_miss(tmp_path):
     embed_batch(["one", "two"], _config(tmp_path, FakeEmbed()))
     key = _cache_key("embed", model=ClientConfig().embed_model, text="one")

@@ -23,7 +23,7 @@ from anchorstat.battery import (
     run_distance_curves,
 )
 from anchorstat.cli import main
-from anchorstat.corpus import EmbeddingMatrix, load_manifest, save_matrix
+from anchorstat.corpus import EmbeddingMatrix, ExperimentGrid, load_manifest, save_matrix
 from anchorstat.errors import AnchorstatError, DegeneracyError, ParameterError
 from anchorstat.stattests import _child_seed
 from anchorstat.synth import ScenarioConfig, monte_carlo
@@ -277,8 +277,8 @@ def test_battery_joint_mode_reduces_once(tmp_path, monkeypatch, fmt, baselines):
     manifest = load_manifest(manifest_path)
     collection = manifest.load_collection(manifest_path.parent)
     members = reduce_members(collection.members, 2, collection.temperatures, names)
-    result = run_battery(members, manifest.label, (2, 3), R=49,
-                         alpha=manifest.grid.alpha, seed=3, baselines=names)
+    grid = ExperimentGrid((2, 3), manifest.grid.alpha, 49, 3)
+    result = run_battery(members, manifest.label, grid, baselines=names)
     expected = battery_json(result) if fmt == "json" else battery_csv(result)
     assert out.read_text() == expected
 
@@ -293,7 +293,8 @@ def test_battery_without_a_joint_half_refuses_baselines_before_kmeans(monkeypatc
     pin_cpus(1)
     monkeypatch.setattr(battery, "kmeans", lambda *a, **k: fits.append(a))
     with pytest.raises(ParameterError, match=r"baselines \['hotelling'\] need the joint"):
-        run_battery((own, None), "quad", (2,), R=19, baselines=("hotelling",))
+        run_battery((own, None), "quad", ExperimentGrid((2,), permutations=19),
+                    baselines=("hotelling",))
     assert fits == []
 
 

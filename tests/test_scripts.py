@@ -86,6 +86,40 @@ def test_size_power_study_out_is_byte_identical_across_reruns(tmp_path):
     assert written[0] == written[1]
 
 
+def test_synthetic_battery_tables_equal_the_cli_battery(tmp_path):
+    # the script's table for seed s is `anchorstat battery --seed s` on
+    # the same quad, written as a manifest labelled synthetic-{s}
+    from anchorstat.corpus import (
+        DatasetManifest, ExperimentGrid, ManifestEntry, save_manifest, save_matrix,
+    )
+    from anchorstat.synth import ScenarioConfig, generate_battery_quad
+
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "synthetic_battery.py"), "--seeds", "2",
+         "--n", "60", "--k-grid", "2,3", "--permutations", "99", "--out-dir", "script"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    for seed in range(2):
+        quad = generate_battery_quad(ScenarioConfig(n=60, community_separation=10.0, seed=seed))
+        d = tmp_path / f"quad{seed}"
+        entries = []
+        for role in quad.roles:
+            save_matrix(quad.member(role), d / f"{role}.csv", fmt="csv")
+            entries.append(ManifestEntry(path=f"{role}.csv", role=role))
+        grid = ExperimentGrid(k_values=(2, 3), permutations=99)
+        save_manifest(DatasetManifest(tuple(entries), grid, f"synthetic-{seed}"),
+                      d / "manifest.json")
+        rc = cli.main(["battery", "--manifest", str(d / "manifest.json"), "--seed", str(seed),
+                       "--out", str(d / "battery.csv")])
+        assert rc == 0
+        script_table = (tmp_path / "script" / f"battery-{seed}.csv").read_bytes()
+        assert (d / "battery.csv").read_bytes() == script_table
+
+
 # each script's bad inputs, for the flags it declares: the CLI's refusals
 _BAD_INPUTS = {
     "size_power_study.py": [["--alpha", "0"], ["--permutations", "0"], ["--seed", "-1"]],

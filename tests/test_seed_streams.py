@@ -7,6 +7,7 @@ it, fails here. A deliberate change of a stream updates these literals.
 
 from anchorstat import battery, synth
 from anchorstat.battery import run_battery
+from anchorstat.corpus import ExperimentGrid
 from anchorstat.stattests import anchored_test
 from anchorstat.synth import (
     ScenarioConfig,
@@ -18,7 +19,7 @@ from anchorstat.synth import (
 
 def test_battery_cell_seed():
     quad = generate_battery_quad(ScenarioConfig(n=40, seed=3))
-    result = run_battery(quad, "quad", (2,), seed=11, baselines=("hotelling",))
+    result = run_battery(quad, "quad", ExperimentGrid((2,), seed=11), baselines=("hotelling",))
     rows = {row.pair: row for row in result.rows}
     # a baseline cell reports the cell seed itself
     cell = rows[("nonanchor_aligned_1", "nonanchor_drifted")].baselines["hotelling"]
@@ -38,7 +39,7 @@ def test_battery_partition_seeds(monkeypatch, pin_cpus):
     # one process, so the spy sees every (member, K) task
     pin_cpus(1)
     quad = generate_battery_quad(ScenarioConfig(n=40, seed=3))
-    run_battery(quad, "quad", k_values=(2, 3), R=19, seed=11, baselines=())
+    run_battery(quad, "quad", ExperimentGrid((2, 3), permutations=19, seed=11), baselines=())
     assert sorted(calls) == [
         ("nonanchor_aligned_1", 2, 3165633387),
         ("nonanchor_aligned_1", 3, 1928603395),
@@ -64,9 +65,9 @@ def test_monte_carlo_replicate_seeds(monkeypatch, pin_cpus):
         data_seeds.append(cfg.seed)
         return generate(cfg)
 
-    def test_spy(*args, seed, **kwargs):
-        test_seeds.append(seed)
-        return test(*args, seed=seed, **kwargs)
+    def test_spy(collection, dataset, grid, **kwargs):
+        test_seeds.append(grid.seed)
+        return test(collection, dataset, grid, **kwargs)
 
     monkeypatch.setattr(synth, "generate_null_triple", generate_spy)
     monkeypatch.setattr(synth, "run_battery", test_spy)

@@ -6,6 +6,7 @@ import pytest
 
 from anchorstat import cli, stattests, synth
 from anchorstat.battery import BatteryCell, BatteryResult, BatteryRow
+from anchorstat.corpus import ExperimentGrid
 from anchorstat.errors import GuardError, ParameterError
 from anchorstat.stattests import _child_seed
 from anchorstat.synth import (
@@ -231,12 +232,12 @@ def test_battery_pattern_counts_do_not_count_error_cells_as_acceptances():
     error = BatteryCell(display="ERROR: x", error="x")
     rejected = BatteryCell(display="< 1e-2*", report=report(0.01))
     rows = (
-        BatteryRow("aligned", ("nonanchor_aligned_1", "nonanchor_aligned_2"),
+        BatteryRow(("nonanchor_aligned_1", "nonanchor_aligned_2"),
                    {2: ok, 3: identical, 4: error}, {}),
-        BatteryRow("drifted", ("nonanchor_aligned_1", "nonanchor_drifted"),
+        BatteryRow(("nonanchor_aligned_1", "nonanchor_drifted"),
                    {2: rejected, 3: error, 4: rejected}, {}),
     )
-    result = BatteryResult("quad", (2, 3, 4), 0.05, 99, 0, (), rows)
+    result = BatteryResult("quad", ExperimentGrid((2, 3, 4), 0.05, 99), (), rows)
     assert synth.battery_pattern_counts(result) == (2, 3, 2, 3)
 
 
@@ -281,10 +282,10 @@ def _spy_replicates(monkeypatch, pin_cpus):
         seeds.append(cfg.seed)
         return generate(scenario, cfg)
 
-    def run_battery_spy(*args, seed, **kwargs):
-        result = run_battery(*args, seed=seed, **kwargs)
+    def run_battery_spy(collection, dataset, grid, **kwargs):
+        result = run_battery(collection, dataset, grid, **kwargs)
         (cell,) = result.rows[0].anchored.values()
-        outcomes.append((seed, "vacuous" if cell.vacuous else cell.report))
+        outcomes.append((grid.seed, "vacuous" if cell.vacuous else cell.report))
         return result
 
     monkeypatch.setattr(synth, "generate_scenario", generate_spy)
