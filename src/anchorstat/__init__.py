@@ -3,12 +3,7 @@ embedding datasets: corpus handling, PCA reduction, k-means partitions,
 anchor mapping, the sign-flip modified-t test with baselines, divergence
 diagnostics, and synthetic generators."""
 
-from .anchor import (
-    MappedDistanceSet,
-    mapped_centers,
-    mapped_distances,
-    paired_differences,
-)
+from .anchor import mapped_centers, mapped_distances
 from .cluster import Partition, kmeans
 from .corpus import (
     DatasetManifest,
@@ -50,10 +45,8 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MappedDistanceSet",
     "mapped_centers",
     "mapped_distances",
-    "paired_differences",
     "Partition",
     "kmeans",
     "DatasetManifest",

@@ -2,17 +2,17 @@
 to the paired baselines, and the divergence curves over a temperature
 family.
 
-A member has one partition at each K: `mapped_member` clusters it with
-a seed derived from (seed, role, K) and maps the partition onto the
-anchor. `run_battery` and the divergence curves compute every
-(member, K) set up front, spread over worker processes, and the battery
-shares each set across every pair the member is in. Each cell then runs
-in this process with a seed derived from (seed, dataset, pair, K or
-baseline name) for the sign flips or the baseline, so results do not
-depend on scheduling. A Monte Carlo replicate is a one-cell battery:
-`run_battery` on the generated triple at one K without baselines. A
-cell keeps its test's whole `TestReport`, which the JSON table writes
-out.
+A member has one partition at each K: `member_partition` clusters it
+with a seed derived from (seed, role, K). `run_battery` and the
+divergence curves compute every (member, K) partition up front, spread
+over worker processes, and the battery shares each partition across
+every pair the member is in. Each cell then runs in this process: it
+maps its two partitions onto the anchor and draws the sign flips or
+the baseline with a seed derived from (seed, dataset, pair, K or
+baseline name), so results do not depend on scheduling. A Monte Carlo
+replicate is a one-cell battery: `run_battery` on the generated triple
+at one K without baselines. A cell keeps its test's whole
+`TestReport`, which the JSON table writes out.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, MutableMapping
 
 from . import divergence, preprocess
-from .anchor import MappedDistanceSet, mapped_distances
-from .cluster import kmeans
+from .anchor import mapped_distances
+from .cluster import Partition, kmeans
 from .corpus import (
     ANCHOR_ROLE, EmbeddingMatrix, ExperimentGrid, PairedCollection, validate_pairing,
 )
@@ -121,42 +121,40 @@ def _cell_seed(seed: int, *names) -> int:
     return _child_seed(seed, *(zlib.crc32(str(n).encode()) for n in names))
 
 
-def mapped_member(
+def member_partition(
     collection: PairedCollection, role: str, K: int, seed: int
-) -> MappedDistanceSet:
-    """Member ``role``'s partition at K, mapped onto the anchor: the one
-    partition of that member at K for a given seed, whichever row, cell
-    or curve uses it."""
-    part = kmeans(collection.member(role), K, seed=_cell_seed(seed, role, K))
-    return mapped_distances(collection.anchor, part, source=role)
+) -> Partition:
+    """Member ``role``'s partition at K: the one partition of that member
+    at K for a given seed, whichever row, cell or curve uses it."""
+    return kmeans(collection.member(role), K, seed=_cell_seed(seed, role, K))
 
 
-def _mapped_member_or_error(collection: PairedCollection, seed: int, task: tuple):
-    """`mapped_member` for ``task`` = (role, K), or the `AnchorstatError`
-    it fails with."""
+def _member_partition_or_error(collection: PairedCollection, seed: int, task: tuple):
+    """`member_partition` for ``task`` = (role, K), or the
+    `AnchorstatError` it fails with."""
     try:
-        return mapped_member(collection, *task, seed)
+        return member_partition(collection, *task, seed)
     except AnchorstatError as exc:
         return exc
 
 
-def _member_sets(collection: PairedCollection, roles: list, k_values, seed: int):
-    """``member_set(role, K)`` for every role and K, computed up front by
+def _member_partitions(collection: PairedCollection, roles: list, k_values, seed: int):
+    """``partition(role, K)`` for every role and K, computed up front by
     `run_sharded` over the role-major task list. The lookup raises the
     error of a member that could not be clustered, each time it is asked
     for it."""
     tasks = [(role, K) for role in roles for K in k_values]
-    sets = dict(zip(tasks, run_sharded(
-        _mapped_member_or_error, (collection, seed), tasks, "(member, K) tasks"
+    parts = dict(zip(tasks, run_sharded(
+        _member_partition_or_error, (collection, seed), tasks, "(member, K) tasks"
     )))
 
-    def member_set(role: str, K: int) -> MappedDistanceSet:
-        found = sets[(role, K)]
+    def partition(role: str, K: int) -> Partition:
+        found = parts[(role, K)]
         if isinstance(found, AnchorstatError):
             raise found
         return found
 
-    return member_set
+    return partition
 
 
 def _error_cell(exc: Exception) -> BatteryCell:
@@ -215,9 +213,9 @@ def run_battery(
     R, alpha, seed = grid.permutations, grid.alpha, grid.seed
     tasks = [(pair, method) for pair in pairs for method in (*grid.k_values, *baselines)]
 
-    # one distance set per (member, K), shared by the member's rows; a
+    # one partition per (member, K), shared by the member's rows; a
     # member that cannot be clustered shows its error in each of its cells
-    member_set = _member_sets(own, own.nonanchor_roles, grid.k_values, seed)
+    partition = _member_partitions(own, own.nonanchor_roles, grid.k_values, seed)
 
     def compute(task) -> BatteryCell:
         (r1, r2), method = task
@@ -226,7 +224,8 @@ def run_battery(
             if isinstance(method, str):
                 report = BASELINES[method](joint.member(r1), joint.member(r2), R, cell_seed, alpha)
             else:
-                report = anchored_test(member_set(r1, method), member_set(r2, method),
+                report = anchored_test(own.anchor, (r1, partition(r1, method)),
+                                       (r2, partition(r2, method)),
                                        R=R, seed=cell_seed, alpha=alpha)
         except AnchorstatError as exc:
             return _error_cell(exc)
@@ -314,14 +313,14 @@ def run_distance_curves(
     if not varying:
         raise ManifestError("distance curves need at least one varying member")
 
-    member_set = _member_sets(collection, [base_role, *varying], k_values, seed)
+    partition = _member_partitions(collection, [base_role, *varying], k_values, seed)
     rows = []
     for K in k_values:
-        set_base = member_set(base_role, K)
+        d_base = mapped_distances(collection.anchor, partition(base_role, K))
         for role in varying:
-            set_rho = member_set(role, K)
-            kl = divergence.kl_divergence(set_base.distances, set_rho.distances)
-            w1 = divergence.wasserstein1(set_base.distances, set_rho.distances)
+            d_rho = mapped_distances(collection.anchor, partition(role, K))
+            kl = divergence.kl_divergence(d_base, d_rho)
+            w1 = divergence.wasserstein1(d_base, d_rho)
             rows.append(
                 {
                     "K": K,

@@ -44,6 +44,11 @@ class Partition:
             raise DegeneracyError(f"empty clusters in partition: {missing}")
         object.__setattr__(self, "assignment", arr)
 
+    def __reduce__(self):
+        # rebuilt through __init__, so a partition from a worker process
+        # is read-only too
+        return Partition, (self.assignment, self.K, self.wcss)
+
     @property
     def n(self) -> int:
         return self.assignment.shape[0]

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import os
 import shutil
 import struct
@@ -374,8 +375,9 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class ExperimentGrid:
     """The test settings of one experiment: every K of the battery, the
-    level, the permutation count and the root seed. A value out of range
-    is a ParameterError, raised when the grid is built."""
+    level, the permutation count and the root seed. A value of the wrong
+    type or out of range is a ParameterError, raised when the grid is
+    built."""
 
     k_values: tuple[int, ...] = (2, 3, 4, 5)
     alpha: float = 0.05
@@ -385,6 +387,17 @@ class ExperimentGrid:
     def __post_init__(self):
         if not self.k_values:
             raise ParameterError("grid K values must not be empty")
+        # bools are ints to Python, but not counts or seeds
+        if not all(type(k) is int for k in self.k_values):
+            raise ParameterError(f"grid K values must be integers, got {self.k_values}")
+        if not isinstance(self.alpha, numbers.Real):
+            raise ParameterError(f"alpha must be a real number, got {self.alpha!r}")
+        if type(self.permutations) is not int:
+            raise ParameterError(
+                f"permutation count must be an integer, got {self.permutations!r}"
+            )
+        if type(self.seed) is not int:
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
         if any(k < 2 for k in self.k_values):
             raise ParameterError(f"grid K values must be >= 2, got {self.k_values}")
         if len(set(self.k_values)) != len(self.k_values):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -71,11 +72,20 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def _cache_read(cache_dir: Path, key: str):
-    """The cached output, or None on a miss; an unparsable entry is a miss."""
+    """The cached output, or None on a miss. An entry that does not parse,
+    or whose output is not a non-empty list of finite floats (such as an
+    empty or NaN row an earlier version cached), is a miss: its text is
+    fetched again and the entry overwritten."""
     try:
-        return json.loads(_cache_path(cache_dir, key).read_text())["output"]
+        output = json.loads(_cache_path(cache_dir, key).read_text())["output"]
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
+    # every row this module caches is a list of floats
+    if type(output) is list and output and all(
+        type(v) is float and math.isfinite(v) for v in output
+    ):
+        return output
+    return None
 
 
 def _cache_write(cache_dir: Path, key: str, output) -> None:

@@ -10,9 +10,10 @@ with se = sqrt(var/n), var the (n-1)-denominator sample variance and
 mu3 = sum((d - dbar)^3) / (n-1). Its null distribution is estimated by
 flipping the sign of each paired difference independently.
 
-`anchored_test` applies it to two mapped distance sets over one anchor;
-the partitions behind those sets are chosen and clustered elsewhere
-(`battery.mapped_member`), so nothing here clusters.
+`anchored_test` maps two partitions onto one anchor and applies it to
+the differences of the mapped distances; the partitions are chosen and
+clustered elsewhere (`battery.member_partition`), so nothing here
+clusters.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .anchor import MappedDistanceSet, paired_differences
+from .anchor import mapped_distances
 from . import cluster
-from .cluster import _BLOCK_ENTRIES
-from .corpus import _check_finite, _sample_rows
+from .cluster import _BLOCK_ENTRIES, Partition
+from .corpus import EmbeddingMatrix, _check_finite, _sample_rows
 from .errors import (
     DegeneracyError,
     DegenerateSampleError,
@@ -193,27 +194,31 @@ def _child_seed(seed: int, *path: int) -> int:
 
 
 def anchored_test(
-    set1: MappedDistanceSet,
-    set2: MappedDistanceSet,
+    anchor: EmbeddingMatrix,
+    first: tuple[str, Partition],
+    second: tuple[str, Partition],
     R: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
     alpha: float = DEFAULT_ALPHA,
 ) -> TestReport:
-    """Test whether two non-anchor partitions, given as their distance
-    sets over one anchor at one K, describe one community structure.
+    """Test whether two non-anchor partitions at one K, each given with
+    its member's role, describe one community structure over ``anchor``.
 
-    Applies the sign-flip modified-t test to the paired differences
-    set1 - set2, with child stream 3 of ``seed``. Which partition
-    describes a member is decided by the caller (`battery.mapped_member`).
-    Sets at different K raise ParameterError; identical sets leave
-    nothing to test and raise VacuousTestError.
+    Maps both partitions onto the anchor and applies the sign-flip
+    modified-t test to the paired differences of the mapped distances,
+    first minus second, with child stream 3 of ``seed``. Which partition
+    describes a member is decided by the caller
+    (`battery.member_partition`). Partitions at different K raise
+    ParameterError; identical mappings leave nothing to test and raise
+    VacuousTestError.
     """
-    if set1.K != set2.K:
+    (role1, part1), (role2, part2) = first, second
+    if part1.K != part2.K:
         raise ParameterError(
-            f"distance sets of '{set1.source}' and '{set2.source}' are at "
-            f"different K: {set1.K} vs {set2.K}"
+            f"partitions of '{role1}' and '{role2}' are at "
+            f"different K: {part1.K} vs {part2.K}"
         )
-    diff = paired_differences(set1, set2)
+    diff = mapped_distances(anchor, part1) - mapped_distances(anchor, part2)
     if np.all(diff == 0.0):
         raise VacuousTestError(
             "mapped community structures are identical; the paired test is vacuous"
@@ -221,10 +226,10 @@ def anchored_test(
     report = sign_flip_pvalue(diff, R=R, seed=_child_seed(seed, 3), alpha=alpha)
     return replace(report, metadata={
         **report.metadata,
-        "K": set1.K,
-        "anchor_label": set1.anchor,
-        "d1_label": set1.source,
-        "d2_label": set2.source,
+        "K": part1.K,
+        "anchor_label": anchor.label,
+        "d1_label": role1,
+        "d2_label": role2,
         "kmeans_restarts": cluster.RESTARTS,  # read at call time, as kmeans reads it
     })
 

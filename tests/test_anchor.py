@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from anchorstat.anchor import (
-    MappedDistanceSet,
-    mapped_centers,
-    mapped_distances,
-    paired_differences,
-)
+from anchorstat.anchor import mapped_centers, mapped_distances
 from anchorstat.cluster import Partition
 from anchorstat.corpus import EmbeddingMatrix
 from anchorstat.errors import PairingError
@@ -46,39 +41,19 @@ def test_centers_size_mismatch():
 
 def test_distances_direct():
     anchor = _anchor([[0.0], [2.0], [10.0]])
-    dset = mapped_distances(anchor, _part([0, 0, 1], 2), source="d1")
-    np.testing.assert_allclose(dset.distances, [1.0, 1.0, 0.0])
-    assert dset.source == "d1"
-    assert dset.anchor == "anchor"
+    dist = mapped_distances(anchor, _part([0, 0, 1], 2))
+    np.testing.assert_allclose(dist, [1.0, 1.0, 0.0])
+    assert dist.dtype == float and dist.ndim == 1 and not dist.flags.writeable
 
 
 def test_singleton_cluster_member_distance_zero():
     anchor = _anchor([[4.0, 4.0], [0.0, 0.0], [1.0, 1.0]])
-    dset = mapped_distances(anchor, _part([0, 1, 1], 2))
-    assert dset.distances[0] == 0.0
+    assert mapped_distances(anchor, _part([0, 1, 1], 2))[0] == 0.0
 
 
 def test_identical_anchor_rows_all_zero():
     anchor = _anchor([[2.0, 2.0]] * 4)
-    dset = mapped_distances(anchor, _part([0, 1, 0, 1], 2))
-    np.testing.assert_array_equal(dset.distances, np.zeros(4))
-
-
-def test_paired_differences_zero_and_arithmetic():
-    a = MappedDistanceSet(distances=np.array([1.0, 1.0, 0.0]), source="x", anchor="A", K=2)
-    b = MappedDistanceSet(distances=np.array([0.0, 1.0, 1.0]), source="y", anchor="A", K=2)
-    same = paired_differences(a, a)
-    np.testing.assert_array_equal(same, np.zeros(3))
-    diff = paired_differences(a, b)
-    np.testing.assert_array_equal(diff, [1.0, 0.0, -1.0])
-    assert diff.dtype == float and not diff.flags.writeable
-
-
-def test_paired_differences_anchor_mismatch():
-    a = MappedDistanceSet(distances=np.array([1.0]), source="x", anchor="A", K=2)
-    b = MappedDistanceSet(distances=np.array([1.0]), source="y", anchor="B", K=2)
-    with pytest.raises(PairingError, match="different anchors"):
-        paired_differences(a, b)
+    np.testing.assert_array_equal(mapped_distances(anchor, _part([0, 1, 0, 1], 2)), np.zeros(4))
 
 
 def test_relabeling_invariance():
@@ -90,7 +65,7 @@ def test_relabeling_invariance():
     base = mapped_distances(anchor, _part(assignment, 3))
     perm = np.array([2, 0, 1])
     relabeled = mapped_distances(anchor, _part(perm[assignment], 3))
-    np.testing.assert_allclose(relabeled.distances, base.distances, atol=1e-12)
+    np.testing.assert_allclose(relabeled, base, atol=1e-12)
 
 
 def test_equal_set_partitions_give_identical_mappings():
@@ -99,7 +74,7 @@ def test_equal_set_partitions_give_identical_mappings():
     assignment = np.array([0, 1] * 7 + [0])
     a = mapped_distances(anchor, _part(assignment, 2))
     b = mapped_distances(anchor, _part(1 - assignment, 2))
-    np.testing.assert_array_equal(a.distances, b.distances)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_translation_equivariance():
@@ -111,9 +86,12 @@ def test_translation_equivariance():
     part = _part(assignment, 2)
     base = mapped_distances(EmbeddingMatrix(values=X, label="a"), part)
     shifted = mapped_distances(EmbeddingMatrix(values=X + 7.5, label="a"), part)
-    np.testing.assert_allclose(shifted.distances, base.distances, atol=1e-9)
+    np.testing.assert_allclose(shifted, base, atol=1e-9)
 
 
-def test_distance_set_rejects_negative():
-    with pytest.raises(PairingError):
-        MappedDistanceSet(distances=np.array([-0.1]), source="s", anchor="a", K=2)
+def test_mapped_distances_refuses_overflowing_rows():
+    # rows of about +-1e308 in one cluster: their distances overflow
+    anchor = _anchor([[1e308], [-1e308], [0.0], [1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PairingError, match="distances must be finite and nonnegative"):
+            mapped_distances(anchor, _part([0, 0, 1, 1], 2))

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from anchorstat import sharding
-from anchorstat.anchor import MappedDistanceSet
 from anchorstat.cli import main
+from anchorstat.cluster import Partition
 from anchorstat.corpus import (
     DatasetManifest,
     EmbeddingMatrix,
@@ -109,12 +109,12 @@ def test_pca_outputs_identical_across_blas_threads(tmp_path, blas):
 
 
 def test_member_set_from_a_worker_is_read_only():
-    # sets come back from worker processes pickled
-    sent = MappedDistanceSet(distances=np.array([0.5, 1.0]), source="m", anchor="a", K=2)
+    # partitions come back from worker processes pickled
+    sent = Partition(assignment=np.array([1, 0, 1]), K=2, wcss=0.5)
     got = pickle.loads(pickle.dumps(sent))
-    assert got.distances.tolist() == [0.5, 1.0]
-    assert (got.source, got.anchor, got.K) == ("m", "a", 2)
-    assert not got.distances.flags.writeable
+    assert got.assignment.tolist() == [1, 0, 1]
+    assert (got.K, got.wcss) == (2, 0.5)
+    assert not got.assignment.flags.writeable
 
 
 def _threads_for_item(fail_at, item):

@@ -23,7 +23,7 @@ from anchorstat.battery import (
     battery_csv,
     curves_csv,
     format_p,
-    mapped_member,
+    member_partition,
     run_battery,
 )
 from anchorstat.cli import build_parser, main
@@ -126,8 +126,8 @@ def test_battery_cell_reports_are_direct_test_reports(tmp_path):
             if isinstance(method, str):
                 report = BASELINES[method](coll.member(r1), coll.member(r2), 49, seed, 0.05)
             else:
-                report = anchored_test(mapped_member(coll, r1, method, 1),
-                                       mapped_member(coll, r2, method, 1),
+                report = anchored_test(coll.anchor, (r1, member_partition(coll, r1, method, 1)),
+                                       (r2, member_partition(coll, r2, method, 1)),
                                        R=49, seed=seed, alpha=0.05)
         except AnchorstatError:
             assert cell["report"] is None
@@ -143,27 +143,31 @@ def test_battery_cell_reports_are_direct_test_reports(tmp_path):
 
 def test_battery_and_distances_share_one_mapped_set_per_member_and_k(tmp_path, monkeypatch):
     # every anchored cell of a battery, and the `distances` rows on the same
-    # manifest and seed, describe a member at K by one distance set
-    from anchorstat import stattests
+    # manifest and seed, describe a member at K by one partition
+    from anchorstat import battery
+    from anchorstat.anchor import mapped_distances
+    from anchorstat.cluster import Partition
     from anchorstat.divergence import kl_divergence, wasserstein1
 
     manifest = _family_manifest(tmp_path, seed=3)
+    anchor = load_manifest(manifest).load_collection(manifest.parent).anchor
     seen = {}
-    paired_differences = stattests.paired_differences
+    test = battery.anchored_test
 
-    def spy(a, b):
-        for s in (a, b):
-            seen.setdefault((s.source, s.K), set()).add(s.distances.tobytes())
-        return paired_differences(a, b)
+    def spy(anchor, *members, **kwargs):
+        for role, part in members:
+            seen.setdefault((role, part.K), set()).add(part.assignment.tobytes())
+        return test(anchor, *members, **kwargs)
 
-    monkeypatch.setattr(stattests, "paired_differences", spy)
+    monkeypatch.setattr(battery, "anchored_test", spy)
     grid = ("--k-grid", "2,3,4,5", "--seed", 7)
     rc = run_cli("battery", "--manifest", manifest, *grid, "--permutations", 19,
                  "--baselines", "none", "--out", tmp_path / "battery.csv")
     assert rc == 0
     assert len(seen) == 4 * 4  # four non-anchors at four K
     assert all(len(v) == 1 for v in seen.values())
-    sets = {key: np.frombuffer(v.pop()) for key, v in seen.items()}
+    sets = {(role, K): mapped_distances(anchor, Partition(np.frombuffer(v.pop(), np.intp), K, 0.0))
+            for (role, K), v in seen.items()}
 
     out = tmp_path / "curves.csv"
     assert run_cli("distances", "--manifest", manifest, *grid, "--out", out) == 0
@@ -196,6 +200,30 @@ def test_battery_member_with_too_few_rows_errors_in_each_of_its_rows():
             assert row.anchored[3].error is None
 
 
+
+def test_overflowing_anchor_distances_error_in_battery_cells_and_distances(tmp_path, capsys):
+    # anchor rows of about +-1e308 overflow every mapped distance: each
+    # anchored cell renders the refusal and `distances` stops with it
+    manifest = _family_manifest(tmp_path, seed=3)
+    anchor = load_matrix(tmp_path / "anchor.csv")
+    values = anchor.values.copy()
+    values[:2, 0] = [1e308, -1e308]
+    save_matrix(EmbeddingMatrix(values, label="anchor"), tmp_path / "anchor.csv")
+    message = "distances must be finite and nonnegative"
+    out = tmp_path / "battery.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("battery", "--manifest", manifest, "--k-grid", "2,3",
+                       "--permutations", 19, "--baselines", "none", "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("distances", "--manifest", manifest, "--k-grid", "2,3") == 1
+    rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+    assert len(rows) == 6 and all(row[2:4] == [f"ERROR: {message}"] * 2 for row in rows)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [ln for ln in captured.err.splitlines() if not ln.startswith("seed:")] == [
+        f"error: {message}"
+    ]
+
 @pytest.mark.parametrize("setting, message", [
     (dict(alpha=1.5), "alpha must be in (0,1), got 1.5"),
     (dict(alpha=0.0), "alpha must be in (0,1), got 0.0"),
@@ -210,7 +238,7 @@ def test_run_battery_refuses_a_bad_test_setting_before_clustering(monkeypatch, s
     from anchorstat.synth import ScenarioConfig, generate_null_triple
 
     triple = generate_null_triple(ScenarioConfig(n=40, seed=2))
-    monkeypatch.setattr(battery, "_member_sets", lambda *args: pytest.fail("clustered"))
+    monkeypatch.setattr(battery, "_member_partitions", lambda *args: pytest.fail("clustered"))
     with pytest.raises(ParameterError, match=re.escape(message)):
         run_battery(triple, "x", ExperimentGrid(**{"k_values": (2,), "permutations": 19,
                                                    **setting}), baselines=("nploc",))
@@ -493,7 +521,7 @@ def test_distances_monotone_family(tmp_path):
 
 def test_distances_identical_sets_zero_row(tmp_path):
     # drift fraction 0 plus wide separation: both members recover the same
-    # partition, so the mapped distance sets coincide exactly
+    # partition, so the mapped distances coincide exactly
     from anchorstat.corpus import DatasetManifest, ExperimentGrid, ManifestEntry, save_manifest
     from anchorstat.synth import ScenarioConfig, generate_drift_family
 
@@ -576,7 +604,6 @@ def test_optional_flags_are_pinned():
 # every defaulted parameter of a public function, or of a public method of
 # a public class, defined in an anchorstat module, with its default
 LIBRARY_DEFAULTS = {
-    "anchor.mapped_distances(source)": "",
     "battery.run_battery(baselines)": ("hotelling", "nploc", "energy"),
     "battery.run_distance_curves(seed)": 0,
     "cli.main(argv)": None,
@@ -634,8 +661,6 @@ def test_library_defaults_are_pinned():
 # its default: REQUIRED when it has none, the factory when it has one
 REQUIRED = "required"
 CONFIG_FIELDS = {
-    "anchor.MappedDistanceSet": {"distances": REQUIRED, "source": REQUIRED,
-                                 "anchor": REQUIRED, "K": REQUIRED},
     "battery.BatteryCell": {"display": REQUIRED, "report": None, "error": None},
     "battery.BatteryResult": {"dataset": REQUIRED, "grid": REQUIRED, "baselines": REQUIRED,
                               "rows": tuple},
@@ -688,9 +713,9 @@ def test_config_fields_are_pinned():
 # every public function and class defined in an anchorstat module: a new
 # or removed name needs a deliberate edit here
 PUBLIC_NAMES = {
-    "anchor": "MappedDistanceSet mapped_centers mapped_distances paired_differences",
+    "anchor": "mapped_centers mapped_distances",
     "battery": "BatteryCell BatteryResult BatteryRow battery_csv battery_json curves_csv "
-               "format_p mapped_member reduce_members run_battery run_distance_curves",
+               "format_p member_partition reduce_members run_battery run_distance_curves",
     "cli": "build_parser cmd_battery cmd_distances cmd_embed cmd_ingest cmd_mc cmd_synth main",
     "cluster": "Partition kmeans",
     "corpus": "DatasetManifest EmbeddingMatrix ExperimentGrid ManifestEntry PairedCollection "

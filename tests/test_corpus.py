@@ -246,6 +246,20 @@ def test_manifest_rejects_empty_k_grid():
         ExperimentGrid(k_values=())
 
 
+@pytest.mark.parametrize("args, message", [
+    (((2.0, 3),), "grid K values must be integers, got (2.0, 3)"),
+    (((True, 3),), "grid K values must be integers, got (True, 3)"),
+    (((2,), "0.05"), "alpha must be a real number, got '0.05'"),
+    (((2,), 0.05, 19.5), "permutation count must be an integer, got 19.5"),
+    (((2,), 0.05, True), "permutation count must be an integer, got True"),
+    (((2,), 0.05, 19, 1.0), "seed must be an integer, got 1.0"),
+    (((2,), 0.05, 19, False), "seed must be an integer, got False"),
+])
+def test_grid_refuses_a_setting_of_the_wrong_type(args, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        ExperimentGrid(*args)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("temperature", "0.7", "'temperature' must be null or a finite number, got '0.7'"),
     ("temperature", float("nan"), "'temperature' must be null or a finite number, got nan"),

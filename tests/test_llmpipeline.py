@@ -195,6 +195,26 @@ def test_truncated_cache_entry_is_a_miss(tmp_path):
     assert m.n == 3
 
 
+@pytest.mark.parametrize("output", [
+    pytest.param("[NaN, 1.0]", id="nan"),
+    pytest.param("[]", id="empty"),
+])
+def test_bad_cached_row_is_fetched_again_and_overwritten(tmp_path, output):
+    # a row an earlier version cached, as non-strict JSON
+    key = _cache_key("embed", model=ClientConfig().embed_model, text="a")
+    entry = tmp_path / "cache" / key[:2] / f"{key}.json"
+    entry.parent.mkdir(parents=True)
+    entry.write_text(f'{{"output": {output}}}')
+    fake = FakeEmbed()
+    m = embed_batch(["a", "b"], _config(tmp_path, fake))
+    assert fake.seen == ["a", "b"]
+    np.testing.assert_array_equal(m.values, [[1.0, 0.0, 0.0, 0.0]] * 2)
+    assert json.loads(entry.read_text()) == {"output": [1.0, 0.0, 0.0, 0.0]}
+    rerun = FakeEmbed()
+    embed_batch(["a", "b"], _config(tmp_path, rerun))
+    assert rerun.calls == 0
+
+
 def test_embed_resumes_with_only_the_failed_batch(tmp_path):
     # batches of 2: the second fails every attempt, the first is cached
     texts = ["a", "b", "c", "d"]

@@ -52,8 +52,9 @@ def test_battery_partition_seeds(monkeypatch, pin_cpus):
 
 def test_anchored_test_seeds():
     triple = generate_alt_triple(ScenarioConfig(n=40, seed=1))
-    sets = [battery.mapped_member(triple, role, 2, 11) for role in ("nonanchor_1", "nonanchor_2")]
-    report = anchored_test(*sets, R=19, seed=11)
+    members = [(role, battery.member_partition(triple, role, 2, 11))
+               for role in ("nonanchor_1", "nonanchor_2")]
+    report = anchored_test(triple.anchor, *members, R=19, seed=11)
     assert report.seed == 520846937  # the sign-flip seed
 
 

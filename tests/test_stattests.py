@@ -19,7 +19,9 @@ from anchorstat.errors import (
     VacuousTestError,
 )
 from anchorstat import cluster
-from anchorstat.battery import mapped_member
+from anchorstat.battery import member_partition
+from anchorstat.cluster import Partition
+from anchorstat.corpus import EmbeddingMatrix
 from anchorstat.stattests import (
     _block_rows,
     _distances,
@@ -163,30 +165,49 @@ def test_sign_draw_equals_integers_draw(n):
         np.testing.assert_array_equal(got.astype(int), want)
 
 
-def _sets(collection, roles, K, seed):
-    """The mapped distance sets of ``roles`` at K, as the battery gives them."""
-    return [mapped_member(collection, role, K, seed) for role in roles]
+def _members(collection, roles, K, seed):
+    """The (role, partition) pairs of ``roles`` at K, as the battery gives them."""
+    return [(role, member_partition(collection, role, K, seed)) for role in roles]
 
 
 def test_anchored_identical_nonanchors_vacuous():
-    (set1,) = _sets(_triple(), ["nonanchor_1"], 2, 0)
+    triple = _triple()
+    (member,) = _members(triple, ["nonanchor_1"], 2, 0)
     with pytest.raises(VacuousTestError, match="identical"):
-        anchored_test(set1, set1, seed=0)
+        anchored_test(triple.anchor, member, member, seed=0)
+
+
+def test_anchored_test_zero_and_arithmetic():
+    # mapped distances [1, 1, 1, 1] and [0, 6, 2, 4]: first minus second
+    anchor = EmbeddingMatrix(values=np.array([[0.0], [2.0], [10.0], [12.0]]), label="A")
+    first = ("x", Partition(np.array([0, 0, 1, 1]), 2, 0.0))
+    second = ("y", Partition(np.array([0, 1, 1, 1]), 2, 0.0))
+    diff = np.array([1.0, -5.0, -1.0, -3.0])
+    report = anchored_test(anchor, first, second, R=19, seed=2)
+    assert report.statistic == johnson_t(diff)
+    assert anchored_test(anchor, second, first, R=19, seed=2).statistic == johnson_t(-diff)
+    relabelled = ("z", Partition(np.array([1, 1, 0, 0]), 2, 0.0))
+    with pytest.raises(VacuousTestError, match="identical"):
+        anchored_test(anchor, first, relabelled, R=19, seed=2)
 
 
 def test_anchored_test_composes_and_reports_metadata():
     triple = _triple(seed=5)
-    report = anchored_test(*_sets(triple, ["nonanchor_1", "nonanchor_2"], 2, 3), R=199, seed=3)
+    members = _members(triple, ["nonanchor_1", "nonanchor_2"], 2, 3)
+    report = anchored_test(triple.anchor, *members, R=199, seed=3)
     assert report.method == "anchored_johnson"
     assert report.metadata["K"] == 2
+    assert report.metadata["anchor_label"] == triple.anchor.label
     assert report.metadata["d1_label"] == "nonanchor_1"
+    assert report.metadata["d2_label"] == "nonanchor_2"
     assert 1.0 / 200.0 <= report.p_value <= 1.0
 
 
 def test_anchored_test_records_the_restart_count_kmeans_read(monkeypatch):
     monkeypatch.setattr(cluster, "RESTARTS", 3)
-    sets = _sets(_triple(seed=5), ["nonanchor_1", "nonanchor_2"], 2, 3)
-    assert anchored_test(*sets, R=19, seed=3).metadata["kmeans_restarts"] == 3
+    triple = _triple(seed=5)
+    members = _members(triple, ["nonanchor_1", "nonanchor_2"], 2, 3)
+    assert anchored_test(triple.anchor, *members, R=19, seed=3).metadata["kmeans_restarts"] == 3
 
 
 def test_anchored_test_handles_unequal_member_dimensions():
@@ -201,31 +222,33 @@ def test_anchored_test_handles_unequal_member_dimensions():
     d1 = np.array([[mu[v], 0.0, 0.0] for v in z]) + rng.normal(size=(n, 3))
     z2 = rng.integers(0, 2, n)
     d2 = np.array([[mu[v]] for v in z2]) + rng.normal(size=(n, 1))
-    from anchorstat.corpus import EmbeddingMatrix, validate_pairing
+    from anchorstat.corpus import validate_pairing
 
     collection = validate_pairing({
         "anchor": EmbeddingMatrix(values=anchor, label="anchor"),
         "three_dim": EmbeddingMatrix(values=d1, label="three_dim"),
         "one_dim": EmbeddingMatrix(values=d2, label="one_dim"),
     })
-    report = anchored_test(*_sets(collection, ["three_dim", "one_dim"], 2, 1), R=199, seed=1)
+    members = _members(collection, ["three_dim", "one_dim"], 2, 1)
+    report = anchored_test(collection.anchor, *members, R=199, seed=1)
     assert report.reject  # structures disagree despite mismatched dims
 
 
 def test_anchored_test_deterministic():
-    sets = _sets(_triple(seed=6), ["nonanchor_1", "nonanchor_2"], 2, 9)
-    a = anchored_test(*sets, R=199, seed=9)
-    b = anchored_test(*sets, R=199, seed=9)
+    triple = _triple(seed=6)
+    members = _members(triple, ["nonanchor_1", "nonanchor_2"], 2, 9)
+    a = anchored_test(triple.anchor, *members, R=199, seed=9)
+    b = anchored_test(triple.anchor, *members, R=199, seed=9)
     assert a.p_value == b.p_value
     assert a.statistic == b.statistic
 
 
 def test_anchored_test_takes_mapped_sets():
     triple = _triple(seed=7)
-    (set1,) = _sets(triple, ["nonanchor_1"], 3, 4)
-    (set2,) = _sets(triple, ["nonanchor_2"], 2, 4)
+    (first,) = _members(triple, ["nonanchor_1"], 3, 4)
+    (second,) = _members(triple, ["nonanchor_2"], 2, 4)
     with pytest.raises(ParameterError, match="different K: 3 vs 2"):
-        anchored_test(set1, set2, R=99, seed=4)
+        anchored_test(triple.anchor, first, second, R=99, seed=4)
 
 
 def _col(values):
