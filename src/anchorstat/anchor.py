@@ -32,9 +32,10 @@ def mapped_centers(anchor: EmbeddingMatrix, part: Partition) -> np.ndarray:
 def mapped_distances(anchor: EmbeddingMatrix, part: Partition) -> np.ndarray:
     """Distance from each anchor row to its induced center under ``part``,
     as a read-only flat array. Anchor rows too large for their distances
-    to be finite are a PairingError."""
-    centers = mapped_centers(anchor, part)
-    dist = np.linalg.norm(anchor.values - centers[part.assignment], axis=1)
+    to be finite are a PairingError, with no numpy warning before it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = mapped_centers(anchor, part)
+        dist = np.linalg.norm(anchor.values - centers[part.assignment], axis=1)
     if not np.all(np.isfinite(dist)):
         raise PairingError("distances must be finite and nonnegative")
     dist.setflags(write=False)

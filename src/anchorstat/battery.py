@@ -23,7 +23,7 @@ import itertools
 import json
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, MutableMapping
 
 from . import divergence, preprocess
@@ -267,10 +267,7 @@ def battery_csv(result: BatteryResult) -> str:
 def battery_json(result: BatteryResult) -> str:
     doc = {
         "dataset": result.dataset,
-        "k_values": list(result.grid.k_values),
-        "alpha": result.grid.alpha,
-        "permutations": result.grid.permutations,
-        "seed": result.grid.seed,
+        **asdict(result.grid),
         "rows": [
             {
                 "hypothesis": row.hypothesis,

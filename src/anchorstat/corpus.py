@@ -15,7 +15,7 @@ import numbers
 import os
 import shutil
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, NoReturn
 
@@ -307,12 +307,15 @@ def _read_binary(path: Path) -> np.ndarray:
 
 
 def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale every row to unit l2 norm. Rows that already have unit norm
-    are divided too, so a second call may move their last bits."""
+    """Scale every row to unit l2 norm. A row whose computed norm is
+    within p * machine epsilon of 1 is kept as it is, so a second call
+    returns the bytes of the first."""
     norms = np.linalg.norm(m.values, axis=1)
     if np.any(norms == 0.0):
         i = int(np.argmin(norms))
         raise DegeneracyError(f"row {i} of '{m.label}' is all zeros; cannot normalize")
+    # dividing by 1.0 is exact
+    norms[np.abs(norms - 1.0) <= m.p * np.finfo(np.float64).eps] = 1.0
     return EmbeddingMatrix(values=_Fresh(m.values / norms[:, None]), label=m.label)
 
 
@@ -375,9 +378,11 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class ExperimentGrid:
     """The test settings of one experiment: every K of the battery, the
-    level, the permutation count and the root seed. A value of the wrong
-    type or out of range is a ParameterError, raised when the grid is
-    built."""
+    level, the permutation count and the root seed. The one place that
+    checks them: a value of the wrong type or out of range is a
+    ParameterError, raised when the grid is built. Its defaults are the
+    tests' defaults, and ``dataclasses.asdict`` of it is the JSON form
+    that manifests and battery tables write."""
 
     k_values: tuple[int, ...] = (2, 3, 4, 5)
     alpha: float = 0.05
@@ -488,31 +493,16 @@ def _check_json_type(what: str, value, kind: type):
 
 
 def _manifest_grid(g: dict) -> ExperimentGrid:
-    """A manifest's grid, each field of the type the test code relies on."""
+    """A manifest's grid object as the ``ExperimentGrid``, which checks
+    every setting it gives; the manifest checks only that K is an array.
+    Unknown keys are ignored."""
     if type(g) is not dict:
         raise ManifestError(f"manifest grid must be a JSON object, got {g!r}")
-
-    def field(name, ok, kind):
-        if name not in g:
-            return getattr(ExperimentGrid, name)  # the dataclass default
-        value = g[name]
-        if not ok(value):
-            raise ManifestError(f"manifest grid.{name} must be {kind}, got {value!r}")
-        return value
-
-    def is_int(v):  # the type test turns away bools
-        return type(v) is int
-
-    return ExperimentGrid(
-        k_values=tuple(field(
-            "k_values", lambda v: type(v) is list and all(map(is_int, v)), "a list of integers",
-        )),
-        alpha=field(
-            "alpha", lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number",
-        ),
-        permutations=field("permutations", is_int, "an integer"),
-        seed=field("seed", is_int, "an integer"),
-    )
+    settings = {n: g[n] for n in ("alpha", "permutations", "seed") if n in g}
+    if "k_values" in g:  # a string or a number would not make a tuple of Ks
+        k_values = _check_json_type("manifest grid.k_values", g["k_values"], list)
+        settings["k_values"] = tuple(k_values)
+    return ExperimentGrid(**settings)
 
 
 def _manifest_entry(i: int, d: dict) -> ManifestEntry:
@@ -544,11 +534,6 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
             }
             for e in manifest.entries
         ],
-        "grid": {
-            "k_values": list(manifest.grid.k_values),
-            "alpha": manifest.grid.alpha,
-            "permutations": manifest.grid.permutations,
-            "seed": manifest.grid.seed,
-        },
+        "grid": asdict(manifest.grid),
     }
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -27,7 +27,7 @@ import numpy as np
 from .anchor import mapped_distances
 from . import cluster
 from .cluster import _BLOCK_ENTRIES, Partition
-from .corpus import EmbeddingMatrix, _check_finite, _sample_rows
+from .corpus import EmbeddingMatrix, ExperimentGrid, _check_finite, _sample_rows
 from .errors import (
     DegeneracyError,
     DegenerateSampleError,
@@ -35,9 +35,6 @@ from .errors import (
     ParameterError,
     VacuousTestError,
 )
-
-DEFAULT_PERMUTATIONS = 999
-DEFAULT_ALPHA = 0.05
 
 METHOD_TAGS = ("anchored_johnson", "hotelling_paired", "nploc_mean", "energy")
 
@@ -144,9 +141,9 @@ def _sign_flips(n: int):
 
 def sign_flip_pvalue(
     d,
-    R: int = DEFAULT_PERMUTATIONS,
+    R: int = ExperimentGrid.permutations,
     seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
+    alpha: float = ExperimentGrid.alpha,
 ) -> TestReport:
     """Two-sided sign-flip permutation test of zero mean difference.
 
@@ -197,9 +194,9 @@ def anchored_test(
     anchor: EmbeddingMatrix,
     first: tuple[str, Partition],
     second: tuple[str, Partition],
-    R: int = DEFAULT_PERMUTATIONS,
+    R: int = ExperimentGrid.permutations,
     seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
+    alpha: float = ExperimentGrid.alpha,
 ) -> TestReport:
     """Test whether two non-anchor partitions at one K, each given with
     its member's role, describe one community structure over ``anchor``.
@@ -323,7 +320,7 @@ def _f_tail(dfn: int, dfd: int, f: float) -> float:
     return 1.0 - math.exp(log_front + math.log(_beta_cf(b, a, y) / b))
 
 
-def hotelling_paired(x, y, alpha: float = DEFAULT_ALPHA, seed: int = 0) -> TestReport:
+def hotelling_paired(x, y, alpha: float = ExperimentGrid.alpha, seed: int = 0) -> TestReport:
     """Paired multivariate mean test with the exact F reference distribution.
 
     T^2 = n * dbar' S^-1 dbar on row differences; the p-value comes from
@@ -349,9 +346,9 @@ def hotelling_paired(x, y, alpha: float = DEFAULT_ALPHA, seed: int = 0) -> TestR
 def nploc_mean_test(
     x,
     y,
-    R: int = DEFAULT_PERMUTATIONS,
+    R: int = ExperimentGrid.permutations,
     seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
+    alpha: float = ExperimentGrid.alpha,
 ) -> TestReport:
     """Nonparametric paired mean-location test.
 
@@ -447,9 +444,9 @@ def energy_statistic(x, y) -> float:
 def energy_test(
     x,
     y,
-    R: int = DEFAULT_PERMUTATIONS,
+    R: int = ExperimentGrid.permutations,
     seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
+    alpha: float = ExperimentGrid.alpha,
 ) -> TestReport:
     """Unpaired equal-distribution test via the energy statistic with a
     pooled-relabel permutation null and add-one p-value. A relabelling is

@@ -29,7 +29,7 @@ from .battery import run_battery
 from .corpus import EmbeddingMatrix, ExperimentGrid, PairedCollection, validate_pairing
 from .errors import AnchorstatError, GuardError, ParameterError
 from .sharding import run_sharded
-from .stattests import DEFAULT_ALPHA, DEFAULT_PERMUTATIONS, _child_seed
+from .stattests import _child_seed
 
 # Community means are placed at pairwise distance
 # _BOUNDARY_CONTRAST * community_separation * noise_sd. The factor keeps a
@@ -301,8 +301,8 @@ def monte_carlo(
     cfg: ScenarioConfig,
     M: int,
     K: int | None = None,
-    R: int = DEFAULT_PERMUTATIONS,
-    alpha: float = DEFAULT_ALPHA,
+    R: int = ExperimentGrid.permutations,
+    alpha: float = ExperimentGrid.alpha,
 ) -> MonteCarloReport:
     """Run the anchored test on M independently seeded triples, replicate
     m as the module docstring says.

@@ -33,6 +33,7 @@ from anchorstat.corpus import (
     load_manifest,
     load_matrix,
     normalize_rows,
+    save_manifest,
     save_matrix,
     validate_pairing,
 )
@@ -201,9 +202,11 @@ def test_battery_member_with_too_few_rows_errors_in_each_of_its_rows():
 
 
 
-def test_overflowing_anchor_distances_error_in_battery_cells_and_distances(tmp_path, capsys):
+@pytest.mark.filterwarnings("error")  # a numpy warning fails the test
+def test_overflowing_anchor_distances_error_in_battery_cells_and_distances(tmp_path):
     # anchor rows of about +-1e308 overflow every mapped distance: each
-    # anchored cell renders the refusal and `distances` stops with it
+    # anchored cell renders the refusal and `distances` stops with it,
+    # with no numpy warning on its stderr
     manifest = _family_manifest(tmp_path, seed=3)
     anchor = load_matrix(tmp_path / "anchor.csv")
     values = anchor.values.copy()
@@ -211,18 +214,20 @@ def test_overflowing_anchor_distances_error_in_battery_cells_and_distances(tmp_p
     save_matrix(EmbeddingMatrix(values, label="anchor"), tmp_path / "anchor.csv")
     message = "distances must be finite and nonnegative"
     out = tmp_path / "battery.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli("battery", "--manifest", manifest, "--k-grid", "2,3",
-                       "--permutations", 19, "--baselines", "none", "--out", out) == 0
-        capsys.readouterr()
-        assert run_cli("distances", "--manifest", manifest, "--k-grid", "2,3") == 1
+    assert run_cli("battery", "--manifest", manifest, "--k-grid", "2,3",
+                   "--permutations", 19, "--baselines", "none", "--out", out) == 0
     rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
     assert len(rows) == 6 and all(row[2:4] == [f"ERROR: {message}"] * 2 for row in rows)
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert [ln for ln in captured.err.splitlines() if not ln.startswith("seed:")] == [
-        f"error: {message}"
-    ]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "anchorstat.cli", "distances", "--manifest", str(manifest),
+         "--k-grid", "2,3"], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.splitlines() == ["seed: 0", f"error: {message}"]
+
 
 @pytest.mark.parametrize("setting, message", [
     (dict(alpha=1.5), "alpha must be in (0,1), got 1.5"),
@@ -385,6 +390,21 @@ def test_battery_json_contains_raw_pvalues(tmp_path):
     row = doc["rows"][0]
     assert row["anchored"]["2"]["p_value"] is not None
     assert row["baselines"]["hotelling"]["p_value"] is not None
+
+
+def test_manifest_and_battery_json_write_the_grid_as_its_four_fields(tmp_path):
+    # both documents write the grid's own fields, with its values
+    manifest = _synth_manifest(tmp_path, scenario="null", seed=2, n=40)
+    grid = ExperimentGrid((3, 2), alpha=0.1, permutations=19, seed=7)
+    save_manifest(dataclasses.replace(load_manifest(manifest), grid=grid), manifest)
+    form = {"k_values": [3, 2], "alpha": 0.1, "permutations": 19, "seed": 7}
+    assert list(form) == [f.name for f in dataclasses.fields(ExperimentGrid)]
+    assert json.loads(manifest.read_text())["grid"] == form
+    out = tmp_path / "battery.json"
+    assert run_cli("battery", "--manifest", manifest, "--baselines", "none",
+                   "--format", "json", "--out", out) == 0
+    doc = json.loads(out.read_text())
+    assert {key: doc[key] for key in doc if key not in ("dataset", "rows")} == form
 
 
 def test_battery_json_hotelling_underflow(tmp_path):
@@ -939,6 +959,22 @@ def test_output_parent_directories_are_created(tmp_path, command):
     }[command]
     assert run_cli(*argv) == 0
     assert out.read_text()
+
+
+def test_ingest_normalize_of_its_own_output_rewrites_identical_files(tmp_path):
+    rng = np.random.default_rng(6)
+    temperatures = {"anchor": "", "na1": "0.7", "na2": ""}
+    for role in temperatures:
+        save_matrix(EmbeddingMatrix(values=rng.normal(size=(200, 16))),
+                    tmp_path / "raw" / f"{role}.norm.csv")
+    for source, out in (("raw", "once"), ("once", "twice")):
+        datasets = [f"--dataset={tmp_path}/{source}/{role}.norm.csv:{role}:{t}"
+                    for role, t in temperatures.items()]
+        assert run_cli("ingest", *datasets, "--normalize", "--out-dir", tmp_path / out,
+                       "--out-manifest", tmp_path / f"{out}.json") == 0
+    for role in temperatures:
+        once = (tmp_path / "once" / f"{role}.norm.csv").read_bytes()
+        assert (tmp_path / "twice" / f"{role}.norm.csv").read_bytes() == once
 
 
 def test_ingest_out_dir_needs_normalize(tmp_path, capsys):

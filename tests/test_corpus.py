@@ -135,6 +135,16 @@ def test_normalize_zero_row_names_index():
         normalize_rows(m)
 
 
+@pytest.mark.parametrize("p", [1, 2, 768, 3072])
+def test_normalize_rows_twice_gives_the_bytes_of_once(p):
+    # rows from 1e-100 to 1e100 in size: the second call keeps every
+    # row the first made
+    rng = np.random.default_rng(p)
+    scale = 10.0 ** rng.integers(-100, 101, size=(64, 1))
+    once = normalize_rows(EmbeddingMatrix(values=rng.normal(size=(64, p)) * scale))
+    assert normalize_rows(once).values.tobytes() == once.values.tobytes()
+
+
 def _members(*counts):
     rng = np.random.default_rng(2)
     return {
@@ -280,19 +290,42 @@ def test_load_manifest_checks_field_types(tmp_path, field, value, message):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("permutations", 19.5, "grid.permutations must be an integer, got 19.5"),
-    ("permutations", True, "grid.permutations must be an integer, got True"),
-    ("k_values", [2.5], "grid.k_values must be a list of integers, got [2.5]"),
-    ("seed", 1.5, "grid.seed must be an integer, got 1.5"),
-    ("alpha", "0.05", "grid.alpha must be a finite number, got '0.05'"),
+    ("permutations", 19.5, "permutation count must be an integer, got 19.5"),
+    ("permutations", True, "permutation count must be an integer, got True"),
+    ("k_values", [2.5], "grid K values must be integers, got (2.5,)"),
+    ("k_values", [True, 3], "grid K values must be integers, got (True, 3)"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("alpha", "0.05", "alpha must be a real number, got '0.05'"),
+    ("alpha", float("nan"), "alpha must be in (0,1), got nan"),
+    ("alpha", True, "alpha must be in (0,1), got True"),
 ])
 def test_load_manifest_checks_grid_types(tmp_path, field, value, message):
+    # the manifest's grid settings are checked by the grid itself
     save_manifest(_manifest(tmp_path), tmp_path / "manifest.json")
     doc = json.loads((tmp_path / "manifest.json").read_text())
     doc["grid"][field] = value
-    (tmp_path / "manifest.json").write_text(json.dumps(doc))
-    with pytest.raises(ManifestError, match=re.escape(f"manifest {message}")):
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))  # NaN as Python writes it
+    with pytest.raises(ParameterError, match=re.escape(message)):
         load_manifest(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("k_values, kind", [(5, "number"), ("2,3", "string"), (None, "null")])
+def test_load_manifest_refuses_k_values_that_are_not_an_array(tmp_path, k_values, kind):
+    save_manifest(_manifest(tmp_path), tmp_path / "manifest.json")
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["grid"]["k_values"] = k_values
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    message = f"manifest grid.k_values must be a JSON array, got {kind}"
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        load_manifest(tmp_path / "manifest.json")
+
+
+def test_load_manifest_ignores_an_unknown_grid_key(tmp_path):
+    save_manifest(_manifest(tmp_path), tmp_path / "manifest.json")
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["grid"]["bins"] = "ten"
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert load_manifest(tmp_path / "manifest.json").grid == ExperimentGrid()
 
 
 @pytest.mark.parametrize("grid", [[], "x", 3, None])
