@@ -5,7 +5,8 @@ family.
 A member has one partition at each K: `member_partition` clusters it
 with a seed derived from (seed, role, K). `run_battery` and the
 divergence curves compute every (member, K) partition up front, spread
-over worker processes, and the battery shares each partition across
+over worker processes when the stage is large enough to pay for them
+(`_SHARD_WORK`), and the battery shares each partition across
 every pair the member is in. Each cell then runs in this process: it
 maps its two partitions onto the anchor and draws the sign flips or
 the baseline with a seed derived from (seed, dataset, pair, K or
@@ -50,6 +51,12 @@ BASELINES = {
     "energy": lambda m1, m2, R, seed, alpha: energy_test(m1, m2, R=R, seed=seed, alpha=alpha),
 }
 BASELINE_NAMES = tuple(BASELINES)
+
+# (member, K) stages of less work than this (the sum over the tasks of
+# the member's values.size times K) run in the calling process: below
+# it a worker costs more than it saves (the break-even table under each
+# start method is in README)
+_SHARD_WORK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -139,14 +146,18 @@ def _member_partition_or_error(collection: PairedCollection, seed: int, task: tu
 
 
 def _member_partitions(collection: PairedCollection, roles: list, k_values, seed: int):
-    """``partition(role, K)`` for every role and K, computed up front by
-    `run_sharded` over the role-major task list. The lookup raises the
+    """``partition(role, K)`` for every role and K, computed up front over
+    the role-major task list: in this process when the tasks' work is
+    below `_SHARD_WORK`, else by `run_sharded`. The lookup raises the
     error of a member that could not be clustered, each time it is asked
     for it."""
     tasks = [(role, K) for role in roles for K in k_values]
-    parts = dict(zip(tasks, run_sharded(
-        _member_partition_or_error, (collection, seed), tasks, "(member, K) tasks"
-    )))
+    args = (collection, seed)
+    if sum(collection.member(role).values.size * K for role, K in tasks) < _SHARD_WORK:
+        results = [_member_partition_or_error(*args, task) for task in tasks]
+    else:
+        results = run_sharded(_member_partition_or_error, args, tasks, "(member, K) tasks")
+    parts = dict(zip(tasks, results))
 
     def partition(role: str, K: int) -> Partition:
         found = parts[(role, K)]

@@ -10,11 +10,11 @@ from __future__ import annotations
 import io
 import itertools
 import json
-import math
 import numbers
 import os
 import shutil
 import struct
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, NoReturn
@@ -514,8 +514,9 @@ def _manifest_entry(i: int, d: dict) -> ManifestEntry:
     if fields["format"] not in ("csv", "binary"):
         raise ManifestError(f"manifest datasets[{i}]: unknown matrix format {fields['format']!r}")
     t = d.get("temperature")
-    # the type test turns away bools, and isfinite the NaN and Infinity json reads
-    if t is not None and (type(t) not in (int, float) or not math.isfinite(t)):
+    # the type test turns away bools, and the bound the NaN and Infinity json
+    # reads and integers too large for a float (on which isfinite raises)
+    if t is not None and (type(t) not in (int, float) or not abs(t) <= sys.float_info.max):
         raise ManifestError(
             f"manifest datasets[{i}]: 'temperature' must be null or a finite number, got {t!r}"
         )

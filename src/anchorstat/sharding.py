@@ -5,7 +5,11 @@ in items]``, and it is the one place where the package starts worker
 processes and the one owner of their count: one process per usable CPU,
 at most one per item. ``mc`` hands it its replicates, the battery and
 distance curves their (member, K) partitions, the CSV reader its byte
-ranges and the CSV writer its row ranges. A call made while another
+ranges and the CSV writer its row ranges. The caller decides whether a
+worker pays for itself: the CSV paths cut no more ranges than their
+size pays for (``corpus._SHARD_BYTES``), and the member stage runs its
+items in its own process, without this function, below a measured
+amount of work (``battery._SHARD_WORK``). A call made while another
 call's workers run, in that caller's own share or inside a worker (an
 ``mc`` replicate's battery), runs its items in its own process: it
 starts no process and leaves the BLAS count alone, so the CPUs stay one

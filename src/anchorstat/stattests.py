@@ -472,8 +472,10 @@ def energy_test(
         # shuffled in place: the same draws as b calls of rng.permutation(nx + ny)
         order = np.tile(np.arange(nx + ny), (b, 1))
         firsts = group[rng.permuted(order, axis=1, out=order)[:, :nx]]
+        del order  # each index block is freed before the next array is built
         firsts += len(rows) * np.arange(b)[:, None]
         counts = np.bincount(firsts.ravel(), minlength=b * len(rows))
+        del firsts
         return counts.reshape(b, len(rows)).astype(float)
 
     observed = np.bincount(group[:nx], minlength=len(rows)).astype(float)

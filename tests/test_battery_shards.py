@@ -1,16 +1,20 @@
 """The battery's and the distance curves' (member, K) partitions, computed
-over several processes: the same bytes for every process count and BLAS
-thread count, and one BLAS thread in every process while sharded work
-runs."""
+in one process below the stage's break-even and over several above it:
+the same bytes on either side of it and for every process count and
+BLAS thread count, and one BLAS thread in every process while sharded
+work runs."""
 
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anchorstat import sharding
+from anchorstat import battery, sharding
 from anchorstat.cli import main
 from anchorstat.cluster import Partition
 from anchorstat.corpus import (
@@ -23,6 +27,8 @@ from anchorstat.corpus import (
 )
 from anchorstat.errors import ParameterError
 from anchorstat.synth import ScenarioConfig, generate_battery_quad, generate_drift_family
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -52,37 +58,82 @@ def _quad_manifest(tmp_path):
     return path
 
 
+def _outputs_per_stage(monkeypatch, pin_cpus, run):
+    """``run()``'s output bytes for each (member stage, CPU count): the
+    stage below its break-even, which runs in this process, and the stage
+    with the break-even at 0, which shards whenever there are 2 CPUs."""
+    sharded = []
+
+    def run_sharded_spy(*args):
+        sharded.append(args[-1])
+        return sharding.run_sharded(*args)
+
+    monkeypatch.setattr(battery, "run_sharded", run_sharded_spy)
+    outs = {}
+    for stage, shard_work in (("in process", battery._SHARD_WORK), ("sharded", 0)):
+        monkeypatch.setattr(battery, "_SHARD_WORK", shard_work)
+        for cpus in (1, 2, 3):
+            pin_cpus(cpus)
+            del sharded[:]
+            outs[stage, cpus] = run()
+            assert bool(sharded) == (stage == "sharded")
+    return outs
+
+
 @pytest.mark.parametrize("pca", [(), ("--pca-dim", 2)])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_battery_identical_across_process_counts(tmp_path, pin_cpus, pca, fmt):
+def test_battery_identical_across_process_counts(tmp_path, monkeypatch, pin_cpus, pca, fmt):
     manifest = _quad_manifest(tmp_path)
-    outs = {}
-    for cpus in (1, 2, 3):
-        pin_cpus(cpus)
-        out = tmp_path / f"battery-{cpus}.{fmt}"
+    out = tmp_path / f"battery.{fmt}"
+
+    def run():
         rc = run_cli("battery", "--manifest", manifest, "--k-grid", "2,3,4",
                      "--permutations", 49, "--seed", 5, *pca, "--format", fmt, "--out", out)
         assert rc == 0
-        outs[cpus] = out.read_bytes()
-    assert outs[2] == outs[1] and outs[3] == outs[1]
-    if not pca:
-        assert outs[1].count(b"ERROR: fewer than K=3 distinct rows") == 2
+        return out.read_bytes()
+
+    outs = _outputs_per_stage(monkeypatch, pin_cpus, run)
+    assert len(set(outs.values())) == 1
+    if not pca:  # the drifted member's cells, which a worker computes at 2 and 3 CPUs
+        assert outs["sharded", 2].count(b"ERROR: fewer than K=3 distinct rows") == 2
 
 
-def test_distances_identical_across_process_counts(tmp_path, pin_cpus):
+def test_distances_identical_across_process_counts(tmp_path, monkeypatch, pin_cpus):
     cfg = ScenarioConfig(n=120, dim=2, K_true=2, community_separation=8.0, seed=4)
     family = generate_drift_family(cfg, [(0.1, 0.02), (0.7, 0.3), (1.5, 0.85)])
     manifest = _write_manifest(tmp_path, family, "family")
-    outs = {}
-    for cpus in (1, 2):
-        pin_cpus(cpus)
-        out = tmp_path / f"curves-{cpus}.csv"
+    out = tmp_path / "curves.csv"
+
+    def run():
         rc = run_cli("distances", "--manifest", manifest, "--k-grid", "2,3,4", "--seed", 6,
                      "--out", out)
         assert rc == 0
-        outs[cpus] = out.read_bytes()
-    assert outs[2] == outs[1]
-    assert len(outs[1].splitlines()) == 1 + 3 * 3
+        return out.read_bytes()
+
+    outs = _outputs_per_stage(monkeypatch, pin_cpus, run)
+    assert len(set(outs.values())) == 1
+    assert len(outs["sharded", 2].splitlines()) == 1 + 3 * 3
+
+
+def test_paper_scale_battery_leaves_multiprocessing_unloaded(tmp_path):
+    # n=300, p=2, K 2-5 is below the (member, K) stage's break-even
+    quad = generate_battery_quad(ScenarioConfig(n=300, dim=2, seed=8))
+    manifest = _write_manifest(tmp_path, quad, "quad")
+    code = (
+        "import sys\n"
+        "from anchorstat import cli, sharding\n"
+        "sharding.usable_cpus = lambda: 2\n"
+        f"rc = cli.main(['battery', '--manifest', {str(manifest)!r}, '--k-grid', '2,3,4,5',\n"
+        f"              '--permutations', '99', '--out', {str(tmp_path / 'b.csv')!r}])\n"
+        "print(rc, 'multiprocessing' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_pca_outputs_identical_across_blas_threads(tmp_path, blas):

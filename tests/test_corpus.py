@@ -279,6 +279,8 @@ def test_grid_refuses_a_setting_of_the_wrong_type(args, message):
     ("role", ["x"], "'role' must be a string"),
     ("format", None, "'format' must be a string, got None"),
     ("format", "bin", "unknown matrix format 'bin'"),
+    pytest.param("temperature", 10**400, "'temperature' must be null or a finite number, got 1000",
+                 id="temperature-integer-too-large-for-a-float"),
 ])
 def test_load_manifest_checks_field_types(tmp_path, field, value, message):
     save_manifest(_manifest(tmp_path), tmp_path / "manifest.json")

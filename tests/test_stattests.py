@@ -498,6 +498,23 @@ def test_energy_test_p_bound_and_detection():
     assert report.reject
 
 
+def test_energy_test_peak_memory_is_bounded():
+    # the relabelling frees each index block before it builds the counts
+    import tracemalloc
+
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(300, 2))
+    Y = rng.normal(size=(300, 2)) + 0.2
+    energy_test(X, Y, R=99, seed=1)  # warm up: one-time allocations are not the test's
+    tracemalloc.start()
+    try:
+        energy_test(X, Y, R=999, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.65 * 600 * 600 * 8  # the pooled distance matrix's bytes
+
+
 def test_report_json_round_trips():
     import json
 
