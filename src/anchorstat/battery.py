@@ -52,6 +52,17 @@ BASELINES = {
 }
 BASELINE_NAMES = tuple(BASELINES)
 
+
+def _check_baselines(names: tuple[str, ...]) -> None:
+    """A ManifestError for a repeated or an unknown baseline name."""
+    for name in names:
+        if names.count(name) > 1:
+            raise ManifestError(f"baseline '{name}' is repeated in '{','.join(names)}'")
+    unknown = sorted(set(names) - set(BASELINE_NAMES))
+    if unknown:
+        raise ManifestError(f"unknown baselines: {unknown}")
+
+
 # (member, K) stages of less work than this (the sum over the tasks of
 # the member's values.size times K) run in the calling process: below
 # it a worker costs more than it saves (the break-even table under each
@@ -213,9 +224,7 @@ def run_battery(
     aborting the battery.
     """
     own, joint = collection if isinstance(collection, tuple) else (collection, collection)
-    unknown = set(baselines) - set(BASELINE_NAMES)
-    if unknown:
-        raise ManifestError(f"unknown baselines: {sorted(unknown)}")
+    _check_baselines(baselines)
     if baselines and joint is None:
         raise ParameterError(f"baselines {list(baselines)} need the joint reduction")
     pairs = list(itertools.combinations(own.nonanchor_roles, 2))

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import synth
 from .battery import (
     BASELINE_NAMES,
+    _check_baselines,
     battery_csv,
     battery_json,
     curves_csv,
@@ -61,12 +62,7 @@ def _parse_baselines(text: str | None) -> tuple[str, ...]:
     if text is None:
         return BASELINE_NAMES
     names = () if text in ("", "none") else tuple(text.split(","))
-    for name in names:
-        if names.count(name) > 1:
-            raise ManifestError(f"baseline '{name}' is repeated in '{text}'")
-    unknown = sorted(set(names) - set(BASELINE_NAMES))
-    if unknown:
-        raise ManifestError(f"unknown baselines: {unknown}")
+    _check_baselines(names)
     return names
 
 

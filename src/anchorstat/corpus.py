@@ -511,6 +511,9 @@ def _manifest_entry(i: int, d: dict) -> ManifestEntry:
     for name, value in fields.items():
         if not isinstance(value, str):
             raise ManifestError(f"manifest datasets[{i}]: '{name}' must be a string, got {value!r}")
+    for name in ("path", "role"):
+        if not fields[name]:
+            raise ManifestError(f"manifest datasets[{i}]: '{name}' must not be empty")
     if fields["format"] not in ("csv", "binary"):
         raise ManifestError(f"manifest datasets[{i}]: unknown matrix format {fields['format']!r}")
     t = d.get("temperature")

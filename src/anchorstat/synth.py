@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
@@ -54,6 +55,15 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # bools are ints to Python, but not sizes or seeds
+        for name in ("n", "dim", "K_true", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        for name in ("community_separation", "noise_sd"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         if self.n < 2 * self.K_true:
             raise ParameterError(
                 f"need n >= 2*K_true, got n={self.n}, K_true={self.K_true}"

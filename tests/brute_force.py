@@ -1,11 +1,13 @@
 """Reference computations the tests check the package against: the
 exhaustive-search k-means oracle for small instances (the globally
-WCSS-optimal partition), and the direct PCA fit on one matrix and on
-the members' rows stacked."""
+WCSS-optimal partition), the direct PCA fit on one matrix and on the
+members' rows stacked, and the W1 distance as a transport linear
+program."""
 
 from typing import Iterator
 
 import numpy as np
+from scipy.optimize import linprog
 
 from anchorstat.cluster import Partition
 from anchorstat.corpus import _sample_rows as _values
@@ -87,3 +89,27 @@ def stacked_reduction(members, p: int) -> dict:
     roles = sorted(members)
     mean, components = direct_pca(np.vstack([members[r].values for r in roles]), p)
     return {r: (members[r].values - mean) @ components.T for r in roles}
+
+
+def transport_lp(a, b) -> float:
+    """Brute-force optimal transport between equal-size samples with
+    uniform weights, solved as a linear program over the full plan."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.size
+    cost = np.abs(a[:, None] - b[None, :]).ravel()
+    A_eq = []
+    b_eq = []
+    for i in range(n):  # row marginals
+        row = np.zeros(n * n)
+        row[i * n : (i + 1) * n] = 1.0
+        A_eq.append(row)
+        b_eq.append(1.0 / n)
+    for j in range(n):  # column marginals
+        col = np.zeros(n * n)
+        col[j::n] = 1.0
+        A_eq.append(col)
+        b_eq.append(1.0 / n)
+    res = linprog(cost, A_eq=np.array(A_eq), b_eq=np.array(b_eq), bounds=(0, None))
+    assert res.success
+    return res.fun

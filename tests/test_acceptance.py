@@ -5,7 +5,6 @@ tests/test_acceptance.py`` to see them.
 """
 
 import numpy as np
-from scipy.optimize import linprog
 
 from anchorstat.battery import run_battery
 from anchorstat.cli import main
@@ -24,7 +23,7 @@ from anchorstat.synth import (
     generate_battery_quad,
     monte_carlo,
 )
-from brute_force import brute_force_partition
+from brute_force import brute_force_partition, transport_lp
 from kmeans_restarts import kmeans_with_restarts
 
 
@@ -80,27 +79,6 @@ def test_criterion_03_clustering_oracle():
     _report(3, "kmeans equals exhaustive optimum (100 instances)", ok, f"worst gap={worst:.2e}")
 
 
-def _transport_lp(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.size
-    cost = np.abs(a[:, None] - b[None, :]).ravel()
-    A_eq, b_eq = [], []
-    for i in range(n):
-        row = np.zeros(n * n)
-        row[i * n : (i + 1) * n] = 1.0
-        A_eq.append(row)
-        b_eq.append(1.0 / n)
-    for j in range(n):
-        col = np.zeros(n * n)
-        col[j::n] = 1.0
-        A_eq.append(col)
-        b_eq.append(1.0 / n)
-    res = linprog(cost, A_eq=np.array(A_eq), b_eq=np.array(b_eq), bounds=(0, None))
-    assert res.success
-    return res.fun
-
-
 def test_criterion_04_transport_oracle():
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -108,7 +86,7 @@ def test_criterion_04_transport_oracle():
         n = int(rng.integers(1, 9))
         a = rng.normal(size=n) * 4
         b = rng.normal(size=n) * 4
-        worst = max(worst, abs(wasserstein1(a, b) - _transport_lp(a, b)))
+        worst = max(worst, abs(wasserstein1(a, b) - transport_lp(a, b)))
     exact = wasserstein1([0.0, 1.0, 3.0], [1.0, 2.0, 4.0])
     ok = worst < 1e-9 and exact == 1.0
     _report(4, "transport matches LP oracle (50 instances)", ok,

@@ -7,51 +7,23 @@ work runs."""
 import multiprocessing
 import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anchorstat import battery, sharding
-from anchorstat.cli import main
 from anchorstat.cluster import Partition
-from anchorstat.corpus import (
-    DatasetManifest,
-    EmbeddingMatrix,
-    ExperimentGrid,
-    ManifestEntry,
-    save_manifest,
-    save_matrix,
-)
+from anchorstat.corpus import EmbeddingMatrix, save_matrix
 from anchorstat.errors import ParameterError
 from anchorstat.synth import ScenarioConfig, generate_battery_quad, generate_drift_family
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_cli(*argv):
-    return main([str(a) for a in argv])
-
-
-def _write_manifest(tmp_path, collection, label):
-    entries = []
-    for role in collection.roles:
-        save_matrix(collection.member(role), tmp_path / f"{role}.csv")
-        entries.append(ManifestEntry(path=f"{role}.csv", role=role,
-                                     temperature=collection.temperatures.get(role)))
-    path = tmp_path / "manifest.json"
-    save_manifest(DatasetManifest(entries=tuple(entries), grid=ExperimentGrid(k_values=(2,)),
-                                  label=label), path)
-    return path
+from plumbing import run_cli, run_python, write_collection
 
 
 def _quad_manifest(tmp_path):
     """A battery quad whose drifted member has two distinct rows, so it
     cannot be clustered at K=3 or K=4 and shows ERROR cells there."""
     quad = generate_battery_quad(ScenarioConfig(n=60, dim=4, seed=2))
-    path = _write_manifest(tmp_path, quad, "quad")
+    path = write_collection(tmp_path, quad, "quad")
     rows = np.zeros((quad.n, 4))
     rows[::2] = 1.0
     save_matrix(EmbeddingMatrix(values=rows), tmp_path / "nonanchor_drifted.csv")
@@ -101,7 +73,7 @@ def test_battery_identical_across_process_counts(tmp_path, monkeypatch, pin_cpus
 def test_distances_identical_across_process_counts(tmp_path, monkeypatch, pin_cpus):
     cfg = ScenarioConfig(n=120, dim=2, K_true=2, community_separation=8.0, seed=4)
     family = generate_drift_family(cfg, [(0.1, 0.02), (0.7, 0.3), (1.5, 0.85)])
-    manifest = _write_manifest(tmp_path, family, "family")
+    manifest = write_collection(tmp_path, family, "family")
     out = tmp_path / "curves.csv"
 
     def run():
@@ -118,7 +90,7 @@ def test_distances_identical_across_process_counts(tmp_path, monkeypatch, pin_cp
 def test_paper_scale_battery_leaves_multiprocessing_unloaded(tmp_path):
     # n=300, p=2, K 2-5 is below the (member, K) stage's break-even
     quad = generate_battery_quad(ScenarioConfig(n=300, dim=2, seed=8))
-    manifest = _write_manifest(tmp_path, quad, "quad")
+    manifest = write_collection(tmp_path, quad, "quad")
     code = (
         "import sys\n"
         "from anchorstat import cli, sharding\n"
@@ -127,18 +99,14 @@ def test_paper_scale_battery_leaves_multiprocessing_unloaded(tmp_path):
         f"              '--permutations', '99', '--out', {str(tmp_path / 'b.csv')!r}])\n"
         "print(rc, 'multiprocessing' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=300)
+    out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["0", "False"]
 
 
 def test_pca_outputs_identical_across_blas_threads(tmp_path, blas):
     cfg = ScenarioConfig(n=400, dim=256, seed=3)
-    manifest = _write_manifest(tmp_path, generate_drift_family(cfg, [(0.7, 0.3)]), "family")
+    manifest = write_collection(tmp_path, generate_drift_family(cfg, [(0.7, 0.3)]), "family")
     flags = {
         "battery": ("--k-grid", "2,3", "--permutations", 49, "--format", "json",
                     "--baselines", "hotelling,nploc"),

@@ -4,12 +4,9 @@ import importlib
 import inspect
 import io
 import json
-import os
 import pkgutil
 import re
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +23,7 @@ from anchorstat.battery import (
     member_partition,
     run_battery,
 )
-from anchorstat.cli import build_parser, main
+from anchorstat.cli import build_parser
 from anchorstat.corpus import (
     EmbeddingMatrix,
     ExperimentGrid,
@@ -39,10 +36,7 @@ from anchorstat.corpus import (
 )
 from anchorstat.errors import AnchorstatError
 from anchorstat.stattests import anchored_test
-
-
-def run_cli(*argv):
-    return main([str(a) for a in argv])
+from plumbing import run_cli, run_python, write_collection
 
 
 @pytest.fixture
@@ -218,13 +212,8 @@ def test_overflowing_anchor_distances_error_in_battery_cells_and_distances(tmp_p
                    "--permutations", 19, "--baselines", "none", "--out", out) == 0
     rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
     assert len(rows) == 6 and all(row[2:4] == [f"ERROR: {message}"] * 2 for row in rows)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, "-m", "anchorstat.cli", "distances", "--manifest", str(manifest),
-         "--k-grid", "2,3"], env=env, capture_output=True, text=True, timeout=300,
-    )
+    run = run_python("-m", "anchorstat.cli", "distances", "--manifest", manifest,
+                     "--k-grid", "2,3")
     assert (run.returncode, run.stdout) == (1, "")
     assert run.stderr.splitlines() == ["seed: 0", f"error: {message}"]
 
@@ -254,13 +243,7 @@ def test_cli_import_loads_no_http_client():
         "import sys, anchorstat.cli\n"
         "print([m for m in ('requests', 'urllib.request') if m in sys.modules])\n"
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=300, check=True,
-    )
+    out = run_python("-c", code, check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -285,13 +268,8 @@ def test_commands_import_no_scipy(tmp_path):
         "    seen.append([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
         "print(json.dumps(seen))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps([[str(a) for a in r] for r in runs])],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True,
-    )
+    out = run_python("-c", code, json.dumps([[str(a) for a in r] for r in runs]),
+                     cwd=tmp_path, check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == [[]] * len(runs)
     assert all((tmp_path / r[-1]).exists() for r in runs)
 
@@ -501,28 +479,25 @@ def test_repeated_baseline_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_run_battery_refuses_a_repeated_baseline(monkeypatch):
+    # the library refuses the list that the CLI refuses, before clustering
+    from anchorstat import battery
+    from anchorstat.errors import ManifestError
+    from anchorstat.synth import ScenarioConfig, generate_null_triple
+
+    triple = generate_null_triple(ScenarioConfig(n=40, seed=2))
+    monkeypatch.setattr(battery, "_member_partitions", lambda *args: pytest.fail("clustered"))
+    with pytest.raises(ManifestError, match="baseline 'nploc' is repeated in 'nploc,nploc'"):
+        run_battery(triple, "x", ExperimentGrid((2,), permutations=19),
+                    baselines=("nploc", "nploc"))
+
+
 def _family_manifest(tmp_path, seed=0):
-    from anchorstat.corpus import DatasetManifest, ExperimentGrid, ManifestEntry, save_manifest
     from anchorstat.synth import ScenarioConfig, generate_drift_family
 
     cfg = ScenarioConfig(n=250, dim=2, K_true=2, community_separation=8.0, seed=seed)
     fam = generate_drift_family(cfg, [(0.1, 0.02), (0.7, 0.3), (1.5, 0.85)])
-    entries = []
-    for role in fam.roles:
-        save_matrix(fam.member(role), tmp_path / f"{role}.csv")
-        entries.append(
-            ManifestEntry(
-                path=f"{role}.csv",
-                role=role,
-                temperature=fam.temperatures.get(role),
-            )
-        )
-    manifest = DatasetManifest(
-        entries=tuple(entries), grid=ExperimentGrid(k_values=(2,)), label="family"
-    )
-    path = tmp_path / "manifest.json"
-    save_manifest(manifest, path)
-    return path
+    return write_collection(tmp_path, fam, "family")
 
 
 def test_distances_monotone_family(tmp_path):
@@ -542,23 +517,12 @@ def test_distances_monotone_family(tmp_path):
 def test_distances_identical_sets_zero_row(tmp_path):
     # drift fraction 0 plus wide separation: both members recover the same
     # partition, so the mapped distances coincide exactly
-    from anchorstat.corpus import DatasetManifest, ExperimentGrid, ManifestEntry, save_manifest
     from anchorstat.synth import ScenarioConfig, generate_drift_family
 
     cfg = ScenarioConfig(n=100, dim=2, K_true=2, community_separation=40.0, seed=4)
-    fam = generate_drift_family(cfg, [(0.5, 0.0)])
-    entries = []
-    for role in fam.roles:
-        save_matrix(fam.member(role), tmp_path / f"{role}.csv")
-        entries.append(
-            ManifestEntry(path=f"{role}.csv", role=role, temperature=fam.temperatures.get(role))
-        )
-    save_manifest(
-        DatasetManifest(entries=tuple(entries), grid=ExperimentGrid(k_values=(2,)), label="zero"),
-        tmp_path / "m.json",
-    )
+    manifest = write_collection(tmp_path, generate_drift_family(cfg, [(0.5, 0.0)]), "zero")
     out = tmp_path / "curves.csv"
-    assert run_cli("distances", "--manifest", tmp_path / "m.json", "--out", out) == 0
+    assert run_cli("distances", "--manifest", manifest, "--out", out) == 0
     row = out.read_text().splitlines()[1].split(",")
     assert float(row[2]) == pytest.approx(0.0, abs=1e-9)
     assert float(row[3]) == pytest.approx(0.0, abs=1e-9)

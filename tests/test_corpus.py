@@ -291,6 +291,16 @@ def test_load_manifest_checks_field_types(tmp_path, field, value, message):
         load_manifest(tmp_path / "manifest.json")
 
 
+@pytest.mark.parametrize("field", ["path", "role"])
+def test_load_manifest_refuses_an_empty_path_or_role(tmp_path, field):
+    save_manifest(_manifest(tmp_path), tmp_path / "manifest.json")
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["datasets"][1][field] = ""
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=re.escape(f"datasets[1]: '{field}' must not be empty")):
+        load_manifest(tmp_path / "manifest.json")
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("permutations", 19.5, "permutation count must be an integer, got 19.5"),
     ("permutations", True, "permutation count must be an integer, got True"),

@@ -8,11 +8,8 @@ the parts into the bytes of ``np.savetxt``."""
 
 import multiprocessing
 import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +18,7 @@ from anchorstat import corpus, sharding
 from anchorstat.corpus import EmbeddingMatrix, load_matrix, save_matrix
 from anchorstat.errors import CorpusFormatError
 from anchorstat.sharding import run_sharded
-
-ROOT = Path(__file__).resolve().parents[1]
+from plumbing import run_python
 
 
 def _serial(path):
@@ -187,11 +183,7 @@ def test_parallel_read_without_fork(tmp_path, method):
         "assert len(corpus._line_spans(path, path.stat().st_size, 2)) == 2\n"
         "sys.stdout.buffer.write(corpus.load_matrix(path).values.tobytes())\n"
     )
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         timeout=300)
+    out = run_python("-c", code, text=False)
     assert out.returncode == 0, out.stderr.decode()
     assert out.stdout == _serial(path).tobytes()
 
@@ -218,11 +210,7 @@ def test_parallel_read_peak_memory_is_bounded(tmp_path, monkeypatch, pin_cpus):
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
     code = "import sys, anchorstat.cli; print('multiprocessing' in sys.modules)"
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
+    out = run_python("-c", code, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
@@ -364,11 +352,7 @@ def test_parallel_write_without_fork(tmp_path, method):
         "sharding.run_sharded = spy\n"
         f"corpus.save_matrix(m, {str(tmp_path / 'm.csv')!r})\n"
     )
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         timeout=300)
+    out = run_python("-c", code, text=False)
     assert out.returncode == 0, out.stderr.decode()
     assert out.stdout == b"2\n"
     assert (tmp_path / "m.csv").read_bytes() == expected.read_bytes()

@@ -2,34 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from anchorstat.divergence import kl_divergence, wasserstein1
 from anchorstat.errors import ParameterError
-
-
-def _transport_lp(a, b):
-    """Brute-force optimal transport between equal-size samples with
-    uniform weights, solved as a linear program over the full plan."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.size
-    cost = np.abs(a[:, None] - b[None, :]).ravel()
-    A_eq = []
-    b_eq = []
-    for i in range(n):  # row marginals
-        row = np.zeros(n * n)
-        row[i * n : (i + 1) * n] = 1.0
-        A_eq.append(row)
-        b_eq.append(1.0 / n)
-    for j in range(n):  # column marginals
-        col = np.zeros(n * n)
-        col[j::n] = 1.0
-        A_eq.append(col)
-        b_eq.append(1.0 / n)
-    res = linprog(cost, A_eq=np.array(A_eq), b_eq=np.array(b_eq), bounds=(0, None))
-    assert res.success
-    return res.fun
+from brute_force import transport_lp
 
 
 def test_w1_identical_samples():
@@ -45,7 +21,7 @@ def test_w1_hand_case_matches_lp():
     a = [0.0, 1.0, 3.0]
     b = [1.0, 2.0, 4.0]
     assert wasserstein1(a, b) == pytest.approx(1.0, abs=1e-12)
-    assert wasserstein1(a, b) == pytest.approx(_transport_lp(a, b), abs=1e-9)
+    assert wasserstein1(a, b) == pytest.approx(transport_lp(a, b), abs=1e-9)
 
 
 def test_w1_unequal_sizes_rejected():
@@ -59,7 +35,7 @@ def test_w1_matches_lp_oracle_on_random_instances():
         n = int(rng.integers(1, 9))
         a = rng.normal(size=n) * 3
         b = rng.normal(size=n) * 3
-        assert wasserstein1(a, b) == pytest.approx(_transport_lp(a, b), abs=1e-9)
+        assert wasserstein1(a, b) == pytest.approx(transport_lp(a, b), abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

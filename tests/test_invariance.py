@@ -3,10 +3,6 @@ independence of the permutation p-values, the k-means partitions and the
 PCA components from the BLAS thread count."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +13,7 @@ from anchorstat.anchor import mapped_distances
 from anchorstat.cluster import Partition
 from anchorstat.corpus import EmbeddingMatrix
 from anchorstat.stattests import johnson_t, sign_flip_pvalue
+from plumbing import run_python
 
 
 def _assignment(rng, n, K):
@@ -114,16 +111,8 @@ print(json.dumps(hashlib.sha256(model.components.tobytes()).hexdigest()))
 
 
 def _run_in_subprocess(code, threads):
-    env = dict(os.environ)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = str(threads)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=300, check=True,
-    )
+    threads = None if threads is None else str(threads)
+    out = run_python("-c", code, env={"OPENBLAS_NUM_THREADS": threads}, check=True)
     return json.loads(out.stdout)
 
 

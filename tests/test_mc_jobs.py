@@ -5,11 +5,8 @@ and the serial loop's error. The process count is
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 import time
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,17 +19,11 @@ from anchorstat.battery import (
     run_battery,
     run_distance_curves,
 )
-from anchorstat.cli import main
 from anchorstat.corpus import EmbeddingMatrix, ExperimentGrid, load_manifest, save_matrix
 from anchorstat.errors import AnchorstatError, DegeneracyError, ParameterError
 from anchorstat.stattests import _child_seed
 from anchorstat.synth import ScenarioConfig, monte_carlo
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_cli(*argv):
-    return main([str(a) for a in argv])
+from plumbing import run_cli, run_python
 
 
 @pytest.mark.parametrize("flags", [
@@ -107,11 +98,7 @@ def test_monte_carlo_jobs_without_fork(pin_cpus, method):
         "report = monte_carlo('null', ScenarioConfig(n=60, seed=3), M=4, R=49)\n"
         "sys.stdout.write(report.to_json())\n"
     )
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=300)
+    out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     pin_cpus(1)
     serial = monte_carlo("null", ScenarioConfig(n=60, seed=3), M=4, R=49)

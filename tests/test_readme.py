@@ -3,11 +3,11 @@ the CLI parser accepts."""
 
 import re
 import shlex
-from pathlib import Path
 
 from anchorstat.cli import build_parser
+from plumbing import ROOT
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README = (ROOT / "README.md").read_text()
 
 
 def _subparsers():

@@ -2,16 +2,12 @@
 import or a changed signature cannot break them silently."""
 
 import importlib.util
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from anchorstat import cli
-
-ROOT = Path(__file__).resolve().parents[1]
+from plumbing import SCRIPTS, run_python, write_collection
 
 
 @pytest.mark.parametrize(
@@ -25,13 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(script, args, tmp_path):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    out = run_python(SCRIPTS / script, *args, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert "seed: " in out.stdout + out.stderr
 
@@ -44,42 +34,24 @@ def test_script_runs(script, args, tmp_path):
     ],
 )
 def test_script_out_creates_missing_directories(script, args, tmp_path):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", "missing/dir/x"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    out = run_python(SCRIPTS / script, *args, "--out", "missing/dir/x", cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "missing" / "dir" / "x").read_text()
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_battery_script_rejects_seed_counts_below_one(seeds, tmp_path):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "synthetic_battery.py"), "--seeds", seeds],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    out = run_python(SCRIPTS / "synthetic_battery.py", "--seeds", seeds, cwd=tmp_path)
     assert out.returncode == 2
     assert "argument --seeds: must be at least 1" in out.stderr
     assert "Traceback" not in out.stderr
 
 
 def test_size_power_study_out_is_byte_identical_across_reruns(tmp_path):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     written = []
     for run in range(2):
-        out = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "size_power_study.py"), "--n", "40",
-             "--m", "2", "--permutations", "19", "--out", f"run{run}.json"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-        )
+        out = run_python(SCRIPTS / "size_power_study.py", "--n", "40", "--m", "2",
+                         "--permutations", "19", "--out", f"run{run}.json", cwd=tmp_path)
         assert out.returncode == 0, out.stderr
         assert "mean_runtime=" in out.stdout  # printed, not written
         written.append((tmp_path / f"run{run}.json").read_bytes())
@@ -89,31 +61,19 @@ def test_size_power_study_out_is_byte_identical_across_reruns(tmp_path):
 def test_synthetic_battery_tables_equal_the_cli_battery(tmp_path):
     # the script's table for seed s is `anchorstat battery --seed s` on
     # the same quad, written as a manifest labelled synthetic-{s}
-    from anchorstat.corpus import (
-        DatasetManifest, ExperimentGrid, ManifestEntry, save_manifest, save_matrix,
-    )
+    from anchorstat.corpus import ExperimentGrid
     from anchorstat.synth import ScenarioConfig, generate_battery_quad
 
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "synthetic_battery.py"), "--seeds", "2",
-         "--n", "60", "--k-grid", "2,3", "--permutations", "99", "--out-dir", "script"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    out = run_python(SCRIPTS / "synthetic_battery.py", "--seeds", "2", "--n", "60",
+                     "--k-grid", "2,3", "--permutations", "99", "--out-dir", "script",
+                     cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     for seed in range(2):
         quad = generate_battery_quad(ScenarioConfig(n=60, community_separation=10.0, seed=seed))
         d = tmp_path / f"quad{seed}"
-        entries = []
-        for role in quad.roles:
-            save_matrix(quad.member(role), d / f"{role}.csv", fmt="csv")
-            entries.append(ManifestEntry(path=f"{role}.csv", role=role))
-        grid = ExperimentGrid(k_values=(2, 3), permutations=99)
-        save_manifest(DatasetManifest(tuple(entries), grid, f"synthetic-{seed}"),
-                      d / "manifest.json")
-        rc = cli.main(["battery", "--manifest", str(d / "manifest.json"), "--seed", str(seed),
+        manifest = write_collection(d, quad, f"synthetic-{seed}",
+                                    ExperimentGrid(k_values=(2, 3), permutations=99))
+        rc = cli.main(["battery", "--manifest", str(manifest), "--seed", str(seed),
                        "--out", str(d / "battery.csv")])
         assert rc == 0
         script_table = (tmp_path / "script" / f"battery-{seed}.csv").read_bytes()
@@ -135,13 +95,7 @@ _BAD_INPUTS = {
     ids=lambda v: v if isinstance(v, str) else " ".join(v),
 )
 def test_script_refuses_what_the_cli_refuses(script, bad, tmp_path):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--n", "40", *bad],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    out = run_python(SCRIPTS / script, "--n", "40", *bad, cwd=tmp_path)
     assert out.returncode == 1
     assert "error: " in out.stderr
     assert "Traceback" not in out.stderr
@@ -155,14 +109,8 @@ def test_script_refuses_what_the_cli_refuses(script, bad, tmp_path):
     ("0.10,0.1", "temperature 0.1 repeats the member 'nonanchor_rho_0.1'"),
 ])
 def test_divergence_curves_refuses_bad_rhos(rhos, message, tmp_path):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "divergence_curves.py"), "--n", "40",
-         "--k-grid", "2", "--rhos", rhos, "--out", "c.csv"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    out = run_python(SCRIPTS / "divergence_curves.py", "--n", "40", "--k-grid", "2",
+                     "--rhos", rhos, "--out", "c.csv", cwd=tmp_path)
     assert out.returncode == 1
     assert f"error: {message}" in out.stderr
     assert "Traceback" not in out.stderr
@@ -170,21 +118,15 @@ def test_divergence_curves_refuses_bad_rhos(rhos, message, tmp_path):
 
 
 def test_divergence_curves_skips_blank_rhos(tmp_path):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "divergence_curves.py"), "--n", "40",
-         "--k-grid", "2", "--rhos", " 0.5,, 1.0,"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    out = run_python(SCRIPTS / "divergence_curves.py", "--n", "40", "--k-grid", "2",
+                     "--rhos", " 0.5,, 1.0,", cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert [row.split(",")[1] for row in out.stdout.splitlines()[1:]] == ["0.5", "1"]
 
 
 @pytest.mark.parametrize("script", sorted(_BAD_INPUTS))
 def test_script_geometry_flags_match_mc(script, monkeypatch):
-    spec = importlib.util.spec_from_file_location("script", ROOT / "scripts" / script)
+    spec = importlib.util.spec_from_file_location("script", SCRIPTS / script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     parsed = []

@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +32,7 @@ from anchorstat.stattests import (
     sign_flip_pvalue,
 )
 from anchorstat.synth import ScenarioConfig, generate_alt_triple
+from plumbing import run_python
 
 
 EXACT_136 = (355.0 / 98.0) * np.sqrt(3.0 / 7.0)  # rational evaluation for d={1,2,6}
@@ -365,13 +362,7 @@ def test_hotelling_does_not_import_scipy_stats():
         "hotelling_paired(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)))\n"
         "print('scipy.stats' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=300, check=True,
-    )
+    out = run_python("-c", code, check=True)
     assert out.stdout.strip() == "False"
 
 

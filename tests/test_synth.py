@@ -36,6 +36,20 @@ def test_config_validation():
         _cfg(community_separation=float("inf"))
 
 
+@pytest.mark.parametrize("setting, message", [
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(n=40.0), "n must be an integer, got 40.0"),
+    (dict(K_true=True), "K_true must be an integer, got True"),
+    (dict(dim="2"), "dim must be an integer, got '2'"),
+    (dict(community_separation="8"), "community_separation must be a real number, got '8'"),
+    (dict(noise_sd=None), "noise_sd must be a real number, got None"),
+])
+def test_config_refuses_a_setting_of_the_wrong_type(setting, message):
+    # refused as the config is built, so no generator or replicate runs on it
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        ScenarioConfig(**{"n": 40, **setting})
+
+
 def test_same_config_bitwise_identical():
     cfg = _cfg(seed=42)
     t1 = generate_null_triple(cfg)
