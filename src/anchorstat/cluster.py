@@ -60,7 +60,8 @@ def _wcss(X: np.ndarray, assignment: np.ndarray, K: int) -> float:
         rows = X[assignment == k]
         if rows.size == 0:
             raise ParameterError(f"cluster id {k} is empty in assignment")
-        total += float(((rows - rows.mean(axis=0)) ** 2).sum())
+        # the sum and division that rows.mean(axis=0) makes, without its wrapper
+        total += float(((rows - np.add.reduce(rows, axis=0) / rows.shape[0]) ** 2).sum())
     return total
 
 
@@ -108,7 +109,7 @@ def kmeans(
                 assignment, moved = _exchange_refine(XT, xx, assignment, K)
                 if not moved:
                     break
-                centers = _centers(XT, assignment, K)[None]
+                centers = _centers(XT, assignment, np.bincount(assignment, minlength=K))[None]
                 assignment = _lloyd(Xs, XT, xx, K, centers, MAX_ITER, TOL, debug)[0]
             refined[key] = (_wcss(X, assignment, K), assignment)
         value, assignment = refined[key]
@@ -118,23 +119,47 @@ def kmeans(
 
 
 def _kpp_centers(X: np.ndarray, K: int, rngs: list[np.random.Generator]) -> np.ndarray:
-    """(R, K, p) k-means++ seeds, restart r drawing from ``rngs[r]``."""
-    n = X.shape[0]
-    centers = np.empty((len(rngs), K, X.shape[1]))
-    for r, rng in enumerate(rngs):
-        centers[r, 0] = X[rng.integers(n)]
-        closest = ((X - centers[r, 0]) ** 2).sum(axis=1)
+    """(R, K, p) k-means++ seeds, restart r drawing from ``rngs[r]``.
+
+    Restarts are seeded together in blocks of about _BLOCK_ENTRIES entries
+    of their (restarts, n, p) differences to a center.
+    """
+    n, p = X.shape
+    centers = np.empty((len(rngs), K, p))
+    step = max(1, _BLOCK_ENTRIES // max(n * p, 1))  # restarts per block
+    for lo in range(0, len(rngs), step):
+        block, seeds = rngs[lo : lo + step], centers[lo : lo + step]
+        seeds[:, 0] = X[[rng.integers(n) for rng in block]]
+        closest = ((X - seeds[:, :1]) ** 2).sum(axis=2)
         for k in range(1, K):
-            total = closest.sum()
-            if total <= 0.0:
-                # reached only when the squared distances underflow to 0 (K
-                # distinct rows exist): pick any row
-                centers[r, k] = X[rng.integers(n)]
-            else:
-                centers[r, k] = X[rng.choice(n, p=closest / total)]
+            seeds[:, k] = X[_kpp_picks(closest, block)]
             if k + 1 < K:
-                np.minimum(closest, ((X - centers[r, k]) ** 2).sum(axis=1), out=closest)
+                np.minimum(closest, ((X - seeds[:, k : k + 1]) ** 2).sum(axis=2), out=closest)
     return centers
+
+
+def _kpp_picks(closest: np.ndarray, rngs: list[np.random.Generator]) -> list:
+    """One row index per row j of the (R, n) squared distances ``closest``,
+    drawn from ``rngs[j]`` with weights ``closest[j]``.
+
+    The index and the generator's next state are those of
+    ``rng.choice(n, p=closest[j] / total)``, computed as that call computes
+    them: the first index at which the normalised cumulative sum of the
+    weights exceeds ``rng.random()``.
+    """
+    n = closest.shape[1]
+    total = closest.sum(axis=1)
+    if not np.all(np.isfinite(total)):
+        raise DegeneracyError("squared distances between rows overflow")
+    with np.errstate(invalid="ignore"):  # rows of total 0 are not read
+        cdf = np.cumsum(closest / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+    return [
+        # a total of 0 is reached only when the squared distances underflow
+        # (K distinct rows exist): pick any row
+        rng.integers(n) if total[j] <= 0.0 else cdf[j].searchsorted(rng.random(), side="right")
+        for j, rng in enumerate(rngs)
+    ]
 
 
 def _sq_dists(XT: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -147,10 +172,11 @@ def _sq_dists(XT: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _centers(XT: np.ndarray, assignment: np.ndarray, K: int) -> np.ndarray:
-    """(..., K, p) cluster means of each (..., n) assignment, by indicator products."""
-    members = (assignment[..., None, :] == np.arange(K)[:, None]).astype(float)
-    return (members @ XT.T) / members.sum(axis=-1)[..., None]
+def _centers(XT: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(..., K, p) cluster means of each (..., n) assignment with (..., K)
+    cluster sizes ``counts``, by indicator products."""
+    members = (assignment[..., None, :] == np.arange(counts.shape[-1])[:, None]).astype(float)
+    return (members @ XT.T) / counts[..., None]
 
 
 def _repair_empty(assignment: np.ndarray, d2: np.ndarray, K: int) -> None:
@@ -184,21 +210,28 @@ def _lloyd(
     R = centers.shape[0]
     final = np.empty((R, n), dtype=np.intp)
     active = np.arange(R)
-    prev = np.full(R, np.inf)
+    prev = np.full(R, np.nan)  # no objective yet: the first pass stops no restart
     step = max(1, _BLOCK_ENTRIES // max(n * p, 1))  # restarts per residual block
     residuals = np.empty((min(R, step), n, p))
     for it in range(max_iter):
         live = active.shape[0]
         d2 = _sq_dists(XT, xx, centers.reshape(live * K, p)).reshape(n, live, K)
-        # argmin takes the lowest id on ties
-        assignment = np.ascontiguousarray(np.argmin(d2, axis=2).T)
+        if K == 2:
+            # one comparison, which numpy runs several times faster than an
+            # argmin over rows of two; a tie goes to cluster 0, as in argmin
+            assignment = (d2[:, :, 1] < d2[:, :, 0]).T.astype(np.intp, order="C")
+        else:
+            # argmin takes the lowest id on ties
+            assignment = np.ascontiguousarray(np.argmin(d2, axis=2).T)
         # restart r's cluster k is row r*K + k of the stacked centers
         offsets = K * np.arange(live)[:, None]
         counts = np.bincount((assignment + offsets).ravel(), minlength=live * K).reshape(live, K)
-        for j in np.flatnonzero((counts == 0).any(axis=1)):
-            _repair_empty(assignment[j], d2[:, j], K)
+        if not counts.all():
+            for j in np.flatnonzero((counts == 0).any(axis=1)):
+                _repair_empty(assignment[j], d2[:, j], K)
+                counts[j] = np.bincount(assignment[j], minlength=K)
         del d2  # freed before the indicator products of _centers
-        centers = _centers(XT, assignment, K)
+        centers = _centers(XT, assignment, counts)
         current = np.empty(live)
         for s in range(0, live, step):
             res = residuals[: min(step, live - s)]
@@ -210,17 +243,17 @@ def _lloyd(
         if debug and np.any(current > prev + 1e-9):
             r = int(np.argmax(current > prev + 1e-9))
             raise AssertionError(f"Lloyd objective increased: {prev[r]} -> {current[r]}")
-        done = np.isfinite(prev)
+        done = prev - current <= tol * np.maximum(prev, 1e-300)
         if it + 1 == max_iter:
             done[:] = True
-        else:
-            done[done] = prev[done] - current[done] <= tol * np.maximum(prev[done], 1e-300)
-        final[active[done]] = assignment[done]
-        keep = ~done
-        active, prev, centers = active[keep], current[keep], centers[keep]
-        del assignment  # freed before the next pass's argmin and its copy
-        if active.shape[0] == 0:
-            break
+        if done.any():
+            final[active[done]] = assignment[done]
+            if done.all():
+                break
+            keep = ~done
+            active, current, centers = active[keep], current[keep], centers[keep]
+        prev = current
+        del assignment  # freed before the next pass's assignment is built
     return final
 
 
@@ -231,23 +264,24 @@ def _exchange_refine(
     style); escapes fixed points of the assign/update alternation. A move
     updates two centers in O(p) and their distance columns by GEMV."""
     n = XT.shape[1]
-    rows = np.arange(n)
+    firsts = K * np.arange(n)  # flat index of each row's first column in an (n, K) array
     assignment = assignment.copy()
     counts = np.bincount(assignment, minlength=K).astype(float)
-    centers = _centers(XT, assignment, K)
+    centers = _centers(XT, assignment, counts)
     d2 = _sq_dists(XT, xx, centers)
     cost_add = counts / (counts + 1) * d2
     moved_any = False
     for _ in range(n * K):
-        own = assignment
-        gain_remove = (counts / np.maximum(counts - 1, 1))[own] * d2[rows, own]
-        gain_remove[(counts <= 1)[own]] = -np.inf  # never empty a cluster
+        own = firsts + assignment  # flat index of each row's own cluster
+        gain_remove = (counts / np.maximum(counts - 1, 1))[assignment] * d2.take(own)
+        gain_remove[(counts <= 1)[assignment]] = -np.inf  # never empty a cluster
         delta = gain_remove[:, None] - cost_add
-        delta[rows, own] = -np.inf
-        i, b = np.unravel_index(np.argmax(delta), delta.shape)
-        if delta[i, b] <= 1e-12:
+        delta.put(own, -np.inf)
+        best = int(delta.argmax())
+        if delta.item(best) <= 1e-12:
             break
-        s = own[i]
+        i, b = divmod(best, K)
+        s = assignment[i]
         centers[s] = (counts[s] * centers[s] - XT[:, i]) / (counts[s] - 1)
         centers[b] = (counts[b] * centers[b] + XT[:, i]) / (counts[b] + 1)
         counts[[s, b]] += (-1, 1)

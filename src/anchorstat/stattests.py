@@ -90,28 +90,32 @@ def johnson_t(d) -> float:
     return float(_modified_t(mean, (dev**2).sum() / (n - 1), (dev**3).sum() / (n - 1), n))
 
 
-def _permutation_pvalue(stat, draw, observed, mirror, R: int, seed: int, support=slice(None)):
+def _permutation_pvalue(stat, draw, tie, observed, R: int, seed: int, support=None):
     """Add-one p-value and share of replicates strictly below T_obs.
 
     ``draw(rng, b)`` gives the next b rows of the replicate stream of
-    ``default_rng(seed)``; ``stat`` evaluates them, cut to ``support``, in
-    closed form, and gives T_obs from the ``observed`` row the same way. A
-    row equal to ``observed`` or to ``mirror``, its image under a symmetry
-    of the statistic, ties by rule, not by rounding.
+    ``default_rng(seed)``; ``stat`` evaluates them, cut to the columns of
+    the boolean mask ``support`` (None: all), in closed form, and gives
+    T_obs from the ``observed`` row the same way. A row that ``tie``
+    marks, one equal to ``observed`` or to its image under a symmetry of
+    the statistic, ties by rule, not by rounding.
     """
     if R < 1:
         raise ParameterError(f"permutation count must be >= 1, got {R}")
     rng = np.random.default_rng(seed)
     rows = _block_rows(observed.shape[0])
-    observed, mirror = observed[support], mirror[support]
-    obs = stat(observed[None])[0]
+    if support is not None and support.all():
+        support = None  # every column: the blocks are used as drawn, uncopied
+    obs = stat((observed if support is None else observed[support])[None])[0]
     at_least = below = 0
     for start in range(0, R, rows):
-        block = draw(rng, min(rows, R - start))[:, support]
-        tie = (block == observed).all(axis=1) | (block == mirror).all(axis=1)
+        block = draw(rng, min(rows, R - start))
+        if support is not None:
+            block = block[:, support]
+        ties = tie(block)
         stats = stat(block)
-        at_least += int(np.count_nonzero((stats >= obs) | tie))
-        below += int(np.count_nonzero((stats < obs) & ~tie))
+        at_least += int(np.count_nonzero((stats >= obs) | ties))
+        below += int(np.count_nonzero((stats < obs) & ~ties))
     return (1 + at_least) / (R + 1), below / R
 
 
@@ -122,7 +126,8 @@ def _block_rows(width: int) -> int:
 
 
 def _sign_flips(n: int):
-    """Draws equal to rng.integers(0, 2, (R, n)) (True keeps a sign), identity, global flip.
+    """Draws equal to rng.integers(0, 2, (R, n)) (True keeps a sign), their
+    tie test (the identity or the global flip) and the identity.
 
     That call returns the top bit of each 32-bit half of the generator's raw
     64-bit words, low half first; this draw reads the same bits without the
@@ -136,7 +141,18 @@ def _sign_flips(n: int):
         words = rng.bit_generator.random_raw((b * n + 1) // 2).astype("<u8", copy=False)
         return (words.view("<u4")[: b * n] >= 1 << 31).reshape(b, n)
 
-    return draw, np.ones(n, bool), np.zeros(n, bool)
+    def tie(block):
+        return block.all(axis=1) | ~block.any(axis=1)
+
+    return draw, tie, np.ones(n, bool)
+
+
+def _plus_minus_one(signs: np.ndarray) -> np.ndarray:
+    """The +/-1 weights of boolean sign draws, as 2 * signs - 1 gives them;
+    formed in int8, where they are exact, and converted to float once."""
+    weights = signs.view(np.int8) * np.int8(2)
+    weights -= 1
+    return weights.astype(float)
 
 
 def sign_flip_pvalue(
@@ -165,7 +181,7 @@ def sign_flip_pvalue(
     sum_sq = float(powers[:, 0] @ powers[:, 0])
 
     def abs_t(signs):
-        first, third = ((2.0 * signs - 1.0) @ powers).T
+        first, third = (_plus_minus_one(signs) @ powers).T
         mean = first / n
         var = (sum_sq - n * mean**2) / (n - 1)
         mu3 = (third - 3.0 * mean * sum_sq + 2.0 * n * mean**3) / (n - 1)
@@ -363,9 +379,10 @@ def nploc_mean_test(
     obs = _t2_statistic(D)
     chol = np.linalg.cholesky(D.T @ D)
     support = np.any(D != 0.0, axis=1)
+    flipped = D[support]
 
     def t2(signs):
-        a = (np.linalg.solve(chol, ((2.0 * signs - 1.0) @ D[support] / n).T) ** 2).sum(0)
+        a = (np.linalg.solve(chol, (_plus_minus_one(signs) @ flipped / n).T) ** 2).sum(0)
         with np.errstate(divide="ignore"):
             return np.where(1.0 - n * a > 0.0, n * (n - 1) * a / (1.0 - n * a), np.inf)
 
@@ -479,7 +496,12 @@ def energy_test(
         return counts.reshape(b, len(rows)).astype(float)
 
     observed = np.bincount(group[:nx], minlength=len(rows)).astype(float)
-    p_value, _ = _permutation_pvalue(energy, relabel, observed, copies - observed, R, seed)
+    mirror = copies - observed
+
+    def tie(c):
+        return (c == observed).all(axis=1) | (c == mirror).all(axis=1)
+
+    p_value, _ = _permutation_pvalue(energy, relabel, tie, observed, R, seed)
     return TestReport(
         method="energy",
         statistic=obs,

@@ -183,3 +183,9 @@ def test_kmeans_peak_memory_does_not_grow_with_restarts():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_kmeans_refuses_rows_whose_squared_distances_overflow():
+    X = np.array([[0.0], [1e200], [2e200], [3e200]])
+    with np.errstate(over="ignore"), pytest.raises(DegeneracyError, match="overflow"):
+        kmeans(X, 2)

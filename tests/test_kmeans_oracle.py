@@ -342,3 +342,56 @@ def test_max_iter_stop_matches_oracle(monkeypatch):
         assert got.wcss == want.wcss
         got, want = _first_pass(X, 4, seed=2, restarts=5, max_iter=max_iter)
         np.testing.assert_array_equal(got, want)
+
+
+# Block-seeded restarts: ``_kpp_centers`` seeds as many restarts at once as
+# _BLOCK_ENTRIES entries of their (restarts, n, p) differences hold, and
+# takes each weighted pick as ``rng.choice`` takes it.
+
+
+def _seeds_match_oracle(X, K, seed, restarts):
+    """``_kpp_centers`` equals ``_kpp_init`` restart by restart, and leaves
+    every generator where the oracle leaves it."""
+    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+    refs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+    got = cluster._kpp_centers(X, K, rngs)
+    want = np.array([_kpp_init(X, K, ref) for ref in refs])
+    np.testing.assert_array_equal(got, want)
+    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+
+
+@pytest.mark.parametrize("n,p", [(1000, 8), (700, 10), (3000, 32)])
+def test_seeding_across_restart_blocks_matches_oracle(n, p):
+    assert n * p > cluster._BLOCK_ENTRIES // cluster.RESTARTS  # several blocks
+    rng = np.random.default_rng([31, n, p])
+    X = rng.normal(size=(n, p))
+    X[: n // 3] += 2.0
+    for K in (2, 5):
+        _seeds_match_oracle(X, K, seed=K, restarts=cluster.RESTARTS)
+
+
+def test_seeding_with_underflowing_distances_matches_oracle():
+    # squared steps of 1e-170 underflow to 0, so a pick sees a total of 0
+    tiny = np.arange(5.0)[:, None] * 1e-170
+    assert np.all((tiny - tiny.T) ** 2 == 0.0)
+    for X, K in ((tiny, 2), (tiny, 4), (np.vstack([tiny, [[1.0]]]), 3)):
+        _seeds_match_oracle(X, K, seed=3, restarts=6)
+
+
+def test_weighted_pick_matches_choice():
+    """Index and stream position of ``rng.choice(n, p=w / w.sum())``, over
+    random weights of any scale with zeros; a row of zeros draws any row."""
+    for case in range(250):
+        rng = np.random.default_rng([41, case])
+        n = int(rng.integers(1, 300))
+        weights = rng.random((8, n)) * 10.0 ** rng.integers(-150, 150, size=(8, 1))
+        weights[rng.random((8, n)) < rng.random()] = 0.0
+        weights[np.arange(8), rng.integers(n, size=8)] = rng.random(8) + 0.5
+        weights[7] = 0.0
+        rngs = [np.random.default_rng([case, j]) for j in range(8)]
+        got = cluster._kpp_picks(weights, rngs)
+        for j, w in enumerate(weights):
+            ref = np.random.default_rng([case, j])
+            want = ref.choice(n, p=w / w.sum()) if j < 7 else ref.integers(n)
+            assert got[j] == want
+            assert rngs[j].random() == ref.random()

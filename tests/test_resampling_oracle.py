@@ -184,6 +184,23 @@ def test_nploc_matches_loop(n, p, seed):
         assert (report.statistic, report.p_value) == (obs, pv)
 
 
+NPLOC_ZERO_GRID = [(21, 2, 5, 0), (40, 3, 1, 1), (300, 5, 150, 2), (301, 4, 290, 0)]
+
+
+@pytest.mark.parametrize("n,p,zero,seed", NPLOC_ZERO_GRID)
+def test_nploc_with_zero_rows_matches_loop(n, p, zero, seed):
+    # rows where x equals y are left out of the flips: the masked-support path
+    rng = np.random.default_rng(4000 + 7 * n + p + seed)
+    x = rng.normal(size=(n, p)) + 0.15
+    y = rng.normal(size=(n, p))
+    same = rng.choice(n, size=zero, replace=False)
+    y[same] = x[same]
+    for R in _replicate_counts(n)[:3] + [999]:
+        report = nploc_mean_test(x, y, R=R, seed=seed)
+        obs, pv = oracle_nploc(x - y, R, seed, tie_rule=True)
+        assert (report.statistic, report.p_value) == (obs, pv)
+
+
 ENERGY_GRID = [(nx, ny, dup, seed)
                for nx, ny in ((1, 2), (3, 3), (7, 12), (20, 33), (150, 150), (151, 90))
                for dup in (False, True) for seed in (0, 1)]
