@@ -98,6 +98,8 @@ def kmeans(
     # avoids cancellation on offset data and keeps integer data (and its ties) exact
     Xs = X - X[0]
     XT, xx = np.ascontiguousarray(Xs.T), np.einsum("ij,ij->i", Xs, Xs)
+    if not np.all(np.isfinite(xx)):  # so that no distance below is NaN
+        raise DegeneracyError("squared distances between rows overflow")
     rngs = [np.random.default_rng([seed, r]) for r in range(RESTARTS)]
     seeds = _kpp_centers(X, K, rngs) - X[0]
     refined: dict[bytes, tuple[float, np.ndarray]] = {}
@@ -219,6 +221,7 @@ def _lloyd(
         if K == 2:
             # one comparison, which numpy runs several times faster than an
             # argmin over rows of two; a tie goes to cluster 0, as in argmin
+            # (which would differ only on a NaN distance)
             assignment = (d2[:, :, 1] < d2[:, :, 0]).T.astype(np.intp, order="C")
         else:
             # argmin takes the lowest id on ties

@@ -185,7 +185,10 @@ def test_kmeans_peak_memory_does_not_grow_with_restarts():
     assert peaks[1] <= 1.25 * peaks[0]
 
 
-def test_kmeans_refuses_rows_whose_squared_distances_overflow():
-    X = np.array([[0.0], [1e200], [2e200], [3e200]])
+@pytest.mark.parametrize("rows", [
+    [[0.0], [1e200], [2e200], [3e200]],  # a squared distance overflows
+    [[0.0]] + [[1e154]] * 50 + [[-1e154]] * 50,  # their sum overflows in the seeding
+])
+def test_kmeans_refuses_rows_whose_squared_distances_overflow(rows):
     with np.errstate(over="ignore"), pytest.raises(DegeneracyError, match="overflow"):
-        kmeans(X, 2)
+        kmeans(np.array(rows), 2)
