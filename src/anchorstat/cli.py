@@ -41,7 +41,7 @@ from .corpus import (
     validate_pairing,
     write_text,
 )
-from .errors import AnchorstatError, DimensionError, ManifestError
+from .errors import AnchorstatError, CorpusFormatError, DimensionError, ManifestError
 from .llmpipeline import ClientConfig, embed_batch
 from .synth import ScenarioConfig, monte_carlo
 
@@ -234,7 +234,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    texts = [ln for ln in Path(args.input).read_text().splitlines() if ln.strip()]
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"--input {args.input} is not UTF-8 text: {exc}") from exc
+    texts = [ln for ln in text.splitlines() if ln.strip()]
     config = ClientConfig(
         base_url=args.base_url,
         embed_model=args.embed_model,

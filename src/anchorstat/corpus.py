@@ -309,11 +309,19 @@ def _read_binary(path: Path) -> np.ndarray:
 def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     """Scale every row to unit l2 norm. A row whose computed norm is
     within p * machine epsilon of 1 is kept as it is, so a second call
-    returns the bytes of the first."""
-    norms = np.linalg.norm(m.values, axis=1)
-    if np.any(norms == 0.0):
-        i = int(np.argmin(norms))
-        raise DegeneracyError(f"row {i} of '{m.label}' is all zeros; cannot normalize")
+    returns the bytes of the first. A row whose computed squared norm is
+    0 or overflows is refused."""
+    with np.errstate(over="ignore"):  # an infinite norm is refused below
+        norms = np.linalg.norm(m.values, axis=1)
+    if norms.min() == 0.0 or norms.max() == np.inf:
+        i = int(np.argmin((norms > 0.0) & (norms < np.inf)))
+        if norms[i] == np.inf:
+            what = "has a squared norm that overflows"
+        elif np.any(m.values[i]):
+            what = "has a squared norm that underflows to 0"
+        else:
+            what = "is all zeros"
+        raise DegeneracyError(f"row {i} of '{m.label}' {what}; cannot normalize")
     # dividing by 1.0 is exact
     norms[np.abs(norms - 1.0) <= m.p * np.finfo(np.float64).eps] = 1.0
     return EmbeddingMatrix(values=_Fresh(m.values / norms[:, None]), label=m.label)
@@ -461,8 +469,10 @@ def load_manifest(path) -> DatasetManifest:
     if not path.exists():
         raise ManifestError(f"manifest file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    # bytes that are not UTF-8, a number json cannot convert, or nesting
+    # deeper than the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     _check_json_type("manifest", doc, dict)
     try:

@@ -550,6 +550,7 @@ def test_mc_writes_report_with_rate(tmp_path):
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--alpha", 1.5, "alpha must be in (0,1)"),
+    ("--alpha", 0, "alpha must be in (0,1)"),
     ("--permutations", 0, "permutation count must be >= 1"),
 ])
 def test_mc_rejects_bad_grid_flags(tmp_path, capsys, flag, value, message):
@@ -1036,6 +1037,17 @@ def test_embed_without_texts_is_an_error(tmp_path, capsys):
     assert rc == 1
     assert "error: need at least 2 texts to embed, got 0" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_embed_input_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    (tmp_path / "t.txt").write_bytes(b"first text\n\xffsecond text\n")
+    rc = run_cli("embed", "--input", tmp_path / "t.txt", "--out", tmp_path / "e.csv",
+                 "--cache-dir", tmp_path / "cache")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: --input {tmp_path / 't.txt'} is not UTF-8 text: " in err
+    assert not (tmp_path / "e.csv").exists()
+    assert not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])

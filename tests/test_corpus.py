@@ -135,6 +135,18 @@ def test_normalize_zero_row_names_index():
         normalize_rows(m)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning fails the test
+@pytest.mark.parametrize("row, what", [
+    ([1e200, 1e200], "has a squared norm that overflows"),
+    ([1e-320, 0.0], "has a squared norm that underflows to 0"),
+    ([-1e-170, 1e-170], "has a squared norm that underflows to 0"),
+])
+def test_normalize_refuses_a_row_whose_squared_norm_leaves_the_floats(row, what):
+    m = EmbeddingMatrix(values=np.array([[3.0, 4.0], row, [0.0, 0.0]]), label="x")
+    with pytest.raises(DegeneracyError, match=re.escape(f"row 1 of 'x' {what}")):
+        normalize_rows(m)
+
+
 @pytest.mark.parametrize("p", [1, 2, 768, 3072])
 def test_normalize_rows_twice_gives_the_bytes_of_once(p):
     # rows from 1e-100 to 1e100 in size: the second call keeps every
@@ -362,6 +374,17 @@ def test_load_manifest_refuses_a_grid_that_is_not_an_object(tmp_path, grid):
 def test_load_manifest_names_the_part_of_the_wrong_shape(tmp_path, doc, message):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(ManifestError, match=re.escape(message)):
+        load_manifest(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("raw, detail", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"[" * 200000 + b"]" * 200000, "maximum recursion depth exceeded"),
+    (b'{"datasets": [], "x": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+], ids=["not-utf-8", "nested-200000-deep", "integer-of-5000-digits"])
+def test_load_manifest_refuses_bytes_json_cannot_read(tmp_path, raw, detail):
+    (tmp_path / "manifest.json").write_bytes(raw)
+    with pytest.raises(ManifestError, match=re.escape(f"manifest is not valid JSON: {detail}")):
         load_manifest(tmp_path / "manifest.json")
 
 

@@ -10,31 +10,23 @@ from anchorstat import cli
 from plumbing import SCRIPTS, run_python, write_collection
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("size_power_study.py", ["--n", "60", "--m", "2", "--permutations", "99", "--seed", "1"]),
-        ("synthetic_battery.py", ["--seeds", "1", "--n", "60", "--k-grid", "2,3",
-                                  "--permutations", "99"]),
-        ("divergence_curves.py", ["--n", "60", "--k-grid", "2", "--rhos", "0.1,1.0",
-                                  "--seed", "1"]),
-    ],
-)
-def test_script_runs(script, args, tmp_path):
-    out = run_python(SCRIPTS / script, *args, cwd=tmp_path)
+_SMOKE_ARGS = {
+    "synthetic_battery.py": ["--seeds", "1", "--n", "60", "--k-grid", "2,3",
+                             "--permutations", "99"],
+    "divergence_curves.py": ["--n", "60", "--k-grid", "2", "--rhos", "0.1,1.0", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("script", sorted(_SMOKE_ARGS))
+def test_script_runs(script, tmp_path):
+    out = run_python(SCRIPTS / script, *_SMOKE_ARGS[script], cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert "seed: " in out.stdout + out.stderr
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("size_power_study.py", ["--n", "40", "--m", "1", "--permutations", "19"]),
-        ("divergence_curves.py", ["--n", "40", "--k-grid", "2", "--rhos", "0.5"]),
-    ],
-)
-def test_script_out_creates_missing_directories(script, args, tmp_path):
-    out = run_python(SCRIPTS / script, *args, "--out", "missing/dir/x", cwd=tmp_path)
+def test_divergence_curves_out_creates_missing_directories(tmp_path):
+    out = run_python(SCRIPTS / "divergence_curves.py", "--n", "40", "--k-grid", "2",
+                     "--rhos", "0.5", "--out", "missing/dir/x", cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "missing" / "dir" / "x").read_text()
 
@@ -45,17 +37,6 @@ def test_battery_script_rejects_seed_counts_below_one(seeds, tmp_path):
     assert out.returncode == 2
     assert "argument --seeds: must be at least 1" in out.stderr
     assert "Traceback" not in out.stderr
-
-
-def test_size_power_study_out_is_byte_identical_across_reruns(tmp_path):
-    written = []
-    for run in range(2):
-        out = run_python(SCRIPTS / "size_power_study.py", "--n", "40", "--m", "2",
-                         "--permutations", "19", "--out", f"run{run}.json", cwd=tmp_path)
-        assert out.returncode == 0, out.stderr
-        assert "mean_runtime=" in out.stdout  # printed, not written
-        written.append((tmp_path / f"run{run}.json").read_bytes())
-    assert written[0] == written[1]
 
 
 def test_synthetic_battery_tables_equal_the_cli_battery(tmp_path):
@@ -82,7 +63,6 @@ def test_synthetic_battery_tables_equal_the_cli_battery(tmp_path):
 
 # each script's bad inputs, for the flags it declares: the CLI's refusals
 _BAD_INPUTS = {
-    "size_power_study.py": [["--alpha", "0"], ["--permutations", "0"], ["--seed", "-1"]],
     "synthetic_battery.py": [["--k-grid", "2,2"], ["--k-grid", "1"], ["--alpha", "0"],
                              ["--permutations", "0"]],
     "divergence_curves.py": [["--k-grid", "2,2"], ["--k-grid", "1"], ["--seed", "-1"]],
