@@ -33,6 +33,7 @@ from .corpus import (
     DatasetManifest,
     ExperimentGrid,
     ManifestEntry,
+    _nonblank_lines,
     load_manifest,
     load_matrix,
     normalize_rows,
@@ -89,10 +90,8 @@ def _load_collection(args, baselines=()):
     if args.pca_dim is not None and args.pca_dim < 1:
         raise DimensionError(f"target dimension p={args.pca_dim} out of range, expected >= 1")
     manifest = load_manifest(args.manifest)
-    base = Path(args.manifest).parent
-    manifest.validate_paths(base)
     grid = _grid_from_args(args, manifest.grid)
-    collection = manifest.load_collection(base)
+    collection = manifest.load_collection(Path(args.manifest).parent)
     if args.pca_dim is None:
         return manifest, grid, (collection, collection)
     return manifest, grid, reduce_members(
@@ -234,11 +233,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    # lines cut as the CSV reader cuts them: at newlines only, blank ones skipped
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        with open(args.input, encoding="utf-8") as fh:
+            texts = [ln.rstrip("\n") for ln in _nonblank_lines(fh)]
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"--input {args.input} is not UTF-8 text: {exc}") from exc
-    texts = [ln for ln in text.splitlines() if ln.strip()]
     config = ClientConfig(
         base_url=args.base_url,
         embed_model=args.embed_model,

@@ -309,14 +309,18 @@ def _read_binary(path: Path) -> np.ndarray:
 def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     """Scale every row to unit l2 norm. A row whose computed norm is
     within p * machine epsilon of 1 is kept as it is, so a second call
-    returns the bytes of the first. A row whose computed squared norm is
-    0 or overflows is refused."""
+    returns the bytes of the first. A row whose squared norm overflows is
+    refused, as is one whose norm is below sqrt(p) * 2**-511, where the
+    bits lost to subnormal squares move it by more than a rounding."""
     with np.errstate(over="ignore"):  # an infinite norm is refused below
         norms = np.linalg.norm(m.values, axis=1)
-    if norms.min() == 0.0 or norms.max() == np.inf:
-        i = int(np.argmin((norms > 0.0) & (norms < np.inf)))
+    floor = m.p**0.5 * 2.0**-511
+    if norms.min() < floor or norms.max() == np.inf:
+        i = int(np.argmin((norms >= floor) & (norms < np.inf)))
         if norms[i] == np.inf:
             what = "has a squared norm that overflows"
+        elif norms[i] > 0.0:
+            what = "has a norm too small to compute to full precision"
         elif np.any(m.values[i]):
             what = "has a squared norm that underflows to 0"
         else:
@@ -441,27 +445,16 @@ class DatasetManifest:
         if len(set(roles)) != len(roles):
             raise ManifestError("manifest roles must be unique")
 
-    def validate_paths(self, base: Path | None = None) -> None:
-        for e in self.entries:
-            p = _resolve(e.path, base)
+    def load_collection(self, base: Path) -> PairedCollection:
+        """Each member read from ``base / entry.path``, once every path exists."""
+        paths = [Path(base) / e.path for e in self.entries]
+        for p in paths:
             if not p.exists():
                 raise ManifestError(f"manifest path does not exist: {p}")
-
-    def load_collection(self, base: Path | None = None) -> PairedCollection:
-        members = {}
-        temps = {}
-        for e in self.entries:
-            p = _resolve(e.path, base)
-            members[e.role] = load_matrix(p, fmt=e.fmt, label=e.role)
-            temps[e.role] = e.temperature
+        members = {e.role: load_matrix(p, fmt=e.fmt, label=e.role)
+                   for e, p in zip(self.entries, paths)}
+        temps = {e.role: e.temperature for e in self.entries}
         return validate_pairing(members, temperatures=temps)
-
-
-def _resolve(path: str, base: Path | None) -> Path:
-    p = Path(path)
-    if not p.is_absolute() and base is not None:
-        p = Path(base) / p
-    return p
 
 
 def load_manifest(path) -> DatasetManifest:

@@ -100,8 +100,6 @@ def _permutation_pvalue(stat, draw, tie, observed, R: int, seed: int, support=No
     marks, one equal to ``observed`` or to its image under a symmetry of
     the statistic, ties by rule, not by rounding.
     """
-    if R < 1:
-        raise ParameterError(f"permutation count must be >= 1, got {R}")
     rng = np.random.default_rng(seed)
     rows = _block_rows(observed.shape[0])
     if support is not None and support.all():
@@ -173,6 +171,7 @@ def sign_flip_pvalue(
     reproducible and independent of execution order or thread count. A
     replicate needs only s.d and s.d^3 over the nonzero entries of d.
     """
+    ExperimentGrid(alpha=alpha, permutations=R, seed=seed)  # refuses a bad setting
     arr = np.asarray(d, dtype=float)
     t_obs = johnson_t(arr)
     n = arr.shape[0]
@@ -225,6 +224,7 @@ def anchored_test(
     ParameterError; identical mappings leave nothing to test and raise
     VacuousTestError.
     """
+    ExperimentGrid(alpha=alpha, permutations=R, seed=seed)  # refuses a bad setting
     (role1, part1), (role2, part2) = first, second
     if part1.K != part2.K:
         raise ParameterError(
@@ -342,6 +342,7 @@ def hotelling_paired(x, y, alpha: float = ExperimentGrid.alpha, seed: int = 0) -
     T^2 = n * dbar' S^-1 dbar on row differences; the p-value comes from
     F = T^2 (n-p) / (p (n-1)) with (p, n-p) degrees of freedom.
     """
+    ExperimentGrid(alpha=alpha, seed=seed)  # refuses a bad alpha or seed
     D = _paired_diff_rows(x, y)
     n, p = D.shape
     t2 = _t2_statistic(D)
@@ -374,6 +375,7 @@ def nploc_mean_test(
     Sherman-Morrison a replicate with mean m has T^2 = n(n-1) a / (1 - n a),
     a = m'G^-1 m, which is +inf when 1 - n a <= 0.
     """
+    ExperimentGrid(alpha=alpha, permutations=R, seed=seed)  # refuses a bad setting
     D = _paired_diff_rows(x, y)
     n = D.shape[0]
     obs = _t2_statistic(D)
@@ -470,6 +472,7 @@ def energy_test(
     the count c of x copies of each distinct pooled row; with distances D,
     copies m and r = Dm, the sums are c'Dc, m'Dm - 2r.c + c'Dc and r.c - c'Dc.
     """
+    ExperimentGrid(alpha=alpha, permutations=R, seed=seed)  # refuses a bad setting
     X, Y = _sample_rows(x), _sample_rows(y)
     obs = energy_statistic(X, Y)
     nx, ny = X.shape[0], Y.shape[0]

@@ -327,6 +327,8 @@ def monte_carlo(
     processes see changes made to this process's modules at run time
     only under the ``fork`` start method.
     """
+    if type(M) is not int:  # bools are ints to Python, but not counts
+        raise ParameterError(f"M must be an integer, got {M!r}")
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
     K_test = K if K is not None else cfg.K_true

@@ -34,7 +34,7 @@ from anchorstat.corpus import (
     save_matrix,
     validate_pairing,
 )
-from anchorstat.errors import AnchorstatError
+from anchorstat.errors import AnchorstatError, ManifestError
 from anchorstat.stattests import anchored_test
 from plumbing import run_cli, run_python, write_collection
 
@@ -467,6 +467,16 @@ def test_unknown_baseline_is_refused_before_any_matrix_is_read(tmp_path, capsys,
     assert matrix_loads == []
 
 
+def test_load_collection_checks_every_path_before_it_reads_a_matrix(tmp_path, matrix_loads):
+    manifest_path = _synth_manifest(tmp_path, n=40)
+    manifest = load_manifest(manifest_path)
+    last = manifest_path.parent / manifest.entries[-1].path
+    last.unlink()
+    with pytest.raises(ManifestError, match=re.escape(f"manifest path does not exist: {last}")):
+        manifest.load_collection(manifest_path.parent)
+    assert matrix_loads == []
+
+
 @pytest.mark.parametrize("command", ["battery"])
 def test_repeated_baseline_is_a_usage_error(tmp_path, capsys, command):
     manifest = _synth_manifest(tmp_path, n=40)
@@ -594,8 +604,6 @@ LIBRARY_DEFAULTS = {
     "cli.main(argv)": None,
     "cluster.kmeans(debug)": False,
     "cluster.kmeans(seed)": 0,
-    "corpus.DatasetManifest.load_collection(base)": None,
-    "corpus.DatasetManifest.validate_paths(base)": None,
     "corpus.load_matrix(fmt)": "csv",
     "corpus.load_matrix(label)": None,
     "corpus.save_matrix(fmt)": "csv",

@@ -140,6 +140,7 @@ def test_normalize_zero_row_names_index():
     ([1e200, 1e200], "has a squared norm that overflows"),
     ([1e-320, 0.0], "has a squared norm that underflows to 0"),
     ([-1e-170, 1e-170], "has a squared norm that underflows to 0"),
+    ([1e-160, 0.0], "has a norm too small to compute to full precision"),
 ])
 def test_normalize_refuses_a_row_whose_squared_norm_leaves_the_floats(row, what):
     m = EmbeddingMatrix(values=np.array([[3.0, 4.0], row, [0.0, 0.0]]), label="x")
@@ -392,7 +393,7 @@ def test_manifest_missing_path(tmp_path):
     manifest = _manifest(tmp_path)
     (tmp_path / "nonanchor_1.csv").unlink()
     with pytest.raises(ManifestError, match="does not exist"):
-        manifest.validate_paths(tmp_path)
+        manifest.load_collection(tmp_path)
 
 
 @pytest.mark.parametrize("text", ["", "  \n\t\n\n"])

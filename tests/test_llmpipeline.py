@@ -310,3 +310,21 @@ def test_cli_embed_of_one_text_is_refused_before_any_request(http_server, tmp_pa
     assert capsys.readouterr().err == "error: need at least 2 texts to embed, got 1\n"
     assert http_server.received == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["texts.txt"]
+
+
+def test_cli_embed_cuts_texts_at_newlines_only(http_server, tmp_path):
+    # str.splitlines() would also cut at U+2028 and at a form feed, giving
+    # 5 texts and shifting the last against the line it is paired with
+    rows = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]
+    http_server.answer = (200, {"data": [{"index": i, "embedding": r} for i, r in enumerate(rows)]})
+    texts = tmp_path / "texts.txt"
+    texts.write_bytes("first\u2028half\nsecond\x0cpage\n\nthird\n".encode())
+    rc = main([
+        "embed", "--input", str(texts), "--out", str(tmp_path / "emb.csv"),
+        "--base-url", _url(http_server, "/v1"), "--cache-dir", str(tmp_path / "cache"),
+    ])
+    assert rc == 0
+    assert http_server.received == [
+        {"model": ClientConfig.embed_model, "input": ["first\u2028half", "second\x0cpage", "third"]}
+    ]
+    np.testing.assert_array_equal(np.loadtxt(tmp_path / "emb.csv", delimiter=","), rows)

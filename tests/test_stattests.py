@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -112,9 +113,36 @@ def test_sign_flip_reproducible_and_seed_sensitive():
     assert c.p_value != a.p_value or c.seed != a.seed
 
 
-def test_sign_flip_requires_replicates():
-    with pytest.raises(ParameterError):
-        sign_flip_pvalue([1.0, 2.0], R=0, seed=0)
+_X = np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 3.0], [4.0, 2.0], [3.0, 5.0]])
+_ANCHOR = EmbeddingMatrix(values=np.array([[0.0], [2.0], [10.0], [12.0]]))
+_PUBLIC_TESTS = {
+    "sign_flip_pvalue": lambda **kw: sign_flip_pvalue([1.0, 2.0, 4.0], **kw),
+    "nploc_mean_test": lambda **kw: nploc_mean_test(_X, _X[::-1], **kw),
+    "energy_test": lambda **kw: energy_test(_X, _X + 1.0, **kw),
+    "hotelling_paired": lambda **kw: hotelling_paired(_X, _X[::-1], **kw),
+    "anchored_test": lambda **kw: anchored_test(
+        _ANCHOR, ("x", Partition(np.array([0, 0, 1, 1]), 2, 0.0)),
+        ("y", Partition(np.array([0, 1, 1, 1]), 2, 0.0)), **kw),
+}
+_BAD_SETTINGS = {
+    "R=0": (dict(R=0), "permutation count must be >= 1, got 0"),
+    "R=True": (dict(R=True), "permutation count must be an integer, got True"),
+    "alpha=2.0": (dict(alpha=2.0), "alpha must be in (0,1), got 2.0"),
+    "alpha=0": (dict(alpha=0), "alpha must be in (0,1), got 0"),
+    "seed=-1": (dict(seed=-1), "seed must be >= 0, got -1"),
+    "seed=True": (dict(seed=True), "seed must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("name, setting", [
+    pytest.param(name, setting, id=f"{name}-{setting}")
+    for name in _PUBLIC_TESTS for setting in _BAD_SETTINGS
+    if not (name == "hotelling_paired" and setting.startswith("R="))  # it draws no replicates
+])
+def test_public_tests_refuse_what_a_grid_refuses(name, setting):
+    kwargs, message = _BAD_SETTINGS[setting]
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        _PUBLIC_TESTS[name](**kwargs)
 
 
 def test_sign_flip_single_observation_arity():

@@ -155,6 +155,9 @@ def test_monte_carlo_scenario_validation():
         monte_carlo("bogus", _cfg(), M=1)
     with pytest.raises(ParameterError):
         monte_carlo("null", _cfg(), M=0)
+    for M in (True, 2.0):
+        with pytest.raises(ParameterError, match=re.escape(f"M must be an integer, got {M!r}")):
+            monte_carlo("null", _cfg(), M=M)
 
 
 def test_monte_carlo_counts_vacuous_as_accepts():
