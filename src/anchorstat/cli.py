@@ -6,8 +6,7 @@ what it writes, and refuses a bad flag value before it reads a matrix.
 
 Every command but `embed` takes --seed; reruns with identical inputs,
 flags and seed produce byte-identical output files. Status lines go to
-stderr, so stdout holds only a document. The experiment scripts read
-their shared flags through the helpers here and end the same way.
+stderr, so stdout holds only a document.
 """
 
 from __future__ import annotations
@@ -137,20 +136,25 @@ def cmd_distances(args) -> int:
     return 0
 
 
+def _write_collection(out_dir, collection, label: str, grid: ExperimentGrid) -> Path:
+    """Each member of ``collection`` as ``<role>.csv`` in ``out_dir``,
+    then a manifest of them with their temperatures; its path."""
+    out = Path(out_dir)
+    entries = []
+    for role in collection.roles:
+        save_matrix(collection.member(role), out / f"{role}.csv")
+        entries.append(ManifestEntry(f"{role}.csv", role, collection.temperatures.get(role)))
+    path = out / "manifest.json"
+    save_manifest(DatasetManifest(tuple(entries), grid, label), path)
+    return path
+
+
 def cmd_synth(args) -> int:
     grid = _grid_from_args(args)
-    triple = synth.generate_scenario(args.scenario, _scenario_from_args(args, grid.seed))
-    out = Path(args.out_dir)
-    entries = []
-    for role in triple.roles:
-        fname = f"{role}.csv"
-        save_matrix(triple.member(role), out / fname, fmt="csv")
-        entries.append(ManifestEntry(path=fname, role=role, fmt="csv"))
-    manifest = DatasetManifest(
-        entries=tuple(entries), grid=grid, label=f"synth-{args.scenario}"
-    )
-    save_manifest(manifest, out / "manifest.json")
-    print(f"wrote {len(entries)} matrices and manifest.json to {out}", file=sys.stderr)
+    collection = synth.generate_scenario(args.scenario, _scenario_from_args(args, grid.seed))
+    path = _write_collection(args.out_dir, collection, f"synth-{args.scenario}", grid)
+    print(f"wrote {len(collection.roles)} matrices and {path.name} to {path.parent}",
+          file=sys.stderr)
     return 0
 
 
@@ -256,16 +260,15 @@ def cmd_embed(args) -> int:
 # parser
 
 
-def _add_grid_flags(p: argparse.ArgumentParser, k_grid=True, tests=True, seed=True) -> None:
+def _add_grid_flags(p: argparse.ArgumentParser, k_grid=True, tests=True) -> None:
     """--k-grid unless the command takes one K, --alpha and --permutations
-    if it runs or records a test, and --seed unless it runs a seed range."""
+    if it runs or records a test, and --seed."""
     if k_grid:
         p.add_argument("--k-grid", help="comma-separated cluster counts, e.g. 2,3,4,5")
     if tests:
         p.add_argument("--alpha", type=float, default=None, help="significance level")
         p.add_argument("--permutations", type=int, default=None, help="permutation replicates R")
-    if seed:
-        p.add_argument("--seed", type=int, default=None, help="root RNG seed")
+    p.add_argument("--seed", type=int, default=None, help="root RNG seed")
 
 
 _PCA_DIM_HELP = "PCA-reduce every member to this dimension first"
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca-dim", type=int, default=None, help=_PCA_DIM_HELP)
     p.set_defaults(func=cmd_distances)
 
-    p = sub.add_parser("synth", help="write a synthetic triple and manifest")
+    p = sub.add_parser("synth", help="write a synthetic collection and manifest")
     p.add_argument("--scenario", choices=tuple(synth.SCENARIOS), required=True)
     _add_scenario_flags(p)
     _add_grid_flags(p)
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("mc", help="Monte Carlo rejection-rate study")
-    p.add_argument("--scenario", choices=tuple(synth.SCENARIOS), required=True)
+    p.add_argument("--scenario", choices=synth.TRIPLE_SCENARIOS, required=True)
     _add_scenario_flags(p)
     _add_grid_flags(p, k_grid=False)  # `mc` tests one K, set by --k
     p.add_argument("--m", type=int, default=200, help="number of replicates")

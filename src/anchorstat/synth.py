@@ -1,11 +1,12 @@
-"""Synthetic paired-dataset generators and the size/power harness.
+"""Synthetic paired-dataset generators and the Monte Carlo harness.
 
-Each scenario draws one latent label vector and builds an anchor plus two
+Each scenario draws one latent label vector and builds an anchor plus
 non-anchor datasets as Gaussian mixtures around dataset-specific random
-community means, so the three datasets share a partition of the index
-set while living in unrelated coordinate frames. The "null" scenario
-keeps one label vector for everything; the "alt" scenario redraws labels
-for the second non-anchor.
+community means, so the datasets share a partition of the index set
+while living in unrelated coordinate frames. The "null" scenario keeps
+one label vector for everything; the "alt" scenario redraws labels for
+the second non-anchor. "quad" and "drift" are the collections of the
+battery pattern study and of the divergence curves.
 
 `monte_carlo` tests replicate m of a study with seed s as the anchored
 cell at K of `anchorstat battery --seed (s, m, 1)` tests the triple
@@ -62,7 +63,7 @@ class ScenarioConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         for name in ("community_separation", "noise_sd"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ParameterError(f"{name} must be a real number, got {value!r}")
         if self.n < 2 * self.K_true:
             raise ParameterError(
@@ -140,18 +141,28 @@ def generate_alt_triple(cfg: ScenarioConfig) -> PairedCollection:
     return _collection(cfg, rng, {"anchor": z, "nonanchor_1": z, "nonanchor_2": z2})
 
 
-# scenario name -> its triple. Each entry calls its generator by the
+# the temperatures of the "drift" scenario, each with drift fraction rho/2
+DRIFT_RHO_FRACTIONS = tuple((rho, rho / 2) for rho in (0.1, 0.4, 0.7, 1.0, 1.5))
+
+# scenario name -> its collection. Each entry calls its generator by the
 # module-level name, so a replaced generator (a test's patch, a tracer's
 # wrapper) is the one that runs.
 SCENARIOS = {
     "null": lambda cfg: generate_null_triple(cfg),
     "alt": lambda cfg: generate_alt_triple(cfg),
+    "quad": lambda cfg: generate_battery_quad(cfg),
+    "drift": lambda cfg: generate_drift_family(cfg, DRIFT_RHO_FRACTIONS),
 }
+
+# the scenarios whose collection is one pair, the only ones `monte_carlo` tests
+TRIPLE_SCENARIOS = ("null", "alt")
 
 
 def generate_scenario(scenario: str, cfg: ScenarioConfig) -> PairedCollection:
-    """The triple of ``scenario``, a name in `SCENARIOS`: "null" (shared
-    labels) or "alt" (independent labels for the second non-anchor)."""
+    """The collection of ``scenario``, a name in `SCENARIOS`: "null"
+    (shared labels), "alt" (independent labels for the second
+    non-anchor), "quad" (`generate_battery_quad`) or "drift"
+    (`generate_drift_family` at `DRIFT_RHO_FRACTIONS`)."""
     if scenario not in SCENARIOS:
         raise ParameterError(f"unknown scenario '{scenario}'")
     return SCENARIOS[scenario](cfg)
@@ -172,28 +183,6 @@ def generate_battery_quad(cfg: ScenarioConfig) -> PairedCollection:
         "anchor": z, "nonanchor_aligned_1": z, "nonanchor_aligned_2": z,
         "nonanchor_drifted": z_drift,
     })
-
-
-def battery_pattern_counts(result) -> tuple[int, int, int, int]:
-    """Criterion 9's tallies for one `BatteryResult` over a
-    `generate_battery_quad` collection: (drifted-pair cells rejected,
-    drifted-pair cells, aligned-pair anchored cells accepted, aligned-pair
-    anchored cells). Every anchored and baseline cell of the drifted pair
-    counts; of the aligned pair only the anchored cells do, since the
-    direct comparisons see members in unrelated frames. An ``ERROR`` cell
-    is neither a rejection nor an acceptance; a vacuous cell accepts."""
-    rows = {row.pair: row for row in result.rows}
-    drift = rows[("nonanchor_aligned_1", "nonanchor_drifted")]
-    aligned = rows[("nonanchor_aligned_1", "nonanchor_aligned_2")]
-    drift_cells = [drift.anchored[K] for K in result.grid.k_values]
-    drift_cells += [drift.baselines[b] for b in result.baselines]
-    aligned_cells = [aligned.anchored[K] for K in result.grid.k_values]
-    return (
-        sum(bool(c.reject) for c in drift_cells),
-        len(drift_cells),
-        sum(c.reject is False for c in aligned_cells),
-        len(aligned_cells),
-    )
 
 
 def generate_drift_family(
@@ -314,8 +303,9 @@ def monte_carlo(
     R: int = ExperimentGrid.permutations,
     alpha: float = ExperimentGrid.alpha,
 ) -> MonteCarloReport:
-    """Run the anchored test on M independently seeded triples, replicate
-    m as the module docstring says.
+    """Run the anchored test on M independently seeded triples of a
+    scenario in `TRIPLE_SCENARIOS`, replicate m as the module docstring
+    says.
 
     A replicate whose mapped structures come out identical contributes a
     non-rejection (identical mappings are the strongest agreement with
@@ -327,6 +317,11 @@ def monte_carlo(
     processes see changes made to this process's modules at run time
     only under the ``fork`` start method.
     """
+    if scenario not in TRIPLE_SCENARIOS:  # a replicate's battery has one row
+        raise ParameterError(
+            f"monte_carlo tests one pair: scenario must be one of "
+            f"{', '.join(TRIPLE_SCENARIOS)}, got '{scenario}'"
+        )
     if type(M) is not int:  # bools are ints to Python, but not counts
         raise ParameterError(f"M must be an integer, got {M!r}")
     if M < 1:

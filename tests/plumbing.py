@@ -5,8 +5,9 @@
 - ``run_cli(*argv)``: ``anchorstat.cli.main`` in this process on the
   arguments as strings;
 - ``write_collection(directory, collection, label, grid)``: each member
-  as ``<role>.csv`` with its temperature, then ``manifest.json``;
-- ``ROOT`` and ``SCRIPTS``: the checkout and its experiment scripts.
+  as ``<role>.csv`` with its temperature, then ``manifest.json``, as
+  `anchorstat synth` writes them;
+- ``ROOT``: the checkout.
 
 The reference computations the package is checked against (the k-means,
 PCA and W1 transport oracles) are in ``brute_force.py``."""
@@ -16,17 +17,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from anchorstat.cli import main
-from anchorstat.corpus import (
-    DatasetManifest,
-    ExperimentGrid,
-    ManifestEntry,
-    save_manifest,
-    save_matrix,
-)
+from anchorstat.cli import _write_collection, main
+from anchorstat.corpus import ExperimentGrid
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = ROOT / "scripts"
 
 
 def run_python(*argv, env=None, cwd=None, timeout=300, text=True, check=False):
@@ -52,12 +46,4 @@ def run_cli(*argv):
 
 def write_collection(directory, collection, label, grid=ExperimentGrid(k_values=(2,))):
     """The manifest path of ``collection`` written to ``directory``."""
-    directory = Path(directory)
-    entries = []
-    for role in collection.roles:
-        save_matrix(collection.member(role), directory / f"{role}.csv")
-        entries.append(ManifestEntry(path=f"{role}.csv", role=role,
-                                     temperature=collection.temperatures.get(role)))
-    path = directory / "manifest.json"
-    save_manifest(DatasetManifest(tuple(entries), grid, label), path)
-    return path
+    return _write_collection(directory, collection, label, grid)

@@ -6,7 +6,8 @@ tests/test_acceptance.py`` to see them.
 
 import numpy as np
 
-from anchorstat.battery import run_battery
+from anchorstat import stattests
+from anchorstat.battery import BatteryCell, BatteryResult, BatteryRow, run_battery
 from anchorstat.cli import main
 from anchorstat.corpus import EmbeddingMatrix, ExperimentGrid
 from anchorstat.divergence import kl_divergence, wasserstein1
@@ -19,7 +20,6 @@ from anchorstat.stattests import (
 )
 from anchorstat.synth import (
     ScenarioConfig,
-    battery_pattern_counts,
     generate_battery_quad,
     monte_carlo,
 )
@@ -147,6 +147,46 @@ def test_criterion_08_power():
     report = monte_carlo("alt", cfg, M=200, K=2, R=999, alpha=0.05)
     ok = report.rate >= 0.9
     _report(8, "alternative rejection rate >= 0.9", ok, f"rate={report.rate:.3f}")
+
+
+def battery_pattern_counts(result) -> tuple[int, int, int, int]:
+    """Criterion 9's tallies for one `BatteryResult` over a
+    `generate_battery_quad` collection: (drifted-pair cells rejected,
+    drifted-pair cells, aligned-pair anchored cells accepted, aligned-pair
+    anchored cells). Every anchored and baseline cell of the drifted pair
+    counts; of the aligned pair only the anchored cells do, since the
+    direct comparisons see members in unrelated frames. An ``ERROR`` cell
+    is neither a rejection nor an acceptance; a vacuous cell accepts."""
+    rows = {row.pair: row for row in result.rows}
+    drift = rows[("nonanchor_aligned_1", "nonanchor_drifted")]
+    aligned = rows[("nonanchor_aligned_1", "nonanchor_aligned_2")]
+    drift_cells = [drift.anchored[K] for K in result.grid.k_values]
+    drift_cells += [drift.baselines[b] for b in result.baselines]
+    aligned_cells = [aligned.anchored[K] for K in result.grid.k_values]
+    return (
+        sum(bool(c.reject) for c in drift_cells),
+        len(drift_cells),
+        sum(c.reject is False for c in aligned_cells),
+        len(aligned_cells),
+    )
+
+
+def test_battery_pattern_counts_do_not_count_error_cells_as_acceptances():
+    def report(p):
+        return stattests.TestReport("anchored_johnson", 1.0, p, 99, 0, 0.05)
+
+    ok = BatteryCell(display="0.500", report=report(0.5))
+    identical = BatteryCell(display="identical")
+    error = BatteryCell(display="ERROR: x", error="x")
+    rejected = BatteryCell(display="< 1e-2*", report=report(0.01))
+    rows = (
+        BatteryRow(("nonanchor_aligned_1", "nonanchor_aligned_2"),
+                   {2: ok, 3: identical, 4: error}, {}),
+        BatteryRow(("nonanchor_aligned_1", "nonanchor_drifted"),
+                   {2: rejected, 3: error, 4: rejected}, {}),
+    )
+    result = BatteryResult("quad", ExperimentGrid((2, 3, 4), 0.05, 99), (), rows)
+    assert battery_pattern_counts(result) == (2, 3, 2, 3)
 
 
 def test_criterion_09_battery_patterns():

@@ -101,6 +101,28 @@ def test_synth_reproducible_files(tmp_path, capsys):
     assert "seed: 9" in capsys.readouterr().err
 
 
+def test_synth_quad_then_battery_is_the_pattern_study_table(tmp_path):
+    # one seed of the battery pattern study: `synth --scenario quad` then `battery`
+    from anchorstat.synth import ScenarioConfig, generate_battery_quad
+
+    manifest = _synth_manifest(tmp_path, scenario="quad", seed=3, n=60, sep=10.0)
+    out = tmp_path / "battery.csv"
+    assert run_cli("battery", "--manifest", manifest, "--k-grid", "2,3", "--permutations", 99,
+                   "--seed", 3, "--out", out) == 0
+    quad = generate_battery_quad(ScenarioConfig(n=60, community_separation=10.0, seed=3))
+    grid = ExperimentGrid(k_values=(2, 3), permutations=99, seed=3)
+    assert out.read_bytes() == battery_csv(run_battery(quad, "synth-quad", grid)).encode()
+
+
+@pytest.mark.parametrize("scenario", ["quad", "drift"])
+def test_synth_writes_every_scenario_and_mc_tests_only_one_pair(scenario, capsys):
+    build_parser().parse_args(["synth", "--scenario", scenario, "--out-dir", "s"])
+    with pytest.raises(SystemExit) as exc:
+        run_cli("mc", "--scenario", scenario)
+    assert exc.value.code == 2
+    assert f"invalid choice: '{scenario}'" in capsys.readouterr().err
+
+
 def test_battery_cell_reports_are_direct_test_reports(tmp_path):
     # n=20 rows in p=30: the anchored cell at K=2 is vacuous and the paired
     # baselines cannot run, so this one table holds reports and both nulls
@@ -538,6 +560,23 @@ def test_distances_identical_sets_zero_row(tmp_path):
     assert float(row[3]) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_synth_drift_then_distances_is_the_divergence_curves(tmp_path):
+    # the divergence-curve study: the drift family at its module temperatures,
+    # written with each member's temperature, then `distances`
+    from anchorstat.battery import run_distance_curves
+    from anchorstat.synth import DRIFT_RHO_FRACTIONS, ScenarioConfig, generate_drift_family
+
+    manifest = _synth_manifest(tmp_path, scenario="drift", seed=1, n=60)
+    temperatures = {e.role: e.temperature for e in load_manifest(manifest).entries}
+    assert temperatures == {"anchor": None, "nonanchor_base": None, "nonanchor_rho_0.1": 0.1,
+                            "nonanchor_rho_0.4": 0.4, "nonanchor_rho_0.7": 0.7,
+                            "nonanchor_rho_1": 1.0, "nonanchor_rho_1.5": 1.5}
+    out = tmp_path / "curves.csv"
+    assert run_cli("distances", "--manifest", manifest, "--k-grid", "2,3", "--out", out) == 0
+    family = generate_drift_family(ScenarioConfig(n=60, seed=1), DRIFT_RHO_FRACTIONS)
+    assert out.read_bytes() == curves_csv(run_distance_curves(family, (2, 3), 1)).encode()
+
+
 def test_distances_missing_rho_manifest_error(tmp_path, capsys):
     manifest = _synth_manifest(tmp_path, scenario="null", seed=5)
     rc = run_cli("distances", "--manifest", manifest)
@@ -723,7 +762,7 @@ PUBLIC_NAMES = {
     "sharding": "run_sharded split_range usable_cpus",
     "stattests": "TestReport anchored_test energy_statistic energy_test hotelling_paired "
                  "johnson_t nploc_mean_test sign_flip_pvalue",
-    "synth": "MonteCarloReport ScenarioConfig battery_pattern_counts generate_alt_triple "
+    "synth": "MonteCarloReport ScenarioConfig generate_alt_triple "
              "generate_battery_quad generate_drift_family generate_null_triple "
              "generate_scenario monte_carlo rand_index",
 }
@@ -915,12 +954,14 @@ def test_ingest_into_a_subdirectory_then_battery(tmp_path, monkeypatch, normaliz
     assert Path("battery.csv").read_text().startswith("dataset,")
 
 
-@pytest.mark.parametrize("command", ["ingest", "battery", "mc"])
+@pytest.mark.parametrize("command", ["ingest", "battery", "mc", "distances"])
 def test_output_parent_directories_are_created(tmp_path, command):
     manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)
     data = manifest.parent
     out = tmp_path / "new" / "deeper" / "out"
     argv = {
+        "distances": ("distances", "--manifest", _synth_manifest(tmp_path, "drift", n=40),
+                      "--k-grid", 2, "--out", out),
         "ingest": ("ingest", "--dataset", f"{data}/anchor.csv:anchor",
                    "--dataset", f"{data}/nonanchor_1.csv:nonanchor_1",
                    "--dataset", f"{data}/nonanchor_2.csv:nonanchor_2",

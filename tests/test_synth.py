@@ -4,9 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from anchorstat import cli, stattests, synth
-from anchorstat.battery import BatteryCell, BatteryResult, BatteryRow
-from anchorstat.corpus import ExperimentGrid
+from anchorstat import cli, synth
 from anchorstat.errors import GuardError, ParameterError
 from anchorstat.stattests import _child_seed
 from anchorstat.synth import (
@@ -43,6 +41,8 @@ def test_config_validation():
     (dict(dim="2"), "dim must be an integer, got '2'"),
     (dict(community_separation="8"), "community_separation must be a real number, got '8'"),
     (dict(noise_sd=None), "noise_sd must be a real number, got None"),
+    (dict(community_separation=True), "community_separation must be a real number, got True"),
+    (dict(noise_sd=True), "noise_sd must be a real number, got True"),
 ])
 def test_config_refuses_a_setting_of_the_wrong_type(setting, message):
     # refused as the config is built, so no generator or replicate runs on it
@@ -180,6 +180,17 @@ def test_monte_carlo_grid_validated_before_replicates(grid, monkeypatch):
         monte_carlo("null", _cfg(), M=1, **grid)
 
 
+@pytest.mark.parametrize("scenario", ["quad", "drift"])
+def test_monte_carlo_refuses_a_collection_of_more_than_one_pair(scenario, monkeypatch, pin_cpus):
+    # a replicate tests one pair, so a larger collection is refused before replicate 0
+    calls = []
+    monkeypatch.setattr(synth, "generate_scenario", lambda *args: calls.append(args))
+    pin_cpus(1)
+    with pytest.raises(ParameterError, match=f"scenario must be one of null, alt, got '{scenario}'"):
+        monte_carlo(scenario, _cfg(), M=2)
+    assert calls == []
+
+
 @pytest.mark.parametrize("K, n", [(1, 300), (11, 10)])
 def test_monte_carlo_refuses_k_before_any_replicate(K, n, monkeypatch, pin_cpus):
     # kmeans's own message, before replicate 0 is generated
@@ -237,24 +248,6 @@ def test_battery_quad_roles_and_alignment():
     pd = kmeans_with_restarts(5, quad.member("nonanchor_drifted"), 2, seed=2)
     assert rand_index(p1.assignment, p2.assignment) > 0.9
     assert rand_index(p1.assignment, pd.assignment) < 0.75
-
-
-def test_battery_pattern_counts_do_not_count_error_cells_as_acceptances():
-    def report(p):
-        return stattests.TestReport("anchored_johnson", 1.0, p, 99, 0, 0.05)
-
-    ok = BatteryCell(display="0.500", report=report(0.5))
-    identical = BatteryCell(display="identical")
-    error = BatteryCell(display="ERROR: x", error="x")
-    rejected = BatteryCell(display="< 1e-2*", report=report(0.01))
-    rows = (
-        BatteryRow(("nonanchor_aligned_1", "nonanchor_aligned_2"),
-                   {2: ok, 3: identical, 4: error}, {}),
-        BatteryRow(("nonanchor_aligned_1", "nonanchor_drifted"),
-                   {2: rejected, 3: error, 4: rejected}, {}),
-    )
-    result = BatteryResult("quad", ExperimentGrid((2, 3, 4), 0.05, 99), (), rows)
-    assert synth.battery_pattern_counts(result) == (2, 3, 2, 3)
 
 
 def test_drift_family_temperatures_and_monotone_drift():
