@@ -1,12 +1,12 @@
 """Command-line surface: ingest -> embed -> battery/distances/synth/mc,
 emitting p-value tables and divergence curves. PCA reduction
 happens only inside `battery` and `distances` (``--pca-dim``), through
-`battery.reduce_members`. A command declares only the flags that change
-what it writes, and refuses a bad flag value before it reads a matrix.
+`battery.reduce_members`. A command declares only the flags of the
+work it does, and refuses a bad flag value before it reads a matrix.
 
-Every command but `embed` takes --seed; reruns with identical inputs,
-flags and seed produce byte-identical output files. Status lines go to
-stderr, so stdout holds only a document.
+`battery`, `distances`, `synth` and `mc` take --seed; reruns with
+identical inputs, flags and seed produce byte-identical output files.
+Status lines go to stderr, so stdout holds only a document.
 """
 
 from __future__ import annotations
@@ -68,11 +68,9 @@ def _parse_baselines(text: str | None) -> tuple[str, ...]:
 
 def _grid_from_args(args, base: ExperimentGrid = ExperimentGrid()) -> ExperimentGrid:
     """The run's grid: each grid flag that the command declares and that
-    is given overrides ``base``. A command that declares --seed prints
-    the seed as its first status line."""
+    is given overrides ``base``. The seed is the run's first status line."""
     given = {name: value for name, value in vars(args).items() if value is not None}
-    if "seed" in vars(args):
-        print(f"seed: {given.get('seed', base.seed)}", file=sys.stderr)
+    print(f"seed: {given.get('seed', base.seed)}", file=sys.stderr)
     return ExperimentGrid(
         k_values=_parse_k_grid(given["k_grid"]) if "k_grid" in given else base.k_values,
         alpha=given.get("alpha", base.alpha),
@@ -206,7 +204,6 @@ def _parse_dataset(descriptor: str) -> tuple[str, str, float | None]:
 def cmd_ingest(args) -> int:
     if args.out_dir is not None and not args.normalize:
         raise ManifestError("--out-dir needs --normalize (it holds the normalized copies)")
-    grid = _grid_from_args(args)
     datasets = [_parse_dataset(d) for d in args.dataset]  # all refused before any read
     ext = "bin" if args.format == "binary" else "csv"
     # where each member's manifest entry points: its normalized copy or the input
@@ -220,7 +217,7 @@ def cmd_ingest(args) -> int:
             ManifestEntry(_manifest_path(out, manifest_dir), role, temp, args.format)
             for out, (_, role, temp) in zip(paths, datasets)
         ),
-        grid=grid,
+        grid=ExperimentGrid(),
         label=args.label or "ingested",
     )
     members = {}
@@ -261,8 +258,8 @@ def cmd_embed(args) -> int:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser, k_grid=True, tests=True) -> None:
-    """--k-grid unless the command takes one K, --alpha and --permutations
-    if it runs or records a test, and --seed."""
+    """--k-grid if the command works over a grid of K, --alpha and
+    --permutations if it runs or records a test, and --seed."""
     if k_grid:
         p.add_argument("--k-grid", help="comma-separated cluster counts, e.g. 2,3,4,5")
     if tests:
@@ -313,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a synthetic collection and manifest")
     p.add_argument("--scenario", choices=tuple(synth.SCENARIOS), required=True)
     _add_scenario_flags(p)
-    _add_grid_flags(p)
+    _add_grid_flags(p, k_grid=False, tests=False)  # the data's seed only
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -338,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="directory for normalized copies (needs --normalize)")
     p.add_argument("--out-manifest", required=True)
     p.add_argument("--label", help="dataset label for battery rows")
-    _add_grid_flags(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("embed", help="embed texts via the configured endpoint")

@@ -309,26 +309,24 @@ def _read_binary(path: Path) -> np.ndarray:
 def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     """Scale every row to unit l2 norm. A row whose computed norm is
     within p * machine epsilon of 1 is kept as it is, so a second call
-    returns the bytes of the first. A row whose squared norm overflows is
-    refused, as is one whose norm is below sqrt(p) * 2**-511, where the
-    bits lost to subnormal squares move it by more than a rounding."""
-    with np.errstate(over="ignore"):  # an infinite norm is refused below
+    returns the bytes of the first. A row whose norm overflows or is below
+    sqrt(p) * 2**-511, where subnormal squares lose bits, is first divided
+    by its largest magnitude; an all-zero row is refused."""
+    with np.errstate(over="ignore"):  # such rows are rescaled below
         norms = np.linalg.norm(m.values, axis=1)
     floor = m.p**0.5 * 2.0**-511
-    if norms.min() < floor or norms.max() == np.inf:
-        i = int(np.argmin((norms >= floor) & (norms < np.inf)))
-        if norms[i] == np.inf:
-            what = "has a squared norm that overflows"
-        elif norms[i] > 0.0:
-            what = "has a norm too small to compute to full precision"
-        elif np.any(m.values[i]):
-            what = "has a squared norm that underflows to 0"
-        else:
-            what = "is all zeros"
-        raise DegeneracyError(f"row {i} of '{m.label}' {what}; cannot normalize")
+    rows = np.flatnonzero((norms < floor) | (norms == np.inf))
+    peaks = np.abs(m.values[rows]).max(axis=1)
+    if not peaks.all():
+        i = rows[np.argmin(peaks)]
+        raise DegeneracyError(f"row {i} of '{m.label}' is all zeros; cannot normalize")
+    scaled = m.values[rows] / peaks[:, None]
+    norms[rows] = np.linalg.norm(scaled, axis=1)
     # dividing by 1.0 is exact
     norms[np.abs(norms - 1.0) <= m.p * np.finfo(np.float64).eps] = 1.0
-    return EmbeddingMatrix(values=_Fresh(m.values / norms[:, None]), label=m.label)
+    values = m.values / norms[:, None]
+    values[rows] = scaled / norms[rows, None]
+    return EmbeddingMatrix(values=_Fresh(values), label=m.label)
 
 
 @dataclass(frozen=True)
@@ -381,10 +379,34 @@ def validate_pairing(
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One member of a manifest, built only from fields ``load_manifest`` reads."""
+
     path: str
     role: str
     temperature: float | None = None
     fmt: str = "csv"
+
+    def __post_init__(self):
+        for name, value in (("path", self.path), ("role", self.role), ("format", self.fmt)):
+            if not isinstance(value, str):
+                raise ManifestError(f"'{name}' must be a string, got {value!r}")
+        for name in ("path", "role"):
+            if not getattr(self, name):
+                raise ManifestError(f"'{name}' must not be empty")
+        if self.fmt not in ("csv", "binary"):
+            raise ManifestError(f"unknown matrix format {self.fmt!r}")
+        t = self.temperature
+        # numbers that json writes: a numpy float64 is a float, a bool is not a
+        # temperature, and the bound turns away NaN, infinities and huge ints
+        if t is not None and (isinstance(t, bool) or not isinstance(t, (int, float))
+                              or not abs(t) <= sys.float_info.max):
+            raise ManifestError(f"'temperature' must be null or a finite number, got {t!r}")
+
+
+def _require_int(what: str, value) -> None:
+    # bools are ints to Python, but not counts, sizes or seeds
+    if type(value) is not int:
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -404,17 +426,12 @@ class ExperimentGrid:
     def __post_init__(self):
         if not self.k_values:
             raise ParameterError("grid K values must not be empty")
-        # bools are ints to Python, but not counts or seeds
         if not all(type(k) is int for k in self.k_values):
             raise ParameterError(f"grid K values must be integers, got {self.k_values}")
         if not isinstance(self.alpha, numbers.Real):
             raise ParameterError(f"alpha must be a real number, got {self.alpha!r}")
-        if type(self.permutations) is not int:
-            raise ParameterError(
-                f"permutation count must be an integer, got {self.permutations!r}"
-            )
-        if type(self.seed) is not int:
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
+        _require_int("permutation count", self.permutations)
+        _require_int("seed", self.seed)
         if any(k < 2 for k in self.k_values):
             raise ParameterError(f"grid K values must be >= 2, got {self.k_values}")
         if len(set(self.k_values)) != len(self.k_values):
@@ -509,24 +526,11 @@ def _manifest_grid(g: dict) -> ExperimentGrid:
 
 
 def _manifest_entry(i: int, d: dict) -> ManifestEntry:
-    """Entry i of a manifest's datasets, each field of the type readers rely on."""
-    fields = {"path": d["path"], "role": d["role"], "format": d.get("format", "csv")}
-    for name, value in fields.items():
-        if not isinstance(value, str):
-            raise ManifestError(f"manifest datasets[{i}]: '{name}' must be a string, got {value!r}")
-    for name in ("path", "role"):
-        if not fields[name]:
-            raise ManifestError(f"manifest datasets[{i}]: '{name}' must not be empty")
-    if fields["format"] not in ("csv", "binary"):
-        raise ManifestError(f"manifest datasets[{i}]: unknown matrix format {fields['format']!r}")
-    t = d.get("temperature")
-    # the type test turns away bools, and the bound the NaN and Infinity json
-    # reads and integers too large for a float (on which isfinite raises)
-    if t is not None and (type(t) not in (int, float) or not abs(t) <= sys.float_info.max):
-        raise ManifestError(
-            f"manifest datasets[{i}]: 'temperature' must be null or a finite number, got {t!r}"
-        )
-    return ManifestEntry(fields["path"], fields["role"], t, fields["format"])
+    """Entry i of a manifest's datasets; a refused field names i."""
+    try:
+        return ManifestEntry(d["path"], d["role"], d.get("temperature"), d.get("format", "csv"))
+    except ManifestError as exc:
+        raise ManifestError(f"manifest datasets[{i}]: {exc}") from None
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import EmbeddingMatrix, normalize_rows
+from .corpus import EmbeddingMatrix, _require_int, normalize_rows
 from .errors import ParameterError, TransportError
 
 Transport = Callable[[str, dict, dict, float], dict]
@@ -135,6 +135,7 @@ def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
 
     Cached per text hash; only uncached texts touch the endpoint.
     """
+    _require_int("embed batch size", config.embed_batch_size)
     if config.embed_batch_size < 1:
         raise ParameterError(f"embed batch size must be >= 1, got {config.embed_batch_size}")
     texts = list(texts)

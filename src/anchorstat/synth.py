@@ -28,7 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .battery import run_battery
-from .corpus import EmbeddingMatrix, ExperimentGrid, PairedCollection, validate_pairing
+from .corpus import (
+    EmbeddingMatrix, ExperimentGrid, PairedCollection, _require_int, validate_pairing,
+)
 from .errors import AnchorstatError, GuardError, ParameterError
 from .sharding import run_sharded
 from .stattests import _child_seed
@@ -56,11 +58,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # bools are ints to Python, but not sizes or seeds
         for name in ("n", "dim", "K_true", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            _require_int(name, getattr(self, name))
         for name in ("community_separation", "noise_sd"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -322,8 +321,7 @@ def monte_carlo(
             f"monte_carlo tests one pair: scenario must be one of "
             f"{', '.join(TRIPLE_SCENARIOS)}, got '{scenario}'"
         )
-    if type(M) is not int:  # bools are ints to Python, but not counts
-        raise ParameterError(f"M must be an integer, got {M!r}")
+    _require_int("M", M)
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
     K_test = K if K is not None else cfg.K_true

@@ -618,9 +618,9 @@ def test_mc_rejects_bad_grid_flags(tmp_path, capsys, flag, value, message):
 OPTIONAL_FLAGS = {
     "battery": "--k-grid --alpha --permutations --seed --out --format --baselines --pca-dim",
     "distances": "--k-grid --seed --out --pca-dim",
-    "synth": "--n --dim --k-true --separation --noise --k-grid --alpha --permutations --seed",
+    "synth": "--n --dim --k-true --separation --noise --seed",
     "mc": "--n --dim --k-true --separation --noise --alpha --permutations --seed --m --k --out",
-    "ingest": "--format --normalize --out-dir --label --k-grid --alpha --permutations --seed",
+    "ingest": "--format --normalize --out-dir --label",
     "embed": "--format --base-url --embed-model --api-key-env --cache-dir --batch-size",
 }
 
@@ -789,10 +789,17 @@ def test_public_names_are_pinned():
     pytest.param("distances", "--alpha", 0.5, id="distances--alpha"),
     pytest.param("distances", "--permutations", 5, id="distances--permutations"),
     pytest.param("embed", "--seed", 5, id="embed--seed"),
+    pytest.param("synth", "--permutations", 49, id="synth--permutations"),
+    pytest.param("synth", "--k-grid", "2,3", id="synth--k-grid"),
+    pytest.param("synth", "--alpha", 0.1, id="synth--alpha"),
+    pytest.param("ingest", "--seed", 0, id="ingest--seed"),
+    pytest.param("ingest", "--k-grid", "2,3", id="ingest--k-grid"),
 ])
 def test_flag_the_command_would_ignore_is_a_usage_error(capsys, command, flag, value):
     required = {
         "mc": ("--scenario", "null"), "embed": ("--input", "t.txt", "--out", "e.csv"),
+        "synth": ("--scenario", "null", "--out-dir", "s"),
+        "ingest": ("--dataset", "a.csv:anchor", "--out-manifest", "m.json"),
     }.get(command, ("--manifest", "m.json"))
     with pytest.raises(SystemExit) as exc:
         run_cli(command, *required, flag, value)
@@ -846,7 +853,6 @@ def test_ingest_builds_manifest(tmp_path):
         "--dataset", f"{tmp_path}/na2.csv:na2:0.7",
         "--out-manifest", out_manifest,
         "--label", "demo",
-        "--seed", 0,
     )
     assert rc == 0
     manifest = load_manifest(out_manifest)
@@ -1023,18 +1029,13 @@ def test_ingest_refuses_a_bad_role_set_before_any_copy(tmp_path, capsys, roles, 
     assert not (tmp_path / "norm").exists() and not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize("command", ["mc", "synth", "battery", "ingest"])
+@pytest.mark.parametrize("command", ["mc", "synth", "battery"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     manifest = _synth_manifest(tmp_path, scenario="null", seed=5, n=40)
-    data = manifest.parent
     argv = {
         "mc": ("mc", "--scenario", "null", "--n", 40, "--m", 1),
         "synth": ("synth", "--scenario", "null", "--out-dir", tmp_path / "out"),
         "battery": ("battery", "--manifest", manifest),
-        "ingest": ("ingest", "--dataset", f"{data}/anchor.csv:anchor",
-                   "--dataset", f"{data}/nonanchor_1.csv:nonanchor_1",
-                   "--dataset", f"{data}/nonanchor_2.csv:nonanchor_2",
-                   "--out-manifest", tmp_path / "out" / "m.json"),
     }[command]
     rc = run_cli(*argv, "--seed", -1)
     assert rc == 1

@@ -136,16 +136,17 @@ def test_normalize_zero_row_names_index():
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning fails the test
-@pytest.mark.parametrize("row, what", [
-    ([1e200, 1e200], "has a squared norm that overflows"),
-    ([1e-320, 0.0], "has a squared norm that underflows to 0"),
-    ([-1e-170, 1e-170], "has a squared norm that underflows to 0"),
-    ([1e-160, 0.0], "has a norm too small to compute to full precision"),
+@pytest.mark.parametrize("row", [
+    [1e200, 1e200], [1e-320, 0.0], [-1e-170, 1e-170], [1e-160, 0.0],
+    [1.7e308, 1.7e308], [5e-324, 5e-324],
 ])
-def test_normalize_refuses_a_row_whose_squared_norm_leaves_the_floats(row, what):
-    m = EmbeddingMatrix(values=np.array([[3.0, 4.0], row, [0.0, 0.0]]), label="x")
-    with pytest.raises(DegeneracyError, match=re.escape(f"row 1 of 'x' {what}")):
-        normalize_rows(m)
+def test_normalize_scales_a_row_whose_squared_norm_leaves_the_floats(row):
+    # the squared norm overflows, underflows to 0 or loses bits to subnormals
+    m = EmbeddingMatrix(values=np.array([[3.0, 4.0], row, [0.0, 1.0]]))
+    once = normalize_rows(m)
+    np.testing.assert_array_max_ulp(np.linalg.norm(once.values[1]), 1.0, maxulp=1)
+    np.testing.assert_array_equal(np.sign(once.values[1]), np.sign(row))
+    assert normalize_rows(once).values.tobytes() == once.values.tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 768, 3072])
@@ -221,12 +222,12 @@ def _manifest(tmp_path, temps=(None, 0.1, 0.7)):
 
 
 def test_manifest_round_trip(tmp_path):
-    manifest = _manifest(tmp_path)
+    manifest = _manifest(tmp_path, temps=(None, np.float64(0.1), 0.7))
     save_manifest(manifest, tmp_path / "manifest.json")
     back = load_manifest(tmp_path / "manifest.json")
     assert back.label == "demo"
     assert back.grid == manifest.grid
-    assert [e.role for e in back.entries] == [e.role for e in manifest.entries]
+    assert back.entries == manifest.entries
     coll = back.load_collection(tmp_path)
     assert coll.n == 8
     assert coll.temperatures["nonanchor_2"] == 0.7
@@ -312,6 +313,18 @@ def test_load_manifest_refuses_an_empty_path_or_role(tmp_path, field):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(ManifestError, match=re.escape(f"datasets[1]: '{field}' must not be empty")):
         load_manifest(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("temperature", float("nan"), "'temperature' must be null or a finite number, got nan"),
+    ("temperature", True, "'temperature' must be null or a finite number, got True"),
+    ("fmt", "xml", "unknown matrix format 'xml'"),
+    ("path", "", "'path' must not be empty"),
+])
+def test_manifest_entry_refuses_what_load_manifest_refuses(field, value, message):
+    # so save_manifest cannot write an entry that load_manifest refuses
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        ManifestEntry(**{"path": "a.csv", "role": "a", field: value})
 
 
 @pytest.mark.parametrize("field, value, message", [

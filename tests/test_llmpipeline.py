@@ -92,10 +92,15 @@ def test_embed_batching_respects_chunk_size(tmp_path):
     assert fake.calls == 3  # ceil(5 / 2)
 
 
-@pytest.mark.parametrize("size", [0, -1])
-def test_embed_batch_size_must_be_positive(tmp_path, size):
+@pytest.mark.parametrize("size, need", [
+    pytest.param(0, ">= 1", id="0"),
+    pytest.param(-1, ">= 1", id="-1"),
+    pytest.param(True, "an integer", id="True"),  # would be a batch size of 1
+    pytest.param(2.5, "an integer", id="2.5"),
+])
+def test_embed_batch_size_must_be_positive(tmp_path, size, need):
     fake = FakeEmbed()
-    with pytest.raises(ParameterError, match=f"embed batch size must be >= 1, got {size}"):
+    with pytest.raises(ParameterError, match=f"embed batch size must be {need}, got {size}"):
         embed_batch(["a", "b"], _config(tmp_path, fake, embed_batch_size=size))
     assert fake.calls == 0
 

@@ -314,10 +314,10 @@ def test_monte_carlo_replicate_is_synth_then_test(scenario, monkeypatch, pin_cpu
         assert (data_seed, test_seed) == (_child_seed(8, m, 0), _child_seed(8, m, 1))
         out = tmp_path / f"{scenario}{m}"
         assert cli.main(["synth", "--scenario", scenario, "--n", "60", "--seed", str(data_seed),
-                         "--permutations", "49", "--out-dir", str(out)]) == 0
+                         "--out-dir", str(out)]) == 0
         rc = cli.main(["battery", "--manifest", str(out / "manifest.json"), "--k-grid", "2",
-                       "--baselines", "none", "--seed", str(test_seed), "--format", "json",
-                       "--out", str(out / "battery.json")])
+                       "--permutations", "49", "--baselines", "none", "--seed", str(test_seed),
+                       "--format", "json", "--out", str(out / "battery.json")])
         assert rc == 0
         (row,) = json.loads((out / "battery.json").read_text())["rows"]
         cell = row["anchored"]["2"]
