@@ -307,7 +307,9 @@ def run_distance_curves(
     seed: int = 0,
 ) -> list[dict]:
     """KL and order-1 transport distance between the baseline member's
-    mapped distances and each temperature-tagged member's, per K."""
+    mapped distances and each temperature-tagged member's, per K. The
+    Ks and the seed are refused where a grid refuses them."""
+    grid = ExperimentGrid(tuple(k_values), seed=seed)
     temps = dict(collection.temperatures)
     nonanchors = collection.nonanchor_roles
     tagged = [r for r in nonanchors if temps.get(r) is not None]
@@ -330,9 +332,9 @@ def run_distance_curves(
     if not varying:
         raise ManifestError("distance curves need at least one varying member")
 
-    partition = _member_partitions(collection, [base_role, *varying], k_values, seed)
+    partition = _member_partitions(collection, [base_role, *varying], grid.k_values, grid.seed)
     rows = []
-    for K in k_values:
+    for K in grid.k_values:
         d_base = mapped_distances(collection.anchor, partition(base_role, K))
         for role in varying:
             d_rho = mapped_distances(collection.anchor, partition(role, K))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _sample_rows
+from .corpus import _require_int, _sample_rows
 from .errors import DegeneracyError, ParameterError
 
 RESTARTS = 10  # k-means++ restarts per clustering, read at call time; the lowest WCSS wins
@@ -87,6 +87,7 @@ def kmeans(
     """
     X = _sample_rows(m)
     n = X.shape[0]
+    K, seed = _require_int("K", K), _require_int("seed", seed, 0)
     if not 2 <= K <= n:
         raise ParameterError(f"K={K} out of range [2, n={n}]")
     # K distinct first coordinates already give K distinct rows

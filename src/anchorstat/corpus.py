@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import numbers
+import operator
 import os
 import shutil
 import struct
@@ -403,10 +404,25 @@ class ManifestEntry:
             raise ManifestError(f"'temperature' must be null or a finite number, got {t!r}")
 
 
-def _require_int(what: str, value) -> None:
-    # bools are ints to Python, but not counts, sizes or seeds
-    if type(value) is not int:
+def _require_int(what: str, value, least: int | None = None) -> int:
+    # what operator.index takes, as a Python int, not below least; bools
+    # are ints to Python, but not counts, sizes or seeds
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
+    number = operator.index(value)
+    if least is not None and number < least:
+        raise ParameterError(f"{what} must be >= {least}, got {number}")
+    return number
+
+
+def _require_real(what: str, value) -> float:
+    # any real but a bool, as a float: an infinity past the float range
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
 
 
 @dataclass(frozen=True)
@@ -414,9 +430,9 @@ class ExperimentGrid:
     """The test settings of one experiment: every K of the battery, the
     level, the permutation count and the root seed. The one place that
     checks them: a value of the wrong type or out of range is a
-    ParameterError, raised when the grid is built. Its defaults are the
-    tests' defaults, and ``dataclasses.asdict`` of it is the JSON form
-    that manifests and battery tables write."""
+    ParameterError, raised when the grid is built. Each is stored as a
+    Python int or float, so ``dataclasses.asdict`` of it is the JSON form
+    that manifests and battery tables write; its defaults are the tests'."""
 
     k_values: tuple[int, ...] = (2, 3, 4, 5)
     alpha: float = 0.05
@@ -426,22 +442,16 @@ class ExperimentGrid:
     def __post_init__(self):
         if not self.k_values:
             raise ParameterError("grid K values must not be empty")
-        if not all(type(k) is int for k in self.k_values):
-            raise ParameterError(f"grid K values must be integers, got {self.k_values}")
-        if not isinstance(self.alpha, numbers.Real):
-            raise ParameterError(f"alpha must be a real number, got {self.alpha!r}")
-        _require_int("permutation count", self.permutations)
-        _require_int("seed", self.seed)
-        if any(k < 2 for k in self.k_values):
-            raise ParameterError(f"grid K values must be >= 2, got {self.k_values}")
-        if len(set(self.k_values)) != len(self.k_values):
-            raise ParameterError(f"grid K values must be distinct, got {self.k_values}")
-        if not 0 < self.alpha < 1:
+        k_values = tuple(_require_int("grid K value", k, 2) for k in self.k_values)
+        if len(set(k_values)) != len(k_values):
+            raise ParameterError(f"grid K values must be distinct, got {k_values}")
+        alpha = _require_real("alpha", self.alpha)
+        if not 0 < alpha < 1:
             raise ParameterError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.permutations < 1:
-            raise ParameterError(f"permutation count must be >= 1, got {self.permutations}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        for name, what, least in (("permutations", "permutation count", 1), ("seed", "seed", 0)):
+            object.__setattr__(self, name, _require_int(what, getattr(self, name), least))
+        object.__setattr__(self, "k_values", k_values)
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)

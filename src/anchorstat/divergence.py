@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .corpus import _check_finite
 from .errors import ParameterError
 
 BINS = 50  # shared equal-width bins over the pooled range
@@ -14,6 +15,7 @@ def _as_sample(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0:
         raise ParameterError("sample must be non-empty")
+    _check_finite(arr[:, None], "sample")
     return arr
 
 

@@ -135,9 +135,7 @@ def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
 
     Cached per text hash; only uncached texts touch the endpoint.
     """
-    _require_int("embed batch size", config.embed_batch_size)
-    if config.embed_batch_size < 1:
-        raise ParameterError(f"embed batch size must be >= 1, got {config.embed_batch_size}")
+    batch = _require_int("embed batch size", config.embed_batch_size, 1)
     texts = list(texts)
     if len(texts) < 2:
         # a matrix needs two rows: refused before the cache or the endpoint is used
@@ -149,8 +147,8 @@ def embed_batch(texts: Sequence[str], config: ClientConfig) -> EmbeddingMatrix:
 
     url = config.base_url.rstrip("/") + "/embeddings"
     widths = {len(v) for v in vectors if v is not None}
-    for start in range(0, len(pending), config.embed_batch_size):
-        chunk = pending[start : start + config.embed_batch_size]
+    for start in range(0, len(pending), batch):
+        chunk = pending[start : start + batch]
         payload = {"model": config.embed_model, "input": [texts[i] for i in chunk]}
         rows = _call_with_retries(config, url, payload)
         if len(rows) != len(chunk):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
@@ -29,7 +28,8 @@ import numpy as np
 
 from .battery import run_battery
 from .corpus import (
-    EmbeddingMatrix, ExperimentGrid, PairedCollection, _require_int, validate_pairing,
+    EmbeddingMatrix, ExperimentGrid, PairedCollection, _require_int, _require_real,
+    validate_pairing,
 )
 from .errors import AnchorstatError, GuardError, ParameterError
 from .sharding import run_sharded
@@ -58,26 +58,21 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "dim", "K_true", "seed"):
-            _require_int(name, getattr(self, name))
-        for name in ("community_separation", "noise_sd"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
+        for name, least in (("n", None), ("dim", 1), ("K_true", 1)):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
         if self.n < 2 * self.K_true:
             raise ParameterError(
                 f"need n >= 2*K_true, got n={self.n}, K_true={self.K_true}"
             )
-        if self.K_true < 1:
-            raise ParameterError(f"K_true must be >= 1, got {self.K_true}")
-        if self.dim < 1:
-            raise ParameterError(f"dim must be >= 1, got {self.dim}")
-        if not math.isfinite(self.community_separation) or self.community_separation < 0:
+        separation = _require_real("community_separation", self.community_separation)
+        if not math.isfinite(separation) or separation < 0:
             raise ParameterError("community_separation must be finite and >= 0")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd > 0):
+        noise_sd = _require_real("noise_sd", self.noise_sd)
+        if not (math.isfinite(noise_sd) and noise_sd > 0):
             raise ParameterError(f"noise_sd must be finite and > 0, got {self.noise_sd}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "community_separation", separation)
+        object.__setattr__(self, "noise_sd", noise_sd)
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
 
 
 def _place_community_means(
@@ -321,10 +316,8 @@ def monte_carlo(
             f"monte_carlo tests one pair: scenario must be one of "
             f"{', '.join(TRIPLE_SCENARIOS)}, got '{scenario}'"
         )
-    _require_int("M", M)
-    if M < 1:
-        raise ParameterError(f"M must be >= 1, got {M}")
-    K_test = K if K is not None else cfg.K_true
+    M = _require_int("M", M, 1)
+    K_test = _require_int("K", K if K is not None else cfg.K_true)
     if not 2 <= K_test <= cfg.n:  # kmeans's own check, before any replicate runs
         raise ParameterError(f"K={K_test} out of range [2, n={cfg.n}]")
     grid = ExperimentGrid((K_test,), alpha, R)  # refuses a bad alpha or R
@@ -343,8 +336,8 @@ def monte_carlo(
         ci_high=ci_high,
         degenerate_ci=(M * rate * (1 - rate) == 0),
         mean_runtime_s=sum(wall for _, wall in results) / M,
-        alpha=alpha,
-        K=K_test,
-        replicates=R,
+        alpha=grid.alpha,
+        K=grid.k_values[0],
+        replicates=grid.permutations,
         seed=cfg.seed,
     )

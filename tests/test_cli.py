@@ -18,6 +18,7 @@ from anchorstat.battery import (
     BASELINES,
     _cell_seed,
     battery_csv,
+    battery_json,
     curves_csv,
     format_p,
     member_partition,
@@ -34,7 +35,7 @@ from anchorstat.corpus import (
     save_matrix,
     validate_pairing,
 )
-from anchorstat.errors import AnchorstatError, ManifestError
+from anchorstat.errors import AnchorstatError, ManifestError, ParameterError
 from anchorstat.stattests import anchored_test
 from plumbing import run_cli, run_python, write_collection
 
@@ -244,7 +245,7 @@ def test_overflowing_anchor_distances_error_in_battery_cells_and_distances(tmp_p
     (dict(alpha=1.5), "alpha must be in (0,1), got 1.5"),
     (dict(alpha=0.0), "alpha must be in (0,1), got 0.0"),
     (dict(permutations=0), "permutation count must be >= 1, got 0"),
-    (dict(k_values=(1, 2)), "grid K values must be >= 2, got (1, 2)"),
+    (dict(k_values=(1, 2)), "grid K value must be >= 2, got 1"),
     (dict(seed=-1), "seed must be >= 0, got -1"),
 ])
 def test_run_battery_refuses_a_bad_test_setting_before_clustering(monkeypatch, setting, message):
@@ -405,6 +406,17 @@ def test_manifest_and_battery_json_write_the_grid_as_its_four_fields(tmp_path):
                    "--format", "json", "--out", out) == 0
     doc = json.loads(out.read_text())
     assert {key: doc[key] for key in doc if key not in ("dataset", "rows")} == form
+
+
+def test_battery_json_of_a_numpy_built_grid_is_that_of_python_numbers():
+    from anchorstat.synth import ScenarioConfig, generate_null_triple
+
+    triple = generate_null_triple(ScenarioConfig(n=40, seed=2))
+    numpy_grid = ExperimentGrid((np.int64(2), np.int64(3)), np.float64(0.1), np.int64(19),
+                                np.int64(4))
+    python = run_battery(triple, "x", ExperimentGrid((2, 3), 0.1, 19, 4), baselines=("nploc",))
+    numpy = run_battery(triple, "x", numpy_grid, baselines=("nploc",))
+    assert battery_json(numpy) == battery_json(python)
 
 
 def test_battery_json_hotelling_underflow(tmp_path):
@@ -575,6 +587,19 @@ def test_synth_drift_then_distances_is_the_divergence_curves(tmp_path):
     assert run_cli("distances", "--manifest", manifest, "--k-grid", "2,3", "--out", out) == 0
     family = generate_drift_family(ScenarioConfig(n=60, seed=1), DRIFT_RHO_FRACTIONS)
     assert out.read_bytes() == curves_csv(run_distance_curves(family, (2, 3), 1)).encode()
+
+
+@pytest.mark.parametrize("k_values, seed, message", [
+    ((2, 2), 0, "grid K values must be distinct, got (2, 2)"),
+    ((2,), -1, "seed must be >= 0, got -1"),
+])
+def test_run_distance_curves_refuses_what_a_grid_refuses(k_values, seed, message):
+    from anchorstat.battery import run_distance_curves
+    from anchorstat.synth import ScenarioConfig, generate_scenario
+
+    family = generate_scenario("drift", ScenarioConfig(n=60, seed=3))
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        run_distance_curves(family, k_values, seed)
 
 
 def test_distances_missing_rho_manifest_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,24 @@ def test_two_tight_groups():
 def test_identical_rows_degeneracy():
     with pytest.raises(DegeneracyError, match="distinct"):
         kmeans(_mat([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]), 2, seed=0)
+
+
+@pytest.mark.parametrize("K, seed, message", [
+    (2.0, 0, "K must be an integer, got 2.0"),
+    (2, -1, "seed must be >= 0, got -1"),
+    (2, 1.5, "seed must be an integer, got 1.5"),
+    (2, True, "seed must be an integer, got True"),
+])
+def test_kmeans_refuses_a_K_or_seed_that_is_not_a_count(K, seed, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        kmeans(_mat([0.0], [1.0], [9.0], [10.0]), K, seed=seed)
+
+
+def test_kmeans_stores_a_numpy_K_as_an_int():
+    X = _mat([0.0], [1.0], [9.0], [10.0], [4.0])
+    part = kmeans(X, np.int64(2), seed=np.int64(3))
+    assert type(part.K) is int
+    np.testing.assert_array_equal(part.assignment, kmeans(X, 2, seed=3).assignment)
 
 
 def test_distinct_rows_checked_beyond_first_column():

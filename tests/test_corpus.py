@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -271,17 +272,30 @@ def test_manifest_rejects_empty_k_grid():
 
 
 @pytest.mark.parametrize("args, message", [
-    (((2.0, 3),), "grid K values must be integers, got (2.0, 3)"),
-    (((True, 3),), "grid K values must be integers, got (True, 3)"),
+    (((2.0, 3),), "grid K value must be an integer, got 2.0"),
+    (((True, 3),), "grid K value must be an integer, got True"),
     (((2,), "0.05"), "alpha must be a real number, got '0.05'"),
     (((2,), 0.05, 19.5), "permutation count must be an integer, got 19.5"),
     (((2,), 0.05, True), "permutation count must be an integer, got True"),
     (((2,), 0.05, 19, 1.0), "seed must be an integer, got 1.0"),
     (((2,), 0.05, 19, False), "seed must be an integer, got False"),
+    (((np.float64(2.0),),), "grid K value must be an integer, got np.float64(2.0)"),
+    (((2,), np.True_), "alpha must be a real number, got np.True_"),
+    (((2,), 0.05, np.True_), "permutation count must be an integer, got np.True_"),
+    (((2,), 0.05, 19, np.float64(1.0)), "seed must be an integer, got np.float64(1.0)"),
 ])
 def test_grid_refuses_a_setting_of_the_wrong_type(args, message):
     with pytest.raises(ParameterError, match=re.escape(message)):
         ExperimentGrid(*args)
+
+
+def test_grid_stores_numpy_scalars_as_python_numbers(tmp_path):
+    grid = ExperimentGrid((np.int64(3), np.int32(2)), np.float64(0.1), np.int64(19), np.uint8(7))
+    assert grid == ExperimentGrid((3, 2), 0.1, 19, 7)
+    stored = (*grid.k_values, grid.alpha, grid.permutations, grid.seed)
+    assert [type(v) for v in stored] == [int, int, float, int, int]
+    save_manifest(dataclasses.replace(_manifest(tmp_path), grid=grid), tmp_path / "manifest.json")
+    assert load_manifest(tmp_path / "manifest.json").grid == grid
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -330,12 +344,14 @@ def test_manifest_entry_refuses_what_load_manifest_refuses(field, value, message
 @pytest.mark.parametrize("field, value, message", [
     ("permutations", 19.5, "permutation count must be an integer, got 19.5"),
     ("permutations", True, "permutation count must be an integer, got True"),
-    ("k_values", [2.5], "grid K values must be integers, got (2.5,)"),
-    ("k_values", [True, 3], "grid K values must be integers, got (True, 3)"),
+    ("k_values", [2.5], "grid K value must be an integer, got 2.5"),
+    ("k_values", [True, 3], "grid K value must be an integer, got True"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("alpha", "0.05", "alpha must be a real number, got '0.05'"),
     ("alpha", float("nan"), "alpha must be in (0,1), got nan"),
-    ("alpha", True, "alpha must be in (0,1), got True"),
+    ("alpha", True, "alpha must be a real number, got True"),
+    pytest.param("alpha", 10**400, "alpha must be in (0,1), got 1000",
+                 id="alpha-integer-too-large-for-a-float"),
 ])
 def test_load_manifest_checks_grid_types(tmp_path, field, value, message):
     # the manifest's grid settings are checked by the grid itself

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorstat.divergence import kl_divergence, wasserstein1
-from anchorstat.errors import ParameterError
+from anchorstat.errors import CorpusFormatError, ParameterError
 from brute_force import transport_lp
 
 
@@ -86,3 +86,13 @@ def test_kl_direction_is_asymmetric():
     ab = kl_divergence(a, b)
     ba = kl_divergence(b, a)
     assert ab != pytest.approx(ba, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")  # refused before numpy sees it
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("measure", [kl_divergence, wasserstein1])
+def test_divergences_refuse_a_non_finite_sample(measure, bad):
+    with pytest.raises(CorpusFormatError, match=r"non-finite entry at row 0, col 0 in 'sample'"):
+        measure([bad, 1.0], [1.0, 2.0])
+    with pytest.raises(CorpusFormatError, match=r"non-finite entry at row 1, col 0 in 'sample'"):
+        measure([1.0, 2.0], [1.0, bad])

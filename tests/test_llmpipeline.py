@@ -92,6 +92,12 @@ def test_embed_batching_respects_chunk_size(tmp_path):
     assert fake.calls == 3  # ceil(5 / 2)
 
 
+def test_embed_batch_size_may_be_a_numpy_integer(tmp_path):
+    fake = FakeEmbed()
+    embed_batch(["a", "b", "c", "d", "e"], _config(tmp_path, fake, embed_batch_size=np.int64(2)))
+    assert fake.calls == 3
+
+
 @pytest.mark.parametrize("size, need", [
     pytest.param(0, ">= 1", id="0"),
     pytest.param(-1, ">= 1", id="-1"),

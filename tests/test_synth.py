@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -48,6 +49,19 @@ def test_config_refuses_a_setting_of_the_wrong_type(setting, message):
     # refused as the config is built, so no generator or replicate runs on it
     with pytest.raises(ParameterError, match=re.escape(message)):
         ScenarioConfig(**{"n": 40, **setting})
+
+
+def test_config_stores_numpy_scalars_as_python_numbers():
+    cfg = ScenarioConfig(n=np.int64(40), dim=np.int32(3), K_true=np.int64(2),
+                         community_separation=np.float64(8.0), noise_sd=np.float32(1.0),
+                         seed=np.uint16(5))
+    assert cfg == ScenarioConfig(n=40, dim=3, K_true=2, seed=5)
+    assert [type(v) for v in dataclasses.astuple(cfg)] == [int, int, int, float, float, int]
+
+
+def test_config_names_the_first_bad_field_in_field_order():
+    with pytest.raises(ParameterError, match=re.escape("dim must be >= 1, got 0")):
+        ScenarioConfig(n=3, dim=0, K_true=2, noise_sd=0.0, seed=-1)
 
 
 def test_same_config_bitwise_identical():
@@ -160,6 +174,13 @@ def test_monte_carlo_scenario_validation():
             monte_carlo("null", _cfg(), M=M)
 
 
+def test_monte_carlo_report_of_numpy_settings_is_that_of_python_numbers():
+    cfg = _cfg(n=40, seed=5)
+    report = monte_carlo("null", cfg, M=np.int64(3), K=np.int64(2), R=np.int64(19),
+                         alpha=np.float64(0.1))
+    assert report.to_json() == monte_carlo("null", cfg, M=3, K=2, R=19, alpha=0.1).to_json()
+
+
 def test_monte_carlo_counts_vacuous_as_accepts():
     # huge separation makes the two estimated partitions identical, so
     # every replicate is vacuous and nothing is rejected
@@ -170,7 +191,8 @@ def test_monte_carlo_counts_vacuous_as_accepts():
 
 
 @pytest.mark.parametrize("grid", [dict(alpha=1.5), dict(alpha=0.0), dict(alpha=1.0),
-                                  dict(alpha=-0.1), dict(R=0), dict(R=19.5), dict(K=2.0)])
+                                  dict(alpha=-0.1), dict(R=0), dict(R=19.5), dict(K=2.0),
+                                  dict(K="2")])
 def test_monte_carlo_grid_validated_before_replicates(grid, monkeypatch):
     def no_replicate(cfg):
         raise AssertionError("a replicate ran before the grid was validated")
